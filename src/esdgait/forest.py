@@ -6,9 +6,11 @@ Everything is deterministic given the seeds, independent of parallelism.
 
 Determinism notes baked into the split search: Gini terms are computed
 from integer-valued class counts (exact in float64), so equal-quality
-splits compare bit-identically and the documented tie-breaks (lowest
-feature index, then lowest threshold; prediction ties to the lowest class
-id) are reproducible.
+splits compare bit-identically and the documented tie-breaks are
+reproducible. A node scores all its candidate features in one batched
+pass; within each candidate column the first maximum (lowest threshold)
+wins, then the first column holding the best maximum (lowest feature
+index). Prediction ties go to the lowest class id.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -69,19 +71,17 @@ class ForestParams:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_estimators < 1:
-            raise ValidationError("n_estimators must be >= 1")
-        if self.max_depth < 1:
-            raise ValidationError("max_depth must be >= 1")
-        if self.min_samples_split < 2:
-            raise ValidationError("min_samples_split must be >= 2")
-        if self.min_samples_leaf < 1:
-            raise ValidationError("min_samples_leaf must be >= 1")
-        if isinstance(self.max_features, str):
-            if self.max_features not in ("sqrt", "log2", "all"):
-                raise ValidationError(f"unknown max_features rule {self.max_features!r}")
-        elif self.max_features < 1:
-            raise ValidationError("max_features count must be >= 1")
+        counts = [
+            ("n_estimators", 1), ("max_depth", 1), ("min_samples_split", 2), ("min_samples_leaf", 1)
+        ]
+        if not isinstance(self.max_features, str):
+            counts.append(("max_features", 1))
+        for name, low in counts:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
+                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+        if isinstance(self.max_features, str) and self.max_features not in ("sqrt", "log2", "all"):
+            raise ValidationError(f"unknown max_features rule {self.max_features!r}")
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":
@@ -93,15 +93,7 @@ class ForestParams:
         return min(int(self.max_features), n_features)
 
     def to_dict(self) -> dict:
-        return {
-            "n_estimators": self.n_estimators,
-            "min_samples_split": self.min_samples_split,
-            "min_samples_leaf": self.min_samples_leaf,
-            "max_depth": self.max_depth,
-            "bootstrap": self.bootstrap,
-            "max_features": self.max_features,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ForestParams":
@@ -185,43 +177,46 @@ def gini_impurity(class_counts) -> float:
 
 
 def _best_split_for_feature(
-    values: np.ndarray, labels: np.ndarray, n_classes: int, min_leaf: int
-) -> tuple[float, float] | None:
-    """Best (gini decrease, threshold) splitting on one feature, or None.
+    block: np.ndarray, labels: np.ndarray, n_classes: int, min_leaf: int
+) -> tuple[float, int, float] | None:
+    """Best (gini decrease, column, threshold) over the columns of an (n, m)
+    block of candidate features, or None if no column can be split.
 
-    Thresholds are midpoints between consecutive distinct sorted values;
-    candidates leaving a child below min_leaf are skipped. Ties pick the
-    lowest threshold.
+    A single feature is an (n, 1) block. Thresholds are midpoints between
+    consecutive distinct sorted values of a column; candidates leaving a
+    child below min_leaf are skipped. Ties pick the lowest threshold within
+    a column, then the lowest column.
     """
-    n = values.size
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    y = labels[order]
-    onehot = np.zeros((n, n_classes))
-    onehot[np.arange(n), y] = 1.0
-    cum = np.cumsum(onehot, axis=0)  # counts with sorted index <= i
-    n_left = np.arange(1, n)  # split after position i-1, i = 1..n-1
+    n, m = block.shape
+    order = np.argsort(block, axis=0, kind="stable")
+    v = np.take_along_axis(block, order, axis=0)
+    n_left = np.arange(1, n)[:, None]  # split after sorted position i-1, i = 1..n-1
     valid = v[:-1] != v[1:]
     valid &= (n_left >= min_leaf) & (n - n_left >= min_leaf)
     if not np.any(valid):
         return None
+    onehot = labels[order][:, :, None] == np.arange(n_classes)
+    cum = np.cumsum(onehot, axis=0, dtype=float)  # (n, m, K) counts at sorted index <= i
     left_counts = cum[:-1]
-    total_counts = cum[-1]
-    right_counts = total_counts[None, :] - left_counts
+    total_counts = cum[-1, 0]
+    right_counts = total_counts - left_counts
     n_right = n - n_left
     # integer-valued sums of squares are exact in float64
-    left_sq = (left_counts * left_counts).sum(axis=1)
-    right_sq = (right_counts * right_counts).sum(axis=1)
+    left_sq = (left_counts * left_counts).sum(axis=2)
+    right_sq = (right_counts * right_counts).sum(axis=2)
     gini_left = 1.0 - left_sq / (n_left * n_left)
     gini_right = 1.0 - right_sq / (n_right * n_right)
     parent = 1.0 - (total_counts * total_counts).sum() / (n * n)
     decrease = parent - (n_left * gini_left + n_right * gini_right) / n
     decrease[~valid] = -np.inf
-    best = int(np.argmax(decrease))  # first max = lowest threshold
-    thr = (v[best] + v[best + 1]) / 2.0
-    if thr == v[best + 1]:  # adjacent floats: keep the left value on the left
-        thr = v[best]
-    return float(decrease[best]), float(thr)
+    rows = np.argmax(decrease, axis=0)  # first max per column = lowest threshold
+    col = int(np.argmax(decrease[rows, np.arange(m)]))  # first best column
+    best = rows[col]
+    lo, hi = v[best, col], v[best + 1, col]
+    thr = (lo + hi) / 2.0
+    if thr == hi:  # adjacent floats: keep the left value on the left
+        thr = lo
+    return float(decrease[best, col]), col, float(thr)
 
 
 def fit_tree(data: Dataset, params: ForestParams, rng_seed: int) -> DecisionTree:
@@ -255,17 +250,13 @@ def fit_tree(data: Dataset, params: ForestParams, rng_seed: int) -> DecisionTree
         if imp == 0.0 or idx.size < params.min_samples_split or depth >= params.max_depth:
             return node
         candidates = np.sort(rng.choice(x.shape[1], size=m_features, replace=False))
-        best = None  # (decrease, feature, threshold)
-        for f in candidates:
-            found = _best_split_for_feature(x[idx, f], y[idx], k, params.min_samples_leaf)
-            if found is None:
-                continue
-            dec, thr = found
-            if best is None or dec > best[0]:
-                best = (dec, int(f), thr)
+        best = _best_split_for_feature(
+            x[np.ix_(idx, candidates)], y[idx], k, params.min_samples_leaf
+        )
         if best is None or best[0] <= 0.0:
             return node
-        dec, f, thr = best
+        dec, col, thr = best
+        f = int(candidates[col])
         goes_left = x[idx, f] <= thr
         feature[node] = f
         threshold[node] = thr
@@ -336,6 +327,9 @@ def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
         raise ValidationError(
             f"expected {len(model.feature_names)} features, got {rows.shape[1]}"
         )
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"row {int(bad[0])} has a non-finite feature value")
     acc = np.zeros((rows.shape[0], len(model.class_names)))
     for tree in model.trees:
         acc += tree.predict_proba(rows)
@@ -654,4 +648,8 @@ def save_model(model: RandomForestModel, path, mfcc_fingerprint: str | None = No
 
 def load_model(path, expected_fingerprint: str | None = None) -> RandomForestModel:
     with open(path, encoding="utf-8") as fh:
-        return model_from_document(json.load(fh), expected_fingerprint)
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValidationError(f"{path}: not a valid model file ({exc})") from None
+    return model_from_document(doc, expected_fingerprint)

@@ -2,13 +2,15 @@
 
 Everything here is computed from first principles: the DFT as an explicit
 matrix of complex exponentials (no FFT), the filterbank and cosine
-transform from their defining formulas with plain loops. Deliberately kept
+transform from their defining formulas with plain loops, Gini splits by
+trying every threshold with exact fractions. Deliberately kept
 separate from the package under test.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -131,3 +133,41 @@ def audit_tree(tree, params) -> None:
     for i in leaves:
         assert tree.left[i] == -1 and tree.right[i] == -1
     assert np.all(tree.histogram.sum(axis=1) == tree.n_samples)
+
+
+def brute_force_split(block, labels, n_classes: int, min_leaf: int):
+    """Best Gini split of an (n, m) block by trying every column and threshold.
+
+    Thresholds are midpoints of consecutive distinct values of a column (the
+    lower value when the midpoint rounds onto the upper one); a split needs
+    min_leaf rows on each side. Impurities are exact fractions, so splits
+    that are mathematically tied tie here too. Returns (best decrease,
+    [(column, threshold), ...] attaining it in column-then-threshold order),
+    or None when no split is allowed.
+    """
+    block = np.asarray(block, dtype=float)
+    labels = [int(v) for v in labels]
+    n, m = block.shape
+
+    def gini(ys: list[int]) -> Fraction:
+        return 1 - sum(Fraction(ys.count(c), len(ys)) ** 2 for c in range(n_classes))
+
+    parent = gini(labels)
+    scored = []
+    for col in range(m):
+        xs = block[:, col].tolist()
+        values = sorted(set(xs))
+        for lo, hi in zip(values, values[1:]):
+            thr = (lo + hi) / 2.0
+            if thr == hi:
+                thr = lo
+            left = [y for x, y in zip(xs, labels) if x <= thr]
+            right = [y for x, y in zip(xs, labels) if x > thr]
+            if len(left) < min_leaf or len(right) < min_leaf:
+                continue
+            decrease = parent - Fraction(len(left), n) * gini(left) - Fraction(len(right), n) * gini(right)
+            scored.append((decrease, col, thr))
+    if not scored:
+        return None
+    best = max(d for d, _, _ in scored)
+    return best, [(col, thr) for d, col, thr in scored if d == best]

@@ -162,6 +162,40 @@ class TestTrainEval:
                      "--out", str(tmp_path), "--model", str(out / "model.rfj"), "--quiet"])
         assert code == 0
 
+    def test_eval_truncated_model_exits_1(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        model = tmp_path / "model.rfj"
+        text = (out / "model.rfj").read_text()
+        model.write_text(text[: len(text) // 2])
+        code = main(["eval", str(out / "features.csv"), "--config", str(config),
+                     "--out", str(tmp_path), "--model", str(model), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(model) in err
+
+    def test_eval_model_rejects_nan_feature_cell(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        lines = (out / "features.csv").read_text().splitlines(keepends=True)
+        cells = lines[1].split(",")
+        lines[1] = ",".join(["nan"] + cells[1:])
+        features = tmp_path / "features.csv"
+        features.write_text("".join(lines))
+        (tmp_path / "features.meta.json").write_bytes((out / "features.meta.json").read_bytes())
+        code = main(["eval", str(features), "--config", str(config), "--out", str(tmp_path),
+                     "--model", str(out / "model.rfj"), "--quiet"])
+        assert code == 1
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_fractional_n_estimators_exits_1(self, pipeline, tmp_path, capsys):
+        _, out = pipeline
+        config = write_config(tmp_path, forest={"n_estimators": 2.5})
+        code = main(["train", str(out / "features.csv"), "--config", str(config),
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "n_estimators" in err
+        assert len(err.strip().splitlines()) == 1
+
     def test_missing_features_nonzero_exit(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["train", str(tmp_path / "absent.csv"),

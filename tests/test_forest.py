@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from esdgait.io import dump_json
 
 from reference import (
     audit_tree,
+    brute_force_split,
     kappa_from_confusion,
     macro_ovr_auroc,
     pair_count_auroc,
@@ -66,6 +69,73 @@ def test_gini_rejects_bad_histograms():
         rf.gini_impurity([0, 0])
     with pytest.raises(ValidationError):
         rf.gini_impurity([3, -1])
+
+
+# ---------------------------------------------------------------- split search
+
+
+@pytest.mark.parametrize("n_classes", [2, 6])
+def test_split_search_matches_brute_force_oracle(n_classes):
+    rng = np.random.default_rng(40 + n_classes)
+    outcomes = {"split": 0, "none": 0}
+    for trial in range(120):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, 6))
+        if trial % 2:
+            block = rng.integers(0, int(rng.integers(2, 8)), size=(n, m)) / 4.0  # duplicates
+        else:
+            block = rng.normal(size=(n, m))
+        if trial % 3 == 0 and m > 1:
+            block[:, -1] = block[:, 0]  # equal-gain columns
+        labels = rng.integers(0, n_classes, n)
+        min_leaf = int(rng.integers(1, 6))
+        got = rf._best_split_for_feature(block, labels, n_classes, min_leaf)
+        want = brute_force_split(block, labels, n_classes, min_leaf)
+        if want is None:
+            assert got is None
+            outcomes["none"] += 1
+            continue
+        best, optimal = want
+        dec, col, thr = got
+        assert dec == pytest.approx(float(best), abs=1e-12)
+        # mathematically tied splits may differ in the last bit, so any
+        # optimal split is accepted; bit-identical copies must go to the lower column
+        assert (col, thr) in optimal
+        if trial % 3 == 0 and m > 1:
+            assert col != m - 1
+        outcomes["split"] += 1
+    assert outcomes["split"] > 50 and outcomes["none"] > 5
+
+
+def test_split_search_min_leaf_cuts_every_split():
+    rng = np.random.default_rng(3)
+    block = rng.normal(size=(9, 4))
+    labels = np.array([0, 1] * 4 + [1])
+    assert rf._best_split_for_feature(block, labels, 2, min_leaf=5) is None
+    assert brute_force_split(block, labels, 2, min_leaf=5) is None
+    assert rf._best_split_for_feature(block, labels, 2, min_leaf=4) is not None
+
+
+def test_split_search_ties_pick_lowest_threshold_then_lowest_column():
+    # mirror-image splits at 0.5 and 2.5 score bit-identically
+    column = np.array([0.0, 1.0, 2.0, 3.0])
+    labels = np.array([0, 1, 0, 1])
+    dec, col, thr = rf._best_split_for_feature(column[:, None], labels, 2, 1)
+    assert (dec, col, thr) == (pytest.approx(1.0 / 6.0, abs=1e-15), 0, 0.5)
+    block = np.column_stack([np.full(4, 7.0), column, column])  # column 0 cannot split
+    assert rf._best_split_for_feature(block, labels, 2, 1)[1:] == (1, 0.5)
+
+
+def test_saved_model_bytes_are_pinned(tmp_path):
+    """Any change to split order, tie-breaks or serialization changes these bytes."""
+    data = blob_dataset(20, [[0, 0], [1.5, 1.5], [3, 0]], n_noise=2, spread=1.2, seed=27)
+    data = rf.Dataset(np.round(data.features, 1), data.labels, data.feature_names, data.class_names)
+    params = rf.ForestParams(n_estimators=6, min_samples_split=2, min_samples_leaf=1, seed=11)
+    path = tmp_path / "model.rfj"
+    rf.save_model(rf.fit_forest(data, params), path, mfcc_fingerprint="cafe01")
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "c1b051cb7943afcb0cbd01c51572a195758b78e86c991fcd41b24619ad7c6a8f"
+    )
 
 
 # ---------------------------------------------------------------- single tree
@@ -160,6 +230,38 @@ def test_predict_rejects_wrong_width():
     model = rf.fit_forest(data, SMALL)
     with pytest.raises(ValidationError):
         rf.predict(model, np.zeros((3, 5)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_rejects_non_finite_rows(bad):
+    data = blob_dataset(10, [[0, 0], [3, 3]], seed=6)
+    model = rf.fit_forest(data, SMALL)
+    rows = data.features[:3].copy()
+    rows[2, 1] = bad
+    with pytest.raises(ValidationError, match="row 2"):
+        rf.predict_proba(model, rows)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_estimators", 2.5),
+        ("n_estimators", True),
+        ("max_depth", 3.0),
+        ("min_samples_split", "5"),
+        ("min_samples_leaf", 1.5),
+        ("max_features", 2.5),
+        ("max_features", False),
+    ],
+)
+def test_params_reject_non_integer_counts(field, value):
+    with pytest.raises(ValidationError, match=field):
+        rf.ForestParams(**{field: value})
+
+
+def test_params_accept_numpy_integers():
+    params = rf.ForestParams(n_estimators=np.int64(3), max_features=np.int64(2))
+    assert params.resolve_max_features(5) == 2
 
 
 def test_label_permutation_permutes_predictions():
@@ -521,6 +623,13 @@ def test_model_load_rejects_fingerprint_mismatch(tmp_path):
     with pytest.raises(ValidationError, match="fingerprint"):
         rf.load_model(path, expected_fingerprint="beef02")
     rf.load_model(path)  # no expectation supplied -> no check
+
+
+def test_model_load_rejects_invalid_json(tmp_path):
+    path = tmp_path / "model.rfj"
+    path.write_text('{"format": "rfj-1", "trees": [')
+    with pytest.raises(ValidationError, match="model.rfj"):
+        rf.load_model(path)
 
 
 def test_model_load_rejects_unknown_format(tmp_path):
