@@ -9,7 +9,7 @@ vector has the same dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -57,25 +57,7 @@ class MfccConfig:
         return self.sample_rate / 2 if self.fmax is None else self.fmax
 
     def to_dict(self) -> dict:
-        return {
-            "sample_rate": self.sample_rate,
-            "n_mfcc": self.n_mfcc,
-            "window_size": self.window_size,
-            "hop_length": self.hop_length,
-            "magnitude_exponent": self.magnitude_exponent,
-            "n_mel_filters": self.n_mel_filters,
-            "fmin": self.fmin,
-            "fmax": self.resolved_fmax,
-            "window_function": self.window_function,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MfccConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        bad = set(d) - known
-        if bad:
-            raise ConfigurationError(f"unknown MfccConfig keys: {sorted(bad)}")
-        return cls(**d)
+        return {**asdict(self), "fmax": self.resolved_fmax}
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import itertools
 import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -38,18 +38,50 @@ ELECTRODE = simkit.ElectrodeModel()
 
 
 @dataclass(frozen=True)
+class MoodFactors:
+    """A mood as a config writes it: gait factors relative to a neutral walk."""
+
+    speed_factor: float = 1.0
+    amplitude_factor: float = 1.0
+    step_frequency_factor: float = 1.0
+
+
+@dataclass(frozen=True)
 class WalkCohort:
     """Cohort grid for the walking tasks: persons x moods x repetitions."""
 
     persons: dict[str, simkit.GaitProfile]
-    moods: dict[str, simkit.MoodProfile | None]
-    plant_types: tuple[str, ...]
-    locations: tuple[str, ...]
     samples_per_cell: int
-    noise_std: float
-    start_distance: float
-    end_distance: float
-    frequency_jitter: float
+    # decoded as MoodFactors; __post_init__ stores each as a simkit
+    # MoodProfile labelled by its name, or None for identity factors
+    moods: dict[str, MoodFactors] = field(default_factory=lambda: {"neutral": MoodFactors()})
+    plant_types: tuple[str, ...] = ("pothos",)
+    locations: tuple[str, ...] = ("lab",)
+    noise_std: float = 0.0
+    start_distance: float = 3.0
+    end_distance: float = 0.6
+    frequency_jitter: float = 0.02
+
+    def __post_init__(self) -> None:
+        for name in ("persons", "moods", "plant_types", "locations"):
+            if not getattr(self, name):
+                raise ValidationError(f"{name} must not be empty")
+        if self.samples_per_cell < 1:
+            raise ValidationError("samples_per_cell must be >= 1")
+        if self.noise_std < 0:
+            raise ValidationError("noise_std must be >= 0")
+        if self.start_distance <= 0 or self.end_distance <= 0:
+            raise ValidationError("walk distances must be positive")
+        if self.start_distance == self.end_distance:
+            raise ValidationError("start_distance and end_distance must differ")
+        if not 0 <= self.frequency_jitter < 0.5:
+            raise ValidationError("frequency_jitter must lie in [0, 0.5)")
+        moods = {
+            # identity factors leave the gait untouched; any label is fine
+            name: None if f == MoodFactors() else simkit.MoodProfile(name, *astuple(f))
+            for name, f in self.moods.items()
+        }
+        object.__setattr__(self, "moods", moods)
 
 
 @dataclass(frozen=True)
@@ -58,93 +90,86 @@ class ShakeCohort:
 
     shake_frequencies: tuple[float, ...]
     onsets: tuple[float, ...]
-    duration: float
-    snr_db: float | None
     samples_per_cell: int
-    noise_only: int
+    duration: float = 8.0
+    snr_db: float | None = None
+    noise_only: int = 0
+
+    def __post_init__(self) -> None:
+        if not self.shake_frequencies or not self.onsets:
+            raise ValidationError("legshake dataset needs shake_frequencies and onsets")
+        if self.duration <= max(self.onsets):
+            raise ValidationError("duration must exceed every onset")
+        if self.samples_per_cell < 1:
+            raise ValidationError("samples_per_cell must be >= 1")
+        if self.noise_only < 0:
+            raise ValidationError("noise_only must be >= 0")
+        if self.noise_only > 0 and self.snr_db is None:
+            raise ValidationError("noise_only records need snr_db to set the noise level")
 
 
 @dataclass(frozen=True)
 class SearchSpec:
-    space: dict[str, list]
     n_iter: int
+    space: dict[str, list] = field(
+        default_factory=lambda: {k: list(v) for k, v in forest.DEFAULT_SEARCH_SPACE.items()}
+    )
+
+    def __post_init__(self) -> None:
+        if self.n_iter < 1:
+            raise ValidationError("n_iter must be >= 1")
+        if not self.space:
+            raise ValidationError("space must not be empty")
+        for name, values in self.space.items():
+            if name not in forest.ForestParams.__dataclass_fields__ or name == "seed":
+                raise ValidationError(f"unknown search axis: {name}")
+            if not values:
+                raise ValidationError(f"search axis {name} needs a non-empty list")
+            for value in values:
+                io.from_json(forest.ForestParams, {name: value}, "space")
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     task: str
-    dataset: WalkCohort | ShakeCohort | None
-    mfcc: dsp.MfccConfig
-    include_categoricals: bool
-    forest_params: forest.ForestParams
-    search: SearchSpec | None
-    cv_folds: int
-    detector: legshake.DetectorConfig
+    dataset: WalkCohort | ShakeCohort | None = None
+    mfcc: dsp.MfccConfig = field(default_factory=dsp.MfccConfig)
+    include_categoricals: bool = False
+    forest_params: forest.ForestParams = field(
+        default_factory=forest.ForestParams, metadata={"key": "forest"}
+    )
+    search: SearchSpec | None = None
+    cv_folds: int = 10
+    detector: legshake.DetectorConfig = field(default_factory=legshake.DetectorConfig)
+
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValidationError("seed must be a non-negative integer")
+        if self.task not in TASKS:
+            raise ValidationError(f"task must be one of {TASKS}, got {self.task!r}")
+        if self.cv_folds < 2:
+            raise ValidationError("cv_folds must be an integer >= 2")
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentConfig":
+    def from_dict(cls, raw) -> "ExperimentConfig":
+        """Decode a config document with io.from_json, plus three rules that
+        no field annotation states: the task picks the cohort class, the
+        "forest" key fills forest_params, and the forest seed defaults to
+        the experiment seed."""
         if not isinstance(raw, dict):
             raise ValidationError("experiment config must be a JSON object")
-        allowed = {
-            "seed", "task", "dataset", "mfcc", "forest", "search",
-            "detector", "cv_folds", "include_categoricals",
-        }
-        unknown = set(raw) - allowed
-        if unknown:
-            raise ValidationError(f"unknown config keys: {sorted(unknown)}")
-        if "seed" not in raw:
-            raise ValidationError("config must set an integer seed")
-        seed = raw["seed"]
-        if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
-            raise ValidationError("seed must be a non-negative integer")
-        task = raw.get("task")
-        if task not in TASKS:
-            raise ValidationError(f"task must be one of {TASKS}, got {task!r}")
-        cv_folds = raw.get("cv_folds", 10)
-        if isinstance(cv_folds, bool) or not isinstance(cv_folds, int) or cv_folds < 2:
-            raise ValidationError("cv_folds must be an integer >= 2")
-        include_categoricals = raw.get("include_categoricals", False)
-        if not isinstance(include_categoricals, bool):
-            raise ValidationError("include_categoricals must be a boolean")
-
-        try:
-            mfcc = dsp.MfccConfig(**raw.get("mfcc", {}))
-        except TypeError as exc:
-            raise ValidationError(f"bad mfcc section: {exc}") from None
-
-        forest_section = dict(raw.get("forest", {}))
-        forest_section.setdefault("seed", seed)
-        try:
-            forest_params = forest.ForestParams(**forest_section)
-        except TypeError as exc:
-            raise ValidationError(f"bad forest section: {exc}") from None
-
-        search = None
-        if "search" in raw:
-            search = _parse_search(raw["search"])
-
-        detector_section = raw.get("detector", {})
-        if not isinstance(detector_section, dict):
-            raise ValidationError("detector section must be an object")
-        detector = legshake.DetectorConfig.from_dict(detector_section)
-
-        dataset = None
-        if "dataset" in raw:
-            if task == "legshake":
-                dataset = _parse_shake_cohort(raw["dataset"])
-            else:
-                dataset = _parse_walk_cohort(raw["dataset"])
-        return cls(
-            seed=seed,
-            task=task,
-            dataset=dataset,
-            mfcc=mfcc,
-            include_categoricals=include_categoricals,
-            forest_params=forest_params,
-            search=search,
-            cv_folds=cv_folds,
-            detector=detector,
+        config = io.from_json(
+            cls, {k: v for k, v in raw.items() if k not in ("dataset", "forest")}, ""
+        )
+        forest_section = raw.get("forest", {})
+        if isinstance(forest_section, dict):
+            forest_section = {"seed": config.seed, **forest_section}
+        cohort = ShakeCohort if config.task == "legshake" else WalkCohort
+        return replace(
+            config,
+            forest_params=io.from_json(forest.ForestParams, forest_section, "forest"),
+            dataset=io.from_json(cohort, raw["dataset"], "dataset") if "dataset" in raw else None,
         )
 
 
@@ -155,153 +180,9 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         raise ValidationError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
-    if seed_override is not None:
-        if not isinstance(raw, dict):
-            raise ValidationError("experiment config must be a JSON object")
+    if seed_override is not None and isinstance(raw, dict):
         raw["seed"] = seed_override
     return ExperimentConfig.from_dict(raw)
-
-
-def _parse_search(section) -> SearchSpec:
-    if not isinstance(section, dict):
-        raise ValidationError("search section must be an object")
-    unknown = set(section) - {"space", "n_iter"}
-    if unknown:
-        raise ValidationError(f"unknown search keys: {sorted(unknown)}")
-    n_iter = section.get("n_iter")
-    if isinstance(n_iter, bool) or not isinstance(n_iter, int) or n_iter < 1:
-        raise ValidationError("search.n_iter must be an integer >= 1")
-    space = section.get("space")
-    if space is None:
-        space = {name: list(values) for name, values in forest.DEFAULT_SEARCH_SPACE.items()}
-    if not isinstance(space, dict) or not space:
-        raise ValidationError("search.space must be a non-empty object")
-    valid_axes = set(forest.ForestParams.__dataclass_fields__) - {"seed"}
-    for name, values in space.items():
-        if name not in valid_axes:
-            raise ValidationError(f"unknown search axis: {name}")
-        if not isinstance(values, list) or not values:
-            raise ValidationError(f"search axis {name} needs a non-empty list")
-    return SearchSpec(space=space, n_iter=n_iter)
-
-
-def _parse_walk_cohort(section) -> WalkCohort:
-    if not isinstance(section, dict):
-        raise ValidationError("dataset section must be an object")
-    allowed = {
-        "persons", "moods", "plant_types", "locations", "samples_per_cell",
-        "noise_std", "start_distance", "end_distance", "frequency_jitter",
-    }
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValidationError(f"unknown dataset keys: {sorted(unknown)}")
-    persons_raw = section.get("persons")
-    if not isinstance(persons_raw, dict) or not persons_raw:
-        raise ValidationError("dataset.persons must map names to gait parameters")
-    persons = {}
-    for name, params in persons_raw.items():
-        if not isinstance(params, dict):
-            raise ValidationError(f"person {name!r} must be an object of gait parameters")
-        try:
-            persons[str(name)] = simkit.GaitProfile(**params)
-        except TypeError as exc:
-            raise ValidationError(f"person {name!r}: {exc}") from None
-    moods_raw = section.get("moods", {"neutral": {}})
-    if not isinstance(moods_raw, dict) or not moods_raw:
-        raise ValidationError("dataset.moods must map names to mood factors")
-    moods: dict[str, simkit.MoodProfile | None] = {}
-    for name, params in moods_raw.items():
-        if not isinstance(params, dict):
-            raise ValidationError(f"mood {name!r} must be an object of factors")
-        extra = set(params) - {"speed_factor", "amplitude_factor", "step_frequency_factor"}
-        if extra:
-            raise ValidationError(f"mood {name!r} has unknown keys: {sorted(extra)}")
-        factors = (
-            float(params.get("speed_factor", 1.0)),
-            float(params.get("amplitude_factor", 1.0)),
-            float(params.get("step_frequency_factor", 1.0)),
-        )
-        if factors == (1.0, 1.0, 1.0):
-            # identity factors leave the gait untouched; any label is fine
-            moods[str(name)] = None
-        else:
-            moods[str(name)] = simkit.MoodProfile(str(name), *factors)
-    samples_per_cell = section.get("samples_per_cell")
-    if isinstance(samples_per_cell, bool) or not isinstance(samples_per_cell, int):
-        raise ValidationError("dataset.samples_per_cell must be an integer")
-    if samples_per_cell < 1:
-        raise ValidationError("dataset.samples_per_cell must be >= 1")
-    plant_types = _string_list(section.get("plant_types", ["pothos"]), "plant_types")
-    locations = _string_list(section.get("locations", ["lab"]), "locations")
-    noise_std = float(section.get("noise_std", 0.0))
-    if noise_std < 0:
-        raise ValidationError("dataset.noise_std must be >= 0")
-    start = float(section.get("start_distance", 3.0))
-    end = float(section.get("end_distance", 0.6))
-    if start <= 0 or end <= 0:
-        raise ValidationError("walk distances must be positive")
-    if start == end:
-        raise ValidationError("start_distance and end_distance must differ")
-    jitter = float(section.get("frequency_jitter", 0.02))
-    if not 0 <= jitter < 0.5:
-        raise ValidationError("frequency_jitter must lie in [0, 0.5)")
-    return WalkCohort(
-        persons=persons,
-        moods=moods,
-        plant_types=plant_types,
-        locations=locations,
-        samples_per_cell=samples_per_cell,
-        noise_std=noise_std,
-        start_distance=start,
-        end_distance=end,
-        frequency_jitter=jitter,
-    )
-
-
-def _parse_shake_cohort(section) -> ShakeCohort:
-    if not isinstance(section, dict):
-        raise ValidationError("dataset section must be an object")
-    allowed = {
-        "shake_frequencies", "onsets", "duration", "snr_db",
-        "samples_per_cell", "noise_only",
-    }
-    unknown = set(section) - allowed
-    if unknown:
-        raise ValidationError(f"unknown dataset keys: {sorted(unknown)}")
-    freqs = tuple(float(v) for v in section.get("shake_frequencies", []))
-    onsets = tuple(float(v) for v in section.get("onsets", []))
-    if not freqs or not onsets:
-        raise ValidationError("legshake dataset needs shake_frequencies and onsets")
-    duration = float(section.get("duration", 8.0))
-    if duration <= max(onsets):
-        raise ValidationError("duration must exceed every onset")
-    samples_per_cell = section.get("samples_per_cell")
-    if isinstance(samples_per_cell, bool) or not isinstance(samples_per_cell, int):
-        raise ValidationError("dataset.samples_per_cell must be an integer")
-    if samples_per_cell < 1:
-        raise ValidationError("dataset.samples_per_cell must be >= 1")
-    noise_only = section.get("noise_only", 0)
-    if isinstance(noise_only, bool) or not isinstance(noise_only, int) or noise_only < 0:
-        raise ValidationError("dataset.noise_only must be an integer >= 0")
-    snr_db = section.get("snr_db")
-    if snr_db is not None:
-        snr_db = float(snr_db)
-    if noise_only > 0 and snr_db is None:
-        raise ValidationError("noise_only records need snr_db to set the noise level")
-    return ShakeCohort(
-        shake_frequencies=freqs,
-        onsets=onsets,
-        duration=duration,
-        snr_db=snr_db,
-        samples_per_cell=samples_per_cell,
-        noise_only=noise_only,
-    )
-
-
-def _string_list(value, name: str) -> tuple[str, ...]:
-    if not isinstance(value, list) or not value or not all(isinstance(v, str) for v in value):
-        raise ValidationError(f"dataset.{name} must be a non-empty list of strings")
-    return tuple(value)
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +291,12 @@ def _shake_plans(seed: int, cohort: ShakeCohort) -> list:
                 )
             )
             index += 1
-    reference_std = _shake_noise_std(cohort) if cohort.noise_only else 0.0
+    reference_std = 0.0
+    if cohort.noise_only:  # noise level of a mid-band shake at the earliest onset
+        reference_std = _snr_noise_std(
+            float(np.mean(cohort.shake_frequencies)), float(min(cohort.onsets)),
+            cohort.duration, cohort.snr_db,
+        )
     for extra in range(cohort.noise_only):
         rng = np.random.default_rng(np.random.SeedSequence([seed, len(cells) + extra, 0]))
         plans.append(
@@ -425,16 +311,13 @@ def _shake_plans(seed: int, cohort: ShakeCohort) -> list:
     return plans
 
 
-def _shake_noise_std(cohort: ShakeCohort) -> float:
-    """Noise level matching the configured SNR against a mid-band shake."""
-    freq = float(np.mean(cohort.shake_frequencies))
-    onset = float(min(cohort.onsets))
+def _snr_noise_std(freq: float, onset: float, duration: float, snr_db: float) -> float:
+    """Noise std putting a clean shake's post-onset RMS at snr_db above it."""
     clean = simkit.synth_legshake(
-        freq, cohort.duration, onset, WALK_CAPACITANCE, ELECTRODE, noise_std=0.0, seed=0
+        freq, duration, onset, WALK_CAPACITANCE, ELECTRODE, noise_std=0.0, seed=0
     )
     post = clean.samples[int(onset * clean.sample_rate):]
-    rms = float(np.sqrt(np.mean(post**2)))
-    return rms / (10.0 ** (cohort.snr_db / 20.0))
+    return float(np.sqrt(np.mean(post**2))) / (10.0 ** (snr_db / 20.0))
 
 
 def synthesize_record(plan) -> simkit.SignalRecord:
@@ -489,15 +372,9 @@ def _synthesize_walk(plan: WalkPlan) -> simkit.SignalRecord:
 
 
 def _synthesize_shake(plan: ShakePlan) -> simkit.SignalRecord:
-    if plan.snr_db is None:
-        noise_std = 0.0
-    else:
-        clean = simkit.synth_legshake(
-            plan.shake_frequency, plan.duration, plan.onset,
-            WALK_CAPACITANCE, ELECTRODE, noise_std=0.0, seed=0,
-        )
-        post = clean.samples[int(plan.onset * clean.sample_rate):]
-        noise_std = float(np.sqrt(np.mean(post**2))) / (10.0 ** (plan.snr_db / 20.0))
+    noise_std = 0.0
+    if plan.snr_db is not None:
+        noise_std = _snr_noise_std(plan.shake_frequency, plan.onset, plan.duration, plan.snr_db)
     labels = {
         "activity": "legshake",
         "seed": plan.noise_seed,
@@ -686,22 +563,6 @@ def run_train(
     return report, model_path, report_path
 
 
-def _report_from_predictions(y_true, proba, importances) -> forest.EvalReport:
-    k = proba.shape[1]
-    predicted = np.argmax(proba, axis=1)
-    confusion = np.zeros((k, k), dtype=np.int64)
-    np.add.at(confusion, (y_true, predicted), 1)
-    accuracy = float(np.mean(predicted == y_true))
-    return forest.EvalReport(
-        accuracy=accuracy,
-        cohens_kappa=forest.cohens_kappa(predicted, y_true),
-        auroc=forest.auroc(proba, y_true),
-        confusion_matrix=confusion,
-        per_fold_accuracies=(accuracy,),
-        importances=np.asarray(importances, dtype=float),
-    )
-
-
 def run_eval(
     features_path,
     config: ExperimentConfig,
@@ -742,8 +603,8 @@ def run_eval(
             jobs=jobs,
         )
         proba = forest.predict_proba(model, data.features[test_idx])
-        report = _report_from_predictions(
-            data.labels[test_idx], proba, forest.mdi_importance(model)
+        report = forest.eval_report(
+            data.labels[test_idx], proba, [slice(None)], forest.mdi_importance(model)
         )
     elif model_path is not None:
         model = forest.load_model(
@@ -757,7 +618,7 @@ def run_eval(
         index = {name: i for i, name in enumerate(model.class_names)}
         y = np.array([index[label] for label in labels], dtype=np.int64)
         proba = forest.predict_proba(model, np.asarray(matrix, dtype=float))
-        report = _report_from_predictions(y, proba, forest.mdi_importance(model))
+        report = forest.eval_report(y, proba, [slice(None)], forest.mdi_importance(model))
     else:
         data = dataset_from_features(matrix, names, labels)
         report = forest.cross_validate(

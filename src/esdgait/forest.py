@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
+from . import io
 from .errors import ToolkitError, ValidationError
 
 MODEL_FORMAT = "rfj-1"
@@ -72,7 +73,8 @@ class ForestParams:
 
     def __post_init__(self) -> None:
         counts = [
-            ("n_estimators", 1), ("max_depth", 1), ("min_samples_split", 2), ("min_samples_leaf", 1)
+            ("n_estimators", 1), ("max_depth", 1), ("min_samples_split", 2), ("min_samples_leaf", 1),
+            ("seed", 0),
         ]
         if not isinstance(self.max_features, str):
             counts.append(("max_features", 1))
@@ -94,13 +96,6 @@ class ForestParams:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForestParams":
-        bad = set(d) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ValidationError(f"unknown forest parameter keys: {sorted(bad)}")
-        return cls(**d)
 
 
 @dataclass
@@ -505,21 +500,29 @@ def cross_validate(
     Importances come from a forest fit on the full dataset with a seed
     derived from `seed`; pass with_model=True to also get that model.
     """
-    proba, pred, folds, full_seed = _fold_predictions(data, params, k, seed, jobs)
-    truth = data.labels
-    confusion = np.zeros((data.n_classes, data.n_classes))
-    np.add.at(confusion, (truth, pred), 1.0)
-    per_fold = tuple(float(np.mean(pred[f] == truth[f])) for f in folds)
+    proba, _, folds, full_seed = _fold_predictions(data, params, k, seed, jobs)
     full_model = fit_forest(data, replace(params, seed=full_seed), jobs=jobs)
-    report = EvalReport(
+    report = eval_report(data.labels, proba, folds, mdi_importance(full_model))
+    return (report, full_model) if with_model else report
+
+
+def eval_report(truth, proba: np.ndarray, folds, importances) -> EvalReport:
+    """Metrics of held-out class probabilities, pooled over every row.
+
+    `folds` holds one index into `truth` (an index array or a slice) per
+    entry of per_fold_accuracies; a single held-out set passes [slice(None)].
+    """
+    pred = np.argmax(proba, axis=1)
+    confusion = np.zeros((proba.shape[1], proba.shape[1]))
+    np.add.at(confusion, (truth, pred), 1.0)
+    return EvalReport(
         accuracy=float(np.mean(pred == truth)),
         cohens_kappa=cohens_kappa(pred, truth),
         auroc=auroc(proba, truth),
         confusion_matrix=confusion,
-        per_fold_accuracies=per_fold,
-        importances=mdi_importance(full_model),
+        per_fold_accuracies=tuple(float(np.mean(pred[f] == truth[f])) for f in folds),
+        importances=np.asarray(importances, dtype=float),
     )
-    return (report, full_model) if with_model else report
 
 
 DEFAULT_SEARCH_SPACE: dict[str, list] = {
@@ -568,7 +571,7 @@ def randomized_search(
         for name, size in zip(names, sizes):
             combo[name] = space[name][rem % size]
             rem //= size
-        params = ForestParams.from_dict(combo)
+        params = io.from_json(ForestParams, combo, "space")
         # every combination is scored on the same folds (same seed)
         proba, pred, folds, _ = _fold_predictions(data, params, k, seed, jobs)
         score = float(np.mean([np.mean(pred[f] == data.labels[f]) for f in folds]))
@@ -576,7 +579,7 @@ def randomized_search(
         if best is None or score > best[0]:
             best = (score, pos)
     best_combo = table[best[1]]["params"]
-    return ForestParams.from_dict(best_combo), table
+    return io.from_json(ForestParams, best_combo, "space"), table
 
 
 def _tree_to_lists(tree: DecisionTree) -> dict:
@@ -609,6 +612,27 @@ def _tree_from_lists(d: dict) -> DecisionTree:
     )
 
 
+def _check_tree(tree: DecisionTree, n_features: int, n_classes: int, where: str) -> None:
+    """Reject a tree that prediction could not walk to a leaf. Every child
+    index must exceed its node's, so each step moves forward and no walk loops."""
+    n = tree.feature.size
+    if n == 0 or any(a.shape != (n,) for k, a in vars(tree).items() if k != "histogram"):
+        raise ValidationError(f"{where}: per-node arrays differ in length")
+    if tree.histogram.shape != (n, n_classes):
+        raise ValidationError(f"{where}: histogram width must equal the {n_classes} classes")
+    if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
+        raise ValidationError(f"{where}: split feature outside [0, {n_features})")
+    leaf = tree.feature == -1
+    node = np.flatnonzero(~leaf)
+    children = np.stack([tree.left, tree.right])
+    if np.any(children[:, leaf] != -1):
+        raise ValidationError(f"{where}: a leaf has children")
+    if np.any(children[:, node] <= node) or np.any(children[:, node] >= n):
+        raise ValidationError(f"{where}: a child index must lie after its node, inside the tree")
+    if np.any(tree.histogram < 0) or np.any(tree.histogram[leaf].sum(axis=1) <= 0):
+        raise ValidationError(f"{where}: leaf class counts must be >= 0 with a positive total")
+
+
 def model_to_document(model: RandomForestModel, mfcc_fingerprint: str | None = None) -> dict:
     return {
         "format": MODEL_FORMAT,
@@ -622,26 +646,35 @@ def model_to_document(model: RandomForestModel, mfcc_fingerprint: str | None = N
 
 
 def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> RandomForestModel:
-    if doc.get("format") != MODEL_FORMAT:
-        raise ValidationError(f"unsupported model format {doc.get('format')!r}")
+    """Rebuild a saved model, rejecting any document it cannot safely predict with."""
+    fmt = doc.get("format") if isinstance(doc, dict) else None
+    if fmt != MODEL_FORMAT:
+        raise ValidationError(f"unsupported model format {fmt!r}")
     if expected_fingerprint is not None and doc.get("mfcc_fingerprint") != expected_fingerprint:
         raise ValidationError(
             "model was trained with a different feature configuration "
             f"(fingerprint {doc.get('mfcc_fingerprint')!r} != {expected_fingerprint!r})"
         )
-    return RandomForestModel(
-        trees=[_tree_from_lists(t) for t in doc["trees"]],
-        params=ForestParams.from_dict(doc["params"]),
-        feature_names=tuple(doc["feature_names"]),
-        class_names=tuple(doc["class_names"]),
-        per_tree_seeds=tuple(doc["per_tree_seeds"]),
-    )
+    params = io.from_json(ForestParams, doc.get("params"), "params")
+    try:
+        model = RandomForestModel(
+            trees=[_tree_from_lists(t) for t in doc["trees"]],
+            params=params,
+            feature_names=tuple(doc["feature_names"]),
+            class_names=tuple(doc["class_names"]),
+            per_tree_seeds=tuple(doc["per_tree_seeds"]),
+        )
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"malformed model ({type(exc).__name__}: {exc})") from None
+    if not model.trees:
+        raise ValidationError("model has no trees")
+    for i, tree in enumerate(model.trees):
+        _check_tree(tree, len(model.feature_names), len(model.class_names), f"trees[{i}]")
+    return model
 
 
 def save_model(model: RandomForestModel, path, mfcc_fingerprint: str | None = None) -> None:
-    from .io import atomic_write_text
-
-    atomic_write_text(
+    io.atomic_write_text(
         path, json.dumps(model_to_document(model, mfcc_fingerprint), sort_keys=True) + "\n"
     )
 
@@ -652,4 +685,7 @@ def load_model(path, expected_fingerprint: str | None = None) -> RandomForestMod
             doc = json.load(fh)
         except ValueError as exc:  # bad JSON or bad UTF-8
             raise ValidationError(f"{path}: not a valid model file ({exc})") from None
-    return model_from_document(doc, expected_fingerprint)
+    try:
+        return model_from_document(doc, expected_fingerprint)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None

@@ -13,10 +13,15 @@ atomic rename, so readers never observe partial files.
 from __future__ import annotations
 
 import csv
+import dataclasses
+import functools
 import hashlib
 import json
 import os
+import sys
 import tempfile
+import types
+import typing
 from io import StringIO
 from pathlib import Path
 
@@ -65,6 +70,75 @@ def atomic_write_json(path, obj) -> None:
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)
+
+
+def from_json(cls, value, where: str):
+    """Strictly decode a parsed JSON value into `cls`, a dataclass or a type.
+
+    Field annotations give the expected JSON types: unknown keys and missing
+    required fields are errors; `int` refuses bools and fractions; `float`
+    takes any finite number and stores a float; `bool` and `str` must match
+    exactly. `tuple[X, ...]`, `list`, `dict[str, X]`, unions such as
+    `X | None` and nested dataclasses are decoded recursively. Value rules
+    live in each class's `__post_init__`. A field whose metadata sets "key"
+    is read from that JSON key instead of its name. Every error is a
+    ValidationError naming the key path, starting from `where`.
+    """
+    origin = typing.get_origin(cls) or cls
+    args = typing.get_args(cls)
+    if dataclasses.is_dataclass(origin):
+        if not isinstance(value, dict):
+            _fail(where, f"expected object, got {value!r}")
+        fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(origin) if f.init}
+        kwargs = {}
+        for key, item in value.items():
+            if key not in fields:
+                _fail(_at(where, key), "unknown key")
+            name = fields[key].name
+            kwargs[name] = from_json(_type_hints(origin)[name], item, _at(where, key))
+        for key, f in fields.items():
+            if key not in value and f.default is f.default_factory is dataclasses.MISSING:
+                _fail(_at(where, key), "missing required field")
+        try:
+            return origin(**kwargs)
+        except ValidationError as exc:
+            raise type(exc)(f"{where}: {exc}" if where else str(exc)) from None
+    if origin in (types.UnionType, typing.Union):
+        if value is None and type(None) in args:
+            return None
+        arms = [arm for arm in args if arm is not type(None)]
+        if len(arms) == 1:
+            return from_json(arms[0], value, where)
+        for arm in arms:
+            try:
+                return from_json(arm, value, where)
+            except ValidationError:
+                pass
+        _fail(where, f"expected {cls}, got {value!r}")
+    if origin in (list, tuple, dict):
+        if not isinstance(value, dict if origin is dict else list):
+            _fail(where, f"expected {'object' if origin is dict else 'list'}, got {value!r}")
+        if not args:
+            return origin(value)
+        if origin is dict:
+            return {k: from_json(args[1], v, _at(where, k)) for k, v in value.items()}
+        return origin(from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
+    if origin is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
+        return float(value)  # any finite number
+    if origin is not float and type(value) is origin:  # exact: a bool is no int, an int no bool
+        return value
+    _fail(where, f"expected {origin.__name__}, got {value!r}")
+
+
+_type_hints = functools.cache(typing.get_type_hints)
+
+
+def _at(where: str, key) -> str:
+    return f"{where}.{key}" if where else str(key)
+
+
+def _fail(where: str, message: str):
+    raise ValidationError(f"{where}: {message}" if where else message)
 
 
 def mfcc_fingerprint(config: MfccConfig) -> str:
@@ -150,7 +224,10 @@ def read_features(path) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ValidationError(f"{path}:{line_no}: expected {len(header)} cells")
-            rows.append([float(v) for v in row[:-1]])
+            try:
+                rows.append([float(v) for v in row[:-1]])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{line_no}: {exc}") from None
             labels.append(row[-1])
     if not rows:
         raise ValidationError(f"{path}: no feature rows")

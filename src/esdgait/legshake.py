@@ -79,13 +79,6 @@ class DetectorConfig:
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DetectorConfig":
-        bad = set(d) - set(cls.__dataclass_fields__)
-        if bad:
-            raise ValidationError(f"unknown detector config keys: {sorted(bad)}")
-        return cls(**d)
-
 
 @dataclass
 class ShakeEvent:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import io as std_io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import esdgait
 import esdgait.io as eio
 from esdgait.cli import main
 from esdgait.simkit import CapacitanceModel, ElectrodeModel, synth_legshake
@@ -37,6 +40,21 @@ def write_config(tmp_path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(raw, indent=2))
     return path
+
+
+def run_cli(*args: str) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter; a hang fails the test at the timeout."""
+    src = Path(esdgait.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    return subprocess.run(
+        [sys.executable, "-m", "esdgait.cli", *args],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+
+
+def assert_one_line_error(err: str) -> None:
+    assert err.startswith("error: ")
+    assert len(err.strip().splitlines()) == 1
 
 
 def tree_bytes(root) -> dict[str, bytes]:
@@ -195,6 +213,50 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "n_estimators" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_string_bootstrap_exits_1(self, pipeline, tmp_path, capsys):
+        _, out = pipeline
+        config = write_config(tmp_path, forest={"n_estimators": 10, "bootstrap": "no"})
+        code = main(["train", str(out / "features.csv"), "--config", str(config),
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "forest.bootstrap" in err
+
+    def test_non_numeric_feature_cell_exits_1(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        lines = (out / "features.csv").read_text().splitlines(keepends=True)
+        lines[2] = ",".join(["abc"] + lines[2].split(",")[1:])
+        features = tmp_path / "features.csv"
+        features.write_text("".join(lines))
+        code = main(["train", str(features), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert f"{features}:3:" in err and "abc" in err
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("feature", 999, "split feature"),
+            ("left", None, "child index"),  # None: point the node at itself
+        ],
+    )
+    def test_eval_corrupt_tree_exits_1(self, pipeline, tmp_path, field, value, message):
+        config, out = pipeline
+        doc = json.loads((out / "model.rfj").read_text())
+        tree = doc["trees"][0]
+        node = next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+        tree[field][node] = node if value is None else value
+        model = tmp_path / "model.rfj"
+        model.write_text(json.dumps(doc))
+        result = run_cli("eval", str(out / "features.csv"), "--config", str(config),
+                         "--out", str(tmp_path), "--model", str(model), "--quiet")
+        assert result.returncode == 1
+        assert_one_line_error(result.stderr)
+        assert message in result.stderr and "trees[0]" in result.stderr
 
     def test_missing_features_nonzero_exit(self, tmp_path):
         config = write_config(tmp_path)

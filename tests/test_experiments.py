@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ import esdgait.io as eio
 from esdgait.dsp import MfccConfig
 from esdgait.errors import ValidationError
 from esdgait.simkit import SignalRecord
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def walk_config_dict(**overrides) -> dict:
@@ -35,6 +40,21 @@ def walk_config_dict(**overrides) -> dict:
     }
     base.update(overrides)
     return base
+
+
+def bad(path: str, value):
+    """Config mutation setting the dotted `path` to `value`, creating missing
+    sections; the rejection must name every part of the path."""
+
+    def mutate(raw: dict) -> None:
+        *sections, key = path.split(".")
+        for name in sections:
+            raw = raw.setdefault(name, {})
+        raw[key] = value
+
+    mutate.__name__ = f"{path}={value!r}"
+    mutate.path = path
+    return mutate
 
 
 def sine_record(freq: float, n: int = 5000, sample_rate: float = 10_000.0, **labels) -> SignalRecord:
@@ -93,13 +113,45 @@ class TestConfigParsing:
             lambda d: d["dataset"]["persons"].update(eve={"pace": 2.0}),
             lambda d: d.update(mfcc={"n_mfcc": 20, "bogus": 1}),
             lambda d: d.update(forest={"n_trees": 10}),
+            bad("forest.bootstrap", "no"),
+            bad("forest", [1, 2]),
+            bad("forest.seed", -3),
+            bad("forest_params", {}),
+            bad("dataset.noise_std", True),
+            bad("dataset.noise_std", "abc"),
+            bad("dataset.noise_std", None),
+            bad("dataset.noise_std", math.nan),
+            bad("dataset.frequency_jitter", "0.1"),
+            bad("dataset.start_distance", [1]),
+            bad("dataset.samples_per_cell", 2.0),
+            bad("dataset.plant_types", "pothos"),
+            bad("dataset.persons.ada.step_frequency", "1.1"),
+            bad("dataset.moods.happy.speed_factor", "1.25"),
+            bad("detector.min_consecutive_windows", 2.5),
+            bad("detector.window_seconds", "1"),
+            bad("mfcc.n_mfcc", 12.5),
+            bad("mfcc.fmax", "high"),
         ],
     )
     def test_invalid_configs_rejected(self, mutate):
         raw = walk_config_dict()
         mutate(raw)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError) as info:
             ex.ExperimentConfig.from_dict(raw)
+        for part in getattr(mutate, "path", "").split("."):
+            assert part in str(info.value)
+
+    def test_int_for_float_field_is_stored_as_float(self):
+        raw = walk_config_dict(mfcc={"fmin": 0})
+        raw["dataset"]["persons"]["ada"]["walking_speed"] = 1
+        cfg = ex.ExperimentConfig.from_dict(raw)
+        assert type(cfg.mfcc.fmin) is float
+        assert type(cfg.dataset.persons["ada"].walking_speed) is float
+        assert cfg.mfcc.to_dict()["fmin"] == 0.0
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ValidationError, match="JSON object"):
+            ex.ExperimentConfig.from_dict([1, 2])
 
     def test_mood_section_parsed(self):
         raw = walk_config_dict(task="classify_mood")
@@ -139,6 +191,9 @@ class TestConfigParsing:
             {"n_iter": 2, "space": {"learning_rate": [0.1]}},
             {"n_iter": 2, "space": {"n_estimators": []}},
             {"n_iter": 2, "extra": 1},
+            {"n_iter": 2, "space": {"max_features": [2.5]}},
+            {"n_iter": 2, "space": {"bootstrap": "no"}},
+            {"n_iter": 2, "space": {"min_samples_split": [1]}},
         ],
     )
     def test_bad_search_sections_rejected(self, section):
@@ -169,12 +224,32 @@ class TestConfigParsing:
             {"shake_frequencies": [5.5], "onsets": [7.0], "duration": 6.0},
             {"shake_frequencies": [5.5], "onsets": [1.0], "samples_per_cell": 0},
             {"shake_frequencies": [5.5], "onsets": [1.0], "samples_per_cell": 1, "noise_only": 2},
+            {"onsets": [1.0], "shake_frequencies": 5},
+            {"onsets": [1.0], "shake_frequencies": ["x"]},
+            {"shake_frequencies": [5.5], "onsets": [1.0], "snr_db": "x"},
+            {"shake_frequencies": [5.5], "onsets": [1.0], "duration": None},
+            {"shake_frequencies": [5.5], "onsets": None},
+            {"shake_frequencies": [5.5], "onsets": [1.0], "noise_only": True},
         ],
     )
     def test_bad_shake_sections_rejected(self, section):
+        offending = list(section)[-1]  # each section writes its bad key last
         section.setdefault("samples_per_cell", 1)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=offending):
             ex.ExperimentConfig.from_dict({"seed": 3, "task": "legshake", "dataset": section})
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("mood", "0240b442ccd9eff218c9a1a6cb83568510f3788774ef3574e88f751768976480"),
+            ("persons", "347507e276e75bcb94cd45c37b988615e97aaeeb698306d97fd7d36c62ec499c"),
+            ("legshake", "e5a78a0f1e8058e2d88ae7c6fa411438f122cfbc805169e5a714e079ffc031ca"),
+        ],
+    )
+    def test_shipped_configs_decode_unchanged(self, name, digest):
+        cfg = ex.load_config(CONFIGS / f"{name}.json")
+        blob = json.dumps(dataclasses.asdict(cfg), sort_keys=True).encode("utf-8")
+        assert hashlib.sha256(blob).hexdigest() == digest
 
     def test_load_config_seed_override(self, tmp_path):
         path = tmp_path / "config.json"

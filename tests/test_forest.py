@@ -552,7 +552,7 @@ def test_search_exhaustive_degenerate_case():
     assert len(table) == rf.grid_size(space)
     scores = [row["mean_accuracy"] for row in table]
     best_pos = next(
-        i for i, r in enumerate(table) if rf.ForestParams.from_dict(r["params"]) == best
+        i for i, r in enumerate(table) if rf.ForestParams(**r["params"]) == best
     )
     assert scores[best_pos] == max(scores)
     assert best_pos == scores.index(max(scores))  # first sampled among the argmax set
@@ -565,7 +565,7 @@ def test_search_tie_break_is_first_sampled():
     space = tiny_search_space()
     best, table = rf.randomized_search(data, space, n_iter=4, k=2, seed=7)
     assert all(row["mean_accuracy"] == 1.0 for row in table)
-    assert rf.ForestParams.from_dict(table[0]["params"]) == best
+    assert rf.ForestParams(**table[0]["params"]) == best
 
 
 def test_search_deterministic_sequence():
@@ -637,6 +637,81 @@ def test_model_load_rejects_unknown_format(tmp_path):
     path.write_text('{"format": "rfj-99", "trees": []}')
     with pytest.raises(ValidationError, match="format"):
         rf.load_model(path)
+
+
+def _root_internal(tree: dict) -> int:
+    return next(i for i, f in enumerate(tree["feature"]) if f >= 0)
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        (lambda t, i: t["feature"].__setitem__(i, 2), "split feature"),
+        (lambda t, i: t["feature"].__setitem__(i, -2), "split feature"),
+        (lambda t, i: t["left"].__setitem__(i, i), "child index"),
+        (lambda t, i: t["right"].__setitem__(i, 0), "child index"),
+        (lambda t, i: t["right"].__setitem__(i, len(t["feature"])), "child index"),
+        (lambda t, i: t["left"].__setitem__(t["left"][i], 0), "leaf has children"),
+        (lambda t, i: t["depth"].pop(), "differ in length"),
+        (lambda t, i: [row.pop() for row in t["histogram"]], "histogram width"),
+        (lambda t, i: t["histogram"].__setitem__(t["left"][i], [0, 0]), "leaf class counts"),
+        (lambda t, i: t.pop("impurity"), "impurity"),
+        (lambda t, i: t["left"].__setitem__(i, "x"), "malformed model"),
+    ],
+)
+def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
+    data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
+    model = rf.fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
+    doc = rf.model_to_document(model)
+    tree = doc["trees"][1]
+    corrupt(tree, _root_internal(tree))
+    path = tmp_path / "model.rfj"
+    path.write_text(dump_json(doc))
+    with pytest.raises(ValidationError, match=message):
+        rf.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "params, key",
+    [
+        ({"bootstrap": "no"}, "params.bootstrap"),
+        ({"n_estimators": 2.0}, "params.n_estimators"),
+        ({"n_trees": 2}, "params.n_trees"),
+    ],
+)
+def test_model_load_decodes_params_strictly(tmp_path, params, key):
+    data = blob_dataset(10, [[0], [2]], seed=28)
+    doc = rf.model_to_document(rf.fit_forest(data, SMALL))
+    doc["params"].update(params)
+    path = tmp_path / "model.rfj"
+    path.write_text(dump_json(doc))
+    with pytest.raises(ValidationError, match=key):
+        rf.load_model(path)
+
+
+def test_model_load_rejects_empty_forest(tmp_path):
+    data = blob_dataset(10, [[0], [2]], seed=29)
+    doc = rf.model_to_document(rf.fit_forest(data, SMALL))
+    doc["trees"] = []
+    path = tmp_path / "model.rfj"
+    path.write_text(dump_json(doc))
+    with pytest.raises(ValidationError, match="no trees"):
+        rf.load_model(path)
+
+
+def test_params_reject_negative_seed():
+    with pytest.raises(ValidationError, match="seed"):
+        rf.ForestParams(seed=-3)
+
+
+def test_eval_report_single_holdout_fold():
+    truth = np.array([0, 1, 1, 0])
+    proba = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4], [0.7, 0.3]])
+    report = rf.eval_report(truth, proba, [slice(None)], [0.25, 0.75])
+    assert report.accuracy == 0.75
+    assert report.per_fold_accuracies == (0.75,)
+    assert report.confusion_matrix.tolist() == [[2, 0], [1, 1]]
+    assert report.importances.tolist() == [0.25, 0.75]
 
 
 # ---------------------------------------------------------------- audits

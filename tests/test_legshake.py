@@ -9,6 +9,7 @@ import pytest
 
 from esdgait import legshake
 from esdgait.errors import StreamError, ValidationError
+from esdgait.io import from_json
 from esdgait.legshake import (
     DetectorConfig,
     ShakeDetector,
@@ -78,11 +79,11 @@ class TestDetectorConfig:
 
     def test_dict_roundtrip(self):
         cfg = DetectorConfig(ratio_threshold=0.4, release_windows=3)
-        assert DetectorConfig.from_dict(cfg.to_dict()) == cfg
+        assert from_json(DetectorConfig, cfg.to_dict(), "detector") == cfg
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValidationError):
-            DetectorConfig.from_dict({"window_length": 1.0})
+        with pytest.raises(ValidationError, match="detector.window_length: unknown key"):
+            from_json(DetectorConfig, {"window_length": 1.0}, "detector")
 
 
 class TestBandRatio:
