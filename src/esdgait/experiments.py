@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import json
 import logging
+import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
 from pathlib import Path
@@ -108,25 +109,36 @@ class ShakeCohort:
             raise ValidationError("noise_only records need snr_db to set the noise level")
 
 
+def _check_search_space(space: dict[str, list], where: str) -> None:
+    """Every axis names a ForestParams field other than seed and lists values
+    that field accepts; each error names the key path of the bad value."""
+    if not space:
+        raise ValidationError(f"{where}: must not be empty")
+    hints = typing.get_type_hints(forest.ForestParams)
+    for name, values in space.items():
+        path = f"{where}.{name}"
+        if name not in hints or name == "seed":
+            raise ValidationError(f"{path}: unknown search axis")
+        if not values:
+            raise ValidationError(f"{path}: needs a non-empty list")
+        for i, value in enumerate(values):
+            try:
+                forest.ForestParams(**{name: io.from_json(hints[name], value, "")})
+            except ValidationError as exc:
+                raise ValidationError(f"{path}[{i}]: {exc}") from None
+
+
 @dataclass(frozen=True)
 class SearchSpec:
     n_iter: int
     space: dict[str, list] = field(
-        default_factory=lambda: {k: list(v) for k, v in forest.DEFAULT_SEARCH_SPACE.items()}
+        default_factory=lambda: {k: list(v) for k, v in forest.DEFAULT_SEARCH_SPACE.items()},
+        metadata={"check": _check_search_space},
     )
 
     def __post_init__(self) -> None:
         if self.n_iter < 1:
             raise ValidationError("n_iter must be >= 1")
-        if not self.space:
-            raise ValidationError("space must not be empty")
-        for name, values in self.space.items():
-            if name not in forest.ForestParams.__dataclass_fields__ or name == "seed":
-                raise ValidationError(f"unknown search axis: {name}")
-            if not values:
-                raise ValidationError(f"search axis {name} needs a non-empty list")
-            for value in values:
-                io.from_json(forest.ForestParams, {name: value}, "space")
 
 
 @dataclass(frozen=True)

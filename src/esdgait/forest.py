@@ -7,8 +7,9 @@ Everything is deterministic given the seeds, independent of parallelism.
 Determinism notes baked into the split search: Gini terms are computed
 from integer-valued class counts (exact in float64), so equal-quality
 splits compare bit-identically and the documented tie-breaks are
-reproducible. A node scores all its candidate features in one batched
-pass; within each candidate column the first maximum (lowest threshold)
+reproducible. A forest's trees grow in lockstep over presorted features,
+and one segmented pass scores the candidate features of many nodes at
+once; within each candidate column the first maximum (lowest threshold)
 wins, then the first column holding the best maximum (lowest feature
 index). Prediction ties go to the lowest class id.
 """
@@ -20,6 +21,7 @@ import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -171,141 +173,295 @@ def gini_impurity(class_counts) -> float:
     return float(1.0 - (counts * counts).sum() / (total * total))
 
 
-def _best_split_for_feature(
-    block: np.ndarray, labels: np.ndarray, n_classes: int, min_leaf: int
-) -> tuple[float, int, float] | None:
-    """Best (gini decrease, column, threshold) over the columns of an (n, m)
-    block of candidate features, or None if no column can be split.
+# Working-set cap of one segmented split-search pass: a pass takes a round's
+# nodes while their (candidates x rows) sum stays within it, a node counting
+# at least n_rows / 16 rows for its row mask (one byte per dataset row and
+# candidate, against some 100 bytes per element of the other pass arrays).
+_PASS_ELEMENTS = 1 << 12
 
-    A single feature is an (n, 1) block. Thresholds are midpoints between
-    consecutive distinct sorted values of a column; candidates leaving a
-    child below min_leaf are skipped. Ties pick the lowest threshold within
-    a column, then the lowest column.
+
+class _Presort(NamedTuple):
+    """Each feature's rows in stable ascending order, computed once per fit."""
+
+    order: np.ndarray  # (D, N) row ids by ascending value of each feature
+    rank: np.ndarray  # (D, N) position of each row in its feature's order
+    values: np.ndarray  # (D, N) feature values in that order
+    labels: np.ndarray  # (D, N) row labels in that order
+
+
+def _presort(x: np.ndarray, y: np.ndarray) -> _Presort:
+    order = np.argsort(x.T, axis=1, kind="stable").astype(np.int32)
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(x.shape[0], dtype=np.int32), axis=1)
+    labels = y[order].astype(np.min_scalar_type(int(y.max())))
+    return _Presort(order, rank, np.take_along_axis(x.T, order, axis=1), labels)
+
+
+def _best_split_for_feature(
+    presort: _Presort,
+    rows: np.ndarray,
+    sizes: np.ndarray,
+    weights: np.ndarray | None,
+    candidates: np.ndarray,
+    n_classes: int,
+    min_leaf: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best (gini decrease, column, threshold) of every node of one pass.
+
+    Node i holds the next sizes[i] entries of `rows`: distinct dataset rows,
+    row r counting weights[i, r] samples (one if weights is None). It
+    searches the m candidate features in candidates[i], in ascending
+    order. Each (node, candidate) pair is one segment:
+    the feature's presorted order filtered by the node's row mask, so no
+    node sorts. Thresholds are midpoints between consecutive distinct
+    values; splits leaving a child below min_leaf samples are skipped. Ties
+    pick the lowest threshold within a column, then the lowest column.
+    Returns three per-node arrays; a node with no allowed split gets
+    decrease -inf.
     """
-    n, m = block.shape
-    order = np.argsort(block, axis=0, kind="stable")
-    v = np.take_along_axis(block, order, axis=0)
-    n_left = np.arange(1, n)[:, None]  # split after sorted position i-1, i = 1..n-1
-    valid = v[:-1] != v[1:]
-    valid &= (n_left >= min_leaf) & (n - n_left >= min_leaf)
-    if not np.any(valid):
-        return None
-    onehot = labels[order][:, :, None] == np.arange(n_classes)
-    cum = np.cumsum(onehot, axis=0, dtype=float)  # (n, m, K) counts at sorted index <= i
-    left_counts = cum[:-1]
-    total_counts = cum[-1, 0]
-    right_counts = total_counts - left_counts
-    n_right = n - n_left
-    # integer-valued sums of squares are exact in float64
-    left_sq = (left_counts * left_counts).sum(axis=2)
-    right_sq = (right_counts * right_counts).sum(axis=2)
+    n_rows = presort.order.shape[1]
+    n_nodes, m = candidates.shape
+    seg_len = np.repeat(sizes, m)
+    seg_end = np.cumsum(seg_len)
+    seg_start = seg_end - seg_len
+    n_elem = int(seg_end[-1])
+    seg = np.repeat(np.arange(n_nodes * m), seg_len)  # segment of each element
+    pos = np.arange(n_elem) - np.repeat(seg_start, seg_len)  # place within the segment
+    # every segment lists its node's rows, marked at their sorted positions
+    rows = rows[pos + np.repeat(np.cumsum(sizes) - sizes, m * sizes)]
+    feat_base = np.repeat(candidates.ravel() * n_rows, seg_len)
+    seg_base = np.repeat(np.arange(0, n_nodes * m * n_rows, n_rows), seg_len)
+    mask = np.zeros(n_nodes * m * n_rows, dtype=bool)
+    mask[seg_base + presort.rank.ravel()[feat_base + rows]] = True
+    feat_base -= seg_base
+    del rows, seg_base
+    at = np.flatnonzero(mask)
+    del mask
+    at += feat_base  # into the (D, N) presort
+    del feat_base
+    values = presort.values.ravel()[at]
+    labels = presort.labels.ravel()[at]
+    if weights is None:
+        w = None
+        n_seg = seg_len
+        n_left = pos + 1  # samples at or before each element
+    else:
+        w = weights[seg // m, presort.order.ravel()[at]]
+        cum_w = np.zeros(n_elem + 1, dtype=np.int64)
+        np.cumsum(w, out=cum_w[1:])
+        n_seg = cum_w[seg_end] - cum_w[seg_start]
+        n_left = cum_w[1:] - np.repeat(cum_w[seg_start], seg_len)
+    # min_leaf >= 1 also rules out a cut after a segment's last element
+    valid = np.zeros(n_elem, dtype=bool)
+    valid[:-1] = values[:-1] != values[1:]
+    valid &= (n_left >= min_leaf) & (np.repeat(n_seg, seg_len) - n_left >= min_leaf)
+    cut = np.flatnonzero(valid)  # split after element cut
+    s = seg[cut]
+    del valid, seg, pos
+    n_left = n_left[cut]
+    n_right = n_seg[s] - n_left
+    # Class counts are integers, so their sums of squares are exact in any
+    # order: one cumsum per class, the last class is what the others leave.
+    left_sq, right_sq = np.zeros_like(n_left), np.zeros_like(n_left)
+    total_sq = np.zeros_like(n_seg)
+    left_rest, right_rest, total_rest = n_left.copy(), n_right.copy(), n_seg.copy()
+    cum = np.zeros(n_elem + 1, dtype=np.int64)
+    for c in range(n_classes - 1):
+        np.cumsum(labels == c if w is None else (labels == c) * w, out=cum[1:])
+        start_count = cum[seg_start]
+        total = cum[seg_end] - start_count
+        left = cum[cut + 1]
+        left -= start_count[s]
+        right = total[s]
+        right -= left
+        left_rest -= left
+        right_rest -= right
+        total_rest -= total
+        left *= left
+        right *= right
+        total *= total
+        left_sq += left
+        right_sq += right
+        total_sq += total
+    left_rest *= left_rest
+    right_rest *= right_rest
+    total_rest *= total_rest
+    left_sq += left_rest
+    right_sq += right_rest
+    total_sq += total_rest
     gini_left = 1.0 - left_sq / (n_left * n_left)
     gini_right = 1.0 - right_sq / (n_right * n_right)
-    parent = 1.0 - (total_counts * total_counts).sum() / (n * n)
-    decrease = parent - (n_left * gini_left + n_right * gini_right) / n
-    decrease[~valid] = -np.inf
-    rows = np.argmax(decrease, axis=0)  # first max per column = lowest threshold
-    col = int(np.argmax(decrease[rows, np.arange(m)]))  # first best column
-    best = rows[col]
-    lo, hi = v[best, col], v[best + 1, col]
-    thr = (lo + hi) / 2.0
-    if thr == hi:  # adjacent floats: keep the left value on the left
-        thr = lo
-    return float(decrease[best, col]), col, float(thr)
+    parent = 1.0 - total_sq / (n_seg * n_seg)
+    decrease = parent[s] - (n_left * gini_left + n_right * gini_right) / n_seg[s]
+
+    best = np.full(n_nodes, -np.inf)
+    column = np.zeros(n_nodes, dtype=np.int64)
+    threshold = np.full(n_nodes, math.nan)
+    if cut.size:
+        # a node's cuts run column by column, each by threshold, so its first
+        # maximum is the lowest threshold of the lowest best column
+        node = s // m
+        first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+        owner = node[first]
+        best[owner] = np.maximum.reduceat(decrease, first)
+        hit = np.flatnonzero(decrease == best[node])
+        win = hit[np.r_[True, node[hit[1:]] != node[hit[:-1]]]]
+        lo, hi = values[cut[win]], values[cut[win] + 1]
+        mid = (lo + hi) / 2.0
+        column[owner] = s[win] % m
+        threshold[owner] = np.where(mid == hi, lo, mid)  # adjacent floats: keep lo on the left
+    return best, column, threshold
+
+
+def fit_trees(data: Dataset, params: ForestParams, seeds) -> list[DecisionTree]:
+    """Greedy CART growth with per-node feature subsampling, one tree per
+    seed, all trees grown in lockstep.
+
+    Each round takes the next node of every unfinished tree (a tree still
+    numbers its nodes in depth-first preorder and draws from its own rng in
+    that order), scores all of them with one bincount and searches all
+    their splits in segmented passes over presorted features. A tree does
+    not depend on the other seeds grown with it.
+    """
+    x, y, k = data.features, data.labels, data.n_classes
+    n_rows, n_features = x.shape
+    m_features = params.resolve_max_features(n_features)
+    presort = _presort(x, y)
+    rngs = [np.random.default_rng(s) for s in seeds]
+    weights = None  # every row counts once
+    if params.bootstrap:  # a bootstrap sample is a count per row
+        weights = np.stack(
+            [np.bincount(r.integers(0, n_rows, size=n_rows), minlength=n_rows) for r in rngs]
+        )
+    # pending nodes of each tree, next on top: (rows, depth, parent node, is right child)
+    stacks = [
+        [(np.arange(n_rows) if weights is None else np.flatnonzero(weights[t]), 0, -1, False)]
+        for t in range(len(rngs))
+    ]
+    grown = np.zeros(len(rngs), dtype=np.int64)
+    rounds = []
+    while True:
+        tree_ids = np.asarray([t for t, stack in enumerate(stacks) if stack], dtype=np.int64)
+        if tree_ids.size == 0:
+            break
+        popped = [stacks[t].pop() for t in tree_ids]
+        node_ids = grown[tree_ids]
+        grown[tree_ids] += 1
+        node_rows = [p[0] for p in popped]
+        sizes = np.asarray([r.size for r in node_rows], dtype=np.int64)
+        depth = np.asarray([p[1] for p in popped], dtype=np.int64)
+        rows = np.concatenate(node_rows)
+        owner = np.repeat(np.arange(tree_ids.size), sizes)
+        counts = None if weights is None else weights[tree_ids[owner], rows]
+        histogram = np.bincount(owner * k + y[rows], counts, tree_ids.size * k)
+        histogram = histogram.reshape(-1, k).astype(float)
+        n_samples = histogram.sum(axis=1)
+        impurity = 1.0 - (histogram * histogram).sum(axis=1) / (n_samples * n_samples)
+        feature = np.full(tree_ids.size, -1, dtype=np.int64)
+        threshold = np.full(tree_ids.size, math.nan)
+        weighted_decrease = np.zeros(tree_ids.size)
+
+        search = np.flatnonzero(
+            (impurity != 0.0)
+            & (n_samples >= params.min_samples_split)
+            & (depth < params.max_depth)
+        )
+        if search.size:
+            candidates = np.stack(
+                [np.sort(rngs[t].choice(n_features, size=m_features, replace=False))
+                 for t in tree_ids[search]]
+            )
+            cost = m_features * np.maximum(sizes[search], n_rows // 16 + 1)  # see _PASS_ELEMENTS
+            in_pass = (np.cumsum(cost) - cost) // _PASS_ELEMENTS
+            found = []
+            for part in np.split(np.arange(search.size), np.flatnonzero(np.diff(in_pass)) + 1):
+                nodes = search[part]
+                found.append(_best_split_for_feature(
+                    presort,
+                    np.concatenate([node_rows[i] for i in nodes]),
+                    sizes[nodes],
+                    None if weights is None else weights[tree_ids[nodes]],
+                    candidates[part],
+                    k,
+                    params.min_samples_leaf,
+                ))
+            dec, col, thr = (np.concatenate(parts) for parts in zip(*found))
+            split = dec > 0.0
+            nodes = search[split]
+            feature[nodes] = candidates[split, col[split]]
+            threshold[nodes] = thr[split]
+            weighted_decrease[nodes] = n_samples[nodes] / n_rows * dec[split]
+            for i in nodes:
+                r = node_rows[i]
+                goes_left = x[r, feature[i]] <= threshold[i]
+                stack = stacks[tree_ids[i]]
+                stack.append((r[~goes_left], depth[i] + 1, node_ids[i], True))
+                stack.append((r[goes_left], depth[i] + 1, node_ids[i], False))
+        rounds.append({
+            "tree": tree_ids,
+            "node": node_ids,
+            "parent": np.asarray([p[2] for p in popped], dtype=np.int64),
+            "is_right": np.asarray([p[3] for p in popped], dtype=bool),
+            "feature": feature,
+            "threshold": threshold,
+            "histogram": histogram,
+            "n_samples": n_samples.astype(np.int64),
+            "impurity": impurity,
+            "weighted_decrease": weighted_decrease,
+            "depth": depth,
+        })
+    del presort
+
+    def column(name: str) -> np.ndarray:
+        return np.concatenate([r[name] for r in rounds])
+
+    start = np.cumsum(grown) - grown
+    tree_ids, node_ids, parent = column("tree"), column("node"), column("parent")
+    at = start[tree_ids] + node_ids  # every tree's nodes, one tree after another
+    fields = {}
+    for name in ("feature", "threshold", "histogram", "n_samples", "impurity",
+                 "weighted_decrease", "depth"):
+        values = column(name)
+        fields[name] = np.empty_like(values)
+        fields[name][at] = values
+    children = np.full((2, at.size), -1, dtype=np.int64)
+    child = parent >= 0
+    side = column("is_right")[child].astype(np.int64)
+    children[side, start[tree_ids[child]] + parent[child]] = node_ids[child]
+    fields["left"], fields["right"] = children
+    del rounds
+    per_tree = {name: np.split(values, np.cumsum(grown)[:-1]) for name, values in fields.items()}
+    return [
+        DecisionTree(**{name: parts[t] for name, parts in per_tree.items()})
+        for t in range(len(rngs))
+    ]
 
 
 def fit_tree(data: Dataset, params: ForestParams, rng_seed: int) -> DecisionTree:
-    """Greedy CART growth with per-node feature subsampling."""
-    rng = np.random.default_rng(rng_seed)
-    x = data.features
-    y = data.labels
-    if params.bootstrap:
-        draw = rng.integers(0, x.shape[0], size=x.shape[0])
-        x, y = x[draw], y[draw]
-    k = data.n_classes
-    m_features = params.resolve_max_features(x.shape[1])
-    n_root = x.shape[0]
-
-    feature, threshold, left, right = [], [], [], []
-    histogram, n_samples, impurity, weighted_decrease, depths = [], [], [], [], []
-
-    def add_node(idx: np.ndarray, depth: int) -> int:
-        node = len(feature)
-        hist = np.bincount(y[idx], minlength=k).astype(float)
-        imp = gini_impurity(hist)
-        feature.append(-1)
-        threshold.append(math.nan)
-        left.append(-1)
-        right.append(-1)
-        histogram.append(hist)
-        n_samples.append(idx.size)
-        impurity.append(imp)
-        weighted_decrease.append(0.0)
-        depths.append(depth)
-        if imp == 0.0 or idx.size < params.min_samples_split or depth >= params.max_depth:
-            return node
-        candidates = np.sort(rng.choice(x.shape[1], size=m_features, replace=False))
-        best = _best_split_for_feature(
-            x[np.ix_(idx, candidates)], y[idx], k, params.min_samples_leaf
-        )
-        if best is None or best[0] <= 0.0:
-            return node
-        dec, col, thr = best
-        f = int(candidates[col])
-        goes_left = x[idx, f] <= thr
-        feature[node] = f
-        threshold[node] = thr
-        weighted_decrease[node] = idx.size / n_root * dec
-        left[node] = add_node(idx[goes_left], depth + 1)
-        right[node] = add_node(idx[~goes_left], depth + 1)
-        return node
-
-    add_node(np.arange(n_root), 0)
-    return DecisionTree(
-        feature=np.asarray(feature, dtype=np.int64),
-        threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.int64),
-        right=np.asarray(right, dtype=np.int64),
-        histogram=np.asarray(histogram, dtype=float),
-        n_samples=np.asarray(n_samples, dtype=np.int64),
-        impurity=np.asarray(impurity, dtype=float),
-        weighted_decrease=np.asarray(weighted_decrease, dtype=float),
-        depth=np.asarray(depths, dtype=np.int64),
-    )
+    """One tree, grown exactly as fit_forest grows the tree of that seed."""
+    return fit_trees(data, params, [rng_seed])[0]
 
 
 def derive_tree_seeds(seed: int, n: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(n))
 
 
-_WORKER_ARGS: dict = {}
-
-
-def _pool_init(data: Dataset, params: ForestParams) -> None:
-    _WORKER_ARGS["data"] = data
-    _WORKER_ARGS["params"] = params
-
-
-def _pool_fit(seed: int) -> DecisionTree:
-    return fit_tree(_WORKER_ARGS["data"], _WORKER_ARGS["params"], seed)
-
-
 def fit_forest(data: Dataset, params: ForestParams, jobs: int = 1) -> RandomForestModel:
     """Train n_estimators trees on the full sample (unless bootstrap is set).
 
     Each tree gets an independent seed derived from params.seed, so the
-    model is identical for any jobs value.
+    model is identical for any jobs value; jobs > 1 grows contiguous runs
+    of seeds in worker processes.
     """
     seeds = derive_tree_seeds(params.seed, params.n_estimators)
     if jobs > 1 and params.n_estimators > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, params.n_estimators),
-            initializer=_pool_init,
-            initargs=(data, params),
-        ) as pool:
-            trees = list(pool.map(_pool_fit, seeds, chunksize=max(1, len(seeds) // (4 * jobs))))
+        n = min(jobs, len(seeds))
+        chunks = [seeds[len(seeds) * i // n : len(seeds) * (i + 1) // n] for i in range(n)]
+        with ProcessPoolExecutor(max_workers=n) as pool:
+            parts = pool.map(fit_trees, [data] * n, [params] * n, chunks)
+            trees = [tree for part in parts for tree in part]
     else:
-        trees = [fit_tree(data, params, s) for s in seeds]
+        trees = fit_trees(data, params, seeds)
     return RandomForestModel(
         trees=trees,
         params=params,
@@ -680,11 +836,7 @@ def save_model(model: RandomForestModel, path, mfcc_fingerprint: str | None = No
 
 
 def load_model(path, expected_fingerprint: str | None = None) -> RandomForestModel:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
-            raise ValidationError(f"{path}: not a valid model file ({exc})") from None
+    doc = io.read_json(path)
     try:
         return model_from_document(doc, expected_fingerprint)
     except ValidationError as exc:

@@ -69,7 +69,10 @@ def atomic_write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
 
 def from_json(cls, value, where: str):
@@ -80,8 +83,10 @@ def from_json(cls, value, where: str):
     takes any finite number and stores a float; `bool` and `str` must match
     exactly. `tuple[X, ...]`, `list`, `dict[str, X]`, unions such as
     `X | None` and nested dataclasses are decoded recursively. Value rules
-    live in each class's `__post_init__`. A field whose metadata sets "key"
-    is read from that JSON key instead of its name. Every error is a
+    live in each class's `__post_init__`, or, when an error must name a
+    path inside a field, in the field's metadata "check": check(value, path)
+    runs on the decoded value. A field whose metadata sets "key" is read
+    from that JSON key instead of its name. Every error is a
     ValidationError naming the key path, starting from `where`.
     """
     origin = typing.get_origin(cls) or cls
@@ -96,6 +101,8 @@ def from_json(cls, value, where: str):
                 _fail(_at(where, key), "unknown key")
             name = fields[key].name
             kwargs[name] = from_json(_type_hints(origin)[name], item, _at(where, key))
+            if "check" in fields[key].metadata:
+                fields[key].metadata["check"](kwargs[name], _at(where, key))
         for key, f in fields.items():
             if key not in value and f.default is f.default_factory is dataclasses.MISSING:
                 _fail(_at(where, key), "missing required field")
@@ -158,12 +165,29 @@ def write_record(record: SignalRecord, signal_path, meta_path) -> None:
 
 
 def read_record(signal_path, meta_path) -> SignalRecord:
-    samples = np.atleast_1d(np.loadtxt(signal_path, dtype=float))
+    try:
+        samples = np.atleast_1d(np.loadtxt(signal_path, dtype=float))
+    except ValueError as exc:
+        raise ValidationError(_bad_sample(signal_path, exc)) from None
     meta = read_json(meta_path)
     if "sample_rate" not in meta:
         raise ValidationError(f"{meta_path}: missing sample_rate")
     labels = {k: v for k, v in meta.items() if k != "sample_rate"}
     return SignalRecord(samples=samples, sample_rate=float(meta["sample_rate"]), labels=labels)
+
+
+def _bad_sample(path, exc: ValueError) -> str:
+    """Name the first line of a signal file that is not one number; only
+    called once np.loadtxt has failed, so good files are read once."""
+    with open(path, encoding="utf-8", errors="replace") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            text = line.split("#", 1)[0].strip()
+            try:
+                if text:
+                    float(text)
+            except ValueError:
+                return f"{path}:{line_no}: not a sample value: {text!r}"
+    return f"{path}: {exc}"
 
 
 def write_manifest(path, entries: list[dict]) -> None:

@@ -5,6 +5,10 @@ matrix of complex exponentials (no FFT), the filterbank and cosine
 transform from their defining formulas with plain loops, Gini splits by
 trying every threshold with exact fractions. Deliberately kept
 separate from the package under test.
+
+`reference_fit_tree` is the one exception: the recursive one-node-at-a-time
+tree grower the package used before its trees grew in lockstep, kept as
+the oracle that the lockstep grower must match array for array.
 """
 
 from __future__ import annotations
@@ -13,6 +17,8 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+import esdgait.forest as rf
 
 
 def naive_mfcc(
@@ -171,3 +177,109 @@ def brute_force_split(block, labels, n_classes: int, min_leaf: int):
         return None
     best = max(d for d, _, _ in scored)
     return best, [(col, thr) for d, col, thr in scored if d == best]
+
+
+def batched_best_split(
+    block: np.ndarray, labels: np.ndarray, n_classes: int, min_leaf: int
+) -> tuple[float, int, float] | None:
+    """Best (gini decrease, column, threshold) over the columns of an (n, m)
+    block of candidate features, or None if no column can be split.
+
+    A single feature is an (n, 1) block. Thresholds are midpoints between
+    consecutive distinct sorted values of a column; candidates leaving a
+    child below min_leaf are skipped. Ties pick the lowest threshold within
+    a column, then the lowest column.
+    """
+    n, m = block.shape
+    order = np.argsort(block, axis=0, kind="stable")
+    v = np.take_along_axis(block, order, axis=0)
+    n_left = np.arange(1, n)[:, None]  # split after sorted position i-1, i = 1..n-1
+    valid = v[:-1] != v[1:]
+    valid &= (n_left >= min_leaf) & (n - n_left >= min_leaf)
+    if not np.any(valid):
+        return None
+    onehot = labels[order][:, :, None] == np.arange(n_classes)
+    cum = np.cumsum(onehot, axis=0, dtype=float)  # (n, m, K) counts at sorted index <= i
+    left_counts = cum[:-1]
+    total_counts = cum[-1, 0]
+    right_counts = total_counts - left_counts
+    n_right = n - n_left
+    # integer-valued sums of squares are exact in float64
+    left_sq = (left_counts * left_counts).sum(axis=2)
+    right_sq = (right_counts * right_counts).sum(axis=2)
+    gini_left = 1.0 - left_sq / (n_left * n_left)
+    gini_right = 1.0 - right_sq / (n_right * n_right)
+    parent = 1.0 - (total_counts * total_counts).sum() / (n * n)
+    decrease = parent - (n_left * gini_left + n_right * gini_right) / n
+    decrease[~valid] = -np.inf
+    rows = np.argmax(decrease, axis=0)  # first max per column = lowest threshold
+    col = int(np.argmax(decrease[rows, np.arange(m)]))  # first best column
+    best = rows[col]
+    lo, hi = v[best, col], v[best + 1, col]
+    thr = (lo + hi) / 2.0
+    if thr == hi:  # adjacent floats: keep the left value on the left
+        thr = lo
+    return float(decrease[best, col]), col, float(thr)
+
+
+
+def reference_fit_tree(data, params, rng_seed: int):
+    """Recursive greedy CART growth with per-node feature subsampling, one
+    node at a time: the tree grower as it was before trees grew in lockstep."""
+    rng = np.random.default_rng(rng_seed)
+    x = data.features
+    y = data.labels
+    if params.bootstrap:
+        draw = rng.integers(0, x.shape[0], size=x.shape[0])
+        x, y = x[draw], y[draw]
+    k = data.n_classes
+    m_features = params.resolve_max_features(x.shape[1])
+    n_root = x.shape[0]
+
+    feature, threshold, left, right = [], [], [], []
+    histogram, n_samples, impurity, weighted_decrease, depths = [], [], [], [], []
+
+    def add_node(idx: np.ndarray, depth: int) -> int:
+        node = len(feature)
+        hist = np.bincount(y[idx], minlength=k).astype(float)
+        imp = rf.gini_impurity(hist)
+        feature.append(-1)
+        threshold.append(math.nan)
+        left.append(-1)
+        right.append(-1)
+        histogram.append(hist)
+        n_samples.append(idx.size)
+        impurity.append(imp)
+        weighted_decrease.append(0.0)
+        depths.append(depth)
+        if imp == 0.0 or idx.size < params.min_samples_split or depth >= params.max_depth:
+            return node
+        candidates = np.sort(rng.choice(x.shape[1], size=m_features, replace=False))
+        best = batched_best_split(
+            x[np.ix_(idx, candidates)], y[idx], k, params.min_samples_leaf
+        )
+        if best is None or best[0] <= 0.0:
+            return node
+        dec, col, thr = best
+        f = int(candidates[col])
+        goes_left = x[idx, f] <= thr
+        feature[node] = f
+        threshold[node] = thr
+        weighted_decrease[node] = idx.size / n_root * dec
+        left[node] = add_node(idx[goes_left], depth + 1)
+        right[node] = add_node(idx[~goes_left], depth + 1)
+        return node
+
+    add_node(np.arange(n_root), 0)
+    return rf.DecisionTree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        histogram=np.asarray(histogram, dtype=float),
+        n_samples=np.asarray(n_samples, dtype=np.int64),
+        impurity=np.asarray(impurity, dtype=float),
+        weighted_decrease=np.asarray(weighted_decrease, dtype=float),
+        depth=np.asarray(depths, dtype=np.int64),
+    )
+

@@ -138,6 +138,43 @@ class TestFeaturize:
         assert main(["featurize", str(tmp_path / "absent.json"),
                      "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 1
 
+    @staticmethod
+    def one_record_manifest(out: Path, root: Path) -> tuple[Path, Path, Path]:
+        """A copy of the first simulated record plus a manifest listing only it."""
+        entry = eio.read_manifest(out / "dataset.json")[0]
+        signal, meta = root / "r.sig.csv", root / "r.meta.json"
+        signal.write_bytes(Path(entry["signal_path"]).read_bytes())
+        meta.write_bytes(Path(entry["meta_path"]).read_bytes())
+        manifest = root / "dataset.json"
+        eio.write_manifest(manifest, [{"signal_path": signal.name, "meta_path": meta.name}])
+        return manifest, signal, meta
+
+    def test_non_numeric_sample_exits_1(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        manifest, signal, _ = self.one_record_manifest(out, tmp_path)
+        lines = signal.read_text().splitlines(keepends=True)
+        lines[4] = "abc\n"
+        signal.write_text("".join(lines))
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert f"{signal}:5:" in err and "abc" in err
+
+    @pytest.mark.parametrize("which", ["manifest", "meta"])
+    def test_truncated_json_exits_1(self, pipeline, tmp_path, capsys, which):
+        config, out = pipeline
+        manifest, _, meta = self.one_record_manifest(out, tmp_path)
+        broken = manifest if which == "manifest" else meta
+        broken.write_text(broken.read_text()[:30])  # cut mid-document
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert f"{broken}:" in err
+
 
 class TestTrainEval:
     def test_artifacts_written(self, pipeline):

@@ -194,11 +194,27 @@ class TestConfigParsing:
             {"n_iter": 2, "space": {"max_features": [2.5]}},
             {"n_iter": 2, "space": {"bootstrap": "no"}},
             {"n_iter": 2, "space": {"min_samples_split": [1]}},
+            {"n_iter": 2, "space": {"max_features": ["sqrt", 2.5]}},
         ],
     )
     def test_bad_search_sections_rejected(self, section):
         with pytest.raises(ValidationError):
             ex.ExperimentConfig.from_dict(walk_config_dict(search=section))
+
+    @pytest.mark.parametrize(
+        "space, message",
+        [
+            ({"max_features": ["sqrt", 2.5]}, "search.space.max_features[1]: expected int | str, got 2.5"),
+            ({"min_samples_split": [5, 1]}, "search.space.min_samples_split[1]: min_samples_split must"),
+            ({"bootstrap": [False, "no"]}, "search.space.bootstrap[1]: expected bool, got 'no'"),
+            ({"learning_rate": [0.1]}, "search.space.learning_rate: unknown search axis"),
+            ({"n_estimators": []}, "search.space.n_estimators: needs a non-empty list"),
+        ],
+    )
+    def test_search_axis_errors_name_the_value_path(self, space, message):
+        with pytest.raises(ValidationError) as info:
+            ex.ExperimentConfig.from_dict(walk_config_dict(search={"n_iter": 2, "space": space}))
+        assert str(info.value).startswith(message)
 
     def test_shake_dataset_parsed(self):
         cfg = ex.ExperimentConfig.from_dict({

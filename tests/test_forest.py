@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esdgait.forest as rf
 from esdgait.errors import ToolkitError, ValidationError
@@ -17,6 +19,7 @@ from reference import (
     kappa_from_confusion,
     macro_ovr_auroc,
     pair_count_auroc,
+    reference_fit_tree,
 )
 
 
@@ -74,6 +77,19 @@ def test_gini_rejects_bad_histograms():
 # ---------------------------------------------------------------- split search
 
 
+def search_block(block, labels, n_classes: int, min_leaf: int):
+    """One-node round of the segmented split search: every row of an (n, m)
+    block in the node, every column a candidate. Returns (decrease, column,
+    threshold), or None when no split is allowed."""
+    block = np.asarray(block, dtype=float)
+    n, m = block.shape
+    presort = rf._presort(block, np.asarray(labels))
+    dec, col, thr = rf._best_split_for_feature(
+        presort, np.arange(n), np.array([n]), None, np.arange(m)[None, :], n_classes, min_leaf
+    )
+    return None if dec[0] == -np.inf else (float(dec[0]), int(col[0]), float(thr[0]))
+
+
 @pytest.mark.parametrize("n_classes", [2, 6])
 def test_split_search_matches_brute_force_oracle(n_classes):
     rng = np.random.default_rng(40 + n_classes)
@@ -89,7 +105,7 @@ def test_split_search_matches_brute_force_oracle(n_classes):
             block[:, -1] = block[:, 0]  # equal-gain columns
         labels = rng.integers(0, n_classes, n)
         min_leaf = int(rng.integers(1, 6))
-        got = rf._best_split_for_feature(block, labels, n_classes, min_leaf)
+        got = search_block(block, labels, n_classes, min_leaf)
         want = brute_force_split(block, labels, n_classes, min_leaf)
         if want is None:
             assert got is None
@@ -111,19 +127,19 @@ def test_split_search_min_leaf_cuts_every_split():
     rng = np.random.default_rng(3)
     block = rng.normal(size=(9, 4))
     labels = np.array([0, 1] * 4 + [1])
-    assert rf._best_split_for_feature(block, labels, 2, min_leaf=5) is None
+    assert search_block(block, labels, 2, min_leaf=5) is None
     assert brute_force_split(block, labels, 2, min_leaf=5) is None
-    assert rf._best_split_for_feature(block, labels, 2, min_leaf=4) is not None
+    assert search_block(block, labels, 2, min_leaf=4) is not None
 
 
 def test_split_search_ties_pick_lowest_threshold_then_lowest_column():
     # mirror-image splits at 0.5 and 2.5 score bit-identically
     column = np.array([0.0, 1.0, 2.0, 3.0])
     labels = np.array([0, 1, 0, 1])
-    dec, col, thr = rf._best_split_for_feature(column[:, None], labels, 2, 1)
+    dec, col, thr = search_block(column[:, None], labels, 2, 1)
     assert (dec, col, thr) == (pytest.approx(1.0 / 6.0, abs=1e-15), 0, 0.5)
     block = np.column_stack([np.full(4, 7.0), column, column])  # column 0 cannot split
-    assert rf._best_split_for_feature(block, labels, 2, 1)[1:] == (1, 0.5)
+    assert search_block(block, labels, 2, 1)[1:] == (1, 0.5)
 
 
 def test_saved_model_bytes_are_pinned(tmp_path):
@@ -723,3 +739,81 @@ def test_every_tree_passes_structural_audit():
     model = rf.fit_forest(data, params)
     for tree in model.trees:
         audit_tree(tree, params)
+
+
+# ---------------------------------------------------------------- lockstep growth properties
+
+TREE_FIELDS = (
+    "feature", "threshold", "left", "right", "histogram",
+    "n_samples", "impurity", "weighted_decrease", "depth",
+)
+
+
+def assert_same_tree(got: rf.DecisionTree, want: rf.DecisionTree) -> None:
+    for name in TREE_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape, name
+        assert a.tobytes() == b.tobytes(), name  # bit for bit, nan thresholds included
+
+
+@st.composite
+def growth_cases(draw):
+    """Small datasets full of duplicate and tied values, with random growth limits."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(k, 40))
+    d = draw(st.integers(1, 7))
+    pool = draw(st.sampled_from(["ties", "normal"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    if pool == "ties":
+        x = rng.integers(0, draw(st.integers(1, 5)), size=(n, d)) / 4.0
+    else:
+        x = rng.normal(size=(n, d))
+    if d > 1 and draw(st.booleans()):
+        x[:, -1] = x[:, 0]  # a duplicated column scores exactly like the original
+    y = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    rng.shuffle(y)
+    data = rf.Dataset(x, y, tuple(f"f{i}" for i in range(d)), tuple(f"c{i}" for i in range(k)))
+    params = rf.ForestParams(
+        n_estimators=draw(st.integers(1, 4)),
+        min_samples_split=draw(st.integers(2, 8)),
+        min_samples_leaf=draw(st.integers(1, 5)),
+        max_depth=draw(st.integers(1, 12)),
+        bootstrap=draw(st.booleans()),
+        max_features=draw(st.one_of(st.sampled_from(["sqrt", "log2", "all"]), st.integers(1, 8))),
+        seed=draw(st.integers(0, 2**31)),
+    )
+    return data, params
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(growth_cases())
+def test_lockstep_growth_equals_recursive_reference(case):
+    data, params = case
+    seeds = rf.derive_tree_seeds(params.seed, params.n_estimators)
+    for seed, tree in zip(seeds, rf.fit_trees(data, params, seeds)):
+        assert_same_tree(tree, reference_fit_tree(data, params, seed))
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(growth_cases(), st.integers(2, 9))
+def test_forest_identical_at_any_jobs(case, n_estimators):
+    data, params = case
+    params = rf.ForestParams(**{**params.to_dict(), "n_estimators": n_estimators})
+    models = [rf.fit_forest(data, params, jobs=jobs) for jobs in (1, 2, 3)]
+    assert rf.model_to_document(models[0]) == rf.model_to_document(models[1])
+    assert rf.model_to_document(models[0]) == rf.model_to_document(models[2])
+    for trees in zip(*(model.trees for model in models)):
+        assert_same_tree(trees[1], trees[0])
+        assert_same_tree(trees[2], trees[0])
+
+
+def test_split_search_passes_do_not_change_trees(monkeypatch):
+    """A pass cap of one node per pass grows the same forest as one pass per round."""
+    data = blob_dataset(25, [[0, 0], [1, 1], [2, 0]], n_noise=4, spread=1.3, seed=8)
+    params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=4)
+    wide = rf.fit_forest(data, params)
+    monkeypatch.setattr(rf, "_PASS_ELEMENTS", 1)
+    narrow = rf.fit_forest(data, params)
+    for a, b in zip(wide.trees, narrow.trees):
+        assert_same_tree(a, b)

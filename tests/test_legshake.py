@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esdgait import legshake
 from esdgait.errors import StreamError, ValidationError
@@ -247,6 +249,24 @@ class TestStreaming:
         cuts = np.sort(rng.choice(samples.size - 1, size=37, replace=False) + 1)
         assert whole == run(np.split(samples, cuts))
         assert whole == run(list(samples.reshape(6, -1)))
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from([(5.6, 2.0, 10.0), (5.2, 1.0, 3.0), (5.8, 3.5, None)]),
+        st.lists(st.integers(1, 8 * SR - 1), max_size=40, unique=True),
+    )
+    def test_events_do_not_depend_on_chunking(self, shake, cuts):
+        freq, onset, snr_db = shake
+        samples = shake_record(freq, onset=onset, snr_db=snr_db, seed=3)
+        samples[6 * SR :] = samples[: samples.size - 6 * SR]  # quiet tail: the event closes
+
+        def run(chunks) -> tuple[list, list]:
+            detector = ShakeDetector(DetectorConfig())
+            opened = [e.onset for chunk in chunks for e in detector.push(chunk)]
+            fields = [(e.onset, e.offset, e.peak_frequency, e.mean_band_ratio) for e in detector.events]
+            return opened, fields
+
+        assert run(np.split(samples, sorted(cuts))) == run([samples])
 
     def test_open_events_reported_immediately(self):
         cfg = DetectorConfig()
