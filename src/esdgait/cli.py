@@ -10,6 +10,7 @@ beat built-in defaults. Exit codes: 0 success, 1 invalid input or config,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import sys
@@ -21,8 +22,8 @@ from .errors import ToolkitError, ValidationError
 
 log = logging.getLogger("esdgait")
 
-# lines of the signal stream parsed per detector push; any value gives
-# identical events, this one just bounds memory
+# physical lines of the signal stream parsed at a time, and samples per
+# detector push; any value gives identical events, this one bounds memory
 _DETECT_CHUNK_LINES = 2500
 
 
@@ -124,6 +125,24 @@ def _signal_lines(source: str):
             yield from handle
 
 
+def _parse_lines(lines: list[str], line_no: int, source: str):
+    """Parse a chunk line by line after np.array refused it: blank lines are
+    skipped and the first bad value stops the chunk. Returns the values
+    before it and the ValidationError to raise, or None; `line_no` is the
+    number of lines before the chunk."""
+    values = []
+    for line_no, line in enumerate(lines, start=line_no + 1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            values.append(float(text))
+        except ValueError:
+            error = ValidationError(f"{source}:{line_no}: not a sample value: {text!r}")
+            return np.array(values), error
+    return np.array(values), None
+
+
 def _event_line(kind: str, event: legshake.ShakeEvent) -> str:
     payload = {"type": kind, **event.to_dict()}
     return json.dumps(payload)
@@ -146,24 +165,31 @@ def cmd_detect(args) -> None:
             print(_event_line("close", event), flush=True)
             closed_reported += 1
 
-    batch: list[float] = []
-    for line in _signal_lines(args.source):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            batch.append(float(line))
-        except ValueError:
-            raise ValidationError(f"bad sample value: {line!r}") from None
-        if len(batch) >= _DETECT_CHUNK_LINES:
-            for event in detector.push(np.array(batch)):
-                print(_event_line("open", event), flush=True)
-            batch.clear()
-            report_closures()
-    if batch:
-        for event in detector.push(np.array(batch)):
+    def push(samples: np.ndarray) -> None:
+        for event in detector.push(samples):
             print(_event_line("open", event), flush=True)
         report_closures()
+
+    source = "<stdin>" if args.source == "-" else args.source
+    lines = _signal_lines(args.source)
+    pending = np.empty(0)
+    line_no = 0
+    while chunk := list(itertools.islice(lines, _DETECT_CHUNK_LINES)):
+        try:
+            values, error = np.array(chunk, dtype=float), None
+        except ValueError:  # a blank line or a bad value somewhere in the chunk
+            values, error = _parse_lines(chunk, line_no, source)
+        line_no += len(chunk)
+        # pushes hold _DETECT_CHUNK_LINES samples each, whatever the blank
+        # lines, so events print in the same order as a per-line reader's
+        pending = np.concatenate([pending, values])
+        while pending.size >= _DETECT_CHUNK_LINES:
+            push(pending[:_DETECT_CHUNK_LINES])
+            pending = pending[_DETECT_CHUNK_LINES:]
+        if error is not None:
+            raise error
+    if pending.size:
+        push(pending)
     if not args.quiet:
         log.info("events: %d", len(detector.events))
 

@@ -22,6 +22,7 @@ import sys
 import tempfile
 import types
 import typing
+import warnings
 from io import StringIO
 from pathlib import Path
 
@@ -156,8 +157,7 @@ def mfcc_fingerprint(config: MfccConfig) -> str:
 
 
 def write_record(record: SignalRecord, signal_path, meta_path) -> None:
-    body = "\n".join("%.8e" % v for v in record.samples) + "\n"
-    atomic_write_text(signal_path, body)
+    atomic_write_text(signal_path, _format_samples(record.samples))
     meta = {key: None for key in META_KEYS}
     meta.update(record.labels)
     meta["sample_rate"] = record.sample_rate
@@ -166,9 +166,14 @@ def write_record(record: SignalRecord, signal_path, meta_path) -> None:
 
 def read_record(signal_path, meta_path) -> SignalRecord:
     try:
-        samples = np.atleast_1d(np.loadtxt(signal_path, dtype=float))
+        with warnings.catch_warnings():
+            # an empty file is reported below, naming the file
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            samples = np.atleast_1d(np.loadtxt(signal_path, dtype=float))
     except ValueError as exc:
         raise ValidationError(_bad_sample(signal_path, exc)) from None
+    if samples.size == 0:
+        raise ValidationError(f"{signal_path}: no samples")
     meta = read_json(meta_path)
     if "sample_rate" not in meta:
         raise ValidationError(f"{meta_path}: missing sample_rate")
@@ -188,6 +193,78 @@ def _bad_sample(path, exc: ValueError) -> str:
             except ValueError:
                 return f"{path}:{line_no}: not a sample value: {text!r}"
     return f"{path}: {exc}"
+
+
+# Record text is "%.8e" per sample, one per line. _format_samples writes it
+# with numpy in blocks of this many rows, which bounds its temporaries.
+_FORMAT_BLOCK_ROWS = 8192
+# 10**k for k in [-300, 308], each correctly rounded
+_POW10_MIN = -300
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 309)])
+# One output row before the keep-mask: a 4-byte head (pad, "-", lead digit,
+# "."), two 4-digit groups, and an 8-byte tail ("e", exponent sign, three
+# exponent digits, newline, two pads). The tables hold the bytes of each
+# part in native order, so a row is assembled by whole-word gathers.
+_ROW = np.dtype([("head", "u4"), ("hi", "u4"), ("lo", "u4"), ("exp", "u8")])
+_HEAD = np.frombuffer(b"".join(b"\0-%d." % d for d in range(10)), dtype="u4")
+_DIGITS4 = np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
+_DIGITS4 = _DIGITS4.astype(np.uint8).view("u4").ravel()  # "%04d" % i as one word
+_EXP_MIN = -300
+_EXP = np.frombuffer(b"".join(b"e%+04d\n\0\0" % e for e in range(_EXP_MIN, 302)), dtype="u8")
+# bytes every row keeps; the sign (byte 1) and the exponent's hundreds
+# digit (byte 14) are set per row
+_KEEP = np.frombuffer(b"\0" + b"\1" * 17 + b"\0\0", dtype=bool)
+
+
+def _format_samples(samples) -> str:
+    """Record text: each sample as "%.8e" on its own line, byte for byte
+    what Python's % operator gives for every float64."""
+    x = np.asarray(samples, dtype=float).ravel()
+    if x.size == 0:
+        return "\n"
+    return "".join(
+        _format_block(x[i : i + _FORMAT_BLOCK_ROWS]) for i in range(0, x.size, _FORMAT_BLOCK_ROWS)
+    )
+
+
+def _format_block(x: np.ndarray) -> str:
+    a = np.abs(x)
+    nonzero = a != 0.0
+    if not (np.all(np.isfinite(a)) and np.all((a[nonzero] >= 1e-300) & (a[nonzero] <= 1e300))):
+        return "".join("%.8e\n" % v for v in x)
+    a = np.where(nonzero, a, 1.0)
+    # scale to a 9-digit mantissa m = a * 10**k in [1e8, 1e9); log10 may
+    # miss the decimal exponent by one, which the second scaling corrects
+    # (10**308 suffices for a >= 1e-300, even where log10 rounds below -300)
+    k = np.minimum(8 - np.floor(np.log10(a)).astype(np.int64), 308)
+    m = a * _POW10[k - _POW10_MIN]
+    k += (m < 1e8).astype(np.int64) - (m >= 1e9)
+    m = a * _POW10[k - _POW10_MIN]
+    mant = np.rint(m).astype(np.int64)
+    exp = 8 - k
+    carry = mant >= 1_000_000_000  # 9.999999995eN rounds to 1.00000000e(N+1)
+    mant[carry] //= 10
+    exp[carry] += 1
+    mant[~nonzero] = 0
+    exp[~nonzero] = 0
+    # m carries at most a few ulps of scaling error (< 1e-6 at 1e9), so
+    # rint rounds it correctly unless it is this close to a half-way point
+    for i in np.flatnonzero((np.abs(m - np.floor(m) - 0.5) < 1e-4) & nonzero):
+        text = "%.8e" % a[i]
+        mant[i] = int(text[0] + text[2:10])
+        exp[i] = int(text[11:])
+    lead, rest = np.divmod(mant, 100_000_000)
+    hi, lo = np.divmod(rest, 10_000)
+    rows = np.empty(x.size, dtype=_ROW)
+    rows["head"] = _HEAD[lead]
+    rows["hi"] = _DIGITS4[hi]
+    rows["lo"] = _DIGITS4[lo]
+    rows["exp"] = _EXP[exp - _EXP_MIN]
+    keep = np.empty((x.size, _ROW.itemsize), dtype=bool)
+    keep[:] = _KEEP
+    keep[:, 1] = np.signbit(x)
+    keep[:, 14] = np.abs(exp) >= 100
+    return rows.view(np.uint8)[keep.ravel()].tobytes().decode("ascii")
 
 
 def write_manifest(path, entries: list[dict]) -> None:

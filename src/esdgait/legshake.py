@@ -19,6 +19,7 @@ window, and this stamp centers the residual onset error around zero.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -117,14 +118,12 @@ def band_ratio(window_samples, config: DetectorConfig) -> tuple[float, float]:
     x = x - x.mean()
     if not np.any(x):
         return 0.0, math.nan
-    power = np.abs(np.fft.rfft(x * np.hanning(n))) ** 2
+    taper, in_band, band_bins = _window_plan(n, config.sample_rate, config.band_low, config.band_high)
+    power = np.abs(np.fft.rfft(x * taper)) ** 2
     total = power[1:].sum()
     if total <= 0.0:
         return 0.0, math.nan
-    freqs = np.fft.rfftfreq(n, 1.0 / config.sample_rate)
-    in_band = (freqs >= config.band_low) & (freqs <= config.band_high)
     ratio = float(power[in_band].sum() / total)
-    band_bins = np.flatnonzero(in_band)
     peak_bin = int(band_bins[np.argmax(power[band_bins])])
     delta = 0.0
     if 1 <= peak_bin < power.size - 1:
@@ -134,6 +133,18 @@ def band_ratio(window_samples, config: DetectorConfig) -> tuple[float, float]:
             delta = float(np.clip(0.5 * (y0 - y2) / denom, -0.5, 0.5))
     peak_hz = (peak_bin + delta) * config.sample_rate / n
     return ratio, float(peak_hz)
+
+
+@functools.lru_cache(maxsize=8)
+def _window_plan(n: int, sample_rate: float, band_low: float, band_high: float):
+    """The Hann taper, the in-band mask of the rfft bins and their indices
+    for one window shape; read-only, since every caller shares them."""
+    freqs = np.fft.rfftfreq(n, 1.0 / sample_rate)
+    in_band = (freqs >= band_low) & (freqs <= band_high)
+    plan = (np.hanning(n), in_band, np.flatnonzero(in_band))
+    for array in plan:
+        array.setflags(write=False)
+    return plan
 
 
 class ShakeDetector:

@@ -8,7 +8,9 @@ separate from the package under test.
 
 `reference_fit_tree` is the one exception: the recursive one-node-at-a-time
 tree grower the package used before its trees grew in lockstep, kept as
-the oracle that the lockstep grower must match array for array.
+the oracle that the lockstep grower must match array for array, and so
+is `reference_detect`, the per-line `esdgait detect` reader that chunked
+parsing must match line for line.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ from fractions import Fraction
 import numpy as np
 
 import esdgait.forest as rf
+from esdgait import cli, legshake
+from esdgait.errors import ValidationError
 
 
 def naive_mfcc(
@@ -283,3 +287,40 @@ def reference_fit_tree(data, params, rng_seed: int):
         depth=np.asarray(depths, dtype=np.int64),
     )
 
+
+
+def reference_detect(lines, config: legshake.DetectorConfig) -> None:
+    """`esdgait detect`'s reading loop before chunked parsing, verbatim:
+    prints the event lines and raises ValidationError on a bad sample."""
+    _event_line = cli._event_line
+    _DETECT_CHUNK_LINES = cli._DETECT_CHUNK_LINES
+    detector = legshake.ShakeDetector(config)
+    closed_reported = 0
+
+    def report_closures() -> None:
+        nonlocal closed_reported
+        while closed_reported < len(detector.events):
+            event = detector.events[closed_reported]
+            if event.offset is None:
+                break
+            print(_event_line("close", event), flush=True)
+            closed_reported += 1
+
+    batch: list[float] = []
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            batch.append(float(line))
+        except ValueError:
+            raise ValidationError(f"bad sample value: {line!r}") from None
+        if len(batch) >= _DETECT_CHUNK_LINES:
+            for event in detector.push(np.array(batch)):
+                print(_event_line("open", event), flush=True)
+            batch.clear()
+            report_closures()
+    if batch:
+        for event in detector.push(np.array(batch)):
+            print(_event_line("open", event), flush=True)
+        report_closures()

@@ -7,15 +7,22 @@ import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esdgait
 import esdgait.io as eio
+from esdgait import cli, legshake
 from esdgait.cli import main
+from esdgait.errors import ToolkitError, ValidationError
 from esdgait.simkit import CapacitanceModel, ElectrodeModel, synth_legshake
+from reference import reference_detect
 
 
 def write_config(tmp_path, **overrides) -> Path:
@@ -161,6 +168,16 @@ class TestFeaturize:
         err = capsys.readouterr().err
         assert_one_line_error(err)
         assert f"{signal}:5:" in err and "abc" in err
+
+    def test_empty_signal_exits_1(self, pipeline, tmp_path):
+        # in a fresh interpreter, so a warning printed before the error shows
+        config, out = pipeline
+        manifest, signal, _ = self.one_record_manifest(out, tmp_path)
+        signal.write_text("")
+        done = run_cli("featurize", str(manifest), "--config", str(config),
+                       "--out", str(tmp_path / "out"), "--quiet")
+        assert done.returncode == 1
+        assert done.stderr == f"error: {signal}: no samples\n"
 
     @pytest.mark.parametrize("which", ["manifest", "meta"])
     def test_truncated_json_exits_1(self, pipeline, tmp_path, capsys, which):
@@ -367,10 +384,41 @@ class TestDetect:
         assert events[1]["offset"] is not None
         assert events[1]["offset"] > events[1]["onset"]
 
-    def test_detect_bad_sample_exits_1(self, tmp_path):
+    def test_detect_bad_sample_exits_1(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bad.sig.csv"
         path.write_text("1.0\nbanana\n2.0\n" * 2000)
         assert main(["detect", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not a sample value: 'banana'\n"
+        # the first bad value sits in the second chunk, after blank lines
+        text = "1.0\n\n" * 1300 + "2.0\n" * 100 + " banana \n" + "3.0\n" * 10
+        path.write_text(text)
+        assert main(["detect", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2701: not a sample value: 'banana'\n"
+        monkeypatch.setattr(sys, "stdin", std_io.StringIO(text))
+        assert main(["detect", "-", "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: <stdin>:2701: not a sample value: 'banana'\n"
+
+    def test_detect_prints_events_pushed_before_a_bad_sample(self, tmp_path, capsys):
+        # one leading blank line shifts every push boundary one line into the
+        # next chunk; the push that opens the event completes on the first
+        # line of a chunk whose second line is bad
+        rng = np.random.default_rng(9)
+        t = np.arange(120_000) / 10_000.0
+        sig = np.sin(2 * np.pi * 5.5 * t) * (t >= 2.0) + rng.normal(0.0, 0.1, t.size)
+        detector = legshake.ShakeDetector()
+        opening = next(j for j, chunk in enumerate(np.split(sig, 48)) if detector.push(chunk))
+        lines = ["\n", *(f"{v:.8e}\n" for v in sig)]
+        bad_line = 2500 * (opening + 1) + 2
+        lines[bad_line - 1] = "banana\n"
+        path = tmp_path / "late_bad.sig.csv"
+        path.write_text("".join(lines))
+        assert main(["detect", str(path), "--quiet"]) == 1
+        out, err = capsys.readouterr()
+        assert err == f"error: {path}:{bad_line}: not a sample value: 'banana'\n"
+        with pytest.raises(ValidationError), open(path) as handle:
+            reference_detect(handle, legshake.DetectorConfig())
+        expected = capsys.readouterr().out
+        assert '"type": "open"' in expected and out == expected
 
     def test_event_count_summary_unless_quiet(self, shake_signal, capsys):
         assert main(["detect", str(shake_signal)]) == 0
@@ -378,6 +426,86 @@ class TestDetect:
         assert "events: 1" in err
         assert main(["detect", str(shake_signal), "--quiet"]) == 0
         assert "events" not in capsys.readouterr().err
+
+
+# a detector at 100 Hz: 100-sample windows, so a soup of a few hundred
+# lines opens and closes events
+SOUP_DETECTOR = {"sample_rate": 100.0}
+SOUP_TOKENS = st.one_of(
+    st.sampled_from(
+        ["", "  ", "\t", " 1.0 ", "1_0", "1__0", "nAn", "inf", "-Infinity", "\u0661\u0662",
+         "\uff11\uff12", "\u0661.\u0665", "\x0c2.5\x0b", "\u20033\u2003", "1.0_0", "banana",
+         "1e", "--1", "0x10", "1 2", "5.", "+.5", "1e400", "1\x00"]
+    ),
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=5),
+)
+
+
+@pytest.fixture(scope="module")
+def soup_config(tmp_path_factory):
+    path = tmp_path_factory.mktemp("soup") / "config.json"
+    path.write_text(json.dumps({"seed": 1, "task": "legshake", "detector": SOUP_DETECTOR}))
+    return path
+
+
+def soup_outcome(run) -> tuple[str, int | str, str]:
+    """stdout, exit code (or the name of what run() raised) and stderr."""
+    out, err = std_io.StringIO(), std_io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = run()
+        except Exception as exc:  # compared by name: both sides must raise alike
+            code = type(exc).__name__
+    return out.getvalue(), code, err.getvalue()
+
+
+def reference_main(path) -> int:
+    try:
+        with open(path) as lines:
+            reference_detect(lines, legshake.DetectorConfig(**SOUP_DETECTOR))
+    except ToolkitError as exc:  # a ValidationError is one, with exit 1
+        print(exc, file=sys.stderr)
+        return 1 if isinstance(exc, ValidationError) else 2
+    return 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.integers(0, 3),
+    st.sampled_from(["%.8e", "%r", "%.3f", "%g"]),
+    st.lists(st.tuples(st.integers(0, 1200), SOUP_TOKENS), max_size=30),
+    st.sampled_from(["\n", "\r\n"]),
+    st.sampled_from([1, 3, 25, 64, 2500]),
+)
+def test_detect_matches_per_line_reader(soup_config, seed, fmt, inserts, newline, chunk):
+    rng = np.random.default_rng(seed)
+    t = np.arange(1200) / 100.0
+    signal = np.sin(2 * np.pi * 5.5 * t) * ((t >= 3.0) & (t < 8.0)) + rng.normal(0, 0.1, t.size)
+    lines = [fmt % v for v in signal.tolist()]
+    for position, token in sorted(inserts, reverse=True):
+        lines.insert(position, token)
+    path = soup_config.parent / "soup.sig.csv"
+    path.write_text("".join(line + newline for line in lines), encoding="utf-8", newline="")
+    argv = ["detect", str(path), "--config", str(soup_config), "--quiet"]
+    with mock.patch.object(cli, "_DETECT_CHUNK_LINES", chunk):
+        expected_out, expected_code, expected_err = soup_outcome(lambda: reference_main(path))
+        out, code, err = soup_outcome(lambda: main(argv))
+    assert (out, code) == (expected_out, expected_code)
+    if expected_err.startswith("bad sample value: "):
+        with open(path) as handle:
+            line_no, text = next(
+                (n, text) for n, line in enumerate(handle, start=1)
+                if (text := line.strip()) and not _is_float(text)
+            )
+        assert err == f"error: {path}:{line_no}: not a sample value: {text!r}\n"
+
+
+def _is_float(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 class TestArgumentHandling:
