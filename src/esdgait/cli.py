@@ -14,6 +14,7 @@ import itertools
 import json
 import logging
 import sys
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
@@ -32,7 +33,12 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--config", help="experiment config JSON")
     shared.add_argument("--seed", type=int, help="override the config seed")
     shared.add_argument("--out", default=".", help="output directory (default: .)")
-    shared.add_argument("--jobs", type=int, default=1, help="worker processes (results are identical for any value)")
+    shared.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes of the command's one pool: records for simulate and "
+        "featurize, whole forests for train, eval and report; results are identical "
+        "for any value",
+    )
     shared.add_argument("--quiet", action="store_true", help="suppress progress logging")
 
     parser = argparse.ArgumentParser(
@@ -76,7 +82,9 @@ def cmd_simulate(args) -> None:
 
 def cmd_featurize(args) -> None:
     config = _require_config(args)
-    features, rejects = experiments.run_featurize(args.manifest, config, args.out, quiet=args.quiet)
+    features, rejects = experiments.run_featurize(
+        args.manifest, config, args.out, jobs=args.jobs, quiet=args.quiet
+    )
     if rejects:
         log.warning("rejects: %s", json.dumps(rejects))
     print(features)
@@ -118,11 +126,19 @@ def cmd_report(args) -> None:
 
 
 def _signal_lines(source: str):
+    """Lines of the signal; bytes that are not UTF-8 come through as lone
+    surrogates, so the parser can name their line."""
     if source == "-":
+        if hasattr(sys.stdin, "reconfigure"):
+            sys.stdin.reconfigure(errors="surrogateescape")
         yield from sys.stdin
-    else:
-        with open(source, "r") as handle:
-            yield from handle
+        return
+    try:
+        handle = open(source, encoding="utf-8", errors="surrogateescape")
+    except IsADirectoryError:
+        raise ValidationError(f"{source}: is a directory") from None
+    with handle:
+        yield from handle
 
 
 def _parse_lines(lines: list[str], line_no: int, source: str):
@@ -138,8 +154,12 @@ def _parse_lines(lines: list[str], line_no: int, source: str):
         try:
             values.append(float(text))
         except ValueError:
-            error = ValidationError(f"{source}:{line_no}: not a sample value: {text!r}")
-            return np.array(values), error
+            try:
+                text.encode("utf-8")
+                reason = f"not a sample value: {text!r}"
+            except UnicodeEncodeError:  # a surrogate stands for a byte that is not UTF-8
+                reason = "not valid UTF-8"
+            return np.array(values), ValidationError(f"{source}:{line_no}: {reason}")
     return np.array(values), None
 
 
@@ -220,7 +240,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ToolkitError as exc:
+    except (ToolkitError, BrokenProcessPool) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except FileNotFoundError as exc:

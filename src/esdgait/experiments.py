@@ -9,9 +9,10 @@ pure function of (config, seed), so reruns are byte-identical.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
-import json
 import logging
+import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, field, replace
@@ -187,14 +188,38 @@ class ExperimentConfig:
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
     try:
-        raw = json.loads(Path(path).read_text())
+        raw = io.read_json(path)
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from None
     if seed_override is not None and isinstance(raw, dict):
         raw["seed"] = seed_override
     return ExperimentConfig.from_dict(raw)
+
+
+@contextlib.contextmanager
+def _task_map(jobs: int, n_tasks: int):
+    """The map a command runs its tasks through: one process pool's map,
+    or the builtin map where the pool would have fewer than two workers.
+
+    A command opens it once and hands it to every step. The pool has
+    min(jobs, n_tasks, usable CPUs) workers; results come back in task
+    order, so they are the same at any jobs value. Each map splits its
+    tasks into about eight chunks per worker, one task per chunk when there
+    are fewer: few messages for quick tasks such as one record, and one
+    forest per message for a CV.
+    """
+    workers = min(jobs, n_tasks, len(os.sched_getaffinity(0)))
+    if workers < 2:
+        yield map
+        return
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+
+        def pool_map(fn, *iterables):
+            tasks = list(zip(*iterables))
+            chunksize = max(1, -(-len(tasks) // (8 * workers)))
+            return pool.map(fn, *zip(*tasks), chunksize=chunksize)
+
+        yield pool_map
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +250,7 @@ class ShakePlan:
     duration: float
     snr_db: float | None
     noise_seed: int
+    noise_std: float = 0.0  # the level snr_db sets, shared by the cell's records
 
 
 @dataclass(frozen=True)
@@ -290,6 +316,9 @@ def _shake_plans(seed: int, cohort: ShakeCohort) -> list:
     cells = list(itertools.product(cohort.shake_frequencies, cohort.onsets))
     index = 0
     for cell_index, (freq, onset) in enumerate(cells):
+        noise_std = 0.0
+        if cohort.snr_db is not None:
+            noise_std = _snr_noise_std(freq, onset, cohort.duration, cohort.snr_db)
         for rep in range(cohort.samples_per_cell):
             rng = np.random.default_rng(np.random.SeedSequence([seed, cell_index, rep]))
             plans.append(
@@ -300,6 +329,7 @@ def _shake_plans(seed: int, cohort: ShakeCohort) -> list:
                     duration=cohort.duration,
                     snr_db=cohort.snr_db,
                     noise_seed=int(rng.integers(2**32)),
+                    noise_std=noise_std,
                 )
             )
             index += 1
@@ -384,9 +414,6 @@ def _synthesize_walk(plan: WalkPlan) -> simkit.SignalRecord:
 
 
 def _synthesize_shake(plan: ShakePlan) -> simkit.SignalRecord:
-    noise_std = 0.0
-    if plan.snr_db is not None:
-        noise_std = _snr_noise_std(plan.shake_frequency, plan.onset, plan.duration, plan.snr_db)
     labels = {
         "activity": "legshake",
         "seed": plan.noise_seed,
@@ -395,13 +422,13 @@ def _synthesize_shake(plan: ShakePlan) -> simkit.SignalRecord:
             "onset": plan.onset,
             "duration": plan.duration,
             "snr_db": plan.snr_db,
-            "noise_std": noise_std,
+            "noise_std": plan.noise_std,
         },
     }
     return simkit.synth_legshake(
         plan.shake_frequency, plan.duration, plan.onset,
         WALK_CAPACITANCE, ELECTRODE,
-        noise_std=noise_std, seed=plan.noise_seed, labels=labels,
+        noise_std=plan.noise_std, seed=plan.noise_seed, labels=labels,
     )
 
 
@@ -419,24 +446,21 @@ def _synthesize_noise(plan: NoisePlan) -> simkit.SignalRecord:
     )
 
 
+def _simulate_task(plan, out: Path) -> dict:
+    """Synthesize and write one record; returns its manifest entry."""
+    stem = f"rec_{plan.index:04d}"
+    entry = {"signal_path": f"records/{stem}.sig.csv", "meta_path": f"records/{stem}.meta.json"}
+    io.write_record(synthesize_record(plan), out / entry["signal_path"], out / entry["meta_path"])
+    return entry
+
+
 def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False) -> Path:
     """Synthesize the cohort and write records plus dataset.json manifest."""
     plans = build_plans(config)
     out = Path(out_dir)
-    records_dir = out / "records"
-    records_dir.mkdir(parents=True, exist_ok=True)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(synthesize_record, plans, chunksize=4))
-    else:
-        records = [synthesize_record(plan) for plan in plans]
-    entries = []
-    for plan, record in zip(plans, records):
-        stem = f"rec_{plan.index:04d}"
-        signal_rel = f"records/{stem}.sig.csv"
-        meta_rel = f"records/{stem}.meta.json"
-        io.write_record(record, out / signal_rel, out / meta_rel)
-        entries.append({"signal_path": signal_rel, "meta_path": meta_rel})
+    (out / "records").mkdir(parents=True, exist_ok=True)
+    with _task_map(jobs, len(plans)) as map_fn:
+        entries = list(map_fn(_simulate_task, plans, itertools.repeat(out)))
     manifest_path = out / "dataset.json"
     io.write_manifest(manifest_path, entries)
     if not quiet:
@@ -448,41 +472,55 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool =
 # featurization
 
 
+def _featurize_task(record, mfcc: dsp.MfccConfig, include_categoricals: bool, maps):
+    """One record's feature vector, or the DegenerateSignalError rejecting it."""
+    try:
+        return dsp.featurize(record, mfcc, include_categoricals, maps)
+    except DegenerateSignalError as exc:
+        return exc
+
+
 def run_featurize(
-    manifest_path, config: ExperimentConfig, out_dir, quiet: bool = False
+    manifest_path, config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False
 ) -> tuple[Path, list[dict]]:
     """Extract one feature row per record; returns (features path, rejects)."""
     entries = io.read_manifest(manifest_path)
     if not entries:
         raise ValidationError("manifest lists no records")
-    records = [io.read_record(e["signal_path"], e["meta_path"]) for e in entries]
-    rates = {record.sample_rate for record in records}
-    if len(rates) != 1:
-        raise ValidationError(f"records mix sample rates: {sorted(rates)}")
-    records = dsp.trim_to_common_length(records)
-    label_key = TASK_LABEL_KEY[config.task]
-    maps = dsp.build_category_maps(records) if config.include_categoricals else None
-    rows: list[np.ndarray] = []
-    labels: list[str] = []
-    names: tuple[str, ...] | None = None
-    rejects: list[dict] = []
-    for entry, record in zip(entries, records):
-        try:
-            vector = dsp.featurize(
-                record, config.mfcc, config.include_categoricals, maps
-            )
-        except DegenerateSignalError as exc:
-            rejects.append({"signal_path": str(entry["signal_path"]), "reason": str(exc)})
-            continue
-        label = record.labels.get(label_key)
-        if label is None:
-            raise ValidationError(
-                f"record {entry['signal_path']} has no {label_key} label for task {config.task}"
-            )
-        rows.append(vector.values)
-        labels.append(str(label))
-        if names is None:
-            names = vector.feature_names
+    with _task_map(jobs, len(entries)) as map_fn:
+        records = list(map_fn(
+            io.read_record, [e["signal_path"] for e in entries], [e["meta_path"] for e in entries]
+        ))
+        rates = {record.sample_rate for record in records}
+        if len(rates) != 1:
+            raise ValidationError(f"records mix sample rates: {sorted(rates)}")
+        records = dsp.trim_to_common_length(records)
+        label_key = TASK_LABEL_KEY[config.task]
+        maps = dsp.build_category_maps(records) if config.include_categoricals else None
+        rows: list[np.ndarray] = []
+        labels: list[str] = []
+        names: tuple[str, ...] | None = None
+        rejects: list[dict] = []
+        vectors = map_fn(
+            _featurize_task,
+            records,
+            itertools.repeat(config.mfcc),
+            itertools.repeat(config.include_categoricals),
+            itertools.repeat(maps),
+        )
+        for entry, record, vector in zip(entries, records, vectors):
+            if isinstance(vector, DegenerateSignalError):
+                rejects.append({"signal_path": str(entry["signal_path"]), "reason": str(vector)})
+                continue
+            label = record.labels.get(label_key)
+            if label is None:
+                raise ValidationError(
+                    f"record {entry['signal_path']} has no {label_key} label for task {config.task}"
+                )
+            rows.append(vector.values)
+            labels.append(str(label))
+            if names is None:
+                names = vector.feature_names
     if not rows:
         raise ValidationError("every record was rejected as degenerate")
     if rejects and not quiet:
@@ -548,21 +586,23 @@ def run_train(
     params = config.forest_params
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    if config.search is not None:
-        params, trials = forest.randomized_search(
-            data,
-            config.search.space,
-            config.search.n_iter,
-            k=config.cv_folds,
-            seed=config.seed,
-            jobs=jobs,
+    n_tasks = config.cv_folds * (1 if config.search is None else config.search.n_iter) + 1
+    with _task_map(jobs, n_tasks) as map_fn:
+        if config.search is not None:
+            params, trials = forest.randomized_search(
+                data,
+                config.search.space,
+                config.search.n_iter,
+                k=config.cv_folds,
+                seed=config.seed,
+                map_fn=map_fn,
+            )
+            io.atomic_write_json(out / "search_trials.json", trials)
+            if not quiet:
+                log.info("search picked %s", params)
+        report, model = forest.cross_validate(
+            data, params, k=config.cv_folds, seed=config.seed, with_model=True, map_fn=map_fn
         )
-        io.atomic_write_json(out / "search_trials.json", trials)
-        if not quiet:
-            log.info("search picked %s", params)
-    report, model = forest.cross_validate(
-        data, params, k=config.cv_folds, seed=config.seed, jobs=jobs, with_model=True
-    )
     model_path = out / "model.rfj"
     forest.save_model(model, model_path, mfcc_fingerprint=_stored_fingerprint(features_path, config))
     report_path = out / "eval_report.json"
@@ -586,10 +626,10 @@ def run_eval(
 ) -> tuple[forest.EvalReport, Path]:
     """Evaluate on a feature table.
 
-    holdout=True: stratified 80/20 split, fit on the large part, score the
-    small part. model_path: score an existing model on these rows. Neither:
-    full cross-validation (same numbers as run_train, nothing persisted but
-    the report).
+    holdout=True: stratified 80/20 split, fit one forest on the large part
+    (in this process, at any jobs), score the small part. model_path: score
+    an existing model on these rows. Neither: full cross-validation (same
+    numbers as run_train, nothing persisted but the report).
     """
     matrix, names, labels = io.read_features(features_path)
     out = Path(out_dir)
@@ -612,7 +652,6 @@ def run_eval(
                 data.class_names,
             ),
             params,
-            jobs=jobs,
         )
         proba = forest.predict_proba(model, data.features[test_idx])
         report = forest.eval_report(
@@ -633,9 +672,10 @@ def run_eval(
         report = forest.eval_report(y, proba, [slice(None)], forest.mdi_importance(model))
     else:
         data = dataset_from_features(matrix, names, labels)
-        report = forest.cross_validate(
-            data, config.forest_params, k=config.cv_folds, seed=config.seed, jobs=jobs
-        )
+        with _task_map(jobs, config.cv_folds + 1) as map_fn:
+            report = forest.cross_validate(
+                data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
+            )
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
     if not quiet:
@@ -666,19 +706,20 @@ def run_report(
     labels_arr = np.asarray(labels, dtype=object)
     rows: list[tuple[int, float, float]] = []
     full_report: forest.EvalReport | None = None
-    for k in range(2, len(class_names) + 1):
-        subset = class_names[:k]
-        mask = np.isin(labels_arr, subset)
-        sub_labels = [label for label, keep in zip(labels, mask) if keep]
-        data = dataset_from_features(matrix[mask], names, sub_labels)
-        report = forest.cross_validate(
-            data, config.forest_params, k=config.cv_folds, seed=config.seed, jobs=jobs
-        )
-        baseline = forest.baseline_accuracy(data.labels)
-        rows.append((k, float(report.accuracy), float(baseline)))
-        full_report = report
-        if not quiet:
-            log.info("k=%d forest %.4f baseline %.4f", k, report.accuracy, baseline)
+    with _task_map(jobs, config.cv_folds + 1) as map_fn:
+        for k in range(2, len(class_names) + 1):
+            subset = class_names[:k]
+            mask = np.isin(labels_arr, subset)
+            sub_labels = [label for label, keep in zip(labels, mask) if keep]
+            data = dataset_from_features(matrix[mask], names, sub_labels)
+            report = forest.cross_validate(
+                data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
+            )
+            baseline = forest.baseline_accuracy(data.labels)
+            rows.append((k, float(report.accuracy), float(baseline)))
+            full_report = report
+            if not quiet:
+                log.info("k=%d forest %.4f baseline %.4f", k, report.accuracy, baseline)
     ranked_idx = np.argsort(-full_report.importances, kind="stable")
     importance = tuple(
         (names[i], float(full_report.importances[i])) for i in ranked_idx

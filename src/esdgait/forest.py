@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import math
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -113,22 +112,6 @@ class DecisionTree:
     impurity: np.ndarray  # (nodes,)
     weighted_decrease: np.ndarray  # (nodes,) (n/N)*gini decrease, 0 on leaves
     depth: np.ndarray  # (nodes,)
-
-    def leaf_for(self, row: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] >= 0:
-            if row[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return node
-
-    def predict_proba(self, rows: np.ndarray) -> np.ndarray:
-        out = np.empty((rows.shape[0], self.histogram.shape[1]))
-        for i, row in enumerate(rows):
-            hist = self.histogram[self.leaf_for(row)]
-            out[i] = hist / hist.sum()
-        return out
 
 
 @dataclass
@@ -446,24 +429,15 @@ def derive_tree_seeds(seed: int, n: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(n))
 
 
-def fit_forest(data: Dataset, params: ForestParams, jobs: int = 1) -> RandomForestModel:
+def fit_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
     """Train n_estimators trees on the full sample (unless bootstrap is set).
 
     Each tree gets an independent seed derived from params.seed, so the
-    model is identical for any jobs value; jobs > 1 grows contiguous runs
-    of seeds in worker processes.
+    model is the same whichever process grows it.
     """
     seeds = derive_tree_seeds(params.seed, params.n_estimators)
-    if jobs > 1 and params.n_estimators > 1:
-        n = min(jobs, len(seeds))
-        chunks = [seeds[len(seeds) * i // n : len(seeds) * (i + 1) // n] for i in range(n)]
-        with ProcessPoolExecutor(max_workers=n) as pool:
-            parts = pool.map(fit_trees, [data] * n, [params] * n, chunks)
-            trees = [tree for part in parts for tree in part]
-    else:
-        trees = fit_trees(data, params, seeds)
     return RandomForestModel(
-        trees=trees,
+        trees=fit_trees(data, params, seeds),
         params=params,
         feature_names=tuple(data.feature_names),
         class_names=tuple(data.class_names),
@@ -472,7 +446,12 @@ def fit_forest(data: Dataset, params: ForestParams, jobs: int = 1) -> RandomFore
 
 
 def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
-    """Mean over trees of the leaf class-frequency distributions."""
+    """Mean over trees of the leaf class-frequency distributions.
+
+    Every tree's nodes go into one table, and all (tree, row) pairs walk it
+    together, one level per step. The leaf distributions are then added one
+    tree at a time, in tree order, as a per-tree sum would add them.
+    """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != len(model.feature_names):
         raise ValidationError(
@@ -481,10 +460,30 @@ def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ValidationError(f"row {int(bad[0])} has a non-finite feature value")
-    acc = np.zeros((rows.shape[0], len(model.class_names)))
-    for tree in model.trees:
-        acc += tree.predict_proba(rows)
-    return acc / len(model.trees)
+    trees = model.trees
+    sizes = np.asarray([tree.feature.size for tree in trees])
+    start = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    histogram = np.concatenate([tree.histogram for tree in trees])
+    children = np.concatenate(  # (nodes, 2) table indices; leaves keep -1
+        [np.stack([tree.left, tree.right], axis=1) + s for tree, s in zip(trees, start)]
+    )
+    n = rows.shape[0]
+    node = np.repeat(start, n)  # pair (tree t, row i) sits at t * n + i
+    row = np.tile(np.arange(n), len(trees))
+    walking = np.arange(node.size)
+    while walking.size:
+        at = node[walking]
+        internal = feature[at] >= 0
+        walking, at = walking[internal], at[internal]
+        goes_left = rows[row[walking], feature[at]] <= threshold[at]
+        node[walking] = children[at, (~goes_left).astype(np.intp)]
+    acc = np.zeros((n, len(model.class_names)))
+    for leaves in node.reshape(len(trees), n):
+        hist = histogram[leaves]
+        acc += hist / hist.sum(axis=1, keepdims=True)
+    return acc / len(trees)
 
 
 def predict(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
@@ -624,23 +623,29 @@ def _subset(data: Dataset, idx: np.ndarray) -> Dataset:
     return sub
 
 
-def _fold_predictions(
-    data: Dataset, params: ForestParams, k: int, seed: int, jobs: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray], int]:
+def _fold_tasks(data: Dataset, params: ForestParams, k: int, seed: int):
+    """The folds of a stratified k-fold CV, the seed of its full-data fit,
+    and the fit task of each fold: arguments of _fit_task."""
     state = np.random.SeedSequence([seed]).generate_state(k + 2)
     folds = stratified_kfold(data.labels, k, int(state[0]))
-    n = data.labels.size
-    proba = np.zeros((n, data.n_classes))
+    tasks = []
     for i, test_idx in enumerate(folds):
-        train_mask = np.ones(n, dtype=bool)
+        train_mask = np.ones(data.labels.size, dtype=bool)
         train_mask[test_idx] = False
-        model = fit_forest(
-            _subset(data, np.flatnonzero(train_mask)),
-            replace(params, seed=int(state[2 + i])),
-            jobs=jobs,
+        tasks.append(
+            (data, np.flatnonzero(train_mask), replace(params, seed=int(state[2 + i])), test_idx)
         )
-        proba[test_idx] = predict_proba(model, data.features[test_idx])
-    return proba, np.argmax(proba, axis=1), folds, int(state[1])
+    return folds, int(state[1]), tasks
+
+
+def _fit_task(data: Dataset, train_idx, params: ForestParams, test_idx):
+    """One forest fit, a task of a CV map. Without train_idx it fits all of
+    data and returns the model; otherwise it fits the train_idx rows and
+    returns the class probabilities of the test_idx rows."""
+    if train_idx is None:
+        return fit_forest(data, params)
+    model = fit_forest(_subset(data, train_idx), params)
+    return predict_proba(model, data.features[test_idx])
 
 
 def cross_validate(
@@ -648,16 +653,22 @@ def cross_validate(
     params: ForestParams,
     k: int = 10,
     seed: int = 0,
-    jobs: int = 1,
     with_model: bool = False,
+    map_fn=map,
 ):
     """Stratified k-fold CV; metrics are pooled over all held-out folds.
 
     Importances come from a forest fit on the full dataset with a seed
-    derived from `seed`; pass with_model=True to also get that model.
+    derived from `seed`; pass with_model=True to also get that model. The
+    k + 1 fits are tasks of map_fn (the builtin map, or a process pool's),
+    the full-data fit first, as it is the largest.
     """
-    proba, _, folds, full_seed = _fold_predictions(data, params, k, seed, jobs)
-    full_model = fit_forest(data, replace(params, seed=full_seed), jobs=jobs)
+    folds, full_seed, tasks = _fold_tasks(data, params, k, seed)
+    full = (data, None, replace(params, seed=full_seed), None)
+    full_model, *fold_proba = map_fn(_fit_task, *zip(full, *tasks))
+    proba = np.zeros((data.labels.size, data.n_classes))
+    for test_idx, part in zip(folds, fold_proba):
+        proba[test_idx] = part
     report = eval_report(data.labels, proba, folds, mdi_importance(full_model))
     return (report, full_model) if with_model else report
 
@@ -702,11 +713,12 @@ def randomized_search(
     n_iter: int,
     k: int = 10,
     seed: int = 0,
-    jobs: int = 1,
+    map_fn=map,
 ) -> tuple[ForestParams, list[dict]]:
     """Sample n_iter distinct combinations uniformly from the grid product,
     score each by mean stratified-k-fold accuracy, return the best (ties go
-    to the first sampled) plus the full score table."""
+    to the first sampled) plus the full score table. Every (combination,
+    fold) fit is one task of map_fn."""
     if not space or any(len(v) == 0 for v in space.values()):
         raise ValidationError("every search-space axis needs at least one value")
     names = sorted(space)
@@ -718,19 +730,23 @@ def randomized_search(
         warnings.warn(f"grid has only {total} combinations; sampling all of them")
         n_iter = total
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
-    picks = rng.choice(total, size=n_iter, replace=False)
-    table: list[dict] = []
-    best: tuple[float, int] | None = None  # (score, table position)
-    for pos, flat in enumerate(picks):
+    combos = []
+    for flat in rng.choice(total, size=n_iter, replace=False):
         combo = {}
         rem = int(flat)
         for name, size in zip(names, sizes):
             combo[name] = space[name][rem % size]
             rem //= size
-        params = io.from_json(ForestParams, combo, "space")
-        # every combination is scored on the same folds (same seed)
-        proba, pred, folds, _ = _fold_predictions(data, params, k, seed, jobs)
-        score = float(np.mean([np.mean(pred[f] == data.labels[f]) for f in folds]))
+        combos.append(combo)
+    runs = [_fold_tasks(data, io.from_json(ForestParams, c, "space"), k, seed) for c in combos]
+    folds = runs[0][0]  # every combination is scored on the same folds (same seed)
+    fold_proba = iter(map_fn(_fit_task, *zip(*(task for _, _, tasks in runs for task in tasks))))
+    table: list[dict] = []
+    best: tuple[float, int] | None = None  # (score, table position)
+    for pos, combo in enumerate(combos):
+        score = float(np.mean(
+            [np.mean(np.argmax(next(fold_proba), axis=1) == data.labels[f]) for f in folds]
+        ))
         table.append({"params": combo, "mean_accuracy": score})
         if best is None or score > best[0]:
             best = (score, pos)

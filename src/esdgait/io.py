@@ -69,7 +69,11 @@ def atomic_write_json(path, obj) -> None:
 
 
 def read_json(path):
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except IsADirectoryError:
+        raise ValidationError(f"{path}: is a directory") from None
+    with fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # bad JSON or bad UTF-8

@@ -9,8 +9,9 @@ separate from the package under test.
 `reference_fit_tree` is the one exception: the recursive one-node-at-a-time
 tree grower the package used before its trees grew in lockstep, kept as
 the oracle that the lockstep grower must match array for array, and so
-is `reference_detect`, the per-line `esdgait detect` reader that chunked
-parsing must match line for line.
+are `reference_detect`, the per-line `esdgait detect` reader that chunked
+parsing must match line for line, and `reference_predict_proba`, the
+per-tree, per-row walk that flat-forest prediction must match bit for bit.
 """
 
 from __future__ import annotations
@@ -287,6 +288,33 @@ def reference_fit_tree(data, params, rng_seed: int):
         depth=np.asarray(depths, dtype=np.int64),
     )
 
+
+
+def leaf_for(tree, row: np.ndarray) -> int:
+    node = 0
+    while tree.feature[node] >= 0:
+        if row[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return node
+
+
+def tree_predict_proba(tree, rows: np.ndarray) -> np.ndarray:
+    out = np.empty((rows.shape[0], tree.histogram.shape[1]))
+    for i, row in enumerate(rows):
+        hist = tree.histogram[leaf_for(tree, row)]
+        out[i] = hist / hist.sum()
+    return out
+
+
+def reference_predict_proba(model, rows: np.ndarray) -> np.ndarray:
+    """Forest prediction as it was before the trees shared one node table:
+    each tree walks each row, and the trees' distributions add in tree order."""
+    acc = np.zeros((rows.shape[0], len(model.class_names)))
+    for tree in model.trees:
+        acc += tree_predict_proba(tree, rows)
+    return acc / len(model.trees)
 
 
 def reference_detect(lines, config: legshake.DetectorConfig) -> None:

@@ -51,7 +51,7 @@ def run_pipeline(config_name: str, out: Path, jobs: int) -> PipelineRun:
     config = experiments.load_config(CONFIG_DIR / config_name)
     start = time.perf_counter()
     manifest = experiments.run_simulate(config, out, jobs=jobs, quiet=True)
-    features_path, rejects = experiments.run_featurize(manifest, config, out, quiet=True)
+    features_path, rejects = experiments.run_featurize(manifest, config, out, jobs=jobs, quiet=True)
     report, model_path, report_path = experiments.run_train(
         features_path, config, out, jobs=jobs, quiet=True
     )

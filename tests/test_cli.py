@@ -131,6 +131,20 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config),
                      "--out", str(tmp_path / "out"), "--quiet"]) == 1
 
+    def test_config_not_utf8_exits_1(self, tmp_path, capsys):
+        config = tmp_path / "latin1.json"
+        config.write_bytes(write_config(tmp_path).read_bytes().replace(b'"lab"', b'"l\xe4b"'))
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert str(config) in err
+
+    def test_config_directory_exits_1(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: is a directory\n"
+
 
 class TestFeaturize:
     def test_row_per_record_with_person_labels(self, pipeline):
@@ -397,6 +411,28 @@ class TestDetect:
         monkeypatch.setattr(sys, "stdin", std_io.StringIO(text))
         assert main(["detect", "-", "--quiet"]) == 1
         assert capsys.readouterr().err == "error: <stdin>:2701: not a sample value: 'banana'\n"
+
+    def test_detect_not_utf8_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "latin1.sig.csv"
+        path.write_bytes(b"1.0\n\xff\xfe2.0\n3.0\n")
+        assert main(["detect", str(path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {path}:2: not valid UTF-8\n"
+
+    def test_detect_stdin_not_utf8_exits_1(self):
+        src = Path(esdgait.__file__).resolve().parent.parent
+        done = subprocess.run(
+            [sys.executable, "-m", "esdgait.cli", "detect", "-", "--quiet"],
+            input=b"1.0\n2.0\n\xe9\n", capture_output=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 1
+        assert done.stderr == b"error: <stdin>:3: not valid UTF-8\n"
+
+    def test_detect_directory_exits_1(self, tmp_path, capsys):
+        assert main(["detect", str(tmp_path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: is a directory\n"
+        assert main(["detect", str(tmp_path / "x.sig.csv"), "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {tmp_path}: is a directory\n"
 
     def test_detect_prints_events_pushed_before_a_bad_sample(self, tmp_path, capsys):
         # one leading blank line shifts every push boundary one line into the

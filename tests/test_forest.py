@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from reference import (
     macro_ovr_auroc,
     pair_count_auroc,
     reference_fit_tree,
+    reference_predict_proba,
+    tree_predict_proba,
 )
 
 
@@ -165,7 +168,7 @@ def test_tree_separable_single_split():
     assert np.count_nonzero(tree.feature >= 0) == 1
     assert tree.feature[0] == 0
     assert 0.0 < tree.threshold[0] < 1.0
-    pred = np.argmax(tree.predict_proba(x), axis=1)
+    pred = np.argmax(tree_predict_proba(tree, x), axis=1)
     assert np.array_equal(pred, data.labels)
 
 
@@ -176,7 +179,7 @@ def test_tree_identical_rows_single_leaf_majority():
     tree = rf.fit_tree(data, params, rng_seed=0)
     assert tree.feature.shape == (1,)
     assert tree.feature[0] == -1
-    proba = tree.predict_proba(x)
+    proba = tree_predict_proba(tree, x)
     assert np.allclose(proba, 0.5)
     model = rf.RandomForestModel([tree], params, data.feature_names, data.class_names, (0,))
     assert np.all(rf.predict(model, x) == 0)  # tie falls to the lowest class id
@@ -206,9 +209,10 @@ def test_tree_respects_growth_limits():
 
 def test_forest_bit_identical_across_runs_and_jobs():
     data = blob_dataset(15, [[0, 0], [2, 2], [4, 0]], n_noise=3, seed=1)
-    m1 = rf.fit_forest(data, SMALL, jobs=1)
-    m2 = rf.fit_forest(data, SMALL, jobs=1)
-    m3 = rf.fit_forest(data, SMALL, jobs=2)
+    m1 = rf.fit_forest(data, SMALL)
+    m2 = rf.fit_forest(data, SMALL)
+    with ProcessPoolExecutor(max_workers=2) as pool:  # grown in a worker process
+        (m3,) = pool.map(rf.fit_forest, [data], [SMALL])
     assert m1.per_tree_seeds == m2.per_tree_seeds == m3.per_tree_seeds
     for ta, tb, tc in zip(m1.trees, m2.trees, m3.trees):
         assert np.array_equal(ta.feature, tb.feature)
@@ -541,9 +545,10 @@ def test_cross_validate_no_signal_stays_near_baseline():
 def test_cross_validate_deterministic_and_jobs_invariant():
     data = blob_dataset(12, [[0, 0], [2, 2], [4, 4]], n_noise=1, seed=18)
     params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=4)
-    r1 = rf.cross_validate(data, params, k=3, seed=5, jobs=1)
-    r2 = rf.cross_validate(data, params, k=3, seed=5, jobs=1)
-    r3 = rf.cross_validate(data, params, k=3, seed=5, jobs=2)
+    r1 = rf.cross_validate(data, params, k=3, seed=5)
+    r2 = rf.cross_validate(data, params, k=3, seed=5)
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        r3 = rf.cross_validate(data, params, k=3, seed=5, map_fn=pool.map)
     assert dump_json(r1.to_dict()) == dump_json(r2.to_dict()) == dump_json(r3.to_dict())
 
 
@@ -798,14 +803,42 @@ def test_lockstep_growth_equals_recursive_reference(case):
 @settings(max_examples=6, deadline=None, derandomize=True)
 @given(growth_cases(), st.integers(2, 9))
 def test_forest_identical_at_any_jobs(case, n_estimators):
+    """A tree does not depend on the other seeds grown with it: a forest's
+    seeds grown in 1, 2 or 3 contiguous runs give the same trees."""
     data, params = case
     params = rf.ForestParams(**{**params.to_dict(), "n_estimators": n_estimators})
-    models = [rf.fit_forest(data, params, jobs=jobs) for jobs in (1, 2, 3)]
-    assert rf.model_to_document(models[0]) == rf.model_to_document(models[1])
-    assert rf.model_to_document(models[0]) == rf.model_to_document(models[2])
-    for trees in zip(*(model.trees for model in models)):
-        assert_same_tree(trees[1], trees[0])
-        assert_same_tree(trees[2], trees[0])
+    model = rf.fit_forest(data, params)
+    seeds = model.per_tree_seeds
+    for runs in (1, 2, 3):
+        bounds = [len(seeds) * i // runs for i in range(runs + 1)]
+        trees = [
+            tree
+            for lo, hi in zip(bounds, bounds[1:]) if hi > lo
+            for tree in rf.fit_trees(data, params, seeds[lo:hi])
+        ]
+        assert len(trees) == len(model.trees)
+        for tree, whole in zip(trees, model.trees):
+            assert_same_tree(tree, whole)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(growth_cases(), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_flat_prediction_equals_per_tree_walk(case, n_estimators, row_seed):
+    """Rows include training rows and rows sitting exactly on split thresholds."""
+    data, params = case
+    seeds = rf.derive_tree_seeds(params.seed, n_estimators)
+    model = rf.RandomForestModel(
+        rf.fit_trees(data, params, seeds), params, data.feature_names, data.class_names, seeds
+    )
+    rng = np.random.default_rng(row_seed)
+    on_split = data.features[rng.integers(0, data.labels.size, 12)].copy()
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
+    features = np.concatenate([t.feature[t.feature >= 0] for t in model.trees])
+    if thresholds.size:
+        pick = rng.integers(0, thresholds.size, on_split.shape[0])
+        on_split[np.arange(on_split.shape[0]), features[pick]] = thresholds[pick]
+    rows = np.vstack([data.features, on_split, rng.normal(size=(5, data.features.shape[1]))])
+    assert rf.predict_proba(model, rows).tobytes() == reference_predict_proba(model, rows).tobytes()
 
 
 def test_split_search_passes_do_not_change_trees(monkeypatch):
