@@ -9,6 +9,7 @@ vector has the same dimension.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -166,6 +167,20 @@ def frame_count(n_samples: int, config: MfccConfig) -> int:
     return (n_samples - config.window_size) // config.hop_length + 1
 
 
+@functools.lru_cache(maxsize=8)
+def _mfcc_plan(config: MfccConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Hann window, the mel filters and the kept DCT rows of one
+    config; read-only, since every record's mfcc call shares them."""
+    plan = (
+        _hann(config.window_size),
+        build_mel_filterbank(config).filters,
+        dct_matrix(config.n_mel_filters)[: config.n_mfcc],
+    )
+    for array in plan:
+        array.setflags(write=False)
+    return plan
+
+
 def mfcc(samples, config: MfccConfig = MfccConfig()) -> FeatureMatrix:
     """MFCC matrix of shape (n_mfcc, T); frames start at sample 0, no padding."""
     x = np.asarray(samples, dtype=float)
@@ -179,13 +194,13 @@ def mfcc(samples, config: MfccConfig = MfccConfig()) -> FeatureMatrix:
         )
     t_frames = frame_count(x.size, config)
     starts = np.arange(t_frames) * config.hop_length
+    window, filters, dct = _mfcc_plan(config)
     frames = x[starts[:, None] + np.arange(config.window_size)[None, :]]
-    windowed = frames * _hann(config.window_size)
+    windowed = frames * window
     spectrum = np.abs(np.fft.rfft(windowed, axis=1)) ** config.magnitude_exponent
-    bank = build_mel_filterbank(config)
-    energies = spectrum @ bank.filters.T  # (T, n_mel_filters)
+    energies = spectrum @ filters.T  # (T, n_mel_filters)
     log_e = np.log(np.maximum(energies, LOG_FLOOR))
-    coeffs = (dct_matrix(config.n_mel_filters)[: config.n_mfcc] @ log_e.T)
+    coeffs = dct @ log_e.T
     frame_times = (starts + config.window_size / 2.0) / config.sample_rate
     return FeatureMatrix(coefficients=coeffs, frame_times=frame_times)
 

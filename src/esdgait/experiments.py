@@ -10,6 +10,7 @@ pure function of (config, seed), so reruns are byte-identical.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import itertools
 import logging
 import os
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import dsp, forest, io, legshake, simkit
+from . import __version__, dsp, forest, io, legshake, simkit
 from .errors import DegenerateSignalError, ValidationError
 
 log = logging.getLogger("esdgait")
@@ -576,11 +577,62 @@ def _stored_fingerprint(features_path, config: ExperimentConfig) -> str:
 # ---------------------------------------------------------------------------
 # training, evaluation, reporting
 
+# train's cross-validation, kept for report and CV-mode eval in the same
+# out dir: {"key": _cv_key(...), "report": EvalReport.to_dict()}
+CV_RECORD = "cv.json"
+
+
+def _cv_key(features_path, params: forest.ForestParams, config: ExperimentConfig) -> dict:
+    """Everything a cross-validation of a whole feature table depends on."""
+    return {
+        "features_sha256": hashlib.sha256(Path(features_path).read_bytes()).hexdigest(),
+        "forest": params.to_dict(),
+        "cv_folds": config.cv_folds,
+        "seed": config.seed,
+        "esdgait_version": __version__,
+    }
+
+
+def _reused_cv(
+    features_path, config: ExperimentConfig, out: Path, n_classes: int, n_features: int
+) -> forest.EvalReport | None:
+    """train's report on the whole feature table, read from out/cv.json when
+    the record's key equals the key of these inputs with the config's forest
+    and it decodes to exactly the stored document; None otherwise, so the
+    caller cross-validates."""
+    try:
+        record = io.read_json(out / CV_RECORD)
+    except (OSError, ValidationError):
+        return None
+    key = _cv_key(features_path, config.forest_params, config)
+    if not isinstance(record, dict) or record.get("key") != key:
+        return None
+    doc = record.get("report")
+    try:
+        report = forest.EvalReport(
+            accuracy=float(doc["accuracy"]),
+            cohens_kappa=float(doc["cohens_kappa"]),
+            auroc=float(doc["auroc"]),
+            confusion_matrix=np.array(doc["confusion_matrix"], dtype=np.int64),
+            per_fold_accuracies=tuple(float(v) for v in doc["per_fold_accuracies"]),
+            importances=np.array(doc["importances"], dtype=float),
+        )
+    except (LookupError, TypeError, ValueError, OverflowError):
+        return None
+    if (
+        report.confusion_matrix.shape != (n_classes, n_classes)
+        or report.importances.shape != (n_features,)
+        or io.dump_json(report.to_dict()) != io.dump_json(doc)
+    ):
+        return None
+    return report
+
 
 def run_train(
     features_path, config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False
 ) -> tuple[forest.EvalReport, Path, Path]:
-    """Cross-validate, fit on all rows, persist model.rfj + eval_report.json."""
+    """Cross-validate, fit on all rows, persist model.rfj + eval_report.json,
+    and record the CV with its inputs' key in cv.json."""
     matrix, names, labels = io.read_features(features_path)
     data = dataset_from_features(matrix, names, labels)
     params = config.forest_params
@@ -607,6 +659,8 @@ def run_train(
     forest.save_model(model, model_path, mfcc_fingerprint=_stored_fingerprint(features_path, config))
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
+    record = {"key": _cv_key(features_path, params, config), "report": report.to_dict()}
+    io.atomic_write_json(out / CV_RECORD, record)
     if not quiet:
         log.info(
             "pooled accuracy %.4f, kappa %.4f over %d folds",
@@ -629,7 +683,8 @@ def run_eval(
     holdout=True: stratified 80/20 split, fit one forest on the large part
     (in this process, at any jobs), score the small part. model_path: score
     an existing model on these rows. Neither: full cross-validation (same
-    numbers as run_train, nothing persisted but the report).
+    numbers as run_train, nothing persisted but the report), reused from
+    train's cv.json in out_dir when its key matches.
     """
     matrix, names, labels = io.read_features(features_path)
     out = Path(out_dir)
@@ -672,10 +727,12 @@ def run_eval(
         report = forest.eval_report(y, proba, [slice(None)], forest.mdi_importance(model))
     else:
         data = dataset_from_features(matrix, names, labels)
-        with _task_map(jobs, config.cv_folds + 1) as map_fn:
-            report = forest.cross_validate(
-                data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
-            )
+        report = _reused_cv(features_path, config, out, data.n_classes, len(names))
+        if report is None:
+            with _task_map(jobs, config.cv_folds + 1) as map_fn:
+                report = forest.cross_validate(
+                    data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
+                )
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
     if not quiet:
@@ -696,7 +753,9 @@ def run_report(
     """Sweep class-count subsets and rank features; write plot-ready CSVs.
 
     The k-subset sweep takes the first k class names in sorted order, so
-    adding classes only extends the sweep instead of reshuffling it.
+    adding classes only extends the sweep instead of reshuffling it. The
+    last step, every class, reuses train's cv.json in out_dir when its key
+    matches.
     """
     matrix, names, labels = io.read_features(features_path)
     matrix = np.asarray(matrix, dtype=float)
@@ -704,17 +763,23 @@ def run_report(
     if len(class_names) < 2:
         raise ValidationError("reporting needs at least 2 classes")
     labels_arr = np.asarray(labels, dtype=object)
+    out = Path(out_dir)
+    reused = _reused_cv(features_path, config, out, len(class_names), len(names))
+    fitted_steps = len(class_names) - 1 - (reused is not None)
     rows: list[tuple[int, float, float]] = []
     full_report: forest.EvalReport | None = None
-    with _task_map(jobs, config.cv_folds + 1) as map_fn:
+    with _task_map(jobs, config.cv_folds + 1 if fitted_steps else 0) as map_fn:
         for k in range(2, len(class_names) + 1):
             subset = class_names[:k]
             mask = np.isin(labels_arr, subset)
             sub_labels = [label for label, keep in zip(labels, mask) if keep]
             data = dataset_from_features(matrix[mask], names, sub_labels)
-            report = forest.cross_validate(
-                data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
-            )
+            if k == len(class_names) and reused is not None:
+                report = reused
+            else:
+                report = forest.cross_validate(
+                    data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
+                )
             baseline = forest.baseline_accuracy(data.labels)
             rows.append((k, float(report.accuracy), float(baseline)))
             full_report = report
@@ -724,7 +789,6 @@ def run_report(
     importance = tuple(
         (names[i], float(full_report.importances[i])) for i in ranked_idx
     )
-    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     acc_lines = ["k,forest_accuracy,baseline_accuracy"]
     acc_lines += [f"{k},{repr(acc)},{repr(base)}" for k, acc, base in rows]

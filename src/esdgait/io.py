@@ -287,9 +287,12 @@ def read_manifest(path) -> list[dict]:
     if not isinstance(entries, list):
         raise ValidationError(f"{path}: manifest must be a list")
     resolved = []
-    for entry in entries:
+    for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or "signal_path" not in entry or "meta_path" not in entry:
             raise ValidationError(f"{path}: each entry needs signal_path and meta_path")
+        for key in ("signal_path", "meta_path"):
+            if not isinstance(entry[key], str):
+                raise ValidationError(f"{path}: [{index}].{key}: expected str, got {entry[key]!r}")
         resolved.append(
             {
                 "signal_path": str(base / entry["signal_path"]),
@@ -316,24 +319,30 @@ def write_features(path, matrix: np.ndarray, feature_names, labels) -> None:
 
 
 def read_features(path) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return _parse_features(path, csv.reader(fh))
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not valid UTF-8") from None
+
+
+def _parse_features(path, reader) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError(f"{path}: empty features file") from None
+    if not header or header[-1] != "label":
+        raise ValidationError(f"{path}: last column must be 'label'")
+    names = tuple(header[:-1])
+    rows, labels = [], []
+    for line_no, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise ValidationError(f"{path}:{line_no}: expected {len(header)} cells")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError(f"{path}: empty features file") from None
-        if not header or header[-1] != "label":
-            raise ValidationError(f"{path}: last column must be 'label'")
-        names = tuple(header[:-1])
-        rows, labels = [], []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValidationError(f"{path}:{line_no}: expected {len(header)} cells")
-            try:
-                rows.append([float(v) for v in row[:-1]])
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{line_no}: {exc}") from None
-            labels.append(row[-1])
+            rows.append([float(v) for v in row[:-1]])
+        except ValueError as exc:
+            raise ValidationError(f"{path}:{line_no}: {exc}") from None
+        labels.append(row[-1])
     if not rows:
         raise ValidationError(f"{path}: no feature rows")
     return np.asarray(rows, dtype=float), names, labels

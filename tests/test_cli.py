@@ -207,6 +207,23 @@ class TestFeaturize:
         assert f"{broken}:" in err
 
 
+    @pytest.mark.parametrize("key", ["signal_path", "meta_path"])
+    def test_non_string_manifest_path_exits_1(self, pipeline, tmp_path, capsys, key):
+        config, out = pipeline
+        manifest, signal, meta = self.one_record_manifest(out, tmp_path)
+        entries = [
+            {"signal_path": signal.name, "meta_path": meta.name},
+            {"signal_path": signal.name, "meta_path": meta.name, key: 5},
+        ]
+        manifest.write_text(json.dumps(entries))
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err == f"error: {manifest}: [1].{key}: expected str, got 5\n"
+
+
 class TestTrainEval:
     def test_artifacts_written(self, pipeline):
         _, out = pipeline
@@ -325,6 +342,17 @@ class TestTrainEval:
         assert result.returncode == 1
         assert_one_line_error(result.stderr)
         assert message in result.stderr and "trees[0]" in result.stderr
+
+    def test_features_not_utf8_exits_1(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        lines = (out / "features.csv").read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        features = tmp_path / "features.csv"
+        features.write_bytes(b"".join(lines))
+        code = main(["train", str(features), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {features}: not valid UTF-8\n"
 
     def test_missing_features_nonzero_exit(self, tmp_path):
         config = write_config(tmp_path)

@@ -1,0 +1,234 @@
+"""report and CV-mode eval reuse train's cross-validation through cv.json:
+the same bytes as a fresh run, one CV fewer, and a fresh CV whenever any
+input the record is keyed on differs or the record is unusable."""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+from pathlib import Path
+
+import pytest
+
+import esdgait.experiments as ex
+from esdgait import forest
+from esdgait.cli import main
+
+PERSONS = {
+    "ada": {"step_frequency": 1.2, "walking_speed": 1.1},
+    "ben": {"step_frequency": 1.5, "walking_speed": 1.25},
+    "cal": {"step_frequency": 1.8, "walking_speed": 1.4},
+}
+REPORT_FILES = ("accuracy_vs_k.csv", "importance.csv", "eval_report.json")
+
+
+def write_config(path: Path, n_classes: int, **overrides) -> Path:
+    raw = {
+        "seed": 5,
+        "task": "identify_person",
+        "cv_folds": 3,
+        "dataset": {
+            "persons": dict(list(PERSONS.items())[:n_classes]),
+            "samples_per_cell": 4,
+        },
+        "forest": {"n_estimators": 4},
+    }
+    raw.update(overrides)
+    path.write_text(json.dumps(raw))
+    return path
+
+
+def run(*argv: str) -> int:
+    return main([*argv, "--quiet"])
+
+
+@pytest.fixture(scope="module", params=[2, 3], ids=["K2", "K3"])
+def table(request, tmp_path_factory):
+    """(K, config, features.csv, out dir of a train run on it)."""
+    root = tmp_path_factory.mktemp(f"k{request.param}")
+    config = write_config(root / "config.json", request.param)
+    sim = root / "sim"
+    assert run("simulate", "--config", str(config), "--out", str(sim)) == 0
+    assert run("featurize", str(sim / "dataset.json"), "--config", str(config),
+               "--out", str(sim)) == 0
+    trained = root / "trained"
+    assert run("train", str(sim / "features.csv"), "--config", str(config),
+               "--out", str(trained)) == 0
+    return request.param, config, sim / "features.csv", trained
+
+
+@pytest.fixture
+def cv_calls(monkeypatch) -> list[int]:
+    """One entry per forest.cross_validate call made by this process."""
+    calls: list[int] = []
+    original = forest.cross_validate
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(forest, "cross_validate", counting)
+    return calls
+
+
+def trained_copy(trained: Path, dest: Path) -> Path:
+    shutil.copytree(trained, dest)
+    return dest
+
+
+def report_bytes(out: Path) -> dict[str, bytes]:
+    return {name: (out / name).read_bytes() for name in REPORT_FILES}
+
+
+def fresh_report(features: Path, config: Path, out: Path, *extra: str) -> dict[str, bytes]:
+    assert run("report", str(features), "--config", str(config), "--out", str(out), *extra) == 0
+    return report_bytes(out)
+
+
+# ------------------------------------------------------------ reuse
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_report_after_train_reuses_cv(table, tmp_path, cv_calls, jobs):
+    k, config, features, trained = table
+    expected = fresh_report(features, config, tmp_path / "fresh", "--jobs", jobs)
+    assert len(cv_calls) == k - 1
+    cv_calls.clear()
+    out = trained_copy(trained, tmp_path / "out")
+    assert run("report", str(features), "--config", str(config), "--out", str(out),
+               "--jobs", jobs) == 0
+    assert len(cv_calls) == k - 2
+    assert report_bytes(out) == expected
+    assert (out / "eval_report.json").read_bytes() == (trained / "eval_report.json").read_bytes()
+
+
+def test_cv_eval_after_train_reuses_cv(table, tmp_path, cv_calls):
+    _, config, features, trained = table
+    out = trained_copy(trained, tmp_path / "out")
+    assert run("eval", str(features), "--config", str(config), "--out", str(out)) == 0
+    assert cv_calls == []
+    assert (out / "eval_report.json").read_bytes() == (trained / "eval_report.json").read_bytes()
+
+
+def test_eval_model_between_train_and_report_changes_nothing(table, tmp_path, cv_calls):
+    k, config, features, trained = table
+    out = trained_copy(trained, tmp_path / "out")
+    assert run("eval", str(features), "--config", str(config), "--out", str(out),
+               "--model", str(out / "model.rfj")) == 0
+    assert (out / "eval_report.json").read_bytes() != (trained / "eval_report.json").read_bytes()
+    assert run("report", str(features), "--config", str(config), "--out", str(out)) == 0
+    assert len(cv_calls) == k - 2
+    cv_calls.clear()
+    assert report_bytes(out) == fresh_report(features, config, tmp_path / "fresh")
+
+
+def test_fully_reused_command_starts_no_pool(table, tmp_path, monkeypatch):
+    k, config, features, trained = table
+    started: list[int] = []
+
+    def no_pool(max_workers):
+        started.append(max_workers)
+        raise AssertionError("a command whose CV is reused started a pool")
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = trained_copy(trained, tmp_path / "out")
+    assert run("eval", str(features), "--config", str(config), "--out", str(out),
+               "--jobs", "2") == 0
+    if k == 2:  # report's one sweep step is the reused one
+        assert run("report", str(features), "--config", str(config), "--out", str(out),
+                   "--jobs", "2") == 0
+    assert started == []
+
+
+# ------------------------------------------------------------ key fields
+
+
+def edit_one_cell(features: Path, dest: Path) -> Path:
+    lines = features.read_text().splitlines(keepends=True)
+    cells = lines[1].split(",")
+    cells[0] = repr(float(cells[0]) + 1.0)
+    dest.write_text("".join(lines[:1] + [",".join(cells)] + lines[2:]))
+    return dest
+
+
+@pytest.mark.parametrize(
+    "change", ["features", "forest", "cv_folds", "seed", "version", "search"]
+)
+def test_each_key_field_forces_a_fresh_cv(table, tmp_path, cv_calls, monkeypatch, change):
+    k, config, features, trained = table
+    out = trained_copy(trained, tmp_path / "out")
+    extra: tuple[str, ...] = ()
+    if change == "features":
+        features = edit_one_cell(features, tmp_path / "features.csv")
+    elif change == "forest":
+        config = write_config(tmp_path / "config.json", k, forest={"n_estimators": 5})
+    elif change == "cv_folds":
+        config = write_config(tmp_path / "config.json", k, cv_folds=4)
+    elif change == "seed":  # the forest seed stays the trained one: only the CV seed moves
+        config = write_config(tmp_path / "config.json", k, forest={"n_estimators": 4, "seed": 5})
+        extra = ("--seed", "6")
+    elif change == "version":
+        monkeypatch.setattr(ex, "__version__", "0.0.0")
+    else:  # train on a search winner; report cross-validates the config's forest
+        search = write_config(tmp_path / "search.json", k,
+                              search={"n_iter": 2, "space": {"n_estimators": [2, 3]}})
+        assert run("train", str(features), "--config", str(search), "--out", str(out)) == 0
+        cv_calls.clear()
+    assert run("report", str(features), "--config", str(config), "--out", str(out), *extra) == 0
+    assert len(cv_calls) == k - 1
+    assert report_bytes(out) == fresh_report(features, config, tmp_path / "fresh", *extra)
+
+
+# ------------------------------------------------------------ unusable records
+
+
+def corrupt(record: Path, how: str) -> None:
+    doc = json.loads(record.read_text())
+    if how == "truncated":
+        record.write_text(record.read_text()[:40])
+    elif how == "not json":
+        record.write_text("cv results\n")
+    elif how == "list":
+        record.write_text(json.dumps([doc]))
+    elif how == "report string":
+        record.write_text(json.dumps({**doc, "report": "oops"}))
+    elif how == "accuracy string":  # a number as text, and not the CV's number
+        doc["report"]["accuracy"] = str(doc["report"]["accuracy"] + 1.0)
+        record.write_text(json.dumps(doc))
+    elif how == "short importances":
+        doc["report"]["importances"] = doc["report"]["importances"][:-1]
+        record.write_text(json.dumps(doc))
+    elif how == "fractional counts":
+        doc["report"]["confusion_matrix"][0][0] += 1.5
+        record.write_text(json.dumps(doc))
+    else:
+        record.unlink()
+        if how == "directory":
+            record.mkdir()
+
+
+@pytest.mark.parametrize(
+    "how",
+    ["truncated", "not json", "list", "report string", "accuracy string",
+     "short importances", "fractional counts", "directory", "deleted"],
+)
+def test_unusable_record_is_a_miss(table, tmp_path, cv_calls, capsys, how):
+    k, config, features, trained = table
+    out = trained_copy(trained, tmp_path / "out")
+    corrupt(out / "cv.json", how)
+    assert run("report", str(features), "--config", str(config), "--out", str(out)) == 0
+    assert len(cv_calls) == k - 1
+    assert capsys.readouterr().err == ""
+    assert report_bytes(out) == fresh_report(features, config, tmp_path / "fresh")
+
+
+def test_record_holds_key_and_train_report(table):
+    _, config, features, trained = table
+    record = json.loads((trained / "cv.json").read_text())
+    assert set(record) == {"key", "report"}
+    assert set(record["key"]) == {
+        "features_sha256", "forest", "cv_folds", "seed", "esdgait_version",
+    }
+    assert record["report"] == json.loads((trained / "eval_report.json").read_text())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -195,6 +196,21 @@ class TestMfcc:
     def test_dct_orthonormal(self):
         mat = dsp.dct_matrix(40)
         np.testing.assert_allclose(mat @ mat.T, np.eye(40), atol=1e-10)
+
+    def test_plan_shared_read_only_and_bit_equal_to_a_fresh_build(self):
+        cfg = MfccConfig(sample_rate=1000, n_mfcc=8, window_size=100, hop_length=37,
+                         n_mel_filters=16)
+        plan = dsp._mfcc_plan(cfg)
+        assert dsp._mfcc_plan(replace(cfg)) is plan  # an equal config shares it
+        assert not any(array.flags.writeable for array in plan)
+        x = np.random.default_rng(4).normal(size=1234)
+        starts = np.arange(dsp.frame_count(x.size, cfg)) * cfg.hop_length
+        frames = x[starts[:, None] + np.arange(cfg.window_size)[None, :]]
+        spectrum = np.abs(np.fft.rfft(frames * dsp._hann(cfg.window_size), axis=1)) ** 2.0
+        energies = spectrum @ dsp.build_mel_filterbank(cfg).filters.T
+        log_e = np.log(np.maximum(energies, dsp.LOG_FLOOR))
+        expected = dsp.dct_matrix(cfg.n_mel_filters)[: cfg.n_mfcc] @ log_e.T
+        np.testing.assert_array_equal(dsp.mfcc(x, cfg).coefficients, expected)
 
     def test_matches_naive_reference(self):
         rng = np.random.default_rng(5)

@@ -126,6 +126,7 @@ def test_forest_commands_identical_at_any_jobs(cohort, tmp_path, command):
     for jobs in JOBS:
         assert run(command, str(sim / "features.csv"), "--config", str(config),
                    "--out", str(tmp_path / jobs), "--jobs", jobs) == 0
+    assert ("cv.json" in tree_bytes(tmp_path / "1")) == (command == "train")
     for jobs in JOBS[1:]:
         assert tree_bytes(tmp_path / jobs) == tree_bytes(tmp_path / "1")
 
@@ -137,6 +138,7 @@ def test_search_identical_at_any_jobs(cohort, tmp_path):
         assert run("train", str(sim / "features.csv"), "--config", str(config),
                    "--out", str(tmp_path / jobs), "--jobs", jobs) == 0
     assert len(json.loads((tmp_path / "1" / "search_trials.json").read_text())) == 3
+    assert (tmp_path / "1" / "cv.json").is_file()
     for jobs in JOBS[1:]:
         assert tree_bytes(tmp_path / jobs) == tree_bytes(tmp_path / "1")
 
