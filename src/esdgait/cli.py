@@ -18,7 +18,7 @@ from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
-from . import experiments, legshake
+from . import experiments, io, legshake
 from .errors import ToolkitError, ValidationError
 
 log = logging.getLogger("esdgait")
@@ -133,11 +133,7 @@ def _signal_lines(source: str):
             sys.stdin.reconfigure(errors="surrogateescape")
         yield from sys.stdin
         return
-    try:
-        handle = open(source, encoding="utf-8", errors="surrogateescape")
-    except IsADirectoryError:
-        raise ValidationError(f"{source}: is a directory") from None
-    with handle:
+    with io.open_text(source, errors="surrogateescape") as handle:
         yield from handle
 
 

@@ -18,10 +18,6 @@ class DomainError(ValidationError):
     """A mathematical precondition is violated (non-positive capacitance, negative frequency)."""
 
 
-class BoundaryError(ToolkitError):
-    """Finite-difference stencil would read outside the model's time domain."""
-
-
 class SingularityError(ToolkitError):
     """Radial distance to the electrode is zero."""
 

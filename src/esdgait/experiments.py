@@ -35,8 +35,8 @@ TASK_LABEL_KEY = {
     "legshake": "activity",
 }
 
-# fixed foot-to-floor electrode pair used for every synthesized record
-WALK_CAPACITANCE = simkit.CapacitanceModel(c_f1=200e-12, c_f2=200e-12)
+# room terms (none) and plant capacitance of every synthesized record
+WALK_CAPACITANCE = simkit.CapacitanceModel()
 ELECTRODE = simkit.ElectrodeModel()
 
 

@@ -143,19 +143,6 @@ class EvalReport:
         }
 
 
-def gini_impurity(class_counts) -> float:
-    """1 - sum((n_k/N)^2); 0 for a pure node."""
-    counts = np.asarray(class_counts, dtype=float)
-    if counts.size == 0:
-        raise ValidationError("empty class histogram")
-    if np.any(counts < 0):
-        raise ValidationError("class counts must be non-negative")
-    total = counts.sum()
-    if total <= 0:
-        raise ValidationError("class histogram must have a positive total")
-    return float(1.0 - (counts * counts).sum() / (total * total))
-
-
 # Working-set cap of one segmented split-search pass: a pass takes a round's
 # nodes while their (candidates x rows) sum stays within it, a node counting
 # at least n_rows / 16 rows for its row mask (one byte per dataset row and
@@ -420,11 +407,6 @@ def fit_trees(data: Dataset, params: ForestParams, seeds) -> list[DecisionTree]:
     ]
 
 
-def fit_tree(data: Dataset, params: ForestParams, rng_seed: int) -> DecisionTree:
-    """One tree, grown exactly as fit_forest grows the tree of that seed."""
-    return fit_trees(data, params, [rng_seed])[0]
-
-
 def derive_tree_seeds(seed: int, n: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(n))
 
@@ -513,14 +495,6 @@ def stratified_kfold(labels, k: int, shuffle_seed: int) -> list[np.ndarray]:
             folds[cursor % k].append(int(i))
             cursor += 1
     return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
-
-
-def or_baseline(train_labels) -> int:
-    """Modal training class; ties go to the lowest class id."""
-    labels = np.asarray(train_labels, dtype=np.int64)
-    if labels.size == 0:
-        raise ValidationError("need at least one training label")
-    return int(np.argmax(np.bincount(labels)))
 
 
 def baseline_accuracy(labels) -> float:
@@ -701,10 +675,6 @@ DEFAULT_SEARCH_SPACE: dict[str, list] = {
     "max_features": ["sqrt", "log2"],
     "bootstrap": [False],
 }
-
-
-def grid_size(space: dict[str, list]) -> int:
-    return math.prod(len(v) for v in space.values())
 
 
 def randomized_search(

@@ -68,12 +68,17 @@ def atomic_write_json(path, obj) -> None:
     atomic_write_text(path, dump_json(obj))
 
 
-def read_json(path):
+def open_text(path, **options):
+    """Open a user-supplied path for reading UTF-8 text. A directory there
+    is bad input, so it raises ValidationError rather than an OSError."""
     try:
-        fh = open(path, encoding="utf-8")
+        return open(path, encoding="utf-8", **options)
     except IsADirectoryError:
         raise ValidationError(f"{path}: is a directory") from None
-    with fh:
+
+
+def read_json(path):
+    with open_text(path) as fh:
         try:
             return json.load(fh)
         except ValueError as exc:  # bad JSON or bad UTF-8
@@ -169,13 +174,15 @@ def write_record(record: SignalRecord, signal_path, meta_path) -> None:
 
 
 def read_record(signal_path, meta_path) -> SignalRecord:
-    try:
-        with warnings.catch_warnings():
-            # an empty file is reported below, naming the file
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+    # the open only vets the path: np.loadtxt parses a file it opens by name
+    # in blocks, and a handle line by line at about 1.6x the time
+    with open_text(signal_path), warnings.catch_warnings():
+        # an empty file is reported below, naming the file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
             samples = np.atleast_1d(np.loadtxt(signal_path, dtype=float))
-    except ValueError as exc:
-        raise ValidationError(_bad_sample(signal_path, exc)) from None
+        except ValueError as exc:
+            raise ValidationError(_bad_sample(signal_path, exc)) from None
     if samples.size == 0:
         raise ValidationError(f"{signal_path}: no samples")
     meta = read_json(meta_path)
@@ -320,7 +327,7 @@ def write_features(path, matrix: np.ndarray, feature_names, labels) -> None:
 
 def read_features(path) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        with open_text(path, newline="") as fh:
             return _parse_features(path, csv.reader(fh))
     except UnicodeDecodeError:
         raise ValidationError(f"{path}: not valid UTF-8") from None

@@ -4,8 +4,11 @@ The body couples to ground through per-foot capacitances C_f1/C_f2 and to
 nearby objects through C_r terms; the sensed electrode current is
 proportional to C_plant times the time derivative of the total reciprocal
 body capacitance, scaled by eps*S over the radial distance to the
-electrode. Footfalls modulate the foot capacitances, so each ground
-contact produces a negative current spike and each detach a positive one.
+electrode. The synthesizers set the foot terms themselves, from a gait or
+leg-shake schedule on the sample grid, and take the room terms and C_plant
+from a CapacitanceModel. Footfalls modulate the foot capacitances, so each
+ground contact produces a negative current spike and each detach a
+positive one.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from typing import Callable, Union
 import numpy as np
 
 from .errors import (
-    BoundaryError,
     ConfigurationError,
     DomainError,
     SingularityError,
@@ -43,18 +45,16 @@ def _eval_fn(fn: CapFn, t: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CapacitanceModel:
-    """Capacitive couplings of the body: feet to ground, room objects, plant electrode.
+    """Capacitive couplings of the body besides the feet: room objects and
+    the plant electrode.
 
-    c_f1/c_f2/c_room entries are farads, either constants or vectorized
-    functions of time. domain, when set, bounds the times at which the
-    model may be evaluated (used by the finite-difference stencil check).
+    c_room entries are farads, either constants or vectorized functions of
+    time. The foot capacitances are not settable here: each synthesizer
+    derives them from its own schedule.
     """
 
-    c_f1: CapFn
-    c_f2: CapFn
     c_room: tuple[CapFn, ...] = ()
     c_plant: float = DEFAULT_C_PLANT
-    domain: tuple[float, float] | None = None
 
     def __post_init__(self) -> None:
         if self.c_plant <= 0:
@@ -174,51 +174,6 @@ class SignalRecord:
             raise ValidationError("sample_rate must be positive")
 
 
-def reciprocal_body_capacitance(model: CapacitanceModel, t) -> np.ndarray | float:
-    """Total 1/C_B(t) = 1/C_f1 + 1/C_f2 + sum_i 1/C_r_i, in 1/farads."""
-    t_in = np.asarray(t, dtype=float)
-    t_arr = np.atleast_1d(t_in)
-    total = np.zeros_like(t_arr)
-    terms = [("c_f1", model.c_f1), ("c_f2", model.c_f2)]
-    terms += [(f"c_room[{i}]", c) for i, c in enumerate(model.c_room)]
-    for name, fn in terms:
-        c = np.atleast_1d(_eval_fn(fn, t_arr))
-        if np.any(c <= 0):
-            t_bad = t_arr[c <= 0][0]
-            raise DomainError(f"{name} is non-positive at t={t_bad}")
-        total = total + 1.0 / c
-    return total if t_in.ndim else float(total[0])
-
-
-def foot_motion_current(
-    model: CapacitanceModel, t, k_prop: float = 1.0, h: float = 1.0 / SAMPLE_RATE
-) -> np.ndarray | float:
-    """k_prop * C_plant * d/dt[1/C_B] by central finite difference with step h."""
-    if h <= 0:
-        raise ValidationError("finite-difference step h must be positive")
-    t_arr = np.asarray(t, dtype=float)
-    if model.domain is not None:
-        lo, hi = model.domain
-        if np.any(t_arr - h < lo) or np.any(t_arr + h > hi):
-            raise BoundaryError(
-                f"central difference at t={t} with h={h} leaves domain [{lo}, {hi}]"
-            )
-    fwd = reciprocal_body_capacitance(model, t_arr + h)
-    bwd = reciprocal_body_capacitance(model, t_arr - h)
-    out = k_prop * model.c_plant * (np.asarray(fwd) - np.asarray(bwd)) / (2.0 * h)
-    return out if t_arr.ndim else float(out)
-
-
-def induced_current(traj: Trajectory, electrode: ElectrodeModel, foot_current, t) -> np.ndarray | float:
-    """eps*S / r(t) * I(t) with r the radial distance to the electrode."""
-    t_arr = np.asarray(t, dtype=float)
-    r = traj.radial_distance(t_arr)
-    if np.any(r <= 0):
-        raise SingularityError("radial distance to the electrode reached zero")
-    cur = electrode.epsilon * electrode.area_s / r * np.asarray(foot_current(t_arr), dtype=float)
-    return cur if t_arr.ndim else float(cur)
-
-
 def _foot_pulse(t: np.ndarray, period: float, contact_len: float, rise: float, offset: float) -> np.ndarray:
     """Airborne fraction of one foot: 1 in swing, 0 in ground contact.
 
@@ -251,21 +206,48 @@ def _grid(duration: float) -> np.ndarray:
     return np.arange(n) / SAMPLE_RATE
 
 
-def _differentiate_and_project(
-    inv_cb: np.ndarray,
+def _synth_record(
     t: np.ndarray,
+    inv1: np.ndarray,
+    inv2: np.ndarray,
+    traj: Trajectory,
     capmodel: CapacitanceModel,
     electrode: ElectrodeModel,
-    r: np.ndarray,
     k_prop: float,
-) -> np.ndarray:
-    """Central difference on the sample grid; boundary samples are dropped."""
+    noise_std: float,
+    seed: int,
+    labels: dict,
+) -> SignalRecord:
+    """The synthesizers' shared tail, from the feet's 1/C_f on the grid `t`:
+    add the room terms, take the central difference on the grid (dropping
+    the two boundary samples), project it at the distance of `traj`, add
+    the seeded noise and label the record (`labels` over the defaults)."""
+    if np.any(inv1 <= 0) or np.any(inv2 <= 0):
+        raise DomainError("foot capacitance schedule left the positive range")
+    inv_cb = inv1 + inv2
+    for i, c in enumerate(capmodel.c_room):
+        cv = _eval_fn(c, t)
+        if np.any(cv <= 0):
+            raise DomainError(f"c_room[{i}] is non-positive on the grid")
+        inv_cb = inv_cb + 1.0 / cv
+    r = traj.radial_distance(t)
     h = 1.0 / SAMPLE_RATE
     d_inv = (inv_cb[2:] - inv_cb[:-2]) / (2.0 * h)
     foot_cur = k_prop * capmodel.c_plant * d_inv
     if np.any(r <= 0):
         raise SingularityError("radial distance to the electrode reached zero")
-    return electrode.epsilon * electrode.area_s / r[1:-1] * foot_cur
+    samples = electrode.epsilon * electrode.area_s / r[1:-1] * foot_cur
+    if noise_std > 0:
+        rng = np.random.default_rng(seed)
+        samples = samples + rng.normal(0.0, noise_std, samples.shape)
+    rec_labels = {
+        "person_id": "unknown",
+        "mood": "neutral",
+        "plant_type": "unknown",
+        "location": "unknown",
+        **labels,
+    }
+    return SignalRecord(samples=samples, sample_rate=SAMPLE_RATE, labels=rec_labels)
 
 
 def synth_walk(
@@ -288,10 +270,10 @@ def synth_walk(
     The feet alternate: each foot runs a cycle of 2/step_frequency shifted
     by half a cycle, its 1/C_f swinging between the contact and airborne
     plateaus of `footstep`, so ground contacts arrive at the mood-adjusted
-    step frequency. c_f1/c_f2 of `capmodel` are replaced by this schedule;
-    its c_room and c_plant are used as given. The record is two samples
-    shorter than duration*rate because the boundary samples of the central
-    difference are dropped. Deterministic given seed.
+    step frequency. The synthesizer sets both foot terms from this
+    schedule and takes c_room and c_plant from `capmodel`. The record is
+    two samples shorter than duration*rate because the boundary samples of
+    the central difference are dropped. Deterministic given seed.
     """
     if duration <= 0:
         raise ValidationError("duration must be positive")
@@ -314,30 +296,10 @@ def synth_walk(
     g2 = _foot_pulse(t, period, contact_len, footstep.rise_time, schedule_phase + period / 2.0)
     inv1 = inv_contact + depth * swing * g1
     inv2 = inv_contact + depth * swing * g2
-    if np.any(inv1 <= 0) or np.any(inv2 <= 0):
-        raise DomainError("foot capacitance schedule left the positive range")
-    inv_cb = inv1 + inv2
-    for i, c in enumerate(capmodel.c_room):
-        cv = _eval_fn(c, t)
-        if np.any(cv <= 0):
-            raise DomainError(f"c_room[{i}] is non-positive on the grid")
-        inv_cb = inv_cb + 1.0 / cv
-    samples = _differentiate_and_project(
-        inv_cb, t, capmodel, electrode, traj.radial_distance(t), k_prop
+    return _synth_record(
+        t, inv1, inv2, traj, capmodel, electrode, k_prop, noise_std, seed,
+        {"mood": mood.label if mood else "neutral", "activity": "walk", **(labels or {})},
     )
-    if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        samples = samples + rng.normal(0.0, noise_std, samples.shape)
-    rec_labels = {
-        "person_id": "unknown",
-        "mood": mood.label if mood else "neutral",
-        "plant_type": "unknown",
-        "location": "unknown",
-        "activity": "walk",
-    }
-    if labels:
-        rec_labels.update(labels)
-    return SignalRecord(samples=samples, sample_rate=SAMPLE_RATE, labels=rec_labels)
 
 
 def synth_legshake(
@@ -379,29 +341,10 @@ def synth_legshake(
     mod[shaking] = 0.5 * (1.0 - np.cos(2.0 * np.pi * shake_frequency * (t[shaking] - onset)))
     inv1 = inv_contact + swing * mod
     inv2 = np.full_like(t, inv_contact)
-    if np.any(inv1 <= 0):
-        raise DomainError("foot capacitance schedule left the positive range")
-    inv_cb = inv1 + inv2
-    for i, c in enumerate(capmodel.c_room):
-        cv = _eval_fn(c, t)
-        if np.any(cv <= 0):
-            raise DomainError(f"c_room[{i}] is non-positive on the grid")
-        inv_cb = inv_cb + 1.0 / cv
-    r = np.full_like(t, distance_m)
-    samples = _differentiate_and_project(inv_cb, t, capmodel, electrode, r, k_prop)
-    if noise_std > 0:
-        rng = np.random.default_rng(seed)
-        samples = samples + rng.normal(0.0, noise_std, samples.shape)
-    rec_labels = {
-        "person_id": "unknown",
-        "mood": "neutral",
-        "plant_type": "unknown",
-        "location": "unknown",
-        "activity": "legshake",
-    }
-    if labels:
-        rec_labels.update(labels)
-    return SignalRecord(samples=samples, sample_rate=SAMPLE_RATE, labels=rec_labels)
+    return _synth_record(
+        t, inv1, inv2, Trajectory(distance_m, 0.0), capmodel, electrode, k_prop, noise_std,
+        seed, {"activity": "legshake", **(labels or {})},
+    )
 
 
 def straight_walk(

@@ -84,6 +84,32 @@ def naive_filterbank(
     return bank
 
 
+def gini_impurity(class_counts) -> float:
+    """1 - sum((n_k/N)^2); 0 for a pure node."""
+    counts = np.asarray(class_counts, dtype=float)
+    if counts.size == 0:
+        raise ValidationError("empty class histogram")
+    if np.any(counts < 0):
+        raise ValidationError("class counts must be non-negative")
+    total = counts.sum()
+    if total <= 0:
+        raise ValidationError("class histogram must have a positive total")
+    return float(1.0 - (counts * counts).sum() / (total * total))
+
+
+def or_baseline(train_labels) -> int:
+    """Modal training class; ties go to the lowest class id."""
+    labels = np.asarray(train_labels, dtype=np.int64)
+    if labels.size == 0:
+        raise ValidationError("need at least one training label")
+    return int(np.argmax(np.bincount(labels)))
+
+
+def grid_size(space: dict[str, list]) -> int:
+    """Number of combinations in a search space's grid product."""
+    return math.prod(len(v) for v in space.values())
+
+
 def kappa_from_confusion(matrix: np.ndarray) -> float:
     """Cohen's kappa straight from its definition on a confusion matrix."""
     matrix = np.asarray(matrix, dtype=float)
@@ -247,7 +273,7 @@ def reference_fit_tree(data, params, rng_seed: int):
     def add_node(idx: np.ndarray, depth: int) -> int:
         node = len(feature)
         hist = np.bincount(y[idx], minlength=k).astype(float)
-        imp = rf.gini_impurity(hist)
+        imp = gini_impurity(hist)
         feature.append(-1)
         threshold.append(math.nan)
         left.append(-1)

@@ -26,7 +26,7 @@ from esdgait.simkit import (
 )
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
-CAP = CapacitanceModel(c_f1=200e-12, c_f2=200e-12)
+CAP = CapacitanceModel()
 ELECTRODE = ElectrodeModel()
 
 

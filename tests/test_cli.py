@@ -207,6 +207,18 @@ class TestFeaturize:
         assert f"{broken}:" in err
 
 
+    def test_directory_signal_path_exits_1(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        manifest, signal, _ = self.one_record_manifest(out, tmp_path)
+        signal.unlink()
+        signal.mkdir()
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err == f"error: {signal}: is a directory\n"
+
     @pytest.mark.parametrize("key", ["signal_path", "meta_path"])
     def test_non_string_manifest_path_exits_1(self, pipeline, tmp_path, capsys, key):
         config, out = pipeline
@@ -354,6 +366,16 @@ class TestTrainEval:
         assert code == 1
         assert capsys.readouterr().err == f"error: {features}: not valid UTF-8\n"
 
+    @pytest.mark.parametrize("command", ["train", "eval", "report"])
+    def test_directory_features_exits_1(self, pipeline, tmp_path, capsys, command):
+        config, _ = pipeline
+        code = main([command, str(tmp_path), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert err == f"error: {tmp_path}: is a directory\n"
+
     def test_missing_features_nonzero_exit(self, tmp_path):
         config = write_config(tmp_path)
         assert main(["train", str(tmp_path / "absent.csv"),
@@ -381,7 +403,7 @@ def shake_signal(tmp_path_factory):
     root = tmp_path_factory.mktemp("detect")
     record = synth_legshake(
         5.5, 8.0, 2.0,
-        CapacitanceModel(c_f1=200e-12, c_f2=200e-12), ElectrodeModel(),
+        CapacitanceModel(), ElectrodeModel(),
         noise_std=0.0, seed=0,
     )
     path = root / "shake.sig.csv"

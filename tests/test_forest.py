@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import hashlib
+import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,11 @@ from esdgait.io import dump_json
 from reference import (
     audit_tree,
     brute_force_split,
+    gini_impurity,
+    grid_size,
     kappa_from_confusion,
     macro_ovr_auroc,
+    or_baseline,
     pair_count_auroc,
     reference_fit_tree,
     reference_predict_proba,
@@ -57,24 +62,24 @@ SMALL = rf.ForestParams(n_estimators=12, min_samples_split=2, min_samples_leaf=1
 
 
 def test_gini_pure_node_is_zero():
-    assert rf.gini_impurity([10, 0]) == 0.0
+    assert gini_impurity([10, 0]) == 0.0
 
 
 def test_gini_balanced_binary_maximum():
-    assert rf.gini_impurity([5, 5]) == 0.5
+    assert gini_impurity([5, 5]) == 0.5
 
 
 def test_gini_hand_computed_three_class():
-    assert rf.gini_impurity([1, 2, 3]) == pytest.approx(11.0 / 18.0, abs=1e-12)
+    assert gini_impurity([1, 2, 3]) == pytest.approx(11.0 / 18.0, abs=1e-12)
 
 
 def test_gini_rejects_bad_histograms():
     with pytest.raises(ValidationError):
-        rf.gini_impurity([])
+        gini_impurity([])
     with pytest.raises(ValidationError):
-        rf.gini_impurity([0, 0])
+        gini_impurity([0, 0])
     with pytest.raises(ValidationError):
-        rf.gini_impurity([3, -1])
+        gini_impurity([3, -1])
 
 
 # ---------------------------------------------------------------- split search
@@ -164,7 +169,7 @@ def test_tree_separable_single_split():
     x = np.concatenate([np.zeros(10), np.ones(10)])[:, None]
     data = rf.Dataset(x, np.repeat([0, 1], 10), ("f0",), ("a", "b"))
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1, max_features="all")
-    tree = rf.fit_tree(data, params, rng_seed=3)
+    tree = rf.fit_trees(data, params, [3])[0]
     assert np.count_nonzero(tree.feature >= 0) == 1
     assert tree.feature[0] == 0
     assert 0.0 < tree.threshold[0] < 1.0
@@ -176,7 +181,7 @@ def test_tree_identical_rows_single_leaf_majority():
     x = np.ones((4, 2))
     data = rf.Dataset(x, np.array([0, 0, 1, 1]), ("f0", "f1"), ("a", "b"))
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1)
-    tree = rf.fit_tree(data, params, rng_seed=0)
+    tree = rf.fit_trees(data, params, [0])[0]
     assert tree.feature.shape == (1,)
     assert tree.feature[0] == -1
     proba = tree_predict_proba(tree, x)
@@ -187,8 +192,8 @@ def test_tree_identical_rows_single_leaf_majority():
 
 def test_tree_deterministic_given_seed():
     data = blob_dataset(20, [[0, 0], [3, 3]], n_noise=2, seed=5)
-    a = rf.fit_tree(data, SMALL, rng_seed=11)
-    b = rf.fit_tree(data, SMALL, rng_seed=11)
+    a = rf.fit_trees(data, SMALL, [11])[0]
+    b = rf.fit_trees(data, SMALL, [11])[0]
     for name in ("feature", "left", "right", "n_samples", "depth"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
@@ -199,7 +204,7 @@ def test_tree_respects_growth_limits():
     params = rf.ForestParams(
         n_estimators=1, min_samples_split=5, min_samples_leaf=4, max_depth=3, max_features="all"
     )
-    tree = rf.fit_tree(data, params, rng_seed=1)
+    tree = rf.fit_trees(data, params, [1])[0]
     audit_tree(tree, params)
     assert tree.depth.max() <= 3
 
@@ -225,7 +230,7 @@ def test_forest_singleton_matches_fit_tree():
     data = blob_dataset(12, [[0], [2]], seed=9)
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1, seed=21)
     model = rf.fit_forest(data, params)
-    direct = rf.fit_tree(data, params, rf.derive_tree_seeds(21, 1)[0])
+    direct = rf.fit_trees(data, params, rf.derive_tree_seeds(21, 1))[0]
     assert np.array_equal(model.trees[0].feature, direct.feature)
     assert np.array_equal(model.trees[0].threshold, direct.threshold, equal_nan=True)
 
@@ -374,8 +379,8 @@ def test_stratified_folds_reject_too_many():
 
 
 def test_or_baseline_modal_and_tie_rule():
-    assert rf.or_baseline([0, 1, 1, 2]) == 1
-    assert rf.or_baseline([0, 1, 1, 2, 2]) == 1  # tie between 1 and 2 -> lowest
+    assert or_baseline([0, 1, 1, 2]) == 1
+    assert or_baseline([0, 1, 1, 2, 2]) == 1  # tie between 1 and 2 -> lowest
     assert rf.baseline_accuracy([0, 0, 0, 1]) == 0.75
 
 
@@ -569,8 +574,8 @@ def tiny_search_space() -> dict:
 def test_search_exhaustive_degenerate_case():
     data = blob_dataset(10, [[0.0], [2.0]], spread=0.8, seed=19)
     space = tiny_search_space()
-    best, table = rf.randomized_search(data, space, n_iter=rf.grid_size(space), k=3, seed=6)
-    assert len(table) == rf.grid_size(space)
+    best, table = rf.randomized_search(data, space, n_iter=grid_size(space), k=3, seed=6)
+    assert len(table) == grid_size(space)
     scores = [row["mean_accuracy"] for row in table]
     best_pos = next(
         i for i, r in enumerate(table) if rf.ForestParams(**r["params"]) == best
@@ -613,7 +618,7 @@ def test_search_rejects_empty_axis():
 
 def test_default_search_space_product():
     sizes = sorted(len(v) for v in rf.DEFAULT_SEARCH_SPACE.values())
-    assert rf.grid_size(rf.DEFAULT_SEARCH_SPACE) == 7920
+    assert grid_size(rf.DEFAULT_SEARCH_SPACE) == 7920
     assert sizes == [1, 2, 6, 6, 10, 11]
     for combo_values in rf.DEFAULT_SEARCH_SPACE.values():
         assert len(set(map(str, combo_values))) == len(combo_values)
@@ -839,6 +844,30 @@ def test_flat_prediction_equals_per_tree_walk(case, n_estimators, row_seed):
         on_split[np.arange(on_split.shape[0]), features[pick]] = thresholds[pick]
     rows = np.vstack([data.features, on_split, rng.normal(size=(5, data.features.shape[1]))])
     assert rf.predict_proba(model, rows).tobytes() == reference_predict_proba(model, rows).tobytes()
+
+
+@pytest.mark.parametrize("bootstrap", [False, True])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(growth_cases())
+def test_model_save_load_save_is_byte_stable(bootstrap, case):
+    """Every leaf's threshold is NaN and stored as null; the loaded trees
+    equal the grown ones bit for bit, and saving them again gives the same
+    bytes."""
+    data, params = case
+    params = rf.ForestParams(**{**params.to_dict(), "bootstrap": bootstrap})
+    model = rf.fit_forest(data, params)
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp) / "first.rfj", Path(tmp) / "second.rfj"
+        rf.save_model(model, first, mfcc_fingerprint="cafe01")
+        loaded = rf.load_model(first, expected_fingerprint="cafe01")
+        rf.save_model(loaded, second, mfcc_fingerprint="cafe01")
+        assert second.read_bytes() == first.read_bytes()
+    assert loaded.params == model.params
+    assert loaded.per_tree_seeds == model.per_tree_seeds
+    assert len(loaded.trees) == len(model.trees)
+    for got, want in zip(loaded.trees, model.trees):
+        assert np.isnan(want.threshold[want.feature == -1]).all()
+        assert_same_tree(got, want)
 
 
 def test_split_search_passes_do_not_change_trees(monkeypatch):

@@ -27,7 +27,7 @@ from esdgait.simkit import (
 )
 
 SR = int(SAMPLE_RATE)
-CAP = CapacitanceModel(c_f1=200e-12, c_f2=200e-12)
+CAP = CapacitanceModel()
 ELECTRODE = ElectrodeModel()
 
 

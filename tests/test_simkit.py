@@ -1,8 +1,10 @@
 """Physics-model and synthesis tests.
 
-Derived expected values are computed by independent means: exact rational
-arithmetic for capacitance sums, analytic derivatives for the finite
-difference, and FFT peak-picking on the raw synthesized samples (the
+Every check runs through the two synthesizers, the package's one physics
+path. Derived expected values are computed by independent means: exact
+rational arithmetic for sums of room-term slopes, analytic derivatives for
+the central difference, exact power-of-two scaling for the distance and
+eps*S projection, and FFT peak-picking on the raw synthesized samples (the
 synthesizer itself never computes a spectrum).
 """
 
@@ -15,125 +17,186 @@ import numpy as np
 import pytest
 
 from esdgait import simkit as sk
-from esdgait.errors import (
-    BoundaryError,
-    DomainError,
-    SingularityError,
-    ValidationError,
-)
+from esdgait.errors import DomainError, SingularityError, ValidationError
+
+# feet that never move: each foot's 1/C_f stays at 1/farad
+FLAT_FEET = sk.FootstepShape(c_contact=1.0, c_air=1.0)
 
 
 def unit_electrode() -> sk.ElectrodeModel:
     return sk.ElectrodeModel(epsilon=1.0, area_s=1.0)
 
 
+def unit_shake(capmodel: sk.CapacitanceModel, duration: float = 2.0, **kw) -> sk.SignalRecord:
+    """A flat-footed subject at 1 m from a unit electrode: the record is
+    k_prop * C_plant * d(1/C_B)/dt of the room terms alone."""
+    return sk.synth_legshake(
+        5.0, duration, 0.0, capmodel, unit_electrode(), footstep=FLAT_FEET, **kw
+    )
+
+
+def grid_times(rec: sk.SignalRecord) -> np.ndarray:
+    """samples[k] is the current at t = (k + 1) / fs."""
+    return np.arange(1, rec.samples.size + 1) / sk.SAMPLE_RATE
+
+
 class TestReciprocalBodyCapacitance:
-    def test_two_unit_farads(self):
-        m = sk.CapacitanceModel(c_f1=1.0, c_f2=1.0)
-        assert sk.reciprocal_body_capacitance(m, 0.0) == 2.0
+    def test_hand_sum_with_room_term(self):
+        # three room terms whose 1/C_r rise at 1/2, 1/4 and 1/8 per second;
+        # in exact rationals the slopes sum to 7/8
+        slopes = (Fraction(1, 2), Fraction(1, 4), Fraction(1, 8))
+        expected = sum(slopes)
+        assert expected == Fraction(7, 8)
+        rooms = tuple(lambda t, b=float(b): 1.0 / (2.0 + b * t) for b in slopes)
+        rec = unit_shake(sk.CapacitanceModel(c_room=rooms, c_plant=1.0))
+        np.testing.assert_allclose(rec.samples, float(expected), rtol=1e-9)
+
+    def test_constant_room_term_leaves_signal_unchanged(self):
+        gait = default_gait()
+        traj, duration = sk.straight_walk(gait, None, 4.0, 1.5)
+        args = (gait, None, traj)
+        base = sk.synth_walk(*args, default_capmodel(), sk.ElectrodeModel(), duration)
+        room = sk.CapacitanceModel(c_room=(8.0,))
+        with_room = sk.synth_walk(*args, room, sk.ElectrodeModel(), duration)
+        scale = np.abs(base.samples).max()
+        assert scale > 0
+        np.testing.assert_allclose(with_room.samples, base.samples, rtol=0, atol=1e-9 * scale)
 
     def test_huge_capacitance_limit(self):
-        m = sk.CapacitanceModel(c_f1=1e12, c_f2=1e12)
-        assert sk.reciprocal_body_capacitance(m, 0.0) == pytest.approx(2e-12, rel=1e-12)
-
-    def test_hand_sum_with_room_term(self):
-        # independent arithmetic: 1/2 + 1/4 + 1/8 in exact rationals
-        expected = Fraction(1, 2) + Fraction(1, 4) + Fraction(1, 8)
-        assert expected == Fraction(7, 8)
-        m = sk.CapacitanceModel(c_f1=2.0, c_f2=4.0, c_room=(8.0,))
-        assert sk.reciprocal_body_capacitance(m, 1.23) == pytest.approx(float(expected), abs=0)
+        # a 1e12 F room coupling adds ~1e-12 to 1/C_B, however it varies
+        gait = default_gait()
+        traj, duration = sk.straight_walk(gait, None, 4.0, 1.5)
+        args = (gait, None, traj)
+        base = sk.synth_walk(*args, default_capmodel(), sk.ElectrodeModel(), duration)
+        huge = sk.CapacitanceModel(c_room=(lambda t: 1e12 * (2.0 + np.sin(t)),))
+        with_huge = sk.synth_walk(*args, huge, sk.ElectrodeModel(), duration)
+        scale = np.abs(base.samples).max()
+        np.testing.assert_allclose(with_huge.samples, base.samples, rtol=0, atol=1e-9 * scale)
 
     def test_room_term_additivity_pointwise(self):
-        rng = np.random.default_rng(7)
-        t = rng.uniform(0, 5, 64)
         rooms = (lambda tt: 3.0 + np.sin(tt) ** 2, 5.0, lambda tt: 2.0 + 0.5 * np.cos(tt))
-        with_all = sk.CapacitanceModel(c_f1=1.5, c_f2=2.5, c_room=rooms)
-        without_last = sk.CapacitanceModel(c_f1=1.5, c_f2=2.5, c_room=rooms[:2])
-        diff = sk.reciprocal_body_capacitance(with_all, t) - sk.reciprocal_body_capacitance(
-            without_last, t
+        with_all = unit_shake(sk.CapacitanceModel(c_room=rooms, c_plant=1.0), duration=5.0)
+        without_last = unit_shake(sk.CapacitanceModel(c_room=rooms[:2], c_plant=1.0), duration=5.0)
+        t = grid_times(with_all)
+        # d/dt 1/(2 + 0.5 cos t) = 0.5 sin t / (2 + 0.5 cos t)^2
+        analytic = 0.5 * np.sin(t) / (2.0 + 0.5 * np.cos(t)) ** 2
+        np.testing.assert_allclose(
+            with_all.samples - without_last.samples, analytic, rtol=1e-6, atol=1e-9
         )
-        np.testing.assert_allclose(diff, 1.0 / (2.0 + 0.5 * np.cos(t)), rtol=1e-12)
 
     def test_non_positive_capacitance_names_term(self):
-        m = sk.CapacitanceModel(c_f1=1.0, c_f2=1.0, c_room=(lambda t: t - 1.0,))
+        m = sk.CapacitanceModel(c_room=(lambda t: t - 1.0,))
         with pytest.raises(DomainError, match=r"c_room\[0\]"):
-            sk.reciprocal_body_capacitance(m, 0.5)
+            sk.synth_legshake(5.0, 2.0, 0.0, m, sk.ElectrodeModel())
+        with pytest.raises(DomainError, match=r"c_room\[0\]"):
+            sk.synth_walk(
+                default_gait(), None, sk.Trajectory(3.0, 4.0), m, sk.ElectrodeModel(), 2.0
+            )
 
 
 class TestFootMotionCurrent:
     def test_constant_capacitances_give_zero(self):
-        m = sk.CapacitanceModel(c_f1=3.0, c_f2=4.0, c_room=(9.0,), c_plant=1.0)
-        assert sk.foot_motion_current(m, 0.7, k_prop=2.0) == 0.0
+        m = sk.CapacitanceModel(c_room=(9.0,), c_plant=1.0)
+        shake = unit_shake(m, k_prop=2.0)
+        walk = sk.synth_walk(
+            default_gait(), None, sk.Trajectory(3.0, 4.0), m, unit_electrode(), 2.0,
+            k_prop=2.0, footstep=FLAT_FEET,
+        )
+        assert np.all(shake.samples == 0.0)
+        assert np.all(walk.samples == 0.0)
 
     def test_linear_ramp_unit_slope(self):
-        # 1/C_B(t) = (t + 2) + 3 = t + 5, slope exactly 1
-        m = sk.CapacitanceModel(c_f1=lambda t: 1.0 / (t + 2.0), c_f2=1.0 / 3.0, c_plant=1.0)
-        assert sk.foot_motion_current(m, 1.0, k_prop=1.0) == pytest.approx(1.0, rel=1e-9)
+        # 1/C_B(t) = 1 + 1 + (t + 2), slope exactly 1
+        rec = unit_shake(sk.CapacitanceModel(c_room=(lambda t: 1.0 / (t + 2.0),), c_plant=1.0))
+        np.testing.assert_allclose(rec.samples, 1.0, rtol=1e-9)
 
     def test_sinusoid_matches_analytic_derivative(self):
-        # 1/C_B(t) = sin(2*pi*1.5 t) + 4; d/dt at t = 2*pi*1.5*cos(2*pi*1.5 t)
-        w = 2.0 * math.pi * 1.5
-        m = sk.CapacitanceModel(
-            c_f1=lambda t: 1.0 / (np.sin(w * t) + 2.0), c_f2=0.5, c_plant=1.0
+        # the shaking foot's 1/C_f = 1/c_contact + swing * (1 - cos(w (t - onset))) / 2,
+        # whose derivative is swing * (w / 2) * sin(w (t - onset))
+        freq, onset, distance = 5.5, 1.0, 1.5
+        shape = sk.FootstepShape()
+        electrode = sk.ElectrodeModel()
+        capmodel = default_capmodel()
+        rec = sk.synth_legshake(
+            freq, 3.0, onset, capmodel, electrode, footstep=shape, distance_m=distance
         )
-        for t in (0.0, 0.31, 0.05, 1.7):
-            analytic = w * math.cos(w * t)
-            if abs(analytic) < 1.0:
-                continue
-            got = sk.foot_motion_current(m, t, k_prop=1.0, h=1e-4)
-            assert got == pytest.approx(analytic, rel=1e-4)
+        t = grid_times(rec)
+        w = 2.0 * math.pi * freq
+        swing = 1.0 / shape.c_air - 1.0 / shape.c_contact
+        analytic = swing * (w / 2.0) * np.sin(w * (t - onset))
+        analytic *= capmodel.c_plant * electrode.epsilon * electrode.area_s / distance
+        after = t - 1.0 / sk.SAMPLE_RATE >= onset  # whole stencil past the onset
+        peak = np.abs(analytic).max()
+        np.testing.assert_allclose(
+            rec.samples[after], analytic[after], rtol=1e-5, atol=1e-9 * peak
+        )
 
     def test_scales_with_k_prop_and_c_plant(self):
-        m = sk.CapacitanceModel(c_f1=lambda t: 1.0 / (t + 2.0), c_f2=1.0, c_plant=0.25)
-        assert sk.foot_motion_current(m, 1.0, k_prop=8.0) == pytest.approx(2.0, rel=1e-9)
-
-    def test_boundary_error_near_domain_edge(self):
-        m = sk.CapacitanceModel(c_f1=1.0, c_f2=1.0, domain=(0.0, 1.0))
-        with pytest.raises(BoundaryError):
-            sk.foot_motion_current(m, 0.0, h=1e-4)
-        with pytest.raises(BoundaryError):
-            sk.foot_motion_current(m, 1.0, h=1e-4)
-        assert sk.foot_motion_current(m, 0.5, h=1e-4) == 0.0
+        base = sk.synth_legshake(
+            5.5, 2.0, 0.5, sk.CapacitanceModel(c_plant=1.0), sk.ElectrodeModel()
+        )
+        scaled = sk.synth_legshake(
+            5.5, 2.0, 0.5, sk.CapacitanceModel(c_plant=0.25), sk.ElectrodeModel(), k_prop=8.0
+        )
+        assert np.abs(base.samples).max() > 0
+        np.testing.assert_array_equal(scaled.samples, 2.0 * base.samples)
 
 
 class TestInducedCurrent:
     def test_zero_source(self):
-        traj = sk.Trajectory(x_of_t=3.0, y_of_t=4.0)
-        out = sk.induced_current(traj, unit_electrode(), lambda t: np.zeros_like(t), 0.0)
-        assert out == 0.0
+        gait = default_gait()
+        traj, duration = sk.straight_walk(gait, None, 4.0, 1.5)
+        rec = sk.synth_walk(
+            gait, None, traj, default_capmodel(), unit_electrode(), duration, footstep=FLAT_FEET
+        )
+        assert np.all(rec.samples == 0.0)
 
     def test_three_four_five_triangle(self):
-        traj = sk.Trajectory(x_of_t=3.0, y_of_t=4.0)
-        out = sk.induced_current(traj, unit_electrode(), lambda t: np.ones_like(t), 0.0)
-        assert out == pytest.approx(0.2, abs=0)
+        def walk(traj: sk.Trajectory) -> np.ndarray:
+            return sk.synth_walk(
+                default_gait(), None, traj, default_capmodel(), sk.ElectrodeModel(), 3.0
+            ).samples
+
+        slanted = walk(sk.Trajectory(3.0, 4.0))
+        assert np.abs(slanted).max() > 0
+        np.testing.assert_array_equal(slanted, walk(sk.Trajectory(5.0, 0.0)))
 
     def test_doubling_eps_s_doubles_output(self):
+        gait = default_gait()
         traj = sk.Trajectory(x_of_t=lambda t: 5.0 - t, y_of_t=0.7)
-        t = np.linspace(0.0, 3.0, 50)
-        src = lambda tt: np.cos(tt)
-        base = sk.induced_current(traj, sk.ElectrodeModel(epsilon=1.0, area_s=1.0), src, t)
-        doubled = sk.induced_current(traj, sk.ElectrodeModel(epsilon=2.0, area_s=1.0), src, t)
-        np.testing.assert_array_equal(doubled, 2.0 * base)
+        args = (gait, None, traj, default_capmodel())
+        base = sk.synth_walk(*args, sk.ElectrodeModel(epsilon=1.0, area_s=1.0), 3.0)
+        doubled = sk.synth_walk(*args, sk.ElectrodeModel(epsilon=2.0, area_s=1.0), 3.0)
+        assert np.abs(base.samples).max() > 0
+        np.testing.assert_array_equal(doubled.samples, 2.0 * base.samples)
 
     def test_doubling_distance_halves_output(self):
-        t = np.linspace(0.0, 3.0, 50)
-        src = lambda tt: np.cos(tt)
-        near = sk.Trajectory(x_of_t=lambda tt: 5.0 + tt, y_of_t=0.0)
-        far = sk.Trajectory(x_of_t=lambda tt: 2.0 * (5.0 + tt), y_of_t=0.0)
-        a = sk.induced_current(near, unit_electrode(), src, t)
-        b = sk.induced_current(far, unit_electrode(), src, t)
-        np.testing.assert_array_equal(b, a / 2.0)
+        def shake(distance: float) -> np.ndarray:
+            return sk.synth_legshake(
+                5.5, 2.0, 0.5, default_capmodel(), sk.ElectrodeModel(), distance_m=distance
+            ).samples
+
+        near = shake(1.0)
+        assert np.abs(near).max() > 0
+        np.testing.assert_array_equal(shake(2.0), near / 2.0)
 
     def test_fixed_amplitude_source_envelope_rises_on_approach(self):
+        # a room term ramping at a constant rate is a fixed-amplitude source
+        ramp = sk.CapacitanceModel(c_room=(lambda t: 1.0 / (t + 2.0),), c_plant=1.0)
         traj = sk.Trajectory(x_of_t=lambda t: 5.0 - t, y_of_t=0.0)
-        t = np.linspace(0.0, 3.9, 200)
-        out = sk.induced_current(traj, unit_electrode(), lambda tt: np.ones_like(tt), t)
-        assert np.all(np.diff(out) > 0)
+        rec = sk.synth_walk(
+            default_gait(), None, traj, ramp, unit_electrode(), 3.9, footstep=FLAT_FEET
+        )
+        assert np.all(np.diff(rec.samples) > 0)
 
     def test_zero_distance_singularity(self):
-        traj = sk.Trajectory(x_of_t=0.0, y_of_t=0.0)
         with pytest.raises(SingularityError):
-            sk.induced_current(traj, unit_electrode(), lambda t: np.ones_like(t), 0.0)
+            sk.synth_walk(
+                default_gait(), None, sk.Trajectory(0.0, 0.0), default_capmodel(),
+                sk.ElectrodeModel(), 2.0,
+            )
+        with pytest.raises(SingularityError):
+            sk.synth_legshake(5.0, 2.0, 0.0, default_capmodel(), sk.ElectrodeModel(), distance_m=0.0)
 
 
 def default_gait(**kw) -> sk.GaitProfile:
@@ -143,7 +206,7 @@ def default_gait(**kw) -> sk.GaitProfile:
 
 
 def default_capmodel() -> sk.CapacitanceModel:
-    return sk.CapacitanceModel(c_f1=200e-12, c_f2=200e-12)
+    return sk.CapacitanceModel()
 
 
 HAPPY = sk.MoodProfile("happy", speed_factor=1.25, amplitude_factor=1.2, step_frequency_factor=1.1)
