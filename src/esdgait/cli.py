@@ -76,15 +76,13 @@ def _require_config(args) -> experiments.ExperimentConfig:
 
 def cmd_simulate(args) -> None:
     config = _require_config(args)
-    manifest = experiments.run_simulate(config, args.out, jobs=args.jobs, quiet=args.quiet)
+    manifest = experiments.run_simulate(config, args.out, jobs=args.jobs)
     print(manifest)
 
 
 def cmd_featurize(args) -> None:
     config = _require_config(args)
-    features, rejects = experiments.run_featurize(
-        args.manifest, config, args.out, jobs=args.jobs, quiet=args.quiet
-    )
+    features, rejects = experiments.run_featurize(args.manifest, config, args.out, jobs=args.jobs)
     if rejects:
         log.warning("rejects: %s", json.dumps(rejects))
     print(features)
@@ -93,10 +91,9 @@ def cmd_featurize(args) -> None:
 def cmd_train(args) -> None:
     config = _require_config(args)
     report, model_path, report_path = experiments.run_train(
-        args.features, config, args.out, jobs=args.jobs, quiet=args.quiet
+        args.features, config, args.out, jobs=args.jobs
     )
-    if not args.quiet:
-        log.info("cohens kappa %.4f, auroc %.4f", report.cohens_kappa, report.auroc)
+    log.info("cohens kappa %.4f, auroc %.4f", report.cohens_kappa, report.auroc)
     print(model_path)
     print(report_path)
 
@@ -110,16 +107,14 @@ def cmd_eval(args) -> None:
         model_path=args.model,
         holdout=args.holdout,
         jobs=args.jobs,
-        quiet=args.quiet,
     )
-    if not args.quiet:
-        log.info("cohens kappa %.4f, auroc %.4f", report.cohens_kappa, report.auroc)
+    log.info("cohens kappa %.4f, auroc %.4f", report.cohens_kappa, report.auroc)
     print(report_path)
 
 
 def cmd_report(args) -> None:
     config = _require_config(args)
-    experiments.run_report(args.features, config, args.out, jobs=args.jobs, quiet=args.quiet)
+    experiments.run_report(args.features, config, args.out, jobs=args.jobs)
     out = args.out.rstrip("/")
     print(f"{out}/accuracy_vs_k.csv")
     print(f"{out}/importance.csv")
@@ -206,8 +201,7 @@ def cmd_detect(args) -> None:
             raise error
     if pending.size:
         push(pending)
-    if not args.quiet:
-        log.info("events: %d", len(detector.events))
+    log.info("events: %d", len(detector.events))
 
 
 _COMMANDS = {
@@ -236,13 +230,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ToolkitError, BrokenProcessPool) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ToolkitError, BrokenProcessPool, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

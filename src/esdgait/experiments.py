@@ -188,10 +188,7 @@ class ExperimentConfig:
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
-    try:
-        raw = io.read_json(path)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
+    raw = io.read_json(path)
     if seed_override is not None and isinstance(raw, dict):
         raw["seed"] = seed_override
     return ExperimentConfig.from_dict(raw)
@@ -455,7 +452,7 @@ def _simulate_task(plan, out: Path) -> dict:
     return entry
 
 
-def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False) -> Path:
+def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     """Synthesize the cohort and write records plus dataset.json manifest."""
     plans = build_plans(config)
     out = Path(out_dir)
@@ -464,8 +461,7 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool =
         entries = list(map_fn(_simulate_task, plans, itertools.repeat(out)))
     manifest_path = out / "dataset.json"
     io.write_manifest(manifest_path, entries)
-    if not quiet:
-        log.info("wrote %d records and %s", len(entries), manifest_path)
+    log.info("wrote %d records and %s", len(entries), manifest_path)
     return manifest_path
 
 
@@ -482,7 +478,7 @@ def _featurize_task(record, mfcc: dsp.MfccConfig, include_categoricals: bool, ma
 
 
 def run_featurize(
-    manifest_path, config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False
+    manifest_path, config: ExperimentConfig, out_dir, jobs: int = 1
 ) -> tuple[Path, list[dict]]:
     """Extract one feature row per record; returns (features path, rejects)."""
     entries = io.read_manifest(manifest_path)
@@ -524,8 +520,8 @@ def run_featurize(
                 names = vector.feature_names
     if not rows:
         raise ValidationError("every record was rejected as degenerate")
-    if rejects and not quiet:
-        log.warning("excluded %d degenerate record(s)", len(rejects))
+    if rejects:
+        log.info("excluded %d degenerate record(s)", len(rejects))
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     features_path = out / "features.csv"
@@ -607,29 +603,20 @@ def _reused_cv(
     key = _cv_key(features_path, config.forest_params, config)
     if not isinstance(record, dict) or record.get("key") != key:
         return None
-    doc = record.get("report")
     try:
-        report = forest.EvalReport(
-            accuracy=float(doc["accuracy"]),
-            cohens_kappa=float(doc["cohens_kappa"]),
-            auroc=float(doc["auroc"]),
-            confusion_matrix=np.array(doc["confusion_matrix"], dtype=np.int64),
-            per_fold_accuracies=tuple(float(v) for v in doc["per_fold_accuracies"]),
-            importances=np.array(doc["importances"], dtype=float),
-        )
-    except (LookupError, TypeError, ValueError, OverflowError):
+        report = forest.EvalReport.from_dict(record.get("report"))
+    except ValidationError:
         return None
     if (
         report.confusion_matrix.shape != (n_classes, n_classes)
         or report.importances.shape != (n_features,)
-        or io.dump_json(report.to_dict()) != io.dump_json(doc)
     ):
         return None
     return report
 
 
 def run_train(
-    features_path, config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False
+    features_path, config: ExperimentConfig, out_dir, jobs: int = 1
 ) -> tuple[forest.EvalReport, Path, Path]:
     """Cross-validate, fit on all rows, persist model.rfj + eval_report.json,
     and record the CV with its inputs' key in cv.json."""
@@ -650,8 +637,7 @@ def run_train(
                 map_fn=map_fn,
             )
             io.atomic_write_json(out / "search_trials.json", trials)
-            if not quiet:
-                log.info("search picked %s", params)
+            log.info("search picked %s", params)
         report, model = forest.cross_validate(
             data, params, k=config.cv_folds, seed=config.seed, with_model=True, map_fn=map_fn
         )
@@ -661,11 +647,10 @@ def run_train(
     io.atomic_write_json(report_path, report.to_dict())
     record = {"key": _cv_key(features_path, params, config), "report": report.to_dict()}
     io.atomic_write_json(out / CV_RECORD, record)
-    if not quiet:
-        log.info(
-            "pooled accuracy %.4f, kappa %.4f over %d folds",
-            report.accuracy, report.cohens_kappa, config.cv_folds,
-        )
+    log.info(
+        "pooled accuracy %.4f, kappa %.4f over %d folds",
+        report.accuracy, report.cohens_kappa, config.cv_folds,
+    )
     return report, model_path, report_path
 
 
@@ -676,7 +661,6 @@ def run_eval(
     model_path=None,
     holdout: bool = False,
     jobs: int = 1,
-    quiet: bool = False,
 ) -> tuple[forest.EvalReport, Path]:
     """Evaluate on a feature table.
 
@@ -693,25 +677,7 @@ def run_eval(
         raise ValidationError("holdout retrains from scratch; drop the model path")
     if holdout:
         data = dataset_from_features(matrix, names, labels)
-        state = np.random.SeedSequence([config.seed]).generate_state(2)
-        folds = forest.stratified_kfold(data.labels, 5, int(state[0]))
-        test_idx = folds[0]
-        train_mask = np.ones(data.labels.size, dtype=bool)
-        train_mask[test_idx] = False
-        params = replace(config.forest_params, seed=int(state[1]))
-        model = forest.fit_forest(
-            forest.Dataset(
-                data.features[train_mask],
-                data.labels[train_mask],
-                data.feature_names,
-                data.class_names,
-            ),
-            params,
-        )
-        proba = forest.predict_proba(model, data.features[test_idx])
-        report = forest.eval_report(
-            data.labels[test_idx], proba, [slice(None)], forest.mdi_importance(model)
-        )
+        report = forest.holdout_validate(data, config.forest_params, config.seed)
     elif model_path is not None:
         model = forest.load_model(
             model_path, expected_fingerprint=_stored_fingerprint(features_path, config)
@@ -735,8 +701,7 @@ def run_eval(
                 )
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
-    if not quiet:
-        log.info("accuracy %.4f, kappa %.4f", report.accuracy, report.cohens_kappa)
+    log.info("accuracy %.4f, kappa %.4f", report.accuracy, report.cohens_kappa)
     return report, report_path
 
 
@@ -747,9 +712,7 @@ class ReportBundle:
     importance_chart_data: tuple[tuple[str, float], ...]
 
 
-def run_report(
-    features_path, config: ExperimentConfig, out_dir, jobs: int = 1, quiet: bool = False
-) -> ReportBundle:
+def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) -> ReportBundle:
     """Sweep class-count subsets and rank features; write plot-ready CSVs.
 
     The k-subset sweep takes the first k class names in sorted order, so
@@ -783,8 +746,7 @@ def run_report(
             baseline = forest.baseline_accuracy(data.labels)
             rows.append((k, float(report.accuracy), float(baseline)))
             full_report = report
-            if not quiet:
-                log.info("k=%d forest %.4f baseline %.4f", k, report.accuracy, baseline)
+            log.info("k=%d forest %.4f baseline %.4f", k, report.accuracy, baseline)
     ranked_idx = np.argsort(-full_report.importances, kind="stable")
     importance = tuple(
         (names[i], float(full_report.importances[i])) for i in ranked_idx

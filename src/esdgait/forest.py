@@ -142,6 +142,22 @@ class EvalReport:
             "importances": [float(v) for v in self.importances],
         }
 
+    @classmethod
+    def from_dict(cls, doc) -> "EvalReport":
+        """Decode a to_dict document; valid only if it encodes back to the same JSON."""
+        try:
+            report = cls(
+                *(float(doc[key]) for key in ("accuracy", "cohens_kappa", "auroc")),
+                np.array(doc["confusion_matrix"], dtype=np.int64),
+                tuple(float(v) for v in doc["per_fold_accuracies"]),
+                np.array(doc["importances"], dtype=float),
+            )
+            if io.dump_json(report.to_dict()) == io.dump_json(doc):
+                return report
+        except (LookupError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"malformed evaluation report ({exc})") from None
+        raise ValidationError("evaluation report does not encode back to itself")
+
 
 # Working-set cap of one segmented split-search pass: a pass takes a round's
 # nodes while their (candidates x rows) sum stays within it, a node counting
@@ -647,6 +663,20 @@ def cross_validate(
     return (report, full_model) if with_model else report
 
 
+def holdout_validate(data: Dataset, params: ForestParams, seed: int) -> EvalReport:
+    """Fit one forest on about 4/5 of the rows and score the rest: fold 0 of
+    cross_validate's stratified 5-fold split at `seed`, fit with that CV's
+    full-data seed. Every class must keep a training row."""
+    _, full_seed, tasks = _fold_tasks(data, params, 5, seed)
+    _, train_idx, _, test_idx = tasks[0]
+    train = Dataset(
+        data.features[train_idx], data.labels[train_idx], data.feature_names, data.class_names
+    )
+    model = fit_forest(train, replace(params, seed=full_seed))
+    proba = predict_proba(model, data.features[test_idx])
+    return eval_report(data.labels[test_idx], proba, [slice(None)], mdi_importance(model))
+
+
 def eval_report(truth, proba: np.ndarray, folds, importances) -> EvalReport:
     """Metrics of held-out class probabilities, pooled over every row.
 
@@ -755,8 +785,9 @@ def _tree_from_lists(d: dict) -> DecisionTree:
 
 
 def _check_tree(tree: DecisionTree, n_features: int, n_classes: int, where: str) -> None:
-    """Reject a tree that prediction could not walk to a leaf. Every child
-    index must exceed its node's, so each step moves forward and no walk loops."""
+    """Reject a tree that prediction could not walk to a leaf, or whose numbers
+    would not give finite probabilities and importances. Every child index
+    must exceed its node's, so each step moves forward and no walk loops."""
     n = tree.feature.size
     if n == 0 or any(a.shape != (n,) for k, a in vars(tree).items() if k != "histogram"):
         raise ValidationError(f"{where}: per-node arrays differ in length")
@@ -771,8 +802,12 @@ def _check_tree(tree: DecisionTree, n_features: int, n_classes: int, where: str)
         raise ValidationError(f"{where}: a leaf has children")
     if np.any(children[:, node] <= node) or np.any(children[:, node] >= n):
         raise ValidationError(f"{where}: a child index must lie after its node, inside the tree")
-    if np.any(tree.histogram < 0) or np.any(tree.histogram[leaf].sum(axis=1) <= 0):
-        raise ValidationError(f"{where}: leaf class counts must be >= 0 with a positive total")
+    finite = np.isfinite(tree.threshold[node]).all() and np.isfinite(tree.weighted_decrease).all()
+    if not finite:
+        raise ValidationError(f"{where}: split thresholds and impurity decreases must be finite")
+    hist = tree.histogram
+    if not np.all(np.isfinite(hist) & (hist >= 0)) or np.any(hist[leaf].sum(axis=1) <= 0):
+        raise ValidationError(f"{where}: leaf class counts must be finite, >= 0 and sum above 0")
 
 
 def model_to_document(model: RandomForestModel, mfcc_fingerprint: str | None = None) -> dict:
@@ -798,16 +833,15 @@ def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> R
             f"(fingerprint {doc.get('mfcc_fingerprint')!r} != {expected_fingerprint!r})"
         )
     params = io.from_json(ForestParams, doc.get("params"), "params")
+    feature_names, class_names = (
+        io.from_json(tuple[str, ...], doc.get(key), key) for key in ("feature_names", "class_names")
+    )
+    seeds = io.from_json(tuple[int, ...], doc.get("per_tree_seeds"), "per_tree_seeds")
     try:
-        model = RandomForestModel(
-            trees=[_tree_from_lists(t) for t in doc["trees"]],
-            params=params,
-            feature_names=tuple(doc["feature_names"]),
-            class_names=tuple(doc["class_names"]),
-            per_tree_seeds=tuple(doc["per_tree_seeds"]),
-        )
+        trees = [_tree_from_lists(t) for t in doc["trees"]]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"malformed model ({type(exc).__name__}: {exc})") from None
+    model = RandomForestModel(trees, params, feature_names, class_names, seeds)
     if not model.trees:
         raise ValidationError("model has no trees")
     for i, tree in enumerate(model.trees):

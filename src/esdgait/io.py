@@ -12,11 +12,13 @@ atomic rename, so readers never observe partial files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -68,20 +70,27 @@ def atomic_write_json(path, obj) -> None:
     atomic_write_text(path, dump_json(obj))
 
 
+@contextlib.contextmanager
 def open_text(path, **options):
-    """Open a user-supplied path for reading UTF-8 text. A directory there
-    is bad input, so it raises ValidationError rather than an OSError."""
+    """Open a user-supplied path for reading UTF-8 text, as a context manager.
+    A path that is missing, a directory or under a file, and text read in the
+    `with` that is not UTF-8, are bad input: ValidationError names the path."""
     try:
-        return open(path, encoding="utf-8", **options)
-    except IsADirectoryError:
-        raise ValidationError(f"{path}: is a directory") from None
+        fh = open(path, encoding="utf-8", **options)
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
+        raise ValidationError(f"{path}: {exc.strerror.lower()}") from None
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not valid UTF-8") from None
 
 
 def read_json(path):
     with open_text(path) as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # bad JSON or bad UTF-8
+        except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
 
@@ -180,30 +189,39 @@ def read_record(signal_path, meta_path) -> SignalRecord:
         # an empty file is reported below, naming the file
         warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
-            samples = np.atleast_1d(np.loadtxt(signal_path, dtype=float))
+            samples = np.loadtxt(signal_path, dtype=float, ndmin=2)
         except ValueError as exc:
             raise ValidationError(_bad_sample(signal_path, exc)) from None
     if samples.size == 0:
         raise ValidationError(f"{signal_path}: no samples")
+    if samples.shape[1] != 1 or not np.all(np.isfinite(samples)):
+        raise ValidationError(_bad_sample(signal_path, "expected one finite sample per line"))
     meta = read_json(meta_path)
+    if not isinstance(meta, dict):
+        raise ValidationError(f"{meta_path}: expected a JSON object")
+    where = f"{meta_path}: sample_rate"
     if "sample_rate" not in meta:
-        raise ValidationError(f"{meta_path}: missing sample_rate")
+        _fail(where, "missing required field")
+    sample_rate = from_json(float, meta["sample_rate"], where)
+    if sample_rate <= 0:
+        _fail(where, f"must be positive, got {sample_rate!r}")
     labels = {k: v for k, v in meta.items() if k != "sample_rate"}
-    return SignalRecord(samples=samples, sample_rate=float(meta["sample_rate"]), labels=labels)
+    return SignalRecord(samples=samples.ravel(), sample_rate=sample_rate, labels=labels)
 
 
-def _bad_sample(path, exc: ValueError) -> str:
-    """Name the first line of a signal file that is not one number; only
-    called once np.loadtxt has failed, so good files are read once."""
+def _bad_sample(path, reason) -> str:
+    """Name the first line of a signal file that is not one finite number;
+    only called once np.loadtxt's result is refused, so good files are read
+    once."""
     with open(path, encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
             try:
-                if text:
-                    float(text)
+                if text and not math.isfinite(float(text)):
+                    return f"{path}:{line_no}: not a finite sample value: {text!r}"
             except ValueError:
                 return f"{path}:{line_no}: not a sample value: {text!r}"
-    return f"{path}: {exc}"
+    return f"{path}: {reason}"
 
 
 # Record text is "%.8e" per sample, one per line. _format_samples writes it
@@ -326,11 +344,8 @@ def write_features(path, matrix: np.ndarray, feature_names, labels) -> None:
 
 
 def read_features(path) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
-    try:
-        with open_text(path, newline="") as fh:
-            return _parse_features(path, csv.reader(fh))
-    except UnicodeDecodeError:
-        raise ValidationError(f"{path}: not valid UTF-8") from None
+    with open_text(path, newline="") as fh:
+        return _parse_features(path, csv.reader(fh))
 
 
 def _parse_features(path, reader) -> tuple[np.ndarray, tuple[str, ...], list[str]]:

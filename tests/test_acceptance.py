@@ -50,10 +50,10 @@ class PipelineRun:
 def run_pipeline(config_name: str, out: Path, jobs: int) -> PipelineRun:
     config = experiments.load_config(CONFIG_DIR / config_name)
     start = time.perf_counter()
-    manifest = experiments.run_simulate(config, out, jobs=jobs, quiet=True)
-    features_path, rejects = experiments.run_featurize(manifest, config, out, jobs=jobs, quiet=True)
+    manifest = experiments.run_simulate(config, out, jobs=jobs)
+    features_path, rejects = experiments.run_featurize(manifest, config, out, jobs=jobs)
     report, model_path, report_path = experiments.run_train(
-        features_path, config, out, jobs=jobs, quiet=True
+        features_path, config, out, jobs=jobs
     )
     seconds = time.perf_counter() - start
     assert rejects == []
@@ -256,7 +256,7 @@ def test_criterion_06_person_accuracy_beats_baseline(person_run):
 def test_criterion_07_accuracy_vs_person_count(person_run, tmp_path_factory):
     out = tmp_path_factory.mktemp("accept_sweep")
     start = time.perf_counter()
-    bundle = experiments.run_report(person_run.features_path, person_run.config, out, jobs=2, quiet=True)
+    bundle = experiments.run_report(person_run.features_path, person_run.config, out, jobs=2)
     elapsed = time.perf_counter() - start
     rows = bundle.accuracy_vs_k
     ks = [row[0] for row in rows]

@@ -219,6 +219,55 @@ class TestFeaturize:
         assert_one_line_error(err)
         assert err == f"error: {signal}: is a directory\n"
 
+    @pytest.mark.parametrize(
+        "value, reason",
+        [
+            ('"abc"', "expected float, got 'abc'"),
+            ("null", "expected float, got None"),
+            ("true", "expected float, got True"),
+            ("1e400", "expected float, got inf"),
+            ("0", "must be positive, got 0.0"),
+        ],
+    )
+    def test_bad_sample_rate_names_the_meta_file(self, pipeline, tmp_path, capsys, value, reason):
+        config, out = pipeline
+        manifest, _, meta = self.one_record_manifest(out, tmp_path)
+        doc = {**json.loads(meta.read_text()), "sample_rate": 1}
+        meta.write_text(json.dumps(doc).replace('"sample_rate": 1', f'"sample_rate": {value}'))
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {meta}: sample_rate: {reason}\n"
+
+    def test_meta_that_is_no_object_exits_1(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        manifest, _, meta = self.one_record_manifest(out, tmp_path)
+        meta.write_text('["sample_rate"]')
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {meta}: expected a JSON object\n"
+
+    @pytest.mark.parametrize(
+        "edit, line, reason",
+        [
+            (lambda lines: [x.strip() + " 2.0\n" for x in lines], 1, "not a sample value"),
+            (lambda lines: lines[:4] + ["nan\n"] + lines[5:], 5, "not a finite sample value"),
+            (lambda lines: ["1.0 2.0\n"], 1, "not a sample value"),  # not two samples
+        ],
+        ids=["two per line", "nan", "one line of two"],
+    )
+    def test_bad_signal_names_file_and_line(self, pipeline, tmp_path, capsys, edit, line, reason):
+        config, out = pipeline
+        manifest, signal, _ = self.one_record_manifest(out, tmp_path)
+        lines = edit(signal.read_text().splitlines(keepends=True))
+        signal.write_text("".join(lines))
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        bad = lines[line - 1].strip()
+        assert capsys.readouterr().err == f"error: {signal}:{line}: {reason}: {bad!r}\n"
+
     @pytest.mark.parametrize("key", ["signal_path", "meta_path"])
     def test_non_string_manifest_path_exits_1(self, pipeline, tmp_path, capsys, key):
         config, out = pipeline
@@ -375,6 +424,28 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert_one_line_error(err)
         assert err == f"error: {tmp_path}: is a directory\n"
+
+    def test_features_under_a_file_exits_1(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        features = out / "features.csv" / "x"
+        code = main(["train", str(features), "--config", str(config),
+                     "--out", str(tmp_path), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {features}: not a directory\n"
+
+    def test_holdout_refuses_a_class_left_out_of_training(self, pipeline, tmp_path, capsys):
+        # the first class's one row always falls in the held-out fold
+        config, out = pipeline
+        header, *rows = (out / "features.csv").read_text().splitlines(keepends=True)
+        labels = [row.rsplit(",", 1)[1] for row in rows]
+        first = min(labels)
+        kept = [row for row, label in zip(rows, labels) if label != first]
+        features = tmp_path / "features.csv"
+        features.write_text(header + rows[labels.index(first)] + "".join(kept))
+        code = main(["eval", str(features), "--config", str(config), "--out", str(tmp_path),
+                     "--holdout", "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == "error: every class needs at least one sample\n"
 
     def test_missing_features_nonzero_exit(self, tmp_path):
         config = write_config(tmp_path)

@@ -200,6 +200,9 @@ def corrupt(record: Path, how: str) -> None:
     elif how == "short importances":
         doc["report"]["importances"] = doc["report"]["importances"][:-1]
         record.write_text(json.dumps(doc))
+    elif how == "nested importances":  # decodes, but cannot encode back
+        doc["report"]["importances"] = [doc["report"]["importances"]]
+        record.write_text(json.dumps(doc))
     elif how == "fractional counts":
         doc["report"]["confusion_matrix"][0][0] += 1.5
         record.write_text(json.dumps(doc))
@@ -212,7 +215,7 @@ def corrupt(record: Path, how: str) -> None:
 @pytest.mark.parametrize(
     "how",
     ["truncated", "not json", "list", "report string", "accuracy string",
-     "short importances", "fractional counts", "directory", "deleted"],
+     "short importances", "nested importances", "fractional counts", "directory", "deleted"],
 )
 def test_unusable_record_is_a_miss(table, tmp_path, cv_calls, capsys, how):
     k, config, features, trained = table

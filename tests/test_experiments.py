@@ -393,12 +393,12 @@ class TestFeaturize:
         ]
         manifest = write_dataset(tmp_path, records)
         person_cfg = ex.ExperimentConfig.from_dict({"seed": 1, "task": "identify_person"})
-        path, rejects = ex.run_featurize(manifest, person_cfg, tmp_path / "by_person", quiet=True)
+        path, rejects = ex.run_featurize(manifest, person_cfg, tmp_path / "by_person")
         _, _, labels = eio.read_features(path)
         assert sorted(set(labels)) == ["p0", "p1"]
         assert rejects == []
         mood_cfg = ex.ExperimentConfig.from_dict({"seed": 1, "task": "classify_mood"})
-        path, _ = ex.run_featurize(manifest, mood_cfg, tmp_path / "by_mood", quiet=True)
+        path, _ = ex.run_featurize(manifest, mood_cfg, tmp_path / "by_mood")
         _, _, labels = eio.read_features(path)
         assert sorted(set(labels)) == ["happy", "sad"]
 
@@ -410,7 +410,7 @@ class TestFeaturize:
         manifest = write_dataset(tmp_path, records)
         cfg = ex.ExperimentConfig.from_dict({"seed": 1, "task": "identify_person"})
         with pytest.raises(ValidationError, match="sample rates"):
-            ex.run_featurize(manifest, cfg, tmp_path / "out", quiet=True)
+            ex.run_featurize(manifest, cfg, tmp_path / "out")
 
     def test_degenerate_record_rejected_not_fatal(self, tmp_path):
         records = [
@@ -422,7 +422,7 @@ class TestFeaturize:
         ]
         manifest = write_dataset(tmp_path, records)
         cfg = ex.ExperimentConfig.from_dict({"seed": 1, "task": "identify_person"})
-        path, rejects = ex.run_featurize(manifest, cfg, tmp_path / "out", quiet=True)
+        path, rejects = ex.run_featurize(manifest, cfg, tmp_path / "out")
         matrix, _, labels = eio.read_features(path)
         assert matrix.shape[0] == 3
         assert len(rejects) == 1
@@ -435,14 +435,14 @@ class TestFeaturize:
         manifest = write_dataset(tmp_path, [sine_record(210.0, mood="happy")])
         cfg = ex.ExperimentConfig.from_dict({"seed": 1, "task": "identify_person"})
         with pytest.raises(ValidationError, match="person_id"):
-            ex.run_featurize(manifest, cfg, tmp_path / "out", quiet=True)
+            ex.run_featurize(manifest, cfg, tmp_path / "out")
 
     def test_sidecar_fingerprint_matches_config(self, tmp_path):
         manifest = write_dataset(
             tmp_path, [sine_record(210.0 + i, person_id=f"p{i}") for i in range(2)]
         )
         cfg = ex.ExperimentConfig.from_dict({"seed": 1, "task": "identify_person"})
-        ex.run_featurize(manifest, cfg, tmp_path / "out", quiet=True)
+        ex.run_featurize(manifest, cfg, tmp_path / "out")
         sidecar = eio.read_json(tmp_path / "out" / "features.meta.json")
         assert sidecar["mfcc_fingerprint"] == eio.mfcc_fingerprint(MfccConfig())
         assert sidecar["label_key"] == "person_id"
@@ -477,7 +477,7 @@ class TestTrainEval:
     def test_train_writes_model_and_report(self, tmp_path):
         features = separable_features(tmp_path)
         cfg = tiny_config()
-        report, model_path, report_path = ex.run_train(features, cfg, tmp_path / "out", quiet=True)
+        report, model_path, report_path = ex.run_train(features, cfg, tmp_path / "out")
         assert model_path.exists() and report_path.exists()
         assert report.accuracy >= 0.9
         stored = eio.read_json(report_path)
@@ -488,7 +488,7 @@ class TestTrainEval:
     def test_train_report_matches_direct_cross_validate(self, tmp_path):
         features = separable_features(tmp_path)
         cfg = tiny_config()
-        report, _, _ = ex.run_train(features, cfg, tmp_path / "out", quiet=True)
+        report, _, _ = ex.run_train(features, cfg, tmp_path / "out")
         matrix, names, labels = eio.read_features(features)
         data = ex.dataset_from_features(matrix, names, labels)
         direct = forest.cross_validate(data, cfg.forest_params, k=4, seed=9)
@@ -499,7 +499,7 @@ class TestTrainEval:
         features = separable_features(tmp_path, rows_per_class=10)
         cfg = tiny_config()
         report, report_path = ex.run_eval(
-            features, cfg, tmp_path / "out", holdout=True, quiet=True
+            features, cfg, tmp_path / "out", holdout=True
         )
         assert report_path.exists()
         assert report.confusion_matrix.sum() == 4  # 20% of 20 rows
@@ -509,29 +509,29 @@ class TestTrainEval:
         features = separable_features(tmp_path)
         with pytest.raises(ValidationError):
             ex.run_eval(features, tiny_config(), tmp_path / "out",
-                        model_path="model.rfj", holdout=True, quiet=True)
+                        model_path="model.rfj", holdout=True)
 
     def test_eval_with_saved_model(self, tmp_path):
         features = separable_features(tmp_path)
         cfg = tiny_config()
-        _, model_path, _ = ex.run_train(features, cfg, tmp_path / "out", quiet=True)
+        _, model_path, _ = ex.run_train(features, cfg, tmp_path / "out")
         report, _ = ex.run_eval(
-            features, cfg, tmp_path / "eval", model_path=model_path, quiet=True
+            features, cfg, tmp_path / "eval", model_path=model_path
         )
         assert report.accuracy >= 0.9  # scored on its own training rows
 
     def test_eval_model_fingerprint_mismatch(self, tmp_path):
         features = separable_features(tmp_path)
         cfg = tiny_config()
-        _, model_path, _ = ex.run_train(features, cfg, tmp_path / "out", quiet=True)
+        _, model_path, _ = ex.run_train(features, cfg, tmp_path / "out")
         other = tiny_config(mfcc={"n_mfcc": 10})
         with pytest.raises(ValidationError):
-            ex.run_eval(features, other, tmp_path / "eval", model_path=model_path, quiet=True)
+            ex.run_eval(features, other, tmp_path / "eval", model_path=model_path)
 
     def test_search_writes_trials(self, tmp_path):
         features = separable_features(tmp_path)
         cfg = tiny_config(search={"n_iter": 3, "space": {"n_estimators": [5, 10, 15, 20]}})
-        report, model_path, _ = ex.run_train(features, cfg, tmp_path / "out", quiet=True)
+        report, model_path, _ = ex.run_train(features, cfg, tmp_path / "out")
         trials = eio.read_json(tmp_path / "out" / "search_trials.json")
         assert len(trials) == 3
         assert report.accuracy >= 0.9
@@ -543,7 +543,7 @@ class TestReport:
     def test_balanced_baselines_and_importance(self, tmp_path):
         features = separable_features(tmp_path, n_classes=3, rows_per_class=8)
         cfg = tiny_config(cv_folds=4)
-        bundle = ex.run_report(features, cfg, tmp_path / "rep", quiet=True)
+        bundle = ex.run_report(features, cfg, tmp_path / "rep")
         ks = [row[0] for row in bundle.accuracy_vs_k]
         baselines = [row[2] for row in bundle.accuracy_vs_k]
         assert ks == [2, 3]
@@ -555,7 +555,7 @@ class TestReport:
     def test_report_csv_files(self, tmp_path):
         features = separable_features(tmp_path, n_classes=3, rows_per_class=8)
         cfg = tiny_config(cv_folds=4)
-        ex.run_report(features, cfg, tmp_path / "rep", quiet=True)
+        ex.run_report(features, cfg, tmp_path / "rep")
         acc_lines = (tmp_path / "rep" / "accuracy_vs_k.csv").read_text().splitlines()
         assert acc_lines[0] == "k,forest_accuracy,baseline_accuracy"
         assert len(acc_lines) == 3
@@ -569,4 +569,4 @@ class TestReport:
         path = tmp_path / "features.csv"
         eio.write_features(path, rows, ("a", "b", "c"), ["only"] * 6)
         with pytest.raises(ValidationError):
-            ex.run_report(path, tiny_config(), tmp_path / "rep", quiet=True)
+            ex.run_report(path, tiny_config(), tmp_path / "rep")

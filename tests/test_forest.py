@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -681,6 +682,9 @@ def _root_internal(tree: dict) -> int:
         (lambda t, i: t["depth"].pop(), "differ in length"),
         (lambda t, i: [row.pop() for row in t["histogram"]], "histogram width"),
         (lambda t, i: t["histogram"].__setitem__(t["left"][i], [0, 0]), "leaf class counts"),
+        (lambda t, i: t["histogram"][t["left"][i]].__setitem__(0, None), "counts must be finite"),
+        (lambda t, i: t["threshold"].__setitem__(i, None), "thresholds"),
+        (lambda t, i: t["weighted_decrease"].__setitem__(i, float("inf")), "impurity decreases"),
         (lambda t, i: t.pop("impurity"), "impurity"),
         (lambda t, i: t["left"].__setitem__(i, "x"), "malformed model"),
     ],
@@ -712,6 +716,24 @@ def test_model_load_decodes_params_strictly(tmp_path, params, key):
     path = tmp_path / "model.rfj"
     path.write_text(dump_json(doc))
     with pytest.raises(ValidationError, match=key):
+        rf.load_model(path)
+
+
+@pytest.mark.parametrize(
+    "key, value, where",
+    [
+        ("class_names", [["c0"], "c1"], "class_names[0]"),
+        ("feature_names", "f0", "feature_names"),
+        ("per_tree_seeds", [1.5] * 12, "per_tree_seeds[0]"),
+    ],
+)
+def test_model_load_decodes_names_and_seeds_strictly(tmp_path, key, value, where):
+    data = blob_dataset(10, [[0], [2]], seed=28)
+    doc = rf.model_to_document(rf.fit_forest(data, SMALL))
+    doc[key] = value
+    path = tmp_path / "model.rfj"
+    path.write_text(dump_json(doc))
+    with pytest.raises(ValidationError, match=re.escape(where)):
         rf.load_model(path)
 
 
@@ -879,3 +901,48 @@ def test_split_search_passes_do_not_change_trees(monkeypatch):
     narrow = rf.fit_forest(data, params)
     for a, b in zip(wide.trees, narrow.trees):
         assert_same_tree(a, b)
+
+
+def test_eval_report_from_dict_inverts_to_dict():
+    data = blob_dataset(12, [[0, 0], [3, 3], [0, 3]], seed=30)
+    report = rf.cross_validate(data, SMALL, k=3, seed=4)
+    decoded = rf.EvalReport.from_dict(report.to_dict())
+    assert dump_json(decoded.to_dict()) == dump_json(report.to_dict())
+    assert decoded.confusion_matrix.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda d: d.pop("auroc"),
+        lambda d: d.update(accuracy=str(d["accuracy"])),  # a number as text
+        lambda d: d["confusion_matrix"][0].__setitem__(0, 1.5),  # fractional count
+        lambda d: d.update(importances=[[1.0]]),  # nested: no value per feature
+        lambda d: d.update(per_fold_accuracies=None),
+        lambda d: d.update(extra=1),
+    ],
+)
+def test_eval_report_from_dict_refuses_what_does_not_encode_back(edit):
+    report = rf.eval_report(np.array([0, 1, 1]), np.eye(2)[[0, 1, 0]], [slice(None)], [0.5, 0.5])
+    doc = report.to_dict()
+    edit(doc)
+    with pytest.raises(ValidationError):
+        rf.EvalReport.from_dict(doc)
+
+
+@pytest.mark.parametrize("seed", [0, 7, 20250801])
+def test_holdout_is_fold_0_of_the_cv_fit_with_its_full_data_seed(seed):
+    # the rule holdout had before it moved here: the first two words of the
+    # seed's state pick the folds and the forest seed
+    data = blob_dataset(9, [[0, 0], [3, 3], [0, 3]], seed=31)
+    state = np.random.SeedSequence([seed]).generate_state(2)
+    test_idx = rf.stratified_kfold(data.labels, 5, int(state[0]))[0]
+    train = np.setdiff1d(np.arange(data.labels.size), test_idx)
+    model = rf.fit_forest(
+        rf.Dataset(data.features[train], data.labels[train], data.feature_names, data.class_names),
+        rf.ForestParams(**{**SMALL.to_dict(), "seed": int(state[1])}),
+    )
+    proba = rf.predict_proba(model, data.features[test_idx])
+    expected = rf.eval_report(data.labels[test_idx], proba, [slice(None)], rf.mdi_importance(model))
+    report = rf.holdout_validate(data, SMALL, seed)
+    assert dump_json(report.to_dict()) == dump_json(expected.to_dict())

@@ -179,3 +179,20 @@ def test_record_without_samples_names_the_file(tmp_path, text):
         warnings.simplefilter("error")  # numpy's "input contained no data" must not show
         with pytest.raises(ValidationError, match=f"^{re.escape(str(signal))}: no samples$"):
             eio.read_record(signal, meta)
+
+
+def test_open_text_names_the_path_of_every_input_fault(tmp_path):
+    text = tmp_path / "t.txt"
+    text.write_bytes(b"ok\n\xff\n")
+    faults = {
+        tmp_path / "absent": "no such file or directory",
+        tmp_path: "is a directory",
+        text / "x": "not a directory",
+    }
+    for path, reason in faults.items():
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: {reason}$"):
+            with eio.open_text(path):
+                pass
+    with pytest.raises(ValidationError, match=f"^{re.escape(str(text))}: not valid UTF-8$"):
+        with eio.open_text(text) as fh:
+            fh.read()
