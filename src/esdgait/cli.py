@@ -10,6 +10,7 @@ beat built-in defaults. Exit codes: 0 success, 1 invalid input or config,
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -28,6 +29,7 @@ log = logging.getLogger("esdgait")
 _DETECT_CHUNK_LINES = 2500
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--config", help="experiment config JSON")
@@ -154,6 +156,35 @@ def _parse_lines(lines: list[str], line_no: int, source: str):
     return np.array(values), None
 
 
+def _sample_chunks(source: str):
+    """The signal's samples in pushes of _DETECT_CHUNK_LINES, whatever the
+    blank lines, so events print in the same order as a per-line reader's.
+    A record file with a matching sidecar is not parsed at all."""
+    stored = None if source == "-" else io.read_stored_samples(source)
+    if stored is not None:
+        for begin in range(0, stored.size, _DETECT_CHUNK_LINES):
+            yield stored[begin : begin + _DETECT_CHUNK_LINES]
+        return
+    lines = _signal_lines(source)
+    name = "<stdin>" if source == "-" else source
+    pending = np.empty(0)
+    line_no = 0
+    while chunk := list(itertools.islice(lines, _DETECT_CHUNK_LINES)):
+        try:
+            values, error = np.array(chunk, dtype=float), None
+        except ValueError:  # a blank line or a bad value somewhere in the chunk
+            values, error = _parse_lines(chunk, line_no, name)
+        line_no += len(chunk)
+        pending = np.concatenate([pending, values])
+        while pending.size >= _DETECT_CHUNK_LINES:
+            yield pending[:_DETECT_CHUNK_LINES]
+            pending = pending[_DETECT_CHUNK_LINES:]
+        if error is not None:
+            raise error
+    if pending.size:
+        yield pending
+
+
 def _event_line(kind: str, event: legshake.ShakeEvent) -> str:
     payload = {"type": kind, **event.to_dict()}
     return json.dumps(payload)
@@ -166,41 +197,15 @@ def cmd_detect(args) -> None:
         config = legshake.DetectorConfig()
     detector = legshake.ShakeDetector(config)
     closed_reported = 0
-
-    def report_closures() -> None:
-        nonlocal closed_reported
+    for samples in _sample_chunks(args.source):
+        for event in detector.push(samples):
+            print(_event_line("open", event), flush=True)
         while closed_reported < len(detector.events):
             event = detector.events[closed_reported]
             if event.offset is None:
                 break
             print(_event_line("close", event), flush=True)
             closed_reported += 1
-
-    def push(samples: np.ndarray) -> None:
-        for event in detector.push(samples):
-            print(_event_line("open", event), flush=True)
-        report_closures()
-
-    source = "<stdin>" if args.source == "-" else args.source
-    lines = _signal_lines(args.source)
-    pending = np.empty(0)
-    line_no = 0
-    while chunk := list(itertools.islice(lines, _DETECT_CHUNK_LINES)):
-        try:
-            values, error = np.array(chunk, dtype=float), None
-        except ValueError:  # a blank line or a bad value somewhere in the chunk
-            values, error = _parse_lines(chunk, line_no, source)
-        line_no += len(chunk)
-        # pushes hold _DETECT_CHUNK_LINES samples each, whatever the blank
-        # lines, so events print in the same order as a per-line reader's
-        pending = np.concatenate([pending, values])
-        while pending.size >= _DETECT_CHUNK_LINES:
-            push(pending[:_DETECT_CHUNK_LINES])
-            pending = pending[_DETECT_CHUNK_LINES:]
-        if error is not None:
-            raise error
-    if pending.size:
-        push(pending)
     log.info("events: %d", len(detector.events))
 
 

@@ -6,6 +6,10 @@ batch of records is listed in a `dataset.json` manifest. Feature tables
 are `features.csv` (header + one row per record, trailing label column)
 with a `features.meta.json` sidecar recording the extraction settings.
 
+`simulate` also writes `<name>.sig.csv.f8` next to each signal: the
+samples as float64 under a sha256 key of the signal's bytes, so readers of
+an unchanged record skip the text parse (see `read_stored_samples`).
+
 All writers go through a temp file in the target directory followed by an
 atomic rename, so readers never observe partial files.
 """
@@ -47,12 +51,18 @@ META_KEYS = (
 
 
 def atomic_write_text(path, text: str) -> None:
+    _atomic_write(path, [text.encode("utf-8")])
+
+
+def _atomic_write(path, chunks) -> None:
+    """Write the byte chunks (bytes or contiguous arrays) one after another."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -175,27 +185,62 @@ def mfcc_fingerprint(config: MfccConfig) -> str:
 
 
 def write_record(record: SignalRecord, signal_path, meta_path) -> None:
-    atomic_write_text(signal_path, _format_samples(record.samples))
+    """Write the signal text, then its sidecar, then the labels."""
+    blocks, parsed = _format_samples(record.samples)
+    stored = parsed.astype("<f8", copy=False)
+    digest = hashlib.sha256()
+    for chunk in (*blocks, stored):
+        digest.update(chunk)
+    _atomic_write(signal_path, blocks)
+    _atomic_write(_sidecar_path(signal_path), [_SIDECAR_TAG, digest.digest(), stored])
     meta = {key: None for key in META_KEYS}
     meta.update(record.labels)
     meta["sample_rate"] = record.sample_rate
     atomic_write_json(meta_path, meta)
 
 
+# A sidecar holds this tag, a key, and one little-endian float64 per line of
+# the signal file: the float that line parses to. The key is the sha256 of
+# the signal file's bytes followed by the float64 bytes, so it also fails
+# when the samples change after writing.
+_SIDECAR_TAG = b"esdgait f8 v1\n\0\0"
+_SIDECAR_HEAD = len(_SIDECAR_TAG) + hashlib.sha256().digest_size
+
+
+def _sidecar_path(signal_path) -> Path:
+    return Path(f"{signal_path}.f8")
+
+
+def read_stored_samples(signal_path) -> np.ndarray | None:
+    """The samples in the signal's sidecar, or None unless the sidecar
+    provably belongs to the signal text as it is now: the tag matches, the
+    key is the sha256 of the text and the samples, there is one sample per
+    line (and at least one), and every sample is finite. A missing or
+    unreadable file is a miss too, so callers fall back to parsing the text."""
+    try:
+        with open(_sidecar_path(signal_path), "rb") as fh:
+            head = fh.read(_SIDECAR_HEAD)
+            samples = np.fromfile(fh, dtype="<f8")
+        digest, lines = hashlib.sha256(), 0
+        with open(signal_path, "rb") as fh:
+            while block := fh.read(1 << 16):
+                digest.update(block)
+                lines += block.count(b"\n")
+    except OSError:
+        return None
+    digest.update(samples)
+    if head != _SIDECAR_TAG + digest.digest() or samples.size != lines or lines == 0:
+        return None
+    return samples if np.all(np.isfinite(samples)) else None
+
+
 def read_record(signal_path, meta_path) -> SignalRecord:
     # the open only vets the path: np.loadtxt parses a file it opens by name
     # in blocks, and a handle line by line at about 1.6x the time
-    with open_text(signal_path), warnings.catch_warnings():
-        # an empty file is reported below, naming the file
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-        try:
-            samples = np.loadtxt(signal_path, dtype=float, ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(_bad_sample(signal_path, exc)) from None
-    if samples.size == 0:
-        raise ValidationError(f"{signal_path}: no samples")
-    if samples.shape[1] != 1 or not np.all(np.isfinite(samples)):
-        raise ValidationError(_bad_sample(signal_path, "expected one finite sample per line"))
+    with open_text(signal_path):
+        samples = read_stored_samples(signal_path)
+        if samples is None:
+            samples = _parse_samples(signal_path)
     meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValidationError(f"{meta_path}: expected a JSON object")
@@ -206,15 +251,34 @@ def read_record(signal_path, meta_path) -> SignalRecord:
     if sample_rate <= 0:
         _fail(where, f"must be positive, got {sample_rate!r}")
     labels = {k: v for k, v in meta.items() if k != "sample_rate"}
-    return SignalRecord(samples=samples.ravel(), sample_rate=sample_rate, labels=labels)
+    return SignalRecord(samples=samples, sample_rate=sample_rate, labels=labels)
+
+
+def _parse_samples(signal_path) -> np.ndarray:
+    with warnings.catch_warnings():
+        # an empty file is reported below, naming the file
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            samples = np.loadtxt(signal_path, dtype=float, ndmin=2)
+        except ValueError as exc:
+            raise ValidationError(_bad_sample(signal_path, exc)) from None
+    if samples.size == 0:
+        raise ValidationError(f"{signal_path}: no samples")
+    if samples.shape[1] != 1 or not np.all(np.isfinite(samples)):
+        raise ValidationError(_bad_sample(signal_path, "expected one finite sample per line"))
+    return samples.ravel()
 
 
 def _bad_sample(path, reason) -> str:
     """Name the first line of a signal file that is not one finite number;
     only called once np.loadtxt's result is refused, so good files are read
     once."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:  # a surrogate stands for a byte that is not UTF-8
+                return f"{path}:{line_no}: not valid UTF-8"
             text = line.split("#", 1)[0].strip()
             try:
                 if text and not math.isfinite(float(text)):
@@ -245,22 +309,30 @@ _EXP = np.frombuffer(b"".join(b"e%+04d\n\0\0" % e for e in range(_EXP_MIN, 302))
 _KEEP = np.frombuffer(b"\0" + b"\1" * 17 + b"\0\0", dtype=bool)
 
 
-def _format_samples(samples) -> str:
-    """Record text: each sample as "%.8e" on its own line, byte for byte
-    what Python's % operator gives for every float64."""
+def _format_samples(samples) -> tuple[list[bytes], np.ndarray]:
+    """Record text, as blocks of bytes, and the samples it holds. The text
+    is each sample as "%.8e" on its own line, byte for byte what Python's %
+    operator gives for every float64; the array holds the float each line
+    parses to."""
     x = np.asarray(samples, dtype=float).ravel()
+    parsed = np.empty(x.size)
     if x.size == 0:
-        return "\n"
-    return "".join(
-        _format_block(x[i : i + _FORMAT_BLOCK_ROWS]) for i in range(0, x.size, _FORMAT_BLOCK_ROWS)
-    )
+        return [b"\n"], parsed
+    blocks = [
+        _format_block(x[i : i + _FORMAT_BLOCK_ROWS], parsed[i : i + _FORMAT_BLOCK_ROWS])
+        for i in range(0, x.size, _FORMAT_BLOCK_ROWS)
+    ]
+    return blocks, parsed
 
 
-def _format_block(x: np.ndarray) -> str:
+def _format_block(x: np.ndarray, parsed: np.ndarray) -> bytes:
+    """One block's text; fills `parsed` with the float each line parses to."""
     a = np.abs(x)
     nonzero = a != 0.0
     if not (np.all(np.isfinite(a)) and np.all((a[nonzero] >= 1e-300) & (a[nonzero] <= 1e300))):
-        return "".join("%.8e\n" % v for v in x)
+        lines = [b"%.8e\n" % v for v in x]
+        parsed[:] = [float(line) for line in lines]
+        return b"".join(lines)
     a = np.where(nonzero, a, 1.0)
     # scale to a 9-digit mantissa m = a * 10**k in [1e8, 1e9); log10 may
     # miss the decimal exponent by one, which the second scaling corrects
@@ -282,6 +354,15 @@ def _format_block(x: np.ndarray) -> str:
         text = "%.8e" % a[i]
         mant[i] = int(text[0] + text[2:10])
         exp[i] = int(text[11:])
+    # the line's value is mant / 10**k: with 0 <= k <= 22 that is one
+    # correctly rounded division of exact operands, and with -22 <= k < 0
+    # one multiplication (Clinger's fast path), so it equals the parse
+    k = 8 - exp
+    scale = _POW10[np.minimum(np.abs(k), 22) - _POW10_MIN]
+    whole = mant.astype(float)
+    parsed[:] = np.copysign(np.where(k >= 0, whole / scale, whole * scale), x)
+    for i in np.flatnonzero(np.abs(k) > 22):
+        parsed[i] = float("%.8e" % x[i])
     lead, rest = np.divmod(mant, 100_000_000)
     hi, lo = np.divmod(rest, 10_000)
     rows = np.empty(x.size, dtype=_ROW)
@@ -293,7 +374,7 @@ def _format_block(x: np.ndarray) -> str:
     keep[:] = _KEEP
     keep[:, 1] = np.signbit(x)
     keep[:, 14] = np.abs(exp) >= 100
-    return rows.view(np.uint8)[keep.ravel()].tobytes().decode("ascii")
+    return rows.view(np.uint8)[keep.ravel()].tobytes()
 
 
 def write_manifest(path, entries: list[dict]) -> None:
@@ -355,6 +436,11 @@ def _parse_features(path, reader) -> tuple[np.ndarray, tuple[str, ...], list[str
         raise ValidationError(f"{path}: empty features file") from None
     if not header or header[-1] != "label":
         raise ValidationError(f"{path}: last column must be 'label'")
+    seen = set()
+    for name in header:
+        if name in seen:
+            raise ValidationError(f"{path}: duplicate column {name!r}")
+        seen.add(name)
     names = tuple(header[:-1])
     rows, labels = [], []
     for line_no, row in enumerate(reader, start=2):

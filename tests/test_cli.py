@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io as std_io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -268,6 +269,19 @@ class TestFeaturize:
         bad = lines[line - 1].strip()
         assert capsys.readouterr().err == f"error: {signal}:{line}: {reason}: {bad!r}\n"
 
+    def test_not_utf8_sample_reads_as_in_detect(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        manifest, signal, _ = self.one_record_manifest(out, tmp_path)
+        lines = signal.read_bytes().splitlines(keepends=True)
+        lines[7] = lines[7][:3] + b"\xff" + lines[7][3:]
+        signal.write_bytes(b"".join(lines))
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {signal}:8: not valid UTF-8\n"
+        assert main(["detect", str(signal), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: {signal}:8: not valid UTF-8\n"
+
     @pytest.mark.parametrize("key", ["signal_path", "meta_path"])
     def test_non_string_manifest_path_exits_1(self, pipeline, tmp_path, capsys, key):
         config, out = pipeline
@@ -424,6 +438,20 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert_one_line_error(err)
         assert err == f"error: {tmp_path}: is a directory\n"
+
+    @pytest.mark.parametrize("command", ["train", "eval", "report"])
+    def test_repeated_column_exits_1(self, pipeline, tmp_path, capsys, command):
+        config, out = pipeline
+        header, *rows = (out / "features.csv").read_text().splitlines(keepends=True)
+        names = header.split(",")
+        names[2] = names[0]
+        features = tmp_path / "features.csv"
+        features.write_text(",".join(names) + "".join(rows))
+        code = main([command, str(features), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {features}: duplicate column {names[0]!r}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_features_under_a_file_exits_1(self, pipeline, tmp_path, capsys):
         config, out = pipeline
@@ -669,6 +697,20 @@ class TestArgumentHandling:
     def test_unknown_command_usage_error(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_one_parser_serves_calls_that_share_nothing(self, monkeypatch):
+        seen = []
+        for command in ("simulate", "detect"):
+            monkeypatch.setitem(cli._COMMANDS, command, seen.append)
+        assert main(["simulate", "--config", "c.json", "--seed", "7", "--out", "o",
+                     "--jobs", "2", "--quiet"]) == 0
+        assert main(["detect", "s.sig.csv"]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert vars(seen[1]) == {
+            "command": "detect", "config": None, "seed": None, "out": ".", "jobs": 1,
+            "quiet": False, "source": "s.sig.csv",
+        }
+        assert logging.getLogger("esdgait").getEffectiveLevel() == logging.INFO
 
     def test_jobs_must_be_positive(self, pipeline, capsys):
         config, out = pipeline

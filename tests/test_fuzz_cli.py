@@ -1,9 +1,10 @@
 """Fuzz the input boundary: cli.main runs in-process on mutated copies of
-tiny valid inputs (a config, a one-record manifest with its record pair, a
-feature table, a saved model and a detect source). Whatever the mutation,
-no exception may escape, and a non-zero return is 1 or 2 with exactly one
-stderr line, starting "error: ". A path that is a directory, missing or
-under a file is bad input, so it returns 1."""
+tiny valid inputs (a config, a one-record manifest with its record pair
+and sidecar, a feature table, a saved model and a detect source). Whatever
+the mutation, no exception may escape, and a non-zero return is 1 or 2 with
+exactly one stderr line, starting "error: ". A path that is a directory,
+missing or under a file is bad input, so it returns 1. A mutated sidecar is
+no input at all: featurize must succeed as if it were absent."""
 
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ CONFIG = {
 # each input's file name; the manifest lists the signal and meta pair
 FILES = {
     "config": "config.json", "manifest": "dataset.json", "signal": "r.sig.csv",
-    "meta": "r.meta.json", "features": "features.csv", "model": "model.rfj",
-    "source": "source.sig.csv",
+    "meta": "r.meta.json", "sidecar": "r.sig.csv.f8", "features": "features.csv",
+    "model": "model.rfj", "source": "source.sig.csv",
 }
 JSON_ROLES = {"config", "manifest", "meta", "model"}
 # each command with the inputs it reads, as argv templates
@@ -50,7 +51,7 @@ COMMANDS = {
 }
 ROLES = {
     name: [part[1:-1] for part in argv if part.startswith("{")]
-    + (["signal", "meta"] if name == "featurize" else [])
+    + (["signal", "meta", "sidecar"] if name == "featurize" else [])
     for name, argv in COMMANDS.items()
 }
 WRONG_VALUES = [None, True, "x", 1.5, -1, 0, [], {}, [1], {"x": 1}, float("inf")]
@@ -86,7 +87,9 @@ def cases(draw):
     # the input first, so each file is mutated about as often as any other
     role = draw(st.sampled_from(sorted(FILES)))
     command = draw(st.sampled_from([c for c in sorted(COMMANDS) if role in ROLES[c]]))
-    kinds = ["flip", "truncate", "bad_utf8", "directory", "missing", "under_file"]
+    kinds = ["flip", "truncate", "bad_utf8", "directory", "missing"]
+    if role != "sidecar":  # no input names the sidecar's path
+        kinds.append("under_file")
     if role in JSON_ROLES:
         kinds.append("swap")
     kind = draw(st.sampled_from(kinds))
@@ -183,8 +186,20 @@ def test_mutated_inputs_end_in_one_error_line(inputs, case):
         paths.update(mutate(work, role, kind, position, detail))
         argv = [part.format(**paths) for part in COMMANDS[command]]
         code, err = run_main([*argv, "--out", str(work / "out")])
+        if role == "sidecar":
+            # a spoiled sidecar is a miss: featurize reads the record text
+            # and writes what it writes with no sidecar at all
+            assert (code, err) == (0, "")
+            sidecar = work / FILES["sidecar"]
+            if sidecar.is_dir():
+                sidecar.rmdir()
+            elif sidecar.exists():
+                sidecar.unlink()
+            assert run_main([*argv, "--out", str(work / "text")]) == (0, "")
+            features = [(work / out / "features.csv").read_bytes() for out in ("out", "text")]
+            assert features[0] == features[1]
     assert code in (0, 1, 2)
-    if kind in ("directory", "missing", "under_file"):
+    if kind in ("directory", "missing", "under_file") and role != "sidecar":
         assert code == 1, err  # a bad path is bad input
     if code != 0:
         lines = err.splitlines()

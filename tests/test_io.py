@@ -19,6 +19,7 @@ import esdgait.io as eio
 from esdgait import experiments
 from esdgait.errors import ValidationError
 from esdgait.io import from_json, read_features, write_features
+from esdgait.simkit import SignalRecord
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -127,13 +128,43 @@ SAMPLE_VALUES = st.one_of(
 )
 
 
+def sample_text(values) -> str:
+    blocks, _ = eio._format_samples(np.array(values, dtype=float))
+    return b"".join(blocks).decode("ascii")
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.lists(SAMPLE_VALUES, max_size=40), st.integers(1, 9))
 def test_sample_text_equals_percent_e(values, block_rows):
     # small blocks put block boundaries inside short arrays, so a block
     # that falls back (nan, subnormal) sits next to one that does not
     with mock.patch.object(eio, "_FORMAT_BLOCK_ROWS", block_rows):
-        assert eio._format_samples(np.array(values, dtype=float)) == percent_e(values)
+        assert sample_text(values) == percent_e(values)
+
+
+def bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+# 9-digit decimals d.dddddddd x 10**e around the fast path's edge: the
+# stored value is mant / 10**k with k = 8 - e, exact only while |k| <= 22
+NEAR_FAST_PATH_EDGE = signed(
+    st.tuples(st.integers(100_000_000, 999_999_999), st.integers(-18, 34)).map(
+        lambda t: float(f"{t[0]}e{t[1] - 8}")
+    )
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(st.one_of(SAMPLE_VALUES, NEAR_FAST_PATH_EDGE), min_size=1, max_size=40),
+    st.integers(1, 9),
+)
+def test_stored_samples_equal_the_parsed_text(values, block_rows):
+    with mock.patch.object(eio, "_FORMAT_BLOCK_ROWS", block_rows):
+        blocks, parsed = eio._format_samples(np.array(values, dtype=float))
+    text = b"".join(blocks).decode("ascii")
+    assert bits(parsed) == bits([float(line) for line in text.splitlines()])
 
 
 def test_sample_text_across_magnitudes_and_blocks():
@@ -148,8 +179,8 @@ def test_sample_text_across_magnitudes_and_blocks():
     walk = rng.normal(0.0, 1e-9, size)
     walk[eio._FORMAT_BLOCK_ROWS + 3] = math.nan  # the second block falls back alone
     for values in (magnitudes, halfway, walk):
-        assert eio._format_samples(values) == percent_e(values)
-    assert eio._format_samples(np.empty(0)) == percent_e([])
+        assert sample_text(values) == percent_e(values)
+    assert sample_text(np.empty(0)) == percent_e([])
 
 
 # sha256 of the first record's .sig.csv for each shipped config at its own
@@ -196,3 +227,19 @@ def test_open_text_names_the_path_of_every_input_fault(tmp_path):
     with pytest.raises(ValidationError, match=f"^{re.escape(str(text))}: not valid UTF-8$"):
         with eio.open_text(text) as fh:
             fh.read()
+
+
+def test_sidecar_holds_tag_key_and_parsed_text(tmp_path):
+    rng = np.random.default_rng(8)
+    values = rng.normal(0.0, 1e-9, 2 * eio._FORMAT_BLOCK_ROWS + 5)
+    values[:4] = [0.0, -0.0, 1e-20, -3.5e40]  # k = 28 and k = -32 parse their own text
+    signal = tmp_path / "r.sig.csv"
+    eio.write_record(SignalRecord(values, 10_000.0, {}), signal, tmp_path / "r.meta.json")
+    text = signal.read_bytes()
+    data = (tmp_path / "r.sig.csv.f8").read_bytes()
+    parsed = [float(line) for line in text.splitlines()]
+    assert data[:16] == eio._SIDECAR_TAG
+    assert data[16:48] == hashlib.sha256(text + data[48:]).digest()
+    assert np.frombuffer(data[48:], "<f8").view(np.uint64).tolist() == bits(parsed)
+    assert bits(eio.read_stored_samples(signal)) == bits(parsed)
+    assert bits(eio.read_record(signal, tmp_path / "r.meta.json").samples) == bits(parsed)

@@ -1,0 +1,187 @@
+"""The record sidecar: `simulate` stores each record's samples next to its
+text, `featurize` and `detect` read them instead of parsing the text, and
+any sidecar that does not provably match the text is ignored."""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import shutil
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
+
+import numpy as np
+import pytest
+
+import esdgait.io as eio
+from esdgait import cli
+from esdgait.cli import main
+from esdgait.errors import ValidationError
+
+CONFIG = {
+    "seed": 5,
+    "task": "legshake",
+    "dataset": {
+        "shake_frequencies": [5.5],
+        "onsets": [1.5],
+        "duration": 4.0,
+        "snr_db": 10.0,
+        "samples_per_cell": 2,
+        "noise_only": 1,
+    },
+}
+
+
+def run_main(argv: list[str]) -> tuple[str, int, str]:
+    """stdout, exit code and stderr of one in-process command."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main([*argv, "--quiet"])
+    return out.getvalue(), code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def simulated(tmp_path_factory) -> Path:
+    root = tmp_path_factory.mktemp("sidecar")
+    (root / "config.json").write_text(json.dumps(CONFIG))
+    assert run_main(["simulate", "--config", str(root / "config.json"), "--out", str(root)])[1] == 0
+    return root
+
+
+def signals(root: Path) -> list[Path]:
+    return [Path(e["signal_path"]) for e in eio.read_manifest(root / "dataset.json")]
+
+
+def featurize(root: Path, out: Path) -> tuple[str, int, str]:
+    return run_main(["featurize", str(root / "dataset.json"), "--config",
+                     str(root / "config.json"), "--out", str(out)])
+
+
+def detect_all(root: Path) -> list[tuple[str, int, str]]:
+    return [run_main(["detect", str(s), "--config", str(root / "config.json")])
+            for s in signals(root)]
+
+
+def test_hit_path_parses_no_text(simulated, tmp_path):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the record text was parsed")
+
+    with mock.patch.object(np, "loadtxt", refuse), mock.patch.object(cli, "_signal_lines", refuse):
+        fast_features = featurize(simulated, tmp_path / "fast")
+        fast_detect = detect_all(simulated)
+    assert fast_features[1] == 0
+    assert any('"type": "open"' in out for out, _, _ in fast_detect)
+    # the same bytes as parsing the text, with every sidecar gone
+    copy = tmp_path / "copy"
+    shutil.copytree(simulated, copy)
+    for sidecar in copy.rglob("*.f8"):
+        sidecar.unlink()
+    assert featurize(copy, tmp_path / "slow")[1] == 0
+    features = "features.csv"
+    assert (tmp_path / "fast" / features).read_bytes() == (tmp_path / "slow" / features).read_bytes()
+    slow_detect = [(out, code, err.replace(str(copy), str(simulated)))
+                   for out, code, err in detect_all(copy)]
+    assert fast_detect == slow_detect
+
+
+def flip_a_digit(signal: Path, sidecar: Path) -> None:
+    lines = signal.read_text().splitlines(keepends=True)
+    lines[3] = lines[3][:4] + str((int(lines[3][4]) + 1) % 10) + lines[3][5:]
+    signal.write_text("".join(lines))
+
+
+def cut_the_tail(signal: Path, sidecar: Path) -> None:
+    sidecar.write_bytes(sidecar.read_bytes()[:-5])
+
+
+def bad_tag(signal: Path, sidecar: Path) -> None:
+    data = bytearray(sidecar.read_bytes())
+    data[3] ^= 1
+    sidecar.write_bytes(bytes(data))
+
+
+def one_sample_more(signal: Path, sidecar: Path) -> None:
+    sidecar.write_bytes(sidecar.read_bytes() + np.float64(1.0).tobytes())
+
+
+def one_sample_less(signal: Path, sidecar: Path) -> None:
+    sidecar.write_bytes(sidecar.read_bytes()[:-8])
+
+
+def nan_payload(signal: Path, sidecar: Path) -> None:
+    data = bytearray(sidecar.read_bytes())
+    data[-8:] = np.float64(np.nan).tobytes()
+    sidecar.write_bytes(bytes(data))
+
+
+def changed_payload(signal: Path, sidecar: Path) -> None:
+    data = bytearray(sidecar.read_bytes())
+    data[-8:] = np.float64(0.5).tobytes()
+    sidecar.write_bytes(bytes(data))
+
+
+def rewrite(signal: Path, samples) -> None:
+    # not a SignalRecord: it refuses the samples these cases write
+    record = SimpleNamespace(samples=np.asarray(samples), sample_rate=10_000.0, labels={})
+    eio.write_record(record, signal, signal.with_name(signal.name[:-8] + ".meta.json"))
+
+
+def nan_written(signal: Path, sidecar: Path) -> None:
+    samples = eio.read_stored_samples(signal).copy()
+    samples[3] = np.nan
+    rewrite(signal, samples)
+
+
+def empty_written(signal: Path, sidecar: Path) -> None:
+    rewrite(signal, [])
+
+
+def empty_forged(signal: Path, sidecar: Path) -> None:
+    signal.write_bytes(b"")
+    sidecar.write_bytes(eio._SIDECAR_TAG + hashlib.sha256(b"").digest())
+
+
+def directory(signal: Path, sidecar: Path) -> None:
+    sidecar.unlink()
+    sidecar.mkdir()
+
+
+def deleted(signal: Path, sidecar: Path) -> None:
+    sidecar.unlink()
+
+
+def bad_sample(signal: Path, sidecar: Path) -> None:
+    signal.write_text(signal.read_text().replace("\n", "\nbanana\n", 1))
+
+
+MISSES = [deleted, flip_a_digit, cut_the_tail, bad_tag, one_sample_more, one_sample_less,
+          nan_payload, changed_payload, nan_written, empty_written, empty_forged, directory,
+          bad_sample]
+
+
+def read_outcome(signal: Path) -> tuple:
+    try:
+        record = eio.read_record(signal, signal.with_name(signal.name[:-8] + ".meta.json"))
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "samples", record.samples.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("spoil", MISSES, ids=[f.__name__ for f in MISSES])
+def test_a_sidecar_that_does_not_match_is_ignored(simulated, tmp_path, spoil):
+    signal = tmp_path / "records" / "rec_0000.sig.csv"
+    shutil.copytree(simulated / "records", signal.parent)
+    sidecar = signal.with_name(signal.name + ".f8")
+    spoil(signal, sidecar)
+    assert eio.read_stored_samples(signal) is None
+    with mock.patch.object(eio, "read_stored_samples", wraps=eio.read_stored_samples) as spy:
+        outcome = read_outcome(signal), run_main(["detect", str(signal)])
+    assert spy.call_count == 2  # both readers looked at the sidecar
+    if sidecar.is_dir():
+        sidecar.rmdir()
+    else:
+        sidecar.unlink(missing_ok=True)
+    assert (read_outcome(signal), run_main(["detect", str(signal)])) == outcome
