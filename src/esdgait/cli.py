@@ -11,22 +11,15 @@ from __future__ import annotations
 
 import argparse
 import functools
-import itertools
 import json
 import logging
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
-import numpy as np
-
 from . import experiments, io, legshake
 from .errors import ToolkitError, ValidationError
 
 log = logging.getLogger("esdgait")
-
-# physical lines of the signal stream parsed at a time, and samples per
-# detector push; any value gives identical events, this one bounds memory
-_DETECT_CHUNK_LINES = 2500
 
 
 @functools.cache  # parse_args leaves the parser as it was
@@ -122,69 +115,6 @@ def cmd_report(args) -> None:
     print(f"{out}/importance.csv")
 
 
-def _signal_lines(source: str):
-    """Lines of the signal; bytes that are not UTF-8 come through as lone
-    surrogates, so the parser can name their line."""
-    if source == "-":
-        if hasattr(sys.stdin, "reconfigure"):
-            sys.stdin.reconfigure(errors="surrogateescape")
-        yield from sys.stdin
-        return
-    with io.open_text(source, errors="surrogateescape") as handle:
-        yield from handle
-
-
-def _parse_lines(lines: list[str], line_no: int, source: str):
-    """Parse a chunk line by line after np.array refused it: blank lines are
-    skipped and the first bad value stops the chunk. Returns the values
-    before it and the ValidationError to raise, or None; `line_no` is the
-    number of lines before the chunk."""
-    values = []
-    for line_no, line in enumerate(lines, start=line_no + 1):
-        text = line.strip()
-        if not text:
-            continue
-        try:
-            values.append(float(text))
-        except ValueError:
-            try:
-                text.encode("utf-8")
-                reason = f"not a sample value: {text!r}"
-            except UnicodeEncodeError:  # a surrogate stands for a byte that is not UTF-8
-                reason = "not valid UTF-8"
-            return np.array(values), ValidationError(f"{source}:{line_no}: {reason}")
-    return np.array(values), None
-
-
-def _sample_chunks(source: str):
-    """The signal's samples in pushes of _DETECT_CHUNK_LINES, whatever the
-    blank lines, so events print in the same order as a per-line reader's.
-    A record file with a matching sidecar is not parsed at all."""
-    stored = None if source == "-" else io.read_stored_samples(source)
-    if stored is not None:
-        for begin in range(0, stored.size, _DETECT_CHUNK_LINES):
-            yield stored[begin : begin + _DETECT_CHUNK_LINES]
-        return
-    lines = _signal_lines(source)
-    name = "<stdin>" if source == "-" else source
-    pending = np.empty(0)
-    line_no = 0
-    while chunk := list(itertools.islice(lines, _DETECT_CHUNK_LINES)):
-        try:
-            values, error = np.array(chunk, dtype=float), None
-        except ValueError:  # a blank line or a bad value somewhere in the chunk
-            values, error = _parse_lines(chunk, line_no, name)
-        line_no += len(chunk)
-        pending = np.concatenate([pending, values])
-        while pending.size >= _DETECT_CHUNK_LINES:
-            yield pending[:_DETECT_CHUNK_LINES]
-            pending = pending[_DETECT_CHUNK_LINES:]
-        if error is not None:
-            raise error
-    if pending.size:
-        yield pending
-
-
 def _event_line(kind: str, event: legshake.ShakeEvent) -> str:
     payload = {"type": kind, **event.to_dict()}
     return json.dumps(payload)
@@ -197,7 +127,11 @@ def cmd_detect(args) -> None:
         config = legshake.DetectorConfig()
     detector = legshake.ShakeDetector(config)
     closed_reported = 0
-    for samples in _sample_chunks(args.source):
+    if args.source == "-":
+        chunks = io.sample_chunks(sys.stdin, "<stdin>")
+    else:
+        chunks = io.sample_chunks(args.source)
+    for samples in chunks:
         for event in detector.push(samples):
             print(_event_line("open", event), flush=True)
         while closed_reported < len(detector.events):
@@ -229,6 +163,9 @@ def main(argv=None) -> int:
     )
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
+        return 1
+    if args.seed is not None and args.seed < 0:  # checked here, so no config file is blamed
+        print("error: --seed must be >= 0", file=sys.stderr)
         return 1
     try:
         _COMMANDS[args.command](args)

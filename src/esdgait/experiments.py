@@ -188,10 +188,15 @@ class ExperimentConfig:
 
 
 def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
+    """The config in the file at `path`, with `seed_override` for its seed
+    when given; every error starts with the path."""
     raw = io.read_json(path)
     if seed_override is not None and isinstance(raw, dict):
         raw["seed"] = seed_override
-    return ExperimentConfig.from_dict(raw)
+    try:
+        return ExperimentConfig.from_dict(raw)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 @contextlib.contextmanager
@@ -705,14 +710,7 @@ def run_eval(
     return report, report_path
 
 
-@dataclass(frozen=True)
-class ReportBundle:
-    eval: forest.EvalReport
-    accuracy_vs_k: tuple[tuple[int, float, float], ...]
-    importance_chart_data: tuple[tuple[str, float], ...]
-
-
-def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) -> ReportBundle:
+def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) -> None:
     """Sweep class-count subsets and rank features; write plot-ready CSVs.
 
     The k-subset sweep takes the first k class names in sorted order, so
@@ -747,20 +745,12 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
             rows.append((k, float(report.accuracy), float(baseline)))
             full_report = report
             log.info("k=%d forest %.4f baseline %.4f", k, report.accuracy, baseline)
-    ranked_idx = np.argsort(-full_report.importances, kind="stable")
-    importance = tuple(
-        (names[i], float(full_report.importances[i])) for i in ranked_idx
-    )
+    ranked = np.argsort(-full_report.importances, kind="stable")
     out.mkdir(parents=True, exist_ok=True)
     acc_lines = ["k,forest_accuracy,baseline_accuracy"]
     acc_lines += [f"{k},{repr(acc)},{repr(base)}" for k, acc, base in rows]
     io.atomic_write_text(out / "accuracy_vs_k.csv", "\n".join(acc_lines) + "\n")
     imp_lines = ["feature,importance"]
-    imp_lines += [f"{name},{repr(value)}" for name, value in importance]
+    imp_lines += [f"{names[i]},{float(full_report.importances[i])!r}" for i in ranked]
     io.atomic_write_text(out / "importance.csv", "\n".join(imp_lines) + "\n")
     io.atomic_write_json(out / "eval_report.json", full_report.to_dict())
-    return ReportBundle(
-        eval=full_report,
-        accuracy_vs_k=tuple(rows),
-        importance_chart_data=importance,
-    )

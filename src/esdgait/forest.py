@@ -484,10 +484,6 @@ def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
     return acc / len(trees)
 
 
-def predict(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
-    return np.argmax(predict_proba(model, rows), axis=1)  # argmax ties -> lowest id
-
-
 def stratified_kfold(labels, k: int, shuffle_seed: int) -> list[np.ndarray]:
     """Disjoint folds with per-class counts differing by at most one.
 

@@ -21,6 +21,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -28,7 +29,6 @@ import sys
 import tempfile
 import types
 import typing
-import warnings
 from io import StringIO
 from pathlib import Path
 
@@ -60,6 +60,10 @@ def _atomic_write(path, chunks) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
+        # mkstemp creates the file 0600; give it the mode open() would
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
@@ -235,12 +239,10 @@ def read_stored_samples(signal_path) -> np.ndarray | None:
 
 
 def read_record(signal_path, meta_path) -> SignalRecord:
-    # the open only vets the path: np.loadtxt parses a file it opens by name
-    # in blocks, and a handle line by line at about 1.6x the time
-    with open_text(signal_path):
-        samples = read_stored_samples(signal_path)
-        if samples is None:
-            samples = _parse_samples(signal_path)
+    chunks = list(sample_chunks(signal_path))
+    if not chunks:
+        raise ValidationError(f"{signal_path}: no samples")
+    samples = np.concatenate(chunks)
     meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValidationError(f"{meta_path}: expected a JSON object")
@@ -254,38 +256,68 @@ def read_record(signal_path, meta_path) -> SignalRecord:
     return SignalRecord(samples=samples, sample_rate=sample_rate, labels=labels)
 
 
-def _parse_samples(signal_path) -> np.ndarray:
-    with warnings.catch_warnings():
-        # an empty file is reported below, naming the file
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+# lines of signal text parsed at a time, and samples per chunk of
+# sample_chunks; any value gives the same samples and the same errors
+_SAMPLE_CHUNK_LINES = 2500
+
+
+def sample_chunks(source, name=None):
+    """The samples of a signal, in chunks of _SAMPLE_CHUNK_LINES samples
+    (the last may be shorter) whatever its blank lines, so a streaming
+    reader pushes the same chunks as a per-line one would.
+
+    `source` is a path, or an open text stream named `name` in errors. A
+    path whose sidecar matches its text is not parsed at all. The grammar:
+    every line that is not blank holds, stripped, one finite number that
+    float() accepts. The first line that does not ends the read with a
+    ValidationError `<name>:<line>: ...`, raised after every full chunk
+    before it has been yielded.
+    """
+    if isinstance(source, (str, os.PathLike)):
+        stored = read_stored_samples(source)
+        if stored is not None:
+            for begin in range(0, stored.size, _SAMPLE_CHUNK_LINES):
+                yield stored[begin : begin + _SAMPLE_CHUNK_LINES]
+            return
+        with open_text(source, errors="surrogateescape") as lines:
+            yield from sample_chunks(lines, source if name is None else name)
+        return
+    if hasattr(source, "reconfigure"):  # bytes that are not UTF-8 become lone surrogates
+        source.reconfigure(errors="surrogateescape")
+    pending, error, line_no = np.empty(0), None, 0
+    while error is None and (chunk := list(itertools.islice(source, _SAMPLE_CHUNK_LINES))):
         try:
-            samples = np.loadtxt(signal_path, dtype=float, ndmin=2)
-        except ValueError as exc:
-            raise ValidationError(_bad_sample(signal_path, exc)) from None
-    if samples.size == 0:
-        raise ValidationError(f"{signal_path}: no samples")
-    if samples.shape[1] != 1 or not np.all(np.isfinite(samples)):
-        raise ValidationError(_bad_sample(signal_path, "expected one finite sample per line"))
-    return samples.ravel()
-
-
-def _bad_sample(path, reason) -> str:
-    """Name the first line of a signal file that is not one finite number;
-    only called once np.loadtxt's result is refused, so good files are read
-    once."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError:  # a surrogate stands for a byte that is not UTF-8
-                return f"{path}:{line_no}: not valid UTF-8"
-            text = line.split("#", 1)[0].strip()
-            try:
-                if text and not math.isfinite(float(text)):
-                    return f"{path}:{line_no}: not a finite sample value: {text!r}"
-            except ValueError:
-                return f"{path}:{line_no}: not a sample value: {text!r}"
-    return f"{path}: {reason}"
+            values = np.array(chunk, dtype=float)
+            if not np.all(np.isfinite(values)):
+                raise ValueError
+        except ValueError:  # a blank line, a bad value or a non-finite one: go line by line
+            values = []
+            for number, line in enumerate(chunk, start=line_no + 1):
+                if not (text := line.strip()):
+                    continue
+                try:
+                    value = float(text)
+                except ValueError:
+                    try:
+                        text.encode("utf-8")
+                        error = f"{name}:{number}: not a sample value: {text!r}"
+                    except UnicodeEncodeError:  # a lone surrogate stands for a bad byte
+                        error = f"{name}:{number}: not valid UTF-8"
+                    break
+                if not math.isfinite(value):
+                    error = f"{name}:{number}: not a finite sample value: {text!r}"
+                    break
+                values.append(value)
+            values = np.array(values)
+        line_no += len(chunk)
+        pending = np.concatenate([pending, values])
+        while pending.size >= _SAMPLE_CHUNK_LINES:
+            yield pending[:_SAMPLE_CHUNK_LINES]
+            pending = pending[_SAMPLE_CHUNK_LINES:]
+    if error is not None:
+        raise ValidationError(error)
+    if pending.size:
+        yield pending
 
 
 # Record text is "%.8e" per sample, one per line. _format_samples writes it

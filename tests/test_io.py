@@ -203,13 +203,23 @@ def test_simulated_record_bytes_are_pinned(name, tmp_path):
 
 @pytest.mark.parametrize("text", ["", "\n\n", "# only a comment\n"])
 def test_record_without_samples_names_the_file(tmp_path, text):
+    # a comment is no sample: the line is refused, not skipped
+    reason = ":1: not a sample value: '# only a comment'" if text.strip() else ": no samples"
     signal, meta = tmp_path / "r.sig.csv", tmp_path / "r.meta.json"
     signal.write_text(text)
     meta.write_text('{"sample_rate": 10000.0}')
     with warnings.catch_warnings():
-        warnings.simplefilter("error")  # numpy's "input contained no data" must not show
-        with pytest.raises(ValidationError, match=f"^{re.escape(str(signal))}: no samples$"):
+        warnings.simplefilter("error")  # no warning may show before the error
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'{signal}{reason}')}$"):
             eio.read_record(signal, meta)
+
+
+def test_a_record_named_dash_is_a_file_not_stdin(tmp_path, monkeypatch):
+    # only `detect -` means stdin; a manifest entry "-" is a path
+    monkeypatch.chdir(tmp_path)
+    Path("-").write_text("1.5\n-2.0\n")
+    Path("m.json").write_text('{"sample_rate": 10000.0}')
+    assert eio.read_record("-", "m.json").samples.tolist() == [1.5, -2.0]
 
 
 def test_open_text_names_the_path_of_every_input_fault(tmp_path):

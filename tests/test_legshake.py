@@ -17,7 +17,6 @@ from esdgait.legshake import (
     ShakeDetector,
     ShakeEvent,
     band_ratio,
-    detect_stream,
 )
 from esdgait.simkit import (
     SAMPLE_RATE,
@@ -25,6 +24,7 @@ from esdgait.simkit import (
     ElectrodeModel,
     synth_legshake,
 )
+from reference import detect_stream
 
 SR = int(SAMPLE_RATE)
 CAP = CapacitanceModel()

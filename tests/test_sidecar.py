@@ -17,7 +17,6 @@ import numpy as np
 import pytest
 
 import esdgait.io as eio
-from esdgait import cli
 from esdgait.cli import main
 from esdgait.errors import ValidationError
 
@@ -66,10 +65,15 @@ def detect_all(root: Path) -> list[tuple[str, int, str]]:
 
 
 def test_hit_path_parses_no_text(simulated, tmp_path):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the record text was parsed")
+    open_text = eio.open_text
 
-    with mock.patch.object(np, "loadtxt", refuse), mock.patch.object(cli, "_signal_lines", refuse):
+    def refuse_signals(path, **options):
+        # the text parse reads a signal only through open_text
+        if str(path).endswith(".sig.csv"):
+            raise AssertionError("the record text was parsed")
+        return open_text(path, **options)
+
+    with mock.patch.object(eio, "open_text", refuse_signals):
         fast_features = featurize(simulated, tmp_path / "fast")
         fast_detect = detect_all(simulated)
     assert fast_features[1] == 0
@@ -79,6 +83,8 @@ def test_hit_path_parses_no_text(simulated, tmp_path):
     shutil.copytree(simulated, copy)
     for sidecar in copy.rglob("*.f8"):
         sidecar.unlink()
+    with mock.patch.object(eio, "open_text", refuse_signals), pytest.raises(AssertionError):
+        featurize(copy, tmp_path / "guarded")  # the guard sees a text parse
     assert featurize(copy, tmp_path / "slow")[1] == 0
     features = "features.csv"
     assert (tmp_path / "fast" / features).read_bytes() == (tmp_path / "slow" / features).read_bytes()
