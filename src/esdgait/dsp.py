@@ -3,14 +3,14 @@
 Pipeline per record: standardize (Z-transformation), frame with a sliding
 window, window function, power spectrum, triangular mel filterbank, log,
 orthonormal type-II DCT, keep the first n_mfcc coefficients. Records are
-first trimmed to a common length across the dataset so every feature
-vector has the same dimension.
+first trimmed to the dataset's shortest length (`trim_to_length`) so every
+feature vector has the same dimension.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -79,24 +79,13 @@ class FeatureVector:
     feature_names: tuple[str, ...]
 
 
-def trim_to_common_length(records: list[SignalRecord]) -> list[SignalRecord]:
-    """Cut every record to the minimum length, symmetrically; an odd excess
+def trim_to_length(record: SignalRecord, length: int) -> SignalRecord:
+    """Cut the record to `length` samples around its centre; an odd excess
     loses the extra sample from the end."""
-    if not records:
-        raise ValidationError("cannot trim an empty record list")
-    target = min(r.samples.size for r in records)
-    out = []
-    for r in records:
-        excess = r.samples.size - target
-        start = excess // 2
-        out.append(
-            SignalRecord(
-                samples=r.samples[start : start + target],
-                sample_rate=r.sample_rate,
-                labels=dict(r.labels),
-            )
-        )
-    return out
+    if not 0 < length <= record.samples.size:
+        raise ValidationError(f"cannot trim {record.samples.size} samples to {length}")
+    start = (record.samples.size - length) // 2
+    return replace(record, samples=record.samples[start : start + length])
 
 
 def z_transform(samples) -> np.ndarray:
@@ -238,10 +227,11 @@ def featurize(
     return FeatureVector(values=values, feature_names=names)
 
 
-def build_category_maps(records: list[SignalRecord]) -> dict[str, dict[str, int]]:
-    """Stable integer codes: sorted unique label values per categorical field."""
+def build_category_maps(labels: list[dict]) -> dict[str, dict[str, int]]:
+    """Stable integer codes from the records' label dicts: sorted unique
+    label values per categorical field."""
     maps: dict[str, dict[str, int]] = {}
     for fieldname in CATEGORICAL_FIELDS:
-        values = sorted({str(r.labels.get(fieldname, "unknown")) for r in records})
+        values = sorted({str(record.get(fieldname, "unknown")) for record in labels})
         maps[fieldname] = {v: i for i, v in enumerate(values)}
     return maps

@@ -474,47 +474,72 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
 # featurization
 
 
-def _featurize_task(record, mfcc: dsp.MfccConfig, include_categoricals: bool, maps):
-    """One record's feature vector, or the DegenerateSignalError rejecting it."""
+def _scan_task(signal_path, meta_path) -> tuple:
+    """What featurize keeps of a record between its two reads: its sample
+    count, sample rate and labels. The samples stay in the task."""
+    record = io.read_record(signal_path, meta_path)
+    return record.samples.size, record.sample_rate, record.labels
+
+
+def _featurize_task(
+    signal_path, meta_path, scan: tuple, length: int, mfcc: dsp.MfccConfig,
+    include_categoricals: bool, maps,
+):
+    """Read one record again, trim it to `length` and return its feature
+    vector, or the DegenerateSignalError rejecting it."""
+    record = io.read_record(signal_path, meta_path)
+    # repr, so that a NaN in the labels equals itself
+    if repr((record.samples.size, record.sample_rate, record.labels)) != repr(scan):
+        raise ValidationError(f"{signal_path}: changed while featurize read it")
     try:
-        return dsp.featurize(record, mfcc, include_categoricals, maps)
+        return dsp.featurize(dsp.trim_to_length(record, length), mfcc, include_categoricals, maps)
     except DegenerateSignalError as exc:
-        return exc
+        return exc.with_traceback(None)  # its frames would keep the samples alive
 
 
 def run_featurize(
     manifest_path, config: ExperimentConfig, out_dir, jobs: int = 1
 ) -> tuple[Path, list[dict]]:
-    """Extract one feature row per record; returns (features path, rejects)."""
+    """Extract one feature row per record; returns (features path, rejects).
+
+    Two passes of per-record tasks, so no process holds more than one
+    record's samples and no samples cross the pool: a scan gives each
+    record's length, rate and labels, then each record is read again,
+    trimmed to the shortest length and featurized.
+    """
     entries = io.read_manifest(manifest_path)
     if not entries:
         raise ValidationError("manifest lists no records")
+    signal_paths = [e["signal_path"] for e in entries]
+    meta_paths = [e["meta_path"] for e in entries]
     with _task_map(jobs, len(entries)) as map_fn:
-        records = list(map_fn(
-            io.read_record, [e["signal_path"] for e in entries], [e["meta_path"] for e in entries]
-        ))
-        rates = {record.sample_rate for record in records}
+        scans = list(map_fn(_scan_task, signal_paths, meta_paths))
+        rates = {rate for _, rate, _ in scans}
         if len(rates) != 1:
             raise ValidationError(f"records mix sample rates: {sorted(rates)}")
-        records = dsp.trim_to_common_length(records)
         label_key = TASK_LABEL_KEY[config.task]
-        maps = dsp.build_category_maps(records) if config.include_categoricals else None
+        maps = None
+        if config.include_categoricals:
+            maps = dsp.build_category_maps([record_labels for _, _, record_labels in scans])
         rows: list[np.ndarray] = []
         labels: list[str] = []
         names: tuple[str, ...] | None = None
         rejects: list[dict] = []
         vectors = map_fn(
             _featurize_task,
-            records,
+            signal_paths,
+            meta_paths,
+            scans,
+            itertools.repeat(min(size for size, _, _ in scans)),
             itertools.repeat(config.mfcc),
             itertools.repeat(config.include_categoricals),
             itertools.repeat(maps),
         )
-        for entry, record, vector in zip(entries, records, vectors):
+        for entry, (_, _, record_labels), vector in zip(entries, scans, vectors):
             if isinstance(vector, DegenerateSignalError):
                 rejects.append({"signal_path": str(entry["signal_path"]), "reason": str(vector)})
                 continue
-            label = record.labels.get(label_key)
+            label = record_labels.get(label_key)
             if label is None:
                 raise ValidationError(
                     f"record {entry['signal_path']} has no {label_key} label for task {config.task}"

@@ -229,7 +229,7 @@ def read_stored_samples(signal_path) -> np.ndarray | None:
         with open(signal_path, "rb") as fh:
             while block := fh.read(1 << 16):
                 digest.update(block)
-                lines += block.count(b"\n")
+                lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
     except OSError:
         return None
     digest.update(samples)
@@ -239,10 +239,15 @@ def read_stored_samples(signal_path) -> np.ndarray | None:
 
 
 def read_record(signal_path, meta_path) -> SignalRecord:
-    chunks = list(sample_chunks(signal_path))
-    if not chunks:
-        raise ValidationError(f"{signal_path}: no samples")
-    samples = np.concatenate(chunks)
+    """A record's samples and labels. A matching sidecar's array is
+    returned as it is, not copied; other text parses as `sample_chunks`."""
+    samples = read_stored_samples(signal_path)
+    if samples is None:
+        with open_text(signal_path) as lines:
+            chunks = list(sample_chunks(lines, signal_path))
+        if not chunks:
+            raise ValidationError(f"{signal_path}: no samples")
+        samples = np.concatenate(chunks)
     meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValidationError(f"{meta_path}: expected a JSON object")
@@ -279,7 +284,7 @@ def sample_chunks(source, name=None):
             for begin in range(0, stored.size, _SAMPLE_CHUNK_LINES):
                 yield stored[begin : begin + _SAMPLE_CHUNK_LINES]
             return
-        with open_text(source, errors="surrogateescape") as lines:
+        with open_text(source) as lines:
             yield from sample_chunks(lines, source if name is None else name)
         return
     if hasattr(source, "reconfigure"):  # bytes that are not UTF-8 become lone surrogates

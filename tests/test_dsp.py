@@ -28,31 +28,28 @@ def record_of(values, **labels) -> SignalRecord:
 
 class TestTrim:
     def test_equal_lengths_unchanged(self):
-        recs = [record_of(np.arange(10)) for _ in range(3)]
-        out = dsp.trim_to_common_length(recs)
-        for r in out:
-            np.testing.assert_array_equal(r.samples, np.arange(10))
+        out = dsp.trim_to_length(record_of(np.arange(10)), 10)
+        np.testing.assert_array_equal(out.samples, np.arange(10))
 
     def test_even_excess_split_symmetrically(self):
-        recs = [record_of(np.arange(12)), record_of(np.arange(100, 110))]
-        out = dsp.trim_to_common_length(recs)
-        np.testing.assert_array_equal(out[0].samples, np.arange(1, 11))
-        np.testing.assert_array_equal(out[1].samples, np.arange(100, 110))
+        out = dsp.trim_to_length(record_of(np.arange(12)), 10)
+        np.testing.assert_array_equal(out.samples, np.arange(1, 11))
+        out = dsp.trim_to_length(record_of(np.arange(100, 110)), 10)
+        np.testing.assert_array_equal(out.samples, np.arange(100, 110))
 
     def test_odd_excess_extra_sample_from_end(self):
-        recs = [record_of(np.arange(13)), record_of(np.arange(10))]
-        out = dsp.trim_to_common_length(recs)
+        out = dsp.trim_to_length(record_of(np.arange(13)), 10)
         # excess 3: one from the start, two from the end
-        np.testing.assert_array_equal(out[0].samples, np.arange(1, 11))
+        np.testing.assert_array_equal(out.samples, np.arange(1, 11))
 
     def test_metadata_preserved(self):
-        recs = [record_of(np.arange(11), person_id="p1"), record_of(np.arange(10))]
-        out = dsp.trim_to_common_length(recs)
-        assert out[0].labels["person_id"] == "p1"
+        out = dsp.trim_to_length(record_of(np.arange(11), person_id="p1"), 10)
+        assert out.labels["person_id"] == "p1"
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValidationError):
-            dsp.trim_to_common_length([])
+    def test_bad_length_rejected(self):
+        for length in (0, 11):
+            with pytest.raises(ValidationError, match=f"cannot trim 10 samples to {length}"):
+                dsp.trim_to_length(record_of(np.arange(10)), length)
 
 
 class TestZTransform:
@@ -267,10 +264,7 @@ class TestFeaturize:
             dsp.featurize(record_of(np.ones(5000)))
 
     def test_category_map_builder_is_sorted_and_stable(self):
-        recs = [
-            self.make_record(n=3000, plant_type="fern", location="b"),
-            self.make_record(n=3000, plant_type="basil", location="a"),
-        ]
-        maps = dsp.build_category_maps(recs)
+        labels = [{"plant_type": "fern", "location": "b"}, {"plant_type": "basil", "location": "a"}]
+        maps = dsp.build_category_maps(labels)
         assert maps["plant_type"] == {"basil": 0, "fern": 1}
         assert maps["location"] == {"a": 0, "b": 1}

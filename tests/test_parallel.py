@@ -1,11 +1,15 @@
 """One process pool per command: artifacts identical at any --jobs, bounded
-worker counts, and a killed worker reported as one error line."""
+worker counts, a killed worker reported as one error line, and featurize
+tasks that hold one record at a time and send no samples."""
 
 from __future__ import annotations
 
 import json
 import multiprocessing
 import os
+import pickle
+import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 
 import esdgait.experiments as ex
 import esdgait.io as eio
+from esdgait import dsp
 from esdgait.cli import main
 from esdgait.simkit import SignalRecord
 
@@ -146,6 +151,40 @@ def test_search_identical_at_any_jobs(cohort, tmp_path):
 # ------------------------------------------------------------ errors
 
 
+def append_a_sample(signal: Path, meta: Path) -> None:
+    with signal.open("a") as fh:
+        fh.write("1.0\n")
+
+
+def double_the_rate(signal: Path, meta: Path) -> None:
+    labels = json.loads(meta.read_text())
+    meta.write_text(json.dumps({**labels, "sample_rate": 2 * labels["sample_rate"]}))
+
+
+def rename_the_person(signal: Path, meta: Path) -> None:
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), "person_id": "dan"}))
+
+
+@pytest.mark.parametrize("edit", [append_a_sample, double_the_rate, rename_the_person])
+def test_record_changed_between_reads_is_one_error(cohort, tmp_path, monkeypatch, capsys, edit):
+    config, sim = cohort
+    shutil.copytree(sim / "records", tmp_path / "records")
+    shutil.copy(sim / "dataset.json", tmp_path / "dataset.json")
+    signal = tmp_path / "records" / "rec_0003.sig.csv"
+    scan = ex._scan_task
+
+    def scan_then_edit(signal_path, meta_path):
+        result = scan(signal_path, meta_path)
+        if signal_path == str(signal):
+            edit(signal, Path(meta_path))
+        return result
+
+    monkeypatch.setattr(ex, "_scan_task", scan_then_edit)
+    code = run("featurize", str(tmp_path / "dataset.json"), "--config", str(config),
+               "--out", str(tmp_path / "out"))
+    assert (code, capsys.readouterr().err) == (1, f"error: {signal}: changed while featurize read it\n")
+
+
 def test_bad_sample_same_error_at_any_jobs(cohort, tmp_path, capsys):
     config, sim = cohort
     manifest = [
@@ -223,3 +262,50 @@ def test_one_worker_starts_no_pool(cohort, tmp_path, pools, monkeypatch):
     assert run("train", str(sim / "features.csv"), "--config", str(config),
                "--out", str(tmp_path), "--jobs", "4") == 0
     assert pools == []
+
+
+# ------------------------------------------------------------ memory
+
+
+def test_featurize_holds_one_record_at_a_time(cohort, tmp_path, monkeypatch):
+    config, sim = cohort
+    read_record, featurize = eio.read_record, dsp.featurize
+    alive = [0]  # arrays read_record returned that are still referenced
+    featurized = []
+
+    def counted_read(signal_path, meta_path):
+        record = read_record(signal_path, meta_path)
+        alive[0] += 1
+        weakref.finalize(record.samples, lambda: alive.__setitem__(0, alive[0] - 1))
+        return record
+
+    def checked_featurize(record, *args):
+        featurized.append(alive[0])
+        return featurize(record, *args)
+
+    monkeypatch.setattr(eio, "read_record", counted_read)
+    monkeypatch.setattr(dsp, "featurize", checked_featurize)
+    assert run("featurize", str(sim / "dataset.json"), "--config", str(config),
+               "--out", str(tmp_path), "--jobs", "1") == 0
+    assert featurized == [1] * 19  # 18 simulated records and the flat one
+
+
+def test_no_samples_cross_the_pool(cohort, tmp_path, pools, monkeypatch):
+    config, sim = cohort
+    sizes: dict[str, list[int]] = {}
+
+    def pickling_map(self, fn, *iterables, chunksize=1):
+        # what a process pool would pickle: each task's arguments and result
+        for args in zip(*iterables):
+            result = fn(*args)
+            sizes.setdefault(fn.__name__, []).extend(len(pickle.dumps(x)) for x in (args, result))
+            yield result
+
+    monkeypatch.setattr(FakeExecutor, "map", pickling_map)
+    assert run("featurize", str(sim / "dataset.json"), "--config", str(config),
+               "--out", str(tmp_path), "--jobs", "2") == 0
+    assert pools == [2]
+    assert max(max(task_sizes) for task_sizes in sizes.values()) < 64 * 1024
+    assert {name: len(task_sizes) for name, task_sizes in sizes.items()} == {
+        "_scan_task": 2 * 19, "_featurize_task": 2 * 19
+    }

@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
@@ -91,6 +92,20 @@ def test_hit_path_parses_no_text(simulated, tmp_path):
     slow_detect = [(out, code, err.replace(str(copy), str(simulated)))
                    for out, code, err in detect_all(copy)]
     assert fast_detect == slow_detect
+
+
+def test_a_sidecar_hit_is_not_copied(tmp_path):
+    samples = np.random.default_rng(3).normal(size=160_000)
+    signal, meta = tmp_path / "long.sig.csv", tmp_path / "long.meta.json"
+    rewrite(signal, samples)
+    tracemalloc.start()
+    try:
+        record = eio.read_record(signal, meta)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert record.samples.size == samples.size
+    assert peak < 1.5 * record.samples.nbytes  # a copy would hold the samples twice
 
 
 def flip_a_digit(signal: Path, sidecar: Path) -> None:
