@@ -73,12 +73,6 @@ class FeatureMatrix:
     frame_times: np.ndarray  # seconds, frame centers
 
 
-@dataclass(frozen=True)
-class FeatureVector:
-    values: np.ndarray
-    feature_names: tuple[str, ...]
-
-
 def trim_to_length(record: SignalRecord, length: int) -> SignalRecord:
     """Cut the record to `length` samples around its centre; an odd excess
     loses the extra sample from the end."""
@@ -206,13 +200,13 @@ def featurize(
     config: MfccConfig = MfccConfig(),
     include_categoricals: bool = False,
     category_maps: dict[str, dict[str, int]] | None = None,
-) -> FeatureVector:
+) -> np.ndarray:
     """Z-transform, MFCC, then flatten coefficient-major; optionally append
-    integer-coded plant_type and location from caller-supplied maps."""
+    integer-coded plant_type and location from caller-supplied maps. The
+    columns are named by feature_names_for."""
     z = z_transform(record.samples)
     matrix = mfcc(z, config)
     values = matrix.coefficients.reshape(-1)
-    names = feature_names_for(config, matrix.coefficients.shape[1], include_categoricals)
     if include_categoricals:
         if category_maps is None:
             raise EncodingError("include_categoricals requires category_maps")
@@ -224,7 +218,7 @@ def featurize(
                 raise EncodingError(f"no {fieldname} code for value {value!r}")
             codes.append(float(mapping[value]))
         values = np.concatenate([values, codes])
-    return FeatureVector(values=values, feature_names=names)
+    return values
 
 
 def build_category_maps(labels: list[dict]) -> dict[str, dict[str, int]]:

@@ -486,7 +486,7 @@ def _featurize_task(
     include_categoricals: bool, maps,
 ):
     """Read one record again, trim it to `length` and return its feature
-    vector, or the DegenerateSignalError rejecting it."""
+    values, or the DegenerateSignalError rejecting it."""
     record = io.read_record(signal_path, meta_path)
     # repr, so that a NaN in the labels equals itself
     if repr((record.samples.size, record.sample_rate, record.labels)) != repr(scan):
@@ -523,14 +523,14 @@ def run_featurize(
             maps = dsp.build_category_maps([record_labels for _, _, record_labels in scans])
         rows: list[np.ndarray] = []
         labels: list[str] = []
-        names: tuple[str, ...] | None = None
         rejects: list[dict] = []
+        length = min(size for size, _, _ in scans)
         vectors = map_fn(
             _featurize_task,
             signal_paths,
             meta_paths,
             scans,
-            itertools.repeat(min(size for size, _, _ in scans)),
+            itertools.repeat(length),
             itertools.repeat(config.mfcc),
             itertools.repeat(config.include_categoricals),
             itertools.repeat(maps),
@@ -544,10 +544,8 @@ def run_featurize(
                 raise ValidationError(
                     f"record {entry['signal_path']} has no {label_key} label for task {config.task}"
                 )
-            rows.append(vector.values)
+            rows.append(vector)
             labels.append(str(label))
-            if names is None:
-                names = vector.feature_names
     if not rows:
         raise ValidationError("every record was rejected as degenerate")
     if rejects:
@@ -555,6 +553,8 @@ def run_featurize(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     features_path = out / "features.csv"
+    frames = dsp.frame_count(length, config.mfcc)
+    names = dsp.feature_names_for(config.mfcc, frames, config.include_categoricals)
     io.write_features(features_path, np.asarray(rows), names, labels)
     sidecar = {
         "task": config.task,
@@ -669,7 +669,7 @@ def run_train(
             io.atomic_write_json(out / "search_trials.json", trials)
             log.info("search picked %s", params)
         report, model = forest.cross_validate(
-            data, params, k=config.cv_folds, seed=config.seed, with_model=True, map_fn=map_fn
+            data, params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
         )
     model_path = out / "model.rfj"
     forest.save_model(model, model_path, mfcc_fingerprint=_stored_fingerprint(features_path, config))
@@ -726,7 +726,7 @@ def run_eval(
         report = _reused_cv(features_path, config, out, data.n_classes, len(names))
         if report is None:
             with _task_map(jobs, config.cv_folds + 1) as map_fn:
-                report = forest.cross_validate(
+                report, _ = forest.cross_validate(
                     data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
                 )
     report_path = out / "eval_report.json"
@@ -740,8 +740,10 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
 
     The k-subset sweep takes the first k class names in sorted order, so
     adding classes only extends the sweep instead of reshuffling it. The
-    last step, every class, reuses train's cv.json in out_dir when its key
-    matches.
+    steps below every class need only their pooled accuracy: their fold
+    fits run as one task list, and no full-data forest grows for them. The
+    last step, every class, is train's cross-validation, reused from
+    train's cv.json in out_dir when its key matches.
     """
     matrix, names, labels = io.read_features(features_path)
     matrix = np.asarray(matrix, dtype=float)
@@ -750,30 +752,27 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
         raise ValidationError("reporting needs at least 2 classes")
     labels_arr = np.asarray(labels, dtype=object)
     out = Path(out_dir)
-    reused = _reused_cv(features_path, config, out, len(class_names), len(names))
-    fitted_steps = len(class_names) - 1 - (reused is not None)
-    rows: list[tuple[int, float, float]] = []
-    full_report: forest.EvalReport | None = None
-    with _task_map(jobs, config.cv_folds + 1 if fitted_steps else 0) as map_fn:
-        for k in range(2, len(class_names) + 1):
-            subset = class_names[:k]
-            mask = np.isin(labels_arr, subset)
-            sub_labels = [label for label, keep in zip(labels, mask) if keep]
-            data = dataset_from_features(matrix[mask], names, sub_labels)
-            if k == len(class_names) and reused is not None:
-                report = reused
-            else:
-                report = forest.cross_validate(
-                    data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
-                )
-            baseline = forest.baseline_accuracy(data.labels)
-            rows.append((k, float(report.accuracy), float(baseline)))
-            full_report = report
-            log.info("k=%d forest %.4f baseline %.4f", k, report.accuracy, baseline)
+    masks = [np.isin(labels_arr, class_names[:k]) for k in range(2, len(class_names) + 1)]
+    *sweep, data = [dataset_from_features(matrix[m], names, list(labels_arr[m])) for m in masks]
+    full_report = _reused_cv(features_path, config, out, len(class_names), len(names))
+    last_fits = config.cv_folds + 1 if full_report is None else 0
+    with _task_map(jobs, max(len(sweep) * config.cv_folds, last_fits)) as map_fn:
+        plans = [forest.cv_plan(s, config.forest_params, config.cv_folds, config.seed) for s in sweep]
+        accuracies = [
+            float(np.mean(np.argmax(proba, axis=1) == step.labels))
+            for step, proba in zip(sweep, forest.fold_fits(plans, map_fn))
+        ]
+        if full_report is None:
+            full_report, _ = forest.cross_validate(
+                data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
+            )
+    acc_lines = ["k,forest_accuracy,baseline_accuracy"]
+    for step, accuracy in zip([*sweep, data], [*accuracies, full_report.accuracy]):
+        baseline = forest.baseline_accuracy(step.labels)
+        acc_lines.append(f"{step.n_classes},{accuracy!r},{baseline!r}")
+        log.info("k=%d forest %.4f baseline %.4f", step.n_classes, accuracy, baseline)
     ranked = np.argsort(-full_report.importances, kind="stable")
     out.mkdir(parents=True, exist_ok=True)
-    acc_lines = ["k,forest_accuracy,baseline_accuracy"]
-    acc_lines += [f"{k},{repr(acc)},{repr(base)}" for k, acc, base in rows]
     io.atomic_write_text(out / "accuracy_vs_k.csv", "\n".join(acc_lines) + "\n")
     imp_lines = ["feature,importance"]
     imp_lines += [f"{names[i]},{float(full_report.importances[i])!r}" for i in ranked]

@@ -609,19 +609,17 @@ def _subset(data: Dataset, idx: np.ndarray) -> Dataset:
     return sub
 
 
-def _fold_tasks(data: Dataset, params: ForestParams, k: int, seed: int):
-    """The folds of a stratified k-fold CV, the seed of its full-data fit,
-    and the fit task of each fold: arguments of _fit_task."""
+def cv_plan(data: Dataset, params: ForestParams, k: int, seed: int):
+    """The folds of a stratified k-fold CV at `seed` and its fits, as
+    arguments of _fit_task: tasks[0] fits all of data, tasks[1 + i] fits
+    the rows outside fold i, each with a seed derived from `seed`."""
     state = np.random.SeedSequence([seed]).generate_state(k + 2)
     folds = stratified_kfold(data.labels, k, int(state[0]))
-    tasks = []
+    tasks = [(data, None, replace(params, seed=int(state[1])), None)]
     for i, test_idx in enumerate(folds):
-        train_mask = np.ones(data.labels.size, dtype=bool)
-        train_mask[test_idx] = False
-        tasks.append(
-            (data, np.flatnonzero(train_mask), replace(params, seed=int(state[2 + i])), test_idx)
-        )
-    return folds, int(state[1]), tasks
+        train_idx = np.setdiff1d(np.arange(data.labels.size), test_idx)
+        tasks.append((data, train_idx, replace(params, seed=int(state[2 + i])), test_idx))
+    return folds, tasks
 
 
 def _fit_task(data: Dataset, train_idx, params: ForestParams, test_idx):
@@ -634,41 +632,44 @@ def _fit_task(data: Dataset, train_idx, params: ForestParams, test_idx):
     return predict_proba(model, data.features[test_idx])
 
 
-def cross_validate(
-    data: Dataset,
-    params: ForestParams,
-    k: int = 10,
-    seed: int = 0,
-    with_model: bool = False,
-    map_fn=map,
-):
-    """Stratified k-fold CV; metrics are pooled over all held-out folds.
-
-    Importances come from a forest fit on the full dataset with a seed
-    derived from `seed`; pass with_model=True to also get that model. The
-    k + 1 fits are tasks of map_fn (the builtin map, or a process pool's),
-    the full-data fit first, as it is the largest.
-    """
-    folds, full_seed, tasks = _fold_tasks(data, params, k, seed)
-    full = (data, None, replace(params, seed=full_seed), None)
-    full_model, *fold_proba = map_fn(_fit_task, *zip(full, *tasks))
+def _pooled(data: Dataset, folds, fold_proba) -> np.ndarray:
+    """Every row's held-out class probabilities: the next len(folds) parts of fold_proba."""
     proba = np.zeros((data.labels.size, data.n_classes))
     for test_idx, part in zip(folds, fold_proba):
         proba[test_idx] = part
-    report = eval_report(data.labels, proba, folds, mdi_importance(full_model))
-    return (report, full_model) if with_model else report
+    return proba
+
+
+def fold_fits(plans, map_fn=map) -> list[np.ndarray]:
+    """The pooled held-out class probabilities of each cv_plan in plans,
+    from its fold fits alone: every plan's tasks[1:] go through map_fn as
+    one task list, and no full-data forest grows."""
+    tasks = [task for _, plan_tasks in plans for task in plan_tasks[1:]]
+    fold_proba = iter(map_fn(_fit_task, *zip(*tasks)) if tasks else ())
+    return [_pooled(plan_tasks[0][0], folds, fold_proba) for folds, plan_tasks in plans]
+
+
+def cross_validate(data: Dataset, params: ForestParams, k: int = 10, seed: int = 0, map_fn=map):
+    """Stratified k-fold CV; metrics are pooled over all held-out folds.
+    Returns (report, model): model is the full-data fit that gives the
+    importances. The k + 1 fits of cv_plan are tasks of map_fn (the builtin
+    map, or a process pool's), the full-data fit first, as it is the largest."""
+    folds, tasks = cv_plan(data, params, k, seed)
+    model, *fold_proba = map_fn(_fit_task, *zip(*tasks))
+    proba = _pooled(data, folds, fold_proba)
+    return eval_report(data.labels, proba, folds, mdi_importance(model)), model
 
 
 def holdout_validate(data: Dataset, params: ForestParams, seed: int) -> EvalReport:
     """Fit one forest on about 4/5 of the rows and score the rest: fold 0 of
-    cross_validate's stratified 5-fold split at `seed`, fit with that CV's
+    cross_validate's stratified 5-fold plan at `seed`, fit with that plan's
     full-data seed. Every class must keep a training row."""
-    _, full_seed, tasks = _fold_tasks(data, params, 5, seed)
-    _, train_idx, _, test_idx = tasks[0]
+    _, tasks = cv_plan(data, params, 5, seed)
+    full_params, (_, train_idx, _, test_idx) = tasks[0][2], tasks[1]
     train = Dataset(
         data.features[train_idx], data.labels[train_idx], data.feature_names, data.class_names
     )
-    model = fit_forest(train, replace(params, seed=full_seed))
+    model = fit_forest(train, full_params)
     proba = predict_proba(model, data.features[test_idx])
     return eval_report(data.labels[test_idx], proba, [slice(None)], mdi_importance(model))
 
@@ -714,7 +715,7 @@ def randomized_search(
     """Sample n_iter distinct combinations uniformly from the grid product,
     score each by mean stratified-k-fold accuracy, return the best (ties go
     to the first sampled) plus the full score table. Every (combination,
-    fold) fit is one task of map_fn."""
+    fold) fit is one task of one fold_fits list."""
     if not space or any(len(v) == 0 for v in space.values()):
         raise ValidationError("every search-space axis needs at least one value")
     names = sorted(space)
@@ -734,15 +735,13 @@ def randomized_search(
             combo[name] = space[name][rem % size]
             rem //= size
         combos.append(combo)
-    runs = [_fold_tasks(data, io.from_json(ForestParams, c, "space"), k, seed) for c in combos]
-    folds = runs[0][0]  # every combination is scored on the same folds (same seed)
-    fold_proba = iter(map_fn(_fit_task, *zip(*(task for _, _, tasks in runs for task in tasks))))
+    plans = [cv_plan(data, io.from_json(ForestParams, c, "space"), k, seed) for c in combos]
+    folds = plans[0][0]  # every combination is scored on the same folds (same seed)
     table: list[dict] = []
     best: tuple[float, int] | None = None  # (score, table position)
-    for pos, combo in enumerate(combos):
-        score = float(np.mean(
-            [np.mean(np.argmax(next(fold_proba), axis=1) == data.labels[f]) for f in folds]
-        ))
+    for pos, (combo, proba) in enumerate(zip(combos, fold_fits(plans, map_fn))):
+        pred = np.argmax(proba, axis=1)
+        score = float(np.mean([np.mean(pred[f] == data.labels[f]) for f in folds]))
         table.append({"params": combo, "mean_accuracy": score})
         if best is None or score > best[0]:
             best = (score, pos)

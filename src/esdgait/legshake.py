@@ -77,9 +77,6 @@ class DetectorConfig:
     def hop_samples(self) -> int:
         return max(1, int(round(self.hop_seconds * self.sample_rate)))
 
-    def to_dict(self) -> dict:
-        return {name: getattr(self, name) for name in self.__dataclass_fields__}
-
 
 @dataclass
 class ShakeEvent:

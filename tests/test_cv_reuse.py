@@ -1,9 +1,11 @@
 """report and CV-mode eval reuse train's cross-validation through cv.json:
-the same bytes as a fresh run, one CV fewer, and a fresh CV whenever any
-input the record is keyed on differs or the record is unusable."""
+the same bytes as a fresh run, none of train's forests grown again, and a
+fresh CV whenever any input the record is keyed on differs or the record is
+unusable."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import shutil
@@ -59,17 +61,32 @@ def table(request, tmp_path_factory):
 
 
 @pytest.fixture
-def cv_calls(monkeypatch) -> list[int]:
-    """One entry per forest.cross_validate call made by this process."""
-    calls: list[int] = []
-    original = forest.cross_validate
+def forests(monkeypatch) -> list[int]:
+    """One entry per forest grown: per forest._fit_task handed to the
+    command's map, so the count holds at any --jobs."""
+    grown: list[int] = []
+    task_map = ex._task_map
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    @contextlib.contextmanager
+    def counting(jobs, n_tasks):
+        with task_map(jobs, n_tasks) as map_fn:
 
-    monkeypatch.setattr(forest, "cross_validate", counting)
-    return calls
+            def counted(fn, *iterables):
+                tasks = list(zip(*iterables))
+                if fn is forest._fit_task:
+                    grown.extend([1] * len(tasks))
+                return map_fn(fn, *zip(*tasks))
+
+            yield counted
+
+    monkeypatch.setattr(ex, "_task_map", counting)
+    return grown
+
+
+def fresh_forests(k: int, folds: int = 3) -> int:
+    """A report in a fresh dir: fold fits of the k - 2 steps below every
+    class, then train's cross-validation (the folds and the full fit)."""
+    return (k - 2) * folds + folds + 1
 
 
 def trained_copy(trained: Path, dest: Path) -> Path:
@@ -90,36 +107,36 @@ def fresh_report(features: Path, config: Path, out: Path, *extra: str) -> dict[s
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_report_after_train_reuses_cv(table, tmp_path, cv_calls, jobs):
+def test_report_after_train_reuses_cv(table, tmp_path, forests, jobs):
     k, config, features, trained = table
     expected = fresh_report(features, config, tmp_path / "fresh", "--jobs", jobs)
-    assert len(cv_calls) == k - 1
-    cv_calls.clear()
+    assert len(forests) == fresh_forests(k)
+    forests.clear()
     out = trained_copy(trained, tmp_path / "out")
     assert run("report", str(features), "--config", str(config), "--out", str(out),
                "--jobs", jobs) == 0
-    assert len(cv_calls) == k - 2
+    assert len(forests) == (k - 2) * 3  # the sweep's fold fits alone
     assert report_bytes(out) == expected
     assert (out / "eval_report.json").read_bytes() == (trained / "eval_report.json").read_bytes()
 
 
-def test_cv_eval_after_train_reuses_cv(table, tmp_path, cv_calls):
+def test_cv_eval_after_train_reuses_cv(table, tmp_path, forests):
     _, config, features, trained = table
     out = trained_copy(trained, tmp_path / "out")
     assert run("eval", str(features), "--config", str(config), "--out", str(out)) == 0
-    assert cv_calls == []
+    assert forests == []
     assert (out / "eval_report.json").read_bytes() == (trained / "eval_report.json").read_bytes()
 
 
-def test_eval_model_between_train_and_report_changes_nothing(table, tmp_path, cv_calls):
+def test_eval_model_between_train_and_report_changes_nothing(table, tmp_path, forests):
     k, config, features, trained = table
     out = trained_copy(trained, tmp_path / "out")
     assert run("eval", str(features), "--config", str(config), "--out", str(out),
                "--model", str(out / "model.rfj")) == 0
     assert (out / "eval_report.json").read_bytes() != (trained / "eval_report.json").read_bytes()
     assert run("report", str(features), "--config", str(config), "--out", str(out)) == 0
-    assert len(cv_calls) == k - 2
-    cv_calls.clear()
+    assert len(forests) == (k - 2) * 3
+    forests.clear()
     assert report_bytes(out) == fresh_report(features, config, tmp_path / "fresh")
 
 
@@ -156,16 +173,18 @@ def edit_one_cell(features: Path, dest: Path) -> Path:
 @pytest.mark.parametrize(
     "change", ["features", "forest", "cv_folds", "seed", "version", "search"]
 )
-def test_each_key_field_forces_a_fresh_cv(table, tmp_path, cv_calls, monkeypatch, change):
+def test_each_key_field_forces_a_fresh_cv(table, tmp_path, forests, monkeypatch, change):
     k, config, features, trained = table
     out = trained_copy(trained, tmp_path / "out")
     extra: tuple[str, ...] = ()
+    folds = 3
     if change == "features":
         features = edit_one_cell(features, tmp_path / "features.csv")
     elif change == "forest":
         config = write_config(tmp_path / "config.json", k, forest={"n_estimators": 5})
     elif change == "cv_folds":
         config = write_config(tmp_path / "config.json", k, cv_folds=4)
+        folds = 4
     elif change == "seed":  # the forest seed stays the trained one: only the CV seed moves
         config = write_config(tmp_path / "config.json", k, forest={"n_estimators": 4, "seed": 5})
         extra = ("--seed", "6")
@@ -175,9 +194,9 @@ def test_each_key_field_forces_a_fresh_cv(table, tmp_path, cv_calls, monkeypatch
         search = write_config(tmp_path / "search.json", k,
                               search={"n_iter": 2, "space": {"n_estimators": [2, 3]}})
         assert run("train", str(features), "--config", str(search), "--out", str(out)) == 0
-        cv_calls.clear()
+        forests.clear()
     assert run("report", str(features), "--config", str(config), "--out", str(out), *extra) == 0
-    assert len(cv_calls) == k - 1
+    assert len(forests) == fresh_forests(k, folds)
     assert report_bytes(out) == fresh_report(features, config, tmp_path / "fresh", *extra)
 
 
@@ -217,12 +236,12 @@ def corrupt(record: Path, how: str) -> None:
     ["truncated", "not json", "list", "report string", "accuracy string",
      "short importances", "nested importances", "fractional counts", "directory", "deleted"],
 )
-def test_unusable_record_is_a_miss(table, tmp_path, cv_calls, capsys, how):
+def test_unusable_record_is_a_miss(table, tmp_path, forests, capsys, how):
     k, config, features, trained = table
     out = trained_copy(trained, tmp_path / "out")
     corrupt(out / "cv.json", how)
     assert run("report", str(features), "--config", str(config), "--out", str(out)) == 0
-    assert len(cv_calls) == k - 1
+    assert len(forests) == fresh_forests(k)
     assert capsys.readouterr().err == ""
     assert report_bytes(out) == fresh_report(features, config, tmp_path / "fresh")
 

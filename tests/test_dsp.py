@@ -225,28 +225,32 @@ class TestFeaturize:
         return record_of(rng.normal(size=n), **labels)
 
     def test_plain_vector_length(self):
-        vec = dsp.featurize(self.make_record())
-        assert vec.values.shape == (380,)
-        assert len(vec.feature_names) == 380
-        assert vec.feature_names[0] == "mfcc0_t0"
-        assert vec.feature_names[19] == "mfcc1_t0"
-        assert vec.feature_names[-1] == "mfcc19_t18"
+        values = dsp.featurize(self.make_record())
+        assert values.shape == (380,)
+        names = dsp.feature_names_for(MfccConfig(), dsp.frame_count(25_000, MfccConfig()), False)
+        assert len(names) == 380
+        assert names[0] == "mfcc0_t0"
+        assert names[19] == "mfcc1_t0"
+        assert names[-1] == "mfcc19_t18"
 
     def test_coefficient_major_flatten(self):
         rec = self.make_record()
-        vec = dsp.featurize(rec)
+        values = dsp.featurize(rec)
         matrix = dsp.mfcc(dsp.z_transform(rec.samples)).coefficients
-        np.testing.assert_array_equal(vec.values, matrix.reshape(-1))
-        assert vec.feature_names[:19] == tuple(f"mfcc0_t{i}" for i in range(19))
+        np.testing.assert_array_equal(values, matrix.reshape(-1))
+        names = dsp.feature_names_for(MfccConfig(), matrix.shape[1], False)
+        assert names[:19] == tuple(f"mfcc0_t{i}" for i in range(19))
 
     def test_categoricals_appended(self):
         rec = self.make_record(plant_type="basil", location="north_bench")
         maps = {"plant_type": {"basil": 1, "fern": 0}, "location": {"north_bench": 2}}
-        vec = dsp.featurize(rec, include_categoricals=True, category_maps=maps)
-        assert vec.values.shape == (382,)
-        assert vec.feature_names[-2:] == ("plant_type", "location")
-        assert vec.values[-2] == 1.0
-        assert vec.values[-1] == 2.0
+        values = dsp.featurize(rec, include_categoricals=True, category_maps=maps)
+        assert values.shape == (382,)
+        names = dsp.feature_names_for(MfccConfig(), dsp.frame_count(25_000, MfccConfig()), True)
+        assert len(names) == 382
+        assert names[-2:] == ("plant_type", "location")
+        assert values[-2] == 1.0
+        assert values[-1] == 2.0
 
     def test_unknown_category_rejected(self):
         rec = self.make_record(plant_type="cactus", location="north_bench")
@@ -257,7 +261,7 @@ class TestFeaturize:
     def test_purity(self):
         a = dsp.featurize(self.make_record())
         b = dsp.featurize(self.make_record())
-        np.testing.assert_array_equal(a.values, b.values)
+        np.testing.assert_array_equal(a, b)
 
     def test_degenerate_record_propagates(self):
         with pytest.raises(DegenerateSignalError):

@@ -491,7 +491,7 @@ class TestTrainEval:
         report, _, _ = ex.run_train(features, cfg, tmp_path / "out")
         matrix, names, labels = eio.read_features(features)
         data = ex.dataset_from_features(matrix, names, labels)
-        direct = forest.cross_validate(data, cfg.forest_params, k=4, seed=9)
+        direct, _ = forest.cross_validate(data, cfg.forest_params, k=4, seed=9)
         assert report.accuracy == direct.accuracy
         assert report.confusion_matrix.tolist() == direct.confusion_matrix.tolist()
 

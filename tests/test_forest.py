@@ -523,7 +523,7 @@ def test_mdi_undefined_without_any_split():
 
 def test_cross_validate_separable_is_perfect():
     data = blob_dataset(30, [[0, 0], [8, 8]], seed=14)
-    report = rf.cross_validate(data, SMALL, k=5, seed=1)
+    report, _ = rf.cross_validate(data, SMALL, k=5, seed=1)
     assert report.accuracy == 1.0
     assert report.cohens_kappa == 1.0
     assert report.auroc == 1.0
@@ -533,7 +533,7 @@ def test_cross_validate_separable_is_perfect():
 
 def test_cross_validate_pooled_accuracy_consistent_with_folds():
     data = blob_dataset(21, [[0.0], [1.2]], spread=1.0, seed=15)
-    report = rf.cross_validate(data, SMALL, k=4, seed=2)
+    report, _ = rf.cross_validate(data, SMALL, k=4, seed=2)
     folds = rf.stratified_kfold(
         data.labels, 4, int(np.random.SeedSequence([2]).generate_state(6)[0])
     )
@@ -547,7 +547,7 @@ def test_cross_validate_no_signal_stays_near_baseline():
     features = rng.normal(size=(60, 5))
     labels = np.repeat([0, 1], 30)
     data = rf.Dataset(features, labels, tuple(f"f{i}" for i in range(5)), ("a", "b"))
-    report = rf.cross_validate(data, rf.ForestParams(n_estimators=20, seed=3), k=5, seed=3)
+    report, _ = rf.cross_validate(data, rf.ForestParams(n_estimators=20, seed=3), k=5, seed=3)
     sigma = np.sqrt(0.25 / 60)
     assert abs(report.accuracy - 0.5) <= 3 * sigma
 
@@ -555,10 +555,10 @@ def test_cross_validate_no_signal_stays_near_baseline():
 def test_cross_validate_deterministic_and_jobs_invariant():
     data = blob_dataset(12, [[0, 0], [2, 2], [4, 4]], n_noise=1, seed=18)
     params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=4)
-    r1 = rf.cross_validate(data, params, k=3, seed=5)
-    r2 = rf.cross_validate(data, params, k=3, seed=5)
+    r1, _ = rf.cross_validate(data, params, k=3, seed=5)
+    r2, _ = rf.cross_validate(data, params, k=3, seed=5)
     with ProcessPoolExecutor(max_workers=2) as pool:
-        r3 = rf.cross_validate(data, params, k=3, seed=5, map_fn=pool.map)
+        r3, _ = rf.cross_validate(data, params, k=3, seed=5, map_fn=pool.map)
     assert dump_json(r1.to_dict()) == dump_json(r2.to_dict()) == dump_json(r3.to_dict())
 
 
@@ -909,7 +909,7 @@ def test_split_search_passes_do_not_change_trees(monkeypatch):
 
 def test_eval_report_from_dict_inverts_to_dict():
     data = blob_dataset(12, [[0, 0], [3, 3], [0, 3]], seed=30)
-    report = rf.cross_validate(data, SMALL, k=3, seed=4)
+    report, _ = rf.cross_validate(data, SMALL, k=3, seed=4)
     decoded = rf.EvalReport.from_dict(report.to_dict())
     assert dump_json(decoded.to_dict()) == dump_json(report.to_dict())
     assert decoded.confusion_matrix.dtype == np.int64

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -81,7 +82,7 @@ class TestDetectorConfig:
 
     def test_dict_roundtrip(self):
         cfg = DetectorConfig(ratio_threshold=0.4, release_windows=3)
-        assert from_json(DetectorConfig, cfg.to_dict(), "detector") == cfg
+        assert from_json(DetectorConfig, dataclasses.asdict(cfg), "detector") == cfg
 
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises(ValidationError, match="detector.window_length: unknown key"):

@@ -309,3 +309,6 @@ def test_no_samples_cross_the_pool(cohort, tmp_path, pools, monkeypatch):
     assert {name: len(task_sizes) for name, task_sizes in sizes.items()} == {
         "_scan_task": 2 * 19, "_featurize_task": 2 * 19
     }
+    # a featurize result is its values alone: the column names cross no pool
+    columns = len((tmp_path / "features.csv").read_text().partition("\n")[0].split(",")) - 1
+    assert max(sizes["_featurize_task"][1::2]) < 8 * columns + 512
