@@ -2,26 +2,21 @@
 
 Pipeline per record: standardize (Z-transformation), frame with a sliding
 window, window function, power spectrum, triangular mel filterbank, log,
-orthonormal type-II DCT, keep the first n_mfcc coefficients. Records are
-first trimmed to the dataset's shortest length (`trim_to_length`) so every
-feature vector has the same dimension.
+orthonormal type-II DCT, keep the first n_mfcc coefficients. The functions
+take sample arrays, not records: a record's samples are first trimmed to
+the dataset's shortest length (`trim_to_length`) so every feature vector
+has the same dimension. `category_codes` numbers plant types and locations
+from the records' label dicts, for the optional categorical columns.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (
-    ConfigurationError,
-    DegenerateSignalError,
-    DomainError,
-    EncodingError,
-    ValidationError,
-)
-from .simkit import SignalRecord
+from .errors import ConfigurationError, DegenerateSignalError, DomainError, ValidationError
 
 LOG_FLOOR = 1e-10  # filter energies are clamped here before the log
 
@@ -73,13 +68,13 @@ class FeatureMatrix:
     frame_times: np.ndarray  # seconds, frame centers
 
 
-def trim_to_length(record: SignalRecord, length: int) -> SignalRecord:
-    """Cut the record to `length` samples around its centre; an odd excess
+def trim_to_length(samples: np.ndarray, length: int) -> np.ndarray:
+    """Cut the samples to `length` around their centre; an odd excess
     loses the extra sample from the end."""
-    if not 0 < length <= record.samples.size:
-        raise ValidationError(f"cannot trim {record.samples.size} samples to {length}")
-    start = (record.samples.size - length) // 2
-    return replace(record, samples=record.samples[start : start + length])
+    if not 0 < length <= samples.size:
+        raise ValidationError(f"cannot trim {samples.size} samples to {length}")
+    start = (samples.size - length) // 2
+    return samples[start : start + length]
 
 
 def z_transform(samples) -> np.ndarray:
@@ -188,44 +183,23 @@ def mfcc(samples, config: MfccConfig = MfccConfig()) -> FeatureMatrix:
     return FeatureMatrix(coefficients=coeffs, frame_times=frame_times)
 
 
-def feature_names_for(config: MfccConfig, t_frames: int, include_categoricals: bool) -> tuple[str, ...]:
-    names = [f"mfcc{c}_t{f}" for c in range(config.n_mfcc) for f in range(t_frames)]
-    if include_categoricals:
-        names += list(CATEGORICAL_FIELDS)
-    return tuple(names)
+def feature_names_for(config: MfccConfig, t_frames: int) -> tuple[str, ...]:
+    return tuple(f"mfcc{c}_t{f}" for c in range(config.n_mfcc) for f in range(t_frames))
 
 
-def featurize(
-    record: SignalRecord,
-    config: MfccConfig = MfccConfig(),
-    include_categoricals: bool = False,
-    category_maps: dict[str, dict[str, int]] | None = None,
-) -> np.ndarray:
-    """Z-transform, MFCC, then flatten coefficient-major; optionally append
-    integer-coded plant_type and location from caller-supplied maps. The
-    columns are named by feature_names_for."""
-    z = z_transform(record.samples)
-    matrix = mfcc(z, config)
-    values = matrix.coefficients.reshape(-1)
-    if include_categoricals:
-        if category_maps is None:
-            raise EncodingError("include_categoricals requires category_maps")
-        codes = []
-        for fieldname in CATEGORICAL_FIELDS:
-            value = record.labels.get(fieldname)
-            mapping = category_maps.get(fieldname, {})
-            if value not in mapping:
-                raise EncodingError(f"no {fieldname} code for value {value!r}")
-            codes.append(float(mapping[value]))
-        values = np.concatenate([values, codes])
-    return values
+def featurize(samples, config: MfccConfig = MfccConfig()) -> np.ndarray:
+    """Z-transform, MFCC, then flatten coefficient-major. The columns are
+    named by feature_names_for."""
+    return mfcc(z_transform(samples), config).coefficients.reshape(-1)
 
 
-def build_category_maps(labels: list[dict]) -> dict[str, dict[str, int]]:
-    """Stable integer codes from the records' label dicts: sorted unique
-    label values per categorical field."""
-    maps: dict[str, dict[str, int]] = {}
+def category_codes(labels: list[dict]) -> np.ndarray:
+    """Each record's plant_type and location code as a (records, 2) float
+    array. A label codes as `str(label)`, "unknown" when absent, numbered
+    in sorted order of the field's values across the records."""
+    columns = []
     for fieldname in CATEGORICAL_FIELDS:
-        values = sorted({str(record.get(fieldname, "unknown")) for record in labels})
-        maps[fieldname] = {v: i for i, v in enumerate(values)}
-    return maps
+        values = [str(record.get(fieldname, "unknown")) for record in labels]
+        index = {value: i for i, value in enumerate(sorted(set(values)))}
+        columns.append([index[value] for value in values])
+    return np.array(columns, dtype=float).T

@@ -30,9 +30,5 @@ class ConfigurationError(ValidationError):
     """Inconsistent configuration values."""
 
 
-class EncodingError(ValidationError):
-    """A categorical value has no entry in the supplied code map."""
-
-
 class StreamError(ToolkitError):
     """Stream chunks arrived out of order or overlapping."""

@@ -482,19 +482,20 @@ def _scan_task(signal_path, meta_path) -> tuple:
 
 
 def _featurize_task(
-    signal_path, meta_path, scan: tuple, length: int, mfcc: dsp.MfccConfig,
-    include_categoricals: bool, maps,
+    signal_path, meta_path, scan: tuple, length: int, mfcc: dsp.MfccConfig, codes: np.ndarray
 ):
     """Read one record again, trim it to `length` and return its feature
-    values, or the DegenerateSignalError rejecting it."""
+    values with its categorical `codes` appended, or the
+    DegenerateSignalError rejecting it."""
     record = io.read_record(signal_path, meta_path)
     # repr, so that a NaN in the labels equals itself
     if repr((record.samples.size, record.sample_rate, record.labels)) != repr(scan):
         raise ValidationError(f"{signal_path}: changed while featurize read it")
     try:
-        return dsp.featurize(dsp.trim_to_length(record, length), mfcc, include_categoricals, maps)
+        values = dsp.featurize(dsp.trim_to_length(record.samples, length), mfcc)
     except DegenerateSignalError as exc:
         return exc.with_traceback(None)  # its frames would keep the samples alive
+    return np.concatenate([values, codes])
 
 
 def run_featurize(
@@ -505,7 +506,9 @@ def run_featurize(
     Two passes of per-record tasks, so no process holds more than one
     record's samples and no samples cross the pool: a scan gives each
     record's length, rate and labels, then each record is read again,
-    trimmed to the shortest length and featurized.
+    trimmed to the shortest length and featurized. The categorical codes
+    are computed here, from every scanned record's labels, and each task
+    appends its own record's row.
     """
     entries = io.read_manifest(manifest_path)
     if not entries:
@@ -517,10 +520,15 @@ def run_featurize(
         rates = {rate for _, rate, _ in scans}
         if len(rates) != 1:
             raise ValidationError(f"records mix sample rates: {sorted(rates)}")
+        if rates != {config.mfcc.sample_rate}:
+            raise ValidationError(
+                f"records are sampled at {rates.pop()} Hz but mfcc.sample_rate is "
+                f"{config.mfcc.sample_rate} Hz"
+            )
         label_key = TASK_LABEL_KEY[config.task]
-        maps = None
+        codes = np.empty((len(scans), 0))
         if config.include_categoricals:
-            maps = dsp.build_category_maps([record_labels for _, _, record_labels in scans])
+            codes = dsp.category_codes([record_labels for _, _, record_labels in scans])
         rows: list[np.ndarray] = []
         labels: list[str] = []
         rejects: list[dict] = []
@@ -532,8 +540,7 @@ def run_featurize(
             scans,
             itertools.repeat(length),
             itertools.repeat(config.mfcc),
-            itertools.repeat(config.include_categoricals),
-            itertools.repeat(maps),
+            codes,
         )
         for entry, (_, _, record_labels), vector in zip(entries, scans, vectors):
             if isinstance(vector, DegenerateSignalError):
@@ -554,7 +561,9 @@ def run_featurize(
     out.mkdir(parents=True, exist_ok=True)
     features_path = out / "features.csv"
     frames = dsp.frame_count(length, config.mfcc)
-    names = dsp.feature_names_for(config.mfcc, frames, config.include_categoricals)
+    names = dsp.feature_names_for(config.mfcc, frames)
+    if config.include_categoricals:
+        names += dsp.CATEGORICAL_FIELDS
     io.write_features(features_path, np.asarray(rows), names, labels)
     sidecar = {
         "task": config.task,

@@ -464,7 +464,8 @@ def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
     feature = np.concatenate([tree.feature for tree in trees])
     threshold = np.concatenate([tree.threshold for tree in trees])
     histogram = np.concatenate([tree.histogram for tree in trees])
-    children = np.concatenate(  # (nodes, 2) table indices; leaves keep -1
+    # (nodes, 2) table indices; tree t's leaves hold start[t] - 1, never read
+    children = np.concatenate(
         [np.stack([tree.left, tree.right], axis=1) + s for tree, s in zip(trees, start)]
     )
     n = rows.shape[0]

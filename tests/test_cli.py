@@ -340,6 +340,67 @@ class TestFeaturize:
         assert err == f"error: {manifest}: [1].{key}: expected str, got 5\n"
 
 
+    @pytest.mark.parametrize(
+        "edit, coded_as",
+        [
+            (lambda doc: doc.pop("plant_type"), "unknown"),
+            (lambda doc: doc.update(plant_type=None), "None"),
+            (lambda doc: doc.update(plant_type=3), "3"),
+        ],
+        ids=["missing", "null", "int"],
+    )
+    def test_categorical_label_codes_as_its_str(self, pipeline, tmp_path, edit, coded_as):
+        _, out = pipeline
+        config = write_config(tmp_path, include_categoricals=True)
+        entries = eio.read_manifest(out / "dataset.json")[:2]
+        metas = [tmp_path / "r0.meta.json", tmp_path / "r1.meta.json"]
+        for entry, meta in zip(entries, metas):
+            meta.write_bytes(Path(entry["meta_path"]).read_bytes())
+        doc = json.loads(metas[0].read_text())
+        edit(doc)
+        metas[0].write_text(json.dumps(doc))
+        other = json.loads(metas[1].read_text())["plant_type"]
+        manifest = tmp_path / "dataset.json"
+        eio.write_manifest(manifest, [
+            {"signal_path": str(entry["signal_path"]), "meta_path": meta.name}
+            for entry, meta in zip(entries, metas)
+        ])
+        assert main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 0
+        matrix, names, _ = eio.read_features(tmp_path / "out" / "features.csv")
+        assert names[-2:] == ("plant_type", "location")
+        values = sorted({coded_as, other})
+        assert matrix[:, -2].tolist() == [values.index(coded_as), values.index(other)]
+
+    def test_legshake_records_featurize_with_categoricals(self, tmp_path):
+        # simulate writes null labels on noise records and "unknown" on shakes
+        raw = json.loads((Path(__file__).resolve().parent.parent / "configs/legshake.json").read_text())
+        raw["include_categoricals"] = True
+        raw["dataset"].update(samples_per_cell=1, noise_only=1)
+        config = tmp_path / "legshake.json"
+        config.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path), "--quiet"]) == 0
+        assert main(["featurize", str(tmp_path / "dataset.json"), "--config", str(config),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+        matrix, names, labels = eio.read_features(tmp_path / "features.csv")
+        assert names[-2:] == ("plant_type", "location")
+        assert labels.count("noise") == 1
+        # noise codes as "None", which sorts before the shakes' "unknown"
+        expected = [[0.0, 0.0] if label == "noise" else [1.0, 1.0] for label in labels]
+        np.testing.assert_array_equal(matrix[:, -2:], expected)
+
+    def test_sample_rate_other_than_mfcc_sample_rate_exits_1(self, pipeline, tmp_path, capsys):
+        _, out = pipeline
+        config = write_config(tmp_path, mfcc={"sample_rate": 8000})
+        code = main(["featurize", str(out / "dataset.json"), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert_one_line_error(err)
+        assert "10000" in err and "8000" in err
+        assert not (tmp_path / "out").exists()
+
+
 class TestTrainEval:
     def test_artifacts_written(self, pipeline):
         _, out = pipeline

@@ -12,44 +12,29 @@ from reference import naive_mfcc
 
 from esdgait import dsp
 from esdgait.dsp import MfccConfig
-from esdgait.errors import (
-    ConfigurationError,
-    DegenerateSignalError,
-    DomainError,
-    EncodingError,
-    ValidationError,
-)
-from esdgait.simkit import SignalRecord
-
-
-def record_of(values, **labels) -> SignalRecord:
-    return SignalRecord(samples=np.asarray(values, dtype=float), sample_rate=10_000, labels=labels)
+from esdgait.errors import ConfigurationError, DegenerateSignalError, DomainError, ValidationError
 
 
 class TestTrim:
     def test_equal_lengths_unchanged(self):
-        out = dsp.trim_to_length(record_of(np.arange(10)), 10)
-        np.testing.assert_array_equal(out.samples, np.arange(10))
+        out = dsp.trim_to_length(np.arange(10), 10)
+        np.testing.assert_array_equal(out, np.arange(10))
 
     def test_even_excess_split_symmetrically(self):
-        out = dsp.trim_to_length(record_of(np.arange(12)), 10)
-        np.testing.assert_array_equal(out.samples, np.arange(1, 11))
-        out = dsp.trim_to_length(record_of(np.arange(100, 110)), 10)
-        np.testing.assert_array_equal(out.samples, np.arange(100, 110))
+        out = dsp.trim_to_length(np.arange(12), 10)
+        np.testing.assert_array_equal(out, np.arange(1, 11))
+        out = dsp.trim_to_length(np.arange(100, 110), 10)
+        np.testing.assert_array_equal(out, np.arange(100, 110))
 
     def test_odd_excess_extra_sample_from_end(self):
-        out = dsp.trim_to_length(record_of(np.arange(13)), 10)
+        out = dsp.trim_to_length(np.arange(13), 10)
         # excess 3: one from the start, two from the end
-        np.testing.assert_array_equal(out.samples, np.arange(1, 11))
-
-    def test_metadata_preserved(self):
-        out = dsp.trim_to_length(record_of(np.arange(11), person_id="p1"), 10)
-        assert out.labels["person_id"] == "p1"
+        np.testing.assert_array_equal(out, np.arange(1, 11))
 
     def test_bad_length_rejected(self):
         for length in (0, 11):
             with pytest.raises(ValidationError, match=f"cannot trim 10 samples to {length}"):
-                dsp.trim_to_length(record_of(np.arange(10)), length)
+                dsp.trim_to_length(np.arange(10), length)
 
 
 class TestZTransform:
@@ -220,55 +205,64 @@ class TestMfcc:
 
 
 class TestFeaturize:
-    def make_record(self, n=25_000, **labels):
-        rng = np.random.default_rng(11)
-        return record_of(rng.normal(size=n), **labels)
+    def make_samples(self, n=25_000):
+        return np.random.default_rng(11).normal(size=n)
 
     def test_plain_vector_length(self):
-        values = dsp.featurize(self.make_record())
+        values = dsp.featurize(self.make_samples())
         assert values.shape == (380,)
-        names = dsp.feature_names_for(MfccConfig(), dsp.frame_count(25_000, MfccConfig()), False)
+        names = dsp.feature_names_for(MfccConfig(), dsp.frame_count(25_000, MfccConfig()))
         assert len(names) == 380
         assert names[0] == "mfcc0_t0"
         assert names[19] == "mfcc1_t0"
         assert names[-1] == "mfcc19_t18"
 
     def test_coefficient_major_flatten(self):
-        rec = self.make_record()
-        values = dsp.featurize(rec)
-        matrix = dsp.mfcc(dsp.z_transform(rec.samples)).coefficients
+        samples = self.make_samples()
+        values = dsp.featurize(samples)
+        matrix = dsp.mfcc(dsp.z_transform(samples)).coefficients
         np.testing.assert_array_equal(values, matrix.reshape(-1))
-        names = dsp.feature_names_for(MfccConfig(), matrix.shape[1], False)
+        names = dsp.feature_names_for(MfccConfig(), matrix.shape[1])
         assert names[:19] == tuple(f"mfcc0_t{i}" for i in range(19))
 
     def test_categoricals_appended(self):
-        rec = self.make_record(plant_type="basil", location="north_bench")
-        maps = {"plant_type": {"basil": 1, "fern": 0}, "location": {"north_bench": 2}}
-        values = dsp.featurize(rec, include_categoricals=True, category_maps=maps)
-        assert values.shape == (382,)
-        names = dsp.feature_names_for(MfccConfig(), dsp.frame_count(25_000, MfccConfig()), True)
+        # featurize gives the MFCC values only; a row of category_codes
+        # follows them, under the CATEGORICAL_FIELDS names
+        assert dsp.featurize(self.make_samples()).shape == (380,)
+        names = dsp.feature_names_for(MfccConfig(), dsp.frame_count(25_000, MfccConfig()))
+        names += dsp.CATEGORICAL_FIELDS
         assert len(names) == 382
         assert names[-2:] == ("plant_type", "location")
-        assert values[-2] == 1.0
-        assert values[-1] == 2.0
-
-    def test_unknown_category_rejected(self):
-        rec = self.make_record(plant_type="cactus", location="north_bench")
-        maps = {"plant_type": {"basil": 1}, "location": {"north_bench": 0}}
-        with pytest.raises(EncodingError):
-            dsp.featurize(rec, include_categoricals=True, category_maps=maps)
+        labels = [{"plant_type": "basil", "location": "north_bench"}, {"plant_type": "fern"}]
+        np.testing.assert_array_equal(dsp.category_codes(labels), [[0.0, 0.0], [1.0, 1.0]])
 
     def test_purity(self):
-        a = dsp.featurize(self.make_record())
-        b = dsp.featurize(self.make_record())
+        a = dsp.featurize(self.make_samples())
+        b = dsp.featurize(self.make_samples())
         np.testing.assert_array_equal(a, b)
 
     def test_degenerate_record_propagates(self):
         with pytest.raises(DegenerateSignalError):
-            dsp.featurize(record_of(np.ones(5000)))
+            dsp.featurize(np.ones(5000))
 
-    def test_category_map_builder_is_sorted_and_stable(self):
+
+class TestCategoryCodes:
+    def test_sorted_and_stable(self):
         labels = [{"plant_type": "fern", "location": "b"}, {"plant_type": "basil", "location": "a"}]
-        maps = dsp.build_category_maps(labels)
-        assert maps["plant_type"] == {"basil": 0, "fern": 1}
-        assert maps["location"] == {"a": 0, "b": 1}
+        codes = dsp.category_codes(labels)
+        assert codes.dtype == np.float64
+        np.testing.assert_array_equal(codes, [[1.0, 1.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(dsp.category_codes(labels[::-1]), codes[::-1])
+
+    def test_str_of_the_label_with_unknown_when_absent(self):
+        labels = [{"plant_type": None}, {"plant_type": 3}, {"plant_type": "3"}, {}, {"plant_type": "fern"}]
+        # "3" < "None" < "fern" < "unknown"; a missing location is "unknown" too
+        np.testing.assert_array_equal(
+            dsp.category_codes(labels), [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [3.0, 0.0], [2.0, 0.0]]
+        )
+
+    def test_labels_differing_in_trailing_nuls_get_their_own_codes(self):
+        # numpy's fixed-width strings would strip the NUL and merge the two
+        labels = [{"plant_type": "fern\x00", "location": "a"}, {"plant_type": "fern", "location": "a"}]
+        np.testing.assert_array_equal(dsp.category_codes(labels), [[1.0, 0.0], [0.0, 0.0]])
+
