@@ -253,7 +253,6 @@ class ShakePlan:
     duration: float
     snr_db: float | None
     noise_seed: int
-    noise_std: float = 0.0  # the level snr_db sets, shared by the cell's records
 
 
 @dataclass(frozen=True)
@@ -319,9 +318,6 @@ def _shake_plans(seed: int, cohort: ShakeCohort) -> list:
     cells = list(itertools.product(cohort.shake_frequencies, cohort.onsets))
     index = 0
     for cell_index, (freq, onset) in enumerate(cells):
-        noise_std = 0.0
-        if cohort.snr_db is not None:
-            noise_std = _snr_noise_std(freq, onset, cohort.duration, cohort.snr_db)
         for rep in range(cohort.samples_per_cell):
             rng = np.random.default_rng(np.random.SeedSequence([seed, cell_index, rep]))
             plans.append(
@@ -332,16 +328,14 @@ def _shake_plans(seed: int, cohort: ShakeCohort) -> list:
                     duration=cohort.duration,
                     snr_db=cohort.snr_db,
                     noise_seed=int(rng.integers(2**32)),
-                    noise_std=noise_std,
                 )
             )
             index += 1
     reference_std = 0.0
     if cohort.noise_only:  # noise level of a mid-band shake at the earliest onset
-        reference_std = _snr_noise_std(
-            float(np.mean(cohort.shake_frequencies)), float(min(cohort.onsets)),
-            cohort.duration, cohort.snr_db,
-        )
+        onset = float(min(cohort.onsets))
+        clean = _clean_shake(float(np.mean(cohort.shake_frequencies)), onset, cohort.duration)
+        reference_std = _snr_noise_std(clean, onset, cohort.snr_db)
     for extra in range(cohort.noise_only):
         rng = np.random.default_rng(np.random.SeedSequence([seed, len(cells) + extra, 0]))
         plans.append(
@@ -356,11 +350,14 @@ def _shake_plans(seed: int, cohort: ShakeCohort) -> list:
     return plans
 
 
-def _snr_noise_std(freq: float, onset: float, duration: float, snr_db: float) -> float:
+def _clean_shake(freq: float, onset: float, duration: float) -> simkit.SignalRecord:
+    """The noise-free record of a shake at `freq` from `onset`: the
+    waveform that every record of its cell shares."""
+    return simkit.synth_legshake(freq, duration, onset, WALK_CAPACITANCE, ELECTRODE)
+
+
+def _snr_noise_std(clean: simkit.SignalRecord, onset: float, snr_db: float) -> float:
     """Noise std putting a clean shake's post-onset RMS at snr_db above it."""
-    clean = simkit.synth_legshake(
-        freq, duration, onset, WALK_CAPACITANCE, ELECTRODE, noise_std=0.0, seed=0
-    )
     post = clean.samples[int(onset * clean.sample_rate):]
     return float(np.sqrt(np.mean(post**2))) / (10.0 ** (snr_db / 20.0))
 
@@ -369,7 +366,8 @@ def synthesize_record(plan) -> simkit.SignalRecord:
     if isinstance(plan, WalkPlan):
         return _synthesize_walk(plan)
     if isinstance(plan, ShakePlan):
-        return _synthesize_shake(plan)
+        clean = _clean_shake(plan.shake_frequency, plan.onset, plan.duration)
+        return _synthesize_shake(plan, clean)
     if isinstance(plan, NoisePlan):
         return _synthesize_noise(plan)
     raise ValidationError(f"unknown plan type: {type(plan).__name__}")
@@ -416,54 +414,78 @@ def _synthesize_walk(plan: WalkPlan) -> simkit.SignalRecord:
     )
 
 
-def _synthesize_shake(plan: ShakePlan) -> simkit.SignalRecord:
+def _synthesize_shake(plan: ShakePlan, clean: simkit.SignalRecord) -> simkit.SignalRecord:
+    """The plan's record: its cell's clean waveform `clean` plus its seeded noise."""
+    noise_std = 0.0 if plan.snr_db is None else _snr_noise_std(clean, plan.onset, plan.snr_db)
     labels = {
-        "activity": "legshake",
+        **clean.labels,
         "seed": plan.noise_seed,
         "generator_params": {
             "shake_frequency": plan.shake_frequency,
             "onset": plan.onset,
             "duration": plan.duration,
             "snr_db": plan.snr_db,
-            "noise_std": plan.noise_std,
+            "noise_std": noise_std,
         },
     }
-    return simkit.synth_legshake(
-        plan.shake_frequency, plan.duration, plan.onset,
-        WALK_CAPACITANCE, ELECTRODE,
-        noise_std=plan.noise_std, seed=plan.noise_seed, labels=labels,
+    return simkit.SignalRecord(
+        samples=simkit.add_noise(clean.samples, noise_std, plan.noise_seed),
+        sample_rate=clean.sample_rate,
+        labels=labels,
     )
 
 
 def _synthesize_noise(plan: NoisePlan) -> simkit.SignalRecord:
-    rng = np.random.default_rng(plan.noise_seed)
     n = int(round(plan.duration * simkit.SAMPLE_RATE)) - 2
-    samples = rng.normal(0.0, plan.noise_std, n)
     labels = {
+        **simkit.DEFAULT_LABELS,
         "activity": "noise",
         "seed": plan.noise_seed,
         "generator_params": {"duration": plan.duration, "noise_std": plan.noise_std},
     }
     return simkit.SignalRecord(
-        samples=samples, sample_rate=simkit.SAMPLE_RATE, labels=labels
+        samples=simkit.add_noise(np.zeros(n), plan.noise_std, plan.noise_seed),
+        sample_rate=simkit.SAMPLE_RATE,
+        labels=labels,
     )
 
 
-def _simulate_task(plan, out: Path) -> dict:
-    """Synthesize and write one record; returns its manifest entry."""
-    stem = f"rec_{plan.index:04d}"
-    entry = {"signal_path": f"records/{stem}.sig.csv", "meta_path": f"records/{stem}.meta.json"}
-    io.write_record(synthesize_record(plan), out / entry["signal_path"], out / entry["meta_path"])
-    return entry
+def _cell(plan):
+    """The key run_simulate groups consecutive plans by into one task: what
+    a shake cell's records share (waveform and noise level), or the plan's
+    own index for any other plan, which is then a task alone."""
+    if isinstance(plan, ShakePlan):
+        return (plan.shake_frequency, plan.onset, plan.duration, plan.snr_db)
+    return plan.index
+
+
+def _simulate_task(plans: tuple, out: Path) -> list[dict]:
+    """Synthesize and write the records of one task, a walk or noise plan
+    alone or the plans of one shake cell; returns their manifest entries.
+    A cell's records share one clean waveform, dropped when the task ends."""
+    first = plans[0]
+    clean = None
+    if isinstance(first, ShakePlan):
+        clean = _clean_shake(first.shake_frequency, first.onset, first.duration)
+    entries = []
+    for plan in plans:
+        stem = f"rec_{plan.index:04d}"
+        entry = {"signal_path": f"records/{stem}.sig.csv", "meta_path": f"records/{stem}.meta.json"}
+        record = synthesize_record(plan) if clean is None else _synthesize_shake(plan, clean)
+        io.write_record(record, out / entry["signal_path"], out / entry["meta_path"])
+        entries.append(entry)
+    return entries
 
 
 def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     """Synthesize the cohort and write records plus dataset.json manifest."""
-    plans = build_plans(config)
+    tasks = [tuple(cell) for _, cell in itertools.groupby(build_plans(config), _cell)]
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
-    with _task_map(jobs, len(plans)) as map_fn:
-        entries = list(map_fn(_simulate_task, plans, itertools.repeat(out)))
+    with _task_map(jobs, len(tasks)) as map_fn:
+        entries = list(itertools.chain.from_iterable(
+            map_fn(_simulate_task, tasks, itertools.repeat(out))
+        ))
     manifest_path = out / "dataset.json"
     io.write_manifest(manifest_path, entries)
     log.info("wrote %d records and %s", len(entries), manifest_path)

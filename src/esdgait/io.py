@@ -6,6 +6,14 @@ batch of records is listed in a `dataset.json` manifest. Feature tables
 are `features.csv` (header + one row per record, trailing label column)
 with a `features.meta.json` sidecar recording the extraction settings.
 
+`simulate` writes the signal text with numpy, in blocks of lines. Each
+line is built as a 16-byte row of four uint32 words gathered from tables:
+`[sign or NUL, lead digit, ".", d1]`, `[d2..d5]`, `[d6 d7 d8 "e"]` and
+`[exponent sign, two exponent digits, newline]`; one `bytes.replace` strips
+the NULs of positive lines. That covers every block whose samples are 0 or
+lie in [1e-99, 9.999999995e99), where "%.8e" has a two-digit exponent; any
+other block (nan, inf, a three-digit exponent) is formatted by Python's %.
+
 `simulate` also writes `<name>.sig.csv.f8` next to each signal: the
 samples as float64 under a sha256 key of the signal's bytes, so readers of
 an unchanged record skip the text parse (see `read_stored_samples`).
@@ -328,22 +336,26 @@ def sample_chunks(source, name=None):
 # Record text is "%.8e" per sample, one per line. _format_samples writes it
 # with numpy in blocks of this many rows, which bounds its temporaries.
 _FORMAT_BLOCK_ROWS = 8192
+# A block takes the table path when every sample is 0 or has a two-digit
+# decimal exponent: at least 1e-99 and below 9.999999995e99, the least
+# double whose "%.8e" is 1.00000000e+100. Any other block (nan, inf, a
+# three-digit exponent) is formatted by Python's %.
+_FAST_MIN, _FAST_MAX = 1e-99, 9.999999995e99
 # 10**k for k in [-300, 308], each correctly rounded
 _POW10_MIN = -300
 _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_MIN, 309)])
-# One output row before the keep-mask: a 4-byte head (pad, "-", lead digit,
-# "."), two 4-digit groups, and an 8-byte tail ("e", exponent sign, three
-# exponent digits, newline, two pads). The tables hold the bytes of each
-# part in native order, so a row is assembled by whole-word gathers.
-_ROW = np.dtype([("head", "u4"), ("hi", "u4"), ("lo", "u4"), ("exp", "u8")])
-_HEAD = np.frombuffer(b"".join(b"\0-%d." % d for d in range(10)), dtype="u4")
+# A line is four native-order uint32 words, each gathered from a table:
+# [sign or NUL, lead digit, ".", d1], [d2 d3 d4 d5], [d6 d7 d8 "e"] and
+# [exponent sign, two exponent digits, "\n"]. The NUL that stands for a
+# positive sign is stripped from the block's bytes by one bytes.replace.
+_LEAD = np.frombuffer(
+    b"".join(b"%s%d.%d" % (sign, d // 10, d % 10) for sign in (b"\0", b"-") for d in range(100)),
+    dtype="u4",
+)
 _DIGITS4 = np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0")
 _DIGITS4 = _DIGITS4.astype(np.uint8).view("u4").ravel()  # "%04d" % i as one word
-_EXP_MIN = -300
-_EXP = np.frombuffer(b"".join(b"e%+04d\n\0\0" % e for e in range(_EXP_MIN, 302)), dtype="u8")
-# bytes every row keeps; the sign (byte 1) and the exponent's hundreds
-# digit (byte 14) are set per row
-_KEEP = np.frombuffer(b"\0" + b"\1" * 17 + b"\0\0", dtype=bool)
+_TAIL = np.frombuffer(b"".join(b"%03de" % d for d in range(1000)), dtype="u4")
+_EXPONENT = np.frombuffer(b"".join(b"%+03d\n" % e for e in range(-99, 100)), dtype="u4")
 
 
 def _format_samples(samples) -> tuple[list[bytes], np.ndarray]:
@@ -365,53 +377,55 @@ def _format_samples(samples) -> tuple[list[bytes], np.ndarray]:
 def _format_block(x: np.ndarray, parsed: np.ndarray) -> bytes:
     """One block's text; fills `parsed` with the float each line parses to."""
     a = np.abs(x)
-    nonzero = a != 0.0
-    if not (np.all(np.isfinite(a)) and np.all((a[nonzero] >= 1e-300) & (a[nonzero] <= 1e300))):
+    low, high = a.min(), a.max()  # nan if any sample is
+    if not (high < _FAST_MAX and (low >= _FAST_MIN or np.all(a[a != 0.0] >= _FAST_MIN))):
         lines = [b"%.8e\n" % v for v in x]
         parsed[:] = [float(line) for line in lines]
         return b"".join(lines)
-    a = np.where(nonzero, a, 1.0)
-    # scale to a 9-digit mantissa m = a * 10**k in [1e8, 1e9); log10 may
-    # miss the decimal exponent by one, which the second scaling corrects
-    # (10**308 suffices for a >= 1e-300, even where log10 rounds below -300)
-    k = np.minimum(8 - np.floor(np.log10(a)).astype(np.int64), 308)
-    m = a * _POW10[k - _POW10_MIN]
-    k += (m < 1e8).astype(np.int64) - (m >= 1e9)
-    m = a * _POW10[k - _POW10_MIN]
-    mant = np.rint(m).astype(np.int64)
-    exp = 8 - k
-    carry = mant >= 1_000_000_000  # 9.999999995eN rounds to 1.00000000e(N+1)
-    mant[carry] //= 10
-    exp[carry] += 1
-    mant[~nonzero] = 0
-    exp[~nonzero] = 0
+    zeros = np.flatnonzero(a == 0.0) if low == 0.0 else []
+    a[zeros] = 1.0
+    # scale to a 9-digit mantissa m = a * 10**(8 - e) in [1e8, 1e9), where
+    # e is the decimal exponent; log10 may miss it by one, and only the
+    # lines it missed are scaled again
+    e = np.floor(np.log10(a)).astype(np.int64)
+    m = a * _POW10[8 - _POW10_MIN - e]
+    missed = np.flatnonzero((m < 1e8) | (m >= 1e9))
+    e[missed] += np.where(m[missed] < 1e8, -1, 1)
+    m[missed] = a[missed] * _POW10[8 - _POW10_MIN - e[missed]]
+    mant = np.rint(m)
     # m carries at most a few ulps of scaling error (< 1e-6 at 1e9), so
     # rint rounds it correctly unless it is this close to a half-way point
-    for i in np.flatnonzero((np.abs(m - np.floor(m) - 0.5) < 1e-4) & nonzero):
+    for i in np.flatnonzero(np.abs(m - mant) > 0.5 - 1e-4):
         text = "%.8e" % a[i]
         mant[i] = int(text[0] + text[2:10])
-        exp[i] = int(text[11:])
-    # the line's value is mant / 10**k: with 0 <= k <= 22 that is one
-    # correctly rounded division of exact operands, and with -22 <= k < 0
-    # one multiplication (Clinger's fast path), so it equals the parse
-    k = 8 - exp
+        e[i] = int(text[11:])
+    carry = np.flatnonzero(mant >= 1e9)  # 9.999999995eN rounds to 1.00000000e(N+1)
+    mant[carry] = 1e8
+    e[carry] += 1
+    mant[zeros] = 0.0
+    e[zeros] = 0
+    # the line's value is mant / 10**k, k = 8 - e: with 0 <= k <= 22 that
+    # is one correctly rounded division of exact operands, and with
+    # -22 <= k < 0 one multiplication (Clinger's fast path), so it equals
+    # the parse
+    k = 8 - e
     scale = _POW10[np.minimum(np.abs(k), 22) - _POW10_MIN]
-    whole = mant.astype(float)
-    parsed[:] = np.copysign(np.where(k >= 0, whole / scale, whole * scale), x)
+    np.divide(mant, scale, out=parsed)
+    large = np.flatnonzero(k < 0)
+    parsed[large] = mant[large] * scale[large]
+    np.copysign(parsed, x, out=parsed)
     for i in np.flatnonzero(np.abs(k) > 22):
         parsed[i] = float("%.8e" % x[i])
-    lead, rest = np.divmod(mant, 100_000_000)
-    hi, lo = np.divmod(rest, 10_000)
-    rows = np.empty(x.size, dtype=_ROW)
-    rows["head"] = _HEAD[lead]
-    rows["hi"] = _DIGITS4[hi]
-    rows["lo"] = _DIGITS4[lo]
-    rows["exp"] = _EXP[exp - _EXP_MIN]
-    keep = np.empty((x.size, _ROW.itemsize), dtype=bool)
-    keep[:] = _KEEP
-    keep[:, 1] = np.signbit(x)
-    keep[:, 14] = np.abs(exp) >= 100
-    return rows.view(np.uint8)[keep.ravel()].tobytes()
+    digits = mant.astype(np.int32)
+    head = digits // 10_000_000  # lead digit and d1
+    rest = digits - head * 10_000_000
+    mid = rest // 1000
+    rows = np.empty((x.size, 4), dtype=np.uint32)
+    rows[:, 0] = _LEAD[head + 100 * np.signbit(x)]
+    rows[:, 1] = _DIGITS4[mid]
+    rows[:, 2] = _TAIL[rest - mid * 1000]
+    rows[:, 3] = _EXPONENT[e + 99]
+    return rows.tobytes().replace(b"\0", b"")
 
 
 def write_manifest(path, entries: list[dict]) -> None:

@@ -33,6 +33,15 @@ SAMPLE_RATE = 10_000  # Hz, fixed for the whole feature pipeline
 DEFAULT_C_PLANT = 100e-12  # farads
 EPSILON_AIR = 8.854e-12  # farads/meter
 
+# labels of every synthesized record that its synthesizer or cohort does
+# not set: shake and noise records are by nobody, in no mood, at no site
+DEFAULT_LABELS = {
+    "person_id": "unknown",
+    "mood": "neutral",
+    "plant_type": "unknown",
+    "location": "unknown",
+}
+
 # a capacitance trajectory is a constant or a vectorized function of time
 CapFn = Union[float, Callable[[np.ndarray], np.ndarray]]
 
@@ -221,7 +230,7 @@ def _synth_record(
     """The synthesizers' shared tail, from the feet's 1/C_f on the grid `t`:
     add the room terms, take the central difference on the grid (dropping
     the two boundary samples), project it at the distance of `traj`, add
-    the seeded noise and label the record (`labels` over the defaults)."""
+    the seeded noise and label the record (`labels` over DEFAULT_LABELS)."""
     if np.any(inv1 <= 0) or np.any(inv2 <= 0):
         raise DomainError("foot capacitance schedule left the positive range")
     inv_cb = inv1 + inv2
@@ -237,17 +246,21 @@ def _synth_record(
     if np.any(r <= 0):
         raise SingularityError("radial distance to the electrode reached zero")
     samples = electrode.epsilon * electrode.area_s / r[1:-1] * foot_cur
+    return SignalRecord(
+        samples=add_noise(samples, noise_std, seed),
+        sample_rate=SAMPLE_RATE,
+        labels={**DEFAULT_LABELS, **labels},
+    )
+
+
+def add_noise(samples: np.ndarray, noise_std: float, seed: int) -> np.ndarray:
+    """`samples` plus zero-mean Gaussian noise of std `noise_std`, drawn
+    from a generator seeded with `seed`; `samples` itself when noise_std
+    is 0."""
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         samples = samples + rng.normal(0.0, noise_std, samples.shape)
-    rec_labels = {
-        "person_id": "unknown",
-        "mood": "neutral",
-        "plant_type": "unknown",
-        "location": "unknown",
-        **labels,
-    }
-    return SignalRecord(samples=samples, sample_rate=SAMPLE_RATE, labels=rec_labels)
+    return samples
 
 
 def synth_walk(

@@ -14,6 +14,7 @@ import pytest
 import esdgait.experiments as ex
 import esdgait.forest as forest
 import esdgait.io as eio
+from esdgait import simkit
 from esdgait.dsp import MfccConfig
 from esdgait.errors import ValidationError
 from esdgait.simkit import SignalRecord
@@ -382,6 +383,47 @@ class TestSynthesis:
         post = clean.samples[int(2.0 * clean.sample_rate):]
         rms = float(np.sqrt(np.mean(post**2)))
         assert params["noise_std"] == pytest.approx(rms / math.sqrt(10.0), rel=1e-9)
+
+    def test_noise_records_carry_the_default_labels(self):
+        cfg = ex.ExperimentConfig.from_dict(json.loads((CONFIGS / "legshake.json").read_text()))
+        plans = ex.build_plans(cfg)
+        noise = ex.synthesize_record(plans[-1])
+        shake = ex.synthesize_record(plans[0])
+        assert noise.labels["activity"] == "noise"
+        for key in ("person_id", "mood", "plant_type", "location"):
+            assert noise.labels[key] == shake.labels[key] == simkit.DEFAULT_LABELS[key]
+
+
+# sha256 of every .sig.csv and .sig.csv.f8 that simulate writes for the
+# shipped configs at their own seeds, as written when each shake record
+# synthesized its own clean waveform
+SIMULATE_DIGESTS = json.loads((Path(__file__).with_name("simulate_digests.json")).read_text())
+
+
+@pytest.mark.parametrize("name", sorted(SIMULATE_DIGESTS))
+def test_simulated_samples_are_pinned(name, tmp_path):
+    ex.run_simulate(ex.load_config(CONFIGS / f"{name}.json"), tmp_path)
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted((tmp_path / "records").iterdir())
+        if path.name.endswith((".sig.csv", ".sig.csv.f8"))
+    }
+    assert written == SIMULATE_DIGESTS[name]
+
+
+def test_one_clean_waveform_per_shake_cell(tmp_path, monkeypatch):
+    synth = simkit.synth_legshake
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[:3])
+        return synth(*args, **kwargs)
+
+    monkeypatch.setattr(simkit, "synth_legshake", counted)
+    ex.run_simulate(ex.load_config(CONFIGS / "legshake.json"), tmp_path, jobs=1)
+    # 5 frequencies x 2 onsets, plus the noise-only records' reference shake
+    assert len(calls) == 11
+    assert len(list((tmp_path / "records").glob("*.sig.csv"))) == 25
 
 
 class TestFeaturize:

@@ -167,6 +167,48 @@ def test_stored_samples_equal_the_parsed_text(values, block_rows):
     assert bits(parsed) == bits([float(line) for line in text.splitlines()])
 
 
+def nudged(value: float):
+    """`value` moved up to four doubles either way."""
+
+    def step(n: int) -> float:
+        v = value
+        for _ in range(abs(n)):
+            v = math.nextafter(v, math.inf if n > 0 else 0.0)
+        return v
+
+    return st.integers(-4, 4).map(step)
+
+
+# the table path's edges: either side of 1e-99 and of 9.999999995e99,
+# where a three-digit exponent sends the block to Python's %, and the carry
+# at 9.999999995eN for N = -99, 98 and 99
+FAST_PATH_EDGES = signed(
+    st.one_of(
+        nudged(1e-99),
+        nudged(9.999999995e99),
+        nudged(9.999999995e-99),
+        nudged(9.999999995e98),
+        st.floats(-101.0, -98.0).map(lambda k: 10.0**k),
+        st.floats(98.0, 100.5).map(lambda k: 10.0**k),
+    )
+)
+# samples of a simulated record's magnitude
+ORDINARY_SAMPLES = st.floats(min_value=-1e-6, max_value=1e-6)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.lists(st.one_of(ORDINARY_SAMPLES, FAST_PATH_EDGES), min_size=1, max_size=40),
+    st.integers(1, 9),
+)
+def test_fast_path_edges_among_ordinary_samples(values, block_rows):
+    with mock.patch.object(eio, "_FORMAT_BLOCK_ROWS", block_rows):
+        blocks, parsed = eio._format_samples(np.array(values, dtype=float))
+    text = b"".join(blocks).decode("ascii")
+    assert text == percent_e(values)
+    assert bits(parsed) == bits([float(line) for line in text.splitlines()])
+
+
 def test_sample_text_across_magnitudes_and_blocks():
     rng = np.random.default_rng(5)
     size = 3 * eio._FORMAT_BLOCK_ROWS + 17

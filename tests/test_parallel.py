@@ -114,6 +114,31 @@ def test_simulate_identical_at_any_jobs(tmp_path):
         assert tree_bytes(tmp_path / jobs) == reference
 
 
+def test_shake_simulate_identical_at_any_jobs(tmp_path):
+    # a shake cell is one task: its records share one clean waveform, and
+    # the noise-only records' level comes from a reference shake
+    config = tmp_path / "shake.json"
+    config.write_text(json.dumps({
+        "seed": 9,
+        "task": "legshake",
+        "dataset": {
+            "shake_frequencies": [5.0, 6.5],
+            "onsets": [0.5, 1.0],
+            "duration": 2.0,
+            "snr_db": 6.0,
+            "samples_per_cell": 3,
+            "noise_only": 2,
+        },
+    }))
+    for jobs in JOBS:
+        assert run("simulate", "--config", str(config), "--out", str(tmp_path / jobs),
+                   "--jobs", jobs) == 0
+    reference = tree_bytes(tmp_path / "1")
+    assert len([name for name in reference if name.endswith(".sig.csv")]) == 2 * 2 * 3 + 2
+    for jobs in JOBS[1:]:
+        assert tree_bytes(tmp_path / jobs) == reference
+
+
 def test_featurize_identical_at_any_jobs(cohort, tmp_path):
     config, sim = cohort
     for jobs in JOBS:
