@@ -101,6 +101,12 @@ class ShakeCohort:
     def __post_init__(self) -> None:
         if not self.shake_frequencies or not self.onsets:
             raise ValidationError("legshake dataset needs shake_frequencies and onsets")
+        if not all(3.0 <= f <= 10.0 for f in self.shake_frequencies):
+            raise ValidationError("shake_frequencies must lie in [3, 10] Hz")
+        if min(self.onsets) < 0:
+            raise ValidationError("onsets must be >= 0")
+        if round(self.duration * simkit.SAMPLE_RATE) < 3:
+            raise ValidationError("duration must span at least 3 samples")
         if self.duration <= max(self.onsets):
             raise ValidationError("duration must exceed every onset")
         if self.samples_per_cell < 1:
@@ -362,92 +368,79 @@ def _snr_noise_std(clean: simkit.SignalRecord, onset: float, snr_db: float) -> f
     return float(np.sqrt(np.mean(post**2))) / (10.0 ** (snr_db / 20.0))
 
 
-def synthesize_record(plan) -> simkit.SignalRecord:
+def _walk_path(plan: WalkPlan) -> tuple[simkit.Trajectory, float]:
+    """The trajectory and duration of `plan`'s straight walk."""
+    return simkit.straight_walk(
+        plan.gait, plan.mood_profile, plan.start_distance, plan.end_distance
+    )
+
+
+def _clean_record(plan) -> simkit.SignalRecord:
+    """The noise-free record of `plan`, labelled with what its physics knows."""
     if isinstance(plan, WalkPlan):
-        return _synthesize_walk(plan)
+        traj, duration = _walk_path(plan)
+        return simkit.synth_walk(
+            plan.gait, plan.mood_profile, traj, WALK_CAPACITANCE, ELECTRODE, duration,
+            schedule_phase=plan.schedule_phase,
+        )
     if isinstance(plan, ShakePlan):
-        clean = _clean_shake(plan.shake_frequency, plan.onset, plan.duration)
-        return _synthesize_shake(plan, clean)
+        return _clean_shake(plan.shake_frequency, plan.onset, plan.duration)
     if isinstance(plan, NoisePlan):
-        return _synthesize_noise(plan)
+        n = int(round(plan.duration * simkit.SAMPLE_RATE)) - 2
+        labels = {**simkit.DEFAULT_LABELS, "activity": "noise"}
+        return simkit.SignalRecord(np.zeros(n), simkit.SAMPLE_RATE, labels)
     raise ValidationError(f"unknown plan type: {type(plan).__name__}")
 
 
-def _synthesize_walk(plan: WalkPlan) -> simkit.SignalRecord:
-    mood = plan.mood_profile
-    traj, duration = simkit.straight_walk(
-        plan.gait, mood, plan.start_distance, plan.end_distance
-    )
-    labels = {
-        "person_id": plan.person_id,
-        "mood": plan.mood,
-        "plant_type": plan.plant_type,
-        "location": plan.location,
-        "activity": "walk",
-        "seed": plan.noise_seed,
-        "generator_params": {
-            "step_frequency": plan.gait.step_frequency,
-            "walking_speed": plan.gait.walking_speed,
-            "duty_cycle": plan.gait.duty_cycle,
-            "vertical_amplitude": plan.gait.vertical_amplitude,
-            "speed_factor": mood.speed_factor if mood else 1.0,
-            "amplitude_factor": mood.amplitude_factor if mood else 1.0,
-            "step_frequency_factor": mood.step_frequency_factor if mood else 1.0,
-            "start_distance": plan.start_distance,
-            "end_distance": plan.end_distance,
-            "schedule_phase": plan.schedule_phase,
-            "duration": duration,
-            "noise_std": plan.noise_std,
-        },
-    }
-    return simkit.synth_walk(
-        plan.gait,
-        mood,
-        traj,
-        WALK_CAPACITANCE,
-        ELECTRODE,
-        duration,
-        noise_std=plan.noise_std,
-        seed=plan.noise_seed,
-        schedule_phase=plan.schedule_phase,
-        labels=labels,
-    )
+def _plan_labels(plan, noise_std: float) -> dict:
+    """The labels the cohort gives `plan`'s record beyond its physics: who
+    walked where, and the parameters it was generated from."""
+    if isinstance(plan, WalkPlan):
+        gait, mood = plan.gait, plan.mood_profile or MoodFactors()
+        return {
+            "person_id": plan.person_id,
+            "mood": plan.mood,
+            "plant_type": plan.plant_type,
+            "location": plan.location,
+            "generator_params": {
+                "step_frequency": gait.step_frequency,
+                "walking_speed": gait.walking_speed,
+                "duty_cycle": gait.duty_cycle,
+                "vertical_amplitude": gait.vertical_amplitude,
+                "speed_factor": mood.speed_factor,
+                "amplitude_factor": mood.amplitude_factor,
+                "step_frequency_factor": mood.step_frequency_factor,
+                "start_distance": plan.start_distance,
+                "end_distance": plan.end_distance,
+                "schedule_phase": plan.schedule_phase,
+                "duration": _walk_path(plan)[1],  # straight_walk's, not the sample count's
+                "noise_std": noise_std,
+            },
+        }
+    params = {"duration": plan.duration, "noise_std": noise_std}
+    if isinstance(plan, ShakePlan):
+        params.update(shake_frequency=plan.shake_frequency, onset=plan.onset, snr_db=plan.snr_db)
+    return {"generator_params": params}
 
 
-def _synthesize_shake(plan: ShakePlan, clean: simkit.SignalRecord) -> simkit.SignalRecord:
-    """The plan's record: its cell's clean waveform `clean` plus its seeded noise."""
-    noise_std = 0.0 if plan.snr_db is None else _snr_noise_std(clean, plan.onset, plan.snr_db)
-    labels = {
-        **clean.labels,
-        "seed": plan.noise_seed,
-        "generator_params": {
-            "shake_frequency": plan.shake_frequency,
-            "onset": plan.onset,
-            "duration": plan.duration,
-            "snr_db": plan.snr_db,
-            "noise_std": noise_std,
-        },
-    }
+def _record(plan, clean: simkit.SignalRecord) -> simkit.SignalRecord:
+    """`plan`'s record from its noise-free record `clean`, by one rule for
+    every plan: noise of the plan's std (a shake's from its SNR) under its
+    seed, and the plan's labels over the physics' ones."""
+    if isinstance(plan, ShakePlan):
+        std = 0.0 if plan.snr_db is None else _snr_noise_std(clean, plan.onset, plan.snr_db)
+    else:
+        std = plan.noise_std
     return simkit.SignalRecord(
-        samples=simkit.add_noise(clean.samples, noise_std, plan.noise_seed),
+        samples=simkit.add_noise(clean.samples, std, plan.noise_seed),
         sample_rate=clean.sample_rate,
-        labels=labels,
+        labels={**clean.labels, **_plan_labels(plan, std), "seed": plan.noise_seed},
     )
 
 
-def _synthesize_noise(plan: NoisePlan) -> simkit.SignalRecord:
-    n = int(round(plan.duration * simkit.SAMPLE_RATE)) - 2
-    labels = {
-        **simkit.DEFAULT_LABELS,
-        "activity": "noise",
-        "seed": plan.noise_seed,
-        "generator_params": {"duration": plan.duration, "noise_std": plan.noise_std},
-    }
-    return simkit.SignalRecord(
-        samples=simkit.add_noise(np.zeros(n), plan.noise_std, plan.noise_seed),
-        sample_rate=simkit.SAMPLE_RATE,
-        labels=labels,
-    )
+def synthesize_record(plan) -> simkit.SignalRecord:
+    """`plan`'s whole record, its noise-free waveform synthesized for it alone."""
+    return _record(plan, _clean_record(plan))
 
 
 def _cell(plan):
@@ -464,14 +457,12 @@ def _simulate_task(plans: tuple, out: Path) -> list[dict]:
     alone or the plans of one shake cell; returns their manifest entries.
     A cell's records share one clean waveform, dropped when the task ends."""
     first = plans[0]
-    clean = None
-    if isinstance(first, ShakePlan):
-        clean = _clean_shake(first.shake_frequency, first.onset, first.duration)
+    clean = _clean_record(first) if isinstance(first, ShakePlan) else None
     entries = []
     for plan in plans:
         stem = f"rec_{plan.index:04d}"
         entry = {"signal_path": f"records/{stem}.sig.csv", "meta_path": f"records/{stem}.meta.json"}
-        record = synthesize_record(plan) if clean is None else _synthesize_shake(plan, clean)
+        record = synthesize_record(plan) if clean is None else _record(plan, clean)
         io.write_record(record, out / entry["signal_path"], out / entry["meta_path"])
         entries.append(entry)
     return entries

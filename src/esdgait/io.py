@@ -46,17 +46,6 @@ from .dsp import MfccConfig
 from .errors import ValidationError
 from .simkit import SignalRecord
 
-META_KEYS = (
-    "sample_rate",
-    "person_id",
-    "mood",
-    "plant_type",
-    "location",
-    "activity",
-    "seed",
-    "generator_params",
-)
-
 
 def atomic_write_text(path, text: str) -> None:
     _atomic_write(path, [text.encode("utf-8")])
@@ -205,10 +194,7 @@ def write_record(record: SignalRecord, signal_path, meta_path) -> None:
         digest.update(chunk)
     _atomic_write(signal_path, blocks)
     _atomic_write(_sidecar_path(signal_path), [_SIDECAR_TAG, digest.digest(), stored])
-    meta = {key: None for key in META_KEYS}
-    meta.update(record.labels)
-    meta["sample_rate"] = record.sample_rate
-    atomic_write_json(meta_path, meta)
+    atomic_write_json(meta_path, {**record.labels, "sample_rate": record.sample_rate})
 
 
 # A sidecar holds this tag, a key, and one little-endian float64 per line of

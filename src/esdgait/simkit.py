@@ -223,14 +223,12 @@ def _synth_record(
     capmodel: CapacitanceModel,
     electrode: ElectrodeModel,
     k_prop: float,
-    noise_std: float,
-    seed: int,
     labels: dict,
 ) -> SignalRecord:
     """The synthesizers' shared tail, from the feet's 1/C_f on the grid `t`:
     add the room terms, take the central difference on the grid (dropping
-    the two boundary samples), project it at the distance of `traj`, add
-    the seeded noise and label the record (`labels` over DEFAULT_LABELS)."""
+    the two boundary samples), project it at the distance of `traj` and
+    label the noise-free record (`labels` over DEFAULT_LABELS)."""
     if np.any(inv1 <= 0) or np.any(inv2 <= 0):
         raise DomainError("foot capacitance schedule left the positive range")
     inv_cb = inv1 + inv2
@@ -246,17 +244,16 @@ def _synth_record(
     if np.any(r <= 0):
         raise SingularityError("radial distance to the electrode reached zero")
     samples = electrode.epsilon * electrode.area_s / r[1:-1] * foot_cur
-    return SignalRecord(
-        samples=add_noise(samples, noise_std, seed),
-        sample_rate=SAMPLE_RATE,
-        labels={**DEFAULT_LABELS, **labels},
-    )
+    return SignalRecord(samples, SAMPLE_RATE, {**DEFAULT_LABELS, **labels})
 
 
 def add_noise(samples: np.ndarray, noise_std: float, seed: int) -> np.ndarray:
     """`samples` plus zero-mean Gaussian noise of std `noise_std`, drawn
     from a generator seeded with `seed`; `samples` itself when noise_std
-    is 0."""
+    is 0. The synthesizers' records are noise-free: this is the one place
+    measurement noise enters a record."""
+    if noise_std < 0:
+        raise ValidationError(f"noise_std must be non-negative, got {noise_std}")
     if noise_std > 0:
         rng = np.random.default_rng(seed)
         samples = samples + rng.normal(0.0, noise_std, samples.shape)
@@ -270,13 +267,10 @@ def synth_walk(
     capmodel: CapacitanceModel,
     electrode: ElectrodeModel,
     duration: float,
-    noise_std: float = 0.0,
-    seed: int = 0,
     *,
     k_prop: float = 1.0,
     footstep: FootstepShape = FootstepShape(),
     schedule_phase: float = 0.0,
-    labels: dict | None = None,
 ) -> SignalRecord:
     """Simulate the electrode current of one walk at 10 kHz.
 
@@ -286,12 +280,11 @@ def synth_walk(
     step frequency. The synthesizer sets both foot terms from this
     schedule and takes c_room and c_plant from `capmodel`. The record is
     two samples shorter than duration*rate because the boundary samples of
-    the central difference are dropped. Deterministic given seed.
+    the central difference are dropped. The record is noise-free, labelled
+    with its activity and mood.
     """
     if duration <= 0:
         raise ValidationError("duration must be positive")
-    if noise_std < 0:
-        raise ValidationError("noise_std must be non-negative")
     f_step = gait.step_frequency * (mood.step_frequency_factor if mood else 1.0)
     depth = gait.vertical_amplitude * (mood.amplitude_factor if mood else 1.0)
     depth *= abs(gait.contact_charge_sign)
@@ -310,8 +303,8 @@ def synth_walk(
     inv1 = inv_contact + depth * swing * g1
     inv2 = inv_contact + depth * swing * g2
     return _synth_record(
-        t, inv1, inv2, traj, capmodel, electrode, k_prop, noise_std, seed,
-        {"mood": mood.label if mood else "neutral", "activity": "walk", **(labels or {})},
+        t, inv1, inv2, traj, capmodel, electrode, k_prop,
+        {"mood": mood.label if mood else "neutral", "activity": "walk"},
     )
 
 
@@ -321,13 +314,10 @@ def synth_legshake(
     onset: float,
     capmodel: CapacitanceModel,
     electrode: ElectrodeModel,
-    noise_std: float = 0.0,
-    seed: int = 0,
     *,
     k_prop: float = 1.0,
     footstep: FootstepShape = FootstepShape(),
     distance_m: float = 1.0,
-    labels: dict | None = None,
 ) -> SignalRecord:
     """Simulate a seated subject shaking one leg from `onset` onward.
 
@@ -335,14 +325,13 @@ def synth_legshake(
     eps*S/distance_m; only 1/C_B is modulated. The shaking foot's 1/C_f
     swings sinusoidally between the plateaus of `footstep` at
     shake_frequency, starting smoothly (zero slope) at onset. A footstep
-    shape with c_contact == c_air gives zero modulation: noise only.
+    shape with c_contact == c_air gives zero modulation: a zero record.
+    The record is noise-free, labelled with its activity.
     """
     if not 0 <= onset < duration:
         raise ValidationError(f"onset must satisfy 0 <= onset < duration, got {onset}")
     if not 3.0 <= shake_frequency <= 10.0:
         raise ValidationError(f"shake_frequency must be in [3, 10] Hz, got {shake_frequency}")
-    if noise_std < 0:
-        raise ValidationError("noise_std must be non-negative")
     if distance_m <= 0:
         raise SingularityError("distance_m must be positive")
     t = _grid(duration)
@@ -355,8 +344,8 @@ def synth_legshake(
     inv1 = inv_contact + swing * mod
     inv2 = np.full_like(t, inv_contact)
     return _synth_record(
-        t, inv1, inv2, Trajectory(distance_m, 0.0), capmodel, electrode, k_prop, noise_std,
-        seed, {"activity": "legshake", **(labels or {})},
+        t, inv1, inv2, Trajectory(distance_m, 0.0), capmodel, electrode, k_prop,
+        {"activity": "legshake"},
     )
 
 

@@ -601,11 +601,7 @@ class TestReport:
 @pytest.fixture(scope="module")
 def shake_signal(tmp_path_factory):
     root = tmp_path_factory.mktemp("detect")
-    record = synth_legshake(
-        5.5, 8.0, 2.0,
-        CapacitanceModel(), ElectrodeModel(),
-        noise_std=0.0, seed=0,
-    )
+    record = synth_legshake(5.5, 8.0, 2.0, CapacitanceModel(), ElectrodeModel())
     path = root / "shake.sig.csv"
     eio.write_record(record, path, root / "shake.meta.json")
     return path

@@ -247,6 +247,10 @@ class TestConfigParsing:
             {"shake_frequencies": [5.5], "onsets": [1.0], "duration": None},
             {"shake_frequencies": [5.5], "onsets": None},
             {"shake_frequencies": [5.5], "onsets": [1.0], "noise_only": True},
+            {"shake_frequencies": [5.5], "onsets": [-1.0]},
+            {"onsets": [1.0], "shake_frequencies": [5.5, 12.0]},
+            {"onsets": [1.0], "shake_frequencies": [2.5]},
+            {"shake_frequencies": [5.5], "onsets": [0.0], "duration": 0.0002},
         ],
     )
     def test_bad_shake_sections_rejected(self, section):
@@ -394,9 +398,10 @@ class TestSynthesis:
             assert noise.labels[key] == shake.labels[key] == simkit.DEFAULT_LABELS[key]
 
 
-# sha256 of every .sig.csv and .sig.csv.f8 that simulate writes for the
-# shipped configs at their own seeds, as written when each shake record
-# synthesized its own clean waveform
+# sha256 of every file that simulate writes for the shipped configs at their
+# own seeds (.sig.csv, .sig.csv.f8, .meta.json and dataset.json), as written
+# when each shake record synthesized its own clean waveform and the
+# synthesizers added a walk's noise and labels themselves
 SIMULATE_DIGESTS = json.loads((Path(__file__).with_name("simulate_digests.json")).read_text())
 
 
@@ -405,8 +410,7 @@ def test_simulated_samples_are_pinned(name, tmp_path):
     ex.run_simulate(ex.load_config(CONFIGS / f"{name}.json"), tmp_path)
     written = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-        for path in sorted((tmp_path / "records").iterdir())
-        if path.name.endswith((".sig.csv", ".sig.csv.f8"))
+        for path in sorted([tmp_path / "dataset.json", *(tmp_path / "records").iterdir()])
     }
     assert written == SIMULATE_DIGESTS[name]
 
@@ -424,6 +428,44 @@ def test_one_clean_waveform_per_shake_cell(tmp_path, monkeypatch):
     # 5 frequencies x 2 onsets, plus the noise-only records' reference shake
     assert len(calls) == 11
     assert len(list((tmp_path / "records").glob("*.sig.csv"))) == 25
+
+
+def noisy_walk_config_dict() -> dict:
+    raw = walk_config_dict()
+    raw["dataset"]["noise_std"] = 1e-10
+    return raw
+
+
+SHAKE_CONFIG = {
+    "seed": 3,
+    "task": "legshake",
+    "dataset": {
+        "shake_frequencies": [5.5], "onsets": [1.0], "duration": 3.0,
+        "samples_per_cell": 2, "snr_db": 10.0, "noise_only": 1,
+    },
+}
+
+
+@pytest.mark.parametrize("raw", [noisy_walk_config_dict(), SHAKE_CONFIG], ids=["walk", "shake"])
+def test_one_noise_draw_and_every_label_per_record(raw, tmp_path, monkeypatch):
+    draw = simkit.add_noise
+    seeds = []
+
+    def counted(samples, noise_std, seed):
+        seeds.append(seed)
+        return draw(samples, noise_std, seed)
+
+    monkeypatch.setattr(simkit, "add_noise", counted)
+    ex.run_simulate(ex.ExperimentConfig.from_dict(raw), tmp_path, jobs=1)
+    metas = [json.loads(p.read_text()) for p in sorted((tmp_path / "records").glob("*.meta.json"))]
+    # one draw per record, under the seed its labels carry
+    assert seeds == [meta["seed"] for meta in metas]
+    for meta in metas:
+        assert set(meta) == {
+            "sample_rate", "person_id", "mood", "plant_type", "location", "activity", "seed",
+            "generator_params",
+        }
+        assert None not in meta.values()
 
 
 class TestFeaturize:

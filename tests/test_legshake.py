@@ -23,6 +23,7 @@ from esdgait.simkit import (
     SAMPLE_RATE,
     CapacitanceModel,
     ElectrodeModel,
+    add_noise,
     synth_legshake,
 )
 from reference import detect_stream
@@ -41,15 +42,12 @@ def tone_window(freq: float, config: DetectorConfig, amplitude: float = 1.0) -> 
 def shake_record(freq: float, onset: float, duration: float = 8.0,
                  snr_db: float | None = None, seed: int = 0) -> np.ndarray:
     """Synthesized shake; snr_db=None means noiseless."""
-    clean = synth_legshake(freq, duration, onset, CAP, ELECTRODE, noise_std=0.0, seed=0)
+    clean = synth_legshake(freq, duration, onset, CAP, ELECTRODE)
     if snr_db is None:
         return clean.samples
     post = clean.samples[int(onset * SR):]
     rms = float(np.sqrt(np.mean(post**2)))
-    noise_std = rms / (10.0 ** (snr_db / 20.0))
-    noisy = synth_legshake(freq, duration, onset, CAP, ELECTRODE,
-                           noise_std=noise_std, seed=seed)
-    return noisy.samples
+    return add_noise(clean.samples, rms / (10.0 ** (snr_db / 20.0)), seed)
 
 
 class TestDetectorConfig:

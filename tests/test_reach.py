@@ -19,9 +19,8 @@ from pathlib import Path
 import esdgait
 
 PACKAGE = Path(esdgait.__file__).resolve().parent
-# the console entry: it only hands cli.main's return to sys.exit; and a
-# pool's map, where fewer than two CPUs are usable and no pool starts
-ALLOWED = {"cli.run"}
+# a pool's map, where fewer than two CPUs are usable and no pool starts
+ALLOWED = set()
 if len(os.sched_getaffinity(0)) < 2:
     ALLOWED.add("experiments._task_map.<locals>.pool_map")
 

@@ -237,14 +237,14 @@ class TestSynthWalk:
         assert rec.labels["mood"] == "neutral"
 
     def test_determinism(self):
+        # the synthesizer draws nothing at random: its record is noise-free
         gait = default_gait()
         traj, duration = sk.straight_walk(gait, HAPPY, 4.0, 1.5)
         args = (gait, HAPPY, traj, default_capmodel(), sk.ElectrodeModel(), duration)
-        a = sk.synth_walk(*args, noise_std=1e-12, seed=42)
-        b = sk.synth_walk(*args, noise_std=1e-12, seed=42)
-        c = sk.synth_walk(*args, noise_std=1e-12, seed=43)
+        a = sk.synth_walk(*args)
+        b = sk.synth_walk(*args)
         np.testing.assert_array_equal(a.samples, b.samples)
-        assert not np.array_equal(a.samples, c.samples)
+        assert a.labels == b.labels == {**sk.DEFAULT_LABELS, "mood": "happy", "activity": "walk"}
 
     def test_contact_spike_negative_detach_positive(self):
         # noiseless far-field walk: the biggest negative excursion is the
@@ -303,10 +303,8 @@ class TestSynthWalk:
 
 class TestSynthLegshake:
     def test_spectral_peak_at_shake_frequency(self):
-        rec = sk.synth_legshake(
-            5.5, 10.0, 2.0, default_capmodel(), sk.ElectrodeModel(), noise_std=0.0, seed=1
-        )
-        assert rec.labels["activity"] == "legshake"
+        rec = sk.synth_legshake(5.5, 10.0, 2.0, default_capmodel(), sk.ElectrodeModel())
+        assert rec.labels == {**sk.DEFAULT_LABELS, "activity": "legshake"}
         # samples[k] is the current at t=(k+1)/fs; keep t >= 2 s
         post = rec.samples[2 * sk.SAMPLE_RATE - 1 :]
         spec = np.abs(np.fft.rfft(post))
@@ -333,18 +331,32 @@ class TestSynthLegshake:
             5.5, 4.0, 0.0, default_capmodel(), sk.ElectrodeModel(), footstep=flat
         )
         assert np.all(silent.samples == 0.0)
-        noisy = sk.synth_legshake(
-            5.5, 4.0, 0.0, default_capmodel(), sk.ElectrodeModel(),
-            noise_std=1.0, seed=9, footstep=flat,
-        )
+        noisy = sk.add_noise(silent.samples, 1.0, 9)
         rng = np.random.default_rng(9)
-        np.testing.assert_array_equal(noisy.samples, rng.normal(0.0, 1.0, noisy.samples.size))
+        np.testing.assert_array_equal(noisy, rng.normal(0.0, 1.0, silent.samples.size))
 
     def test_validation(self):
         with pytest.raises(ValidationError):
             sk.synth_legshake(5.5, 4.0, 4.0, default_capmodel(), sk.ElectrodeModel())
         with pytest.raises(ValidationError):
             sk.synth_legshake(2.0, 4.0, 0.0, default_capmodel(), sk.ElectrodeModel())
+
+
+class TestAddNoise:
+    def test_same_seed_same_samples_other_seed_other_samples(self):
+        clean = np.linspace(-1.0, 1.0, 1000)
+        a = sk.add_noise(clean, 1e-3, 42)
+        np.testing.assert_array_equal(a, sk.add_noise(clean, 1e-3, 42))
+        assert not np.array_equal(a, sk.add_noise(clean, 1e-3, 43))
+        assert not np.array_equal(a, clean)
+
+    def test_zero_std_returns_the_input(self):
+        clean = np.linspace(-1.0, 1.0, 1000)
+        assert sk.add_noise(clean, 0.0, 42) is clean
+
+    def test_negative_std_rejected(self):
+        with pytest.raises(ValidationError, match="noise_std"):
+            sk.add_noise(np.zeros(10), -1e-12, 0)
 
 
 class TestSignalRecord:
