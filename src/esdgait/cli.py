@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes of the command's one pool: records for simulate and "
-        "featurize, whole forests for train, eval and report; results are identical "
-        "for any value",
+        "featurize, one share of every forest's trees per worker for train, eval "
+        "and report; results are identical for any value",
     )
     shared.add_argument("--quiet", action="store_true", help="suppress progress logging")
 

@@ -85,6 +85,27 @@ class WalkCohort:
             for name, f in self.moods.items()
         }
         object.__setattr__(self, "moods", moods)
+        # the fastest step a plan can draw: the jittered frequency times the
+        # largest mood factor; a plan draws its jitter below 1 + frequency_jitter
+        jitter = 1.0 + self.frequency_jitter
+        mood_factor = max(m.step_frequency_factor if m else 1.0 for m in moods.values())
+        rise_time = simkit.FootstepShape().rise_time
+        for pid, gait in self.persons.items():
+            if gait.step_frequency * jitter > 10:
+                raise ValidationError(
+                    f"persons.{pid}.step_frequency: {gait.step_frequency} Hz with "
+                    f"frequency_jitter {self.frequency_jitter} can reach "
+                    f"{gait.step_frequency * jitter} Hz, above 10 Hz"
+                )
+            fastest = gait.step_frequency * jitter * mood_factor
+            contact_len = gait.duty_cycle * 2.0 / fastest
+            shortest = min(contact_len, 2.0 / fastest - contact_len)
+            if rise_time >= shortest:
+                raise ValidationError(
+                    f"persons.{pid}.duty_cycle: {gait.duty_cycle} leaves a {shortest:.4g} s "
+                    f"contact or airborne phase at the cohort's fastest step, {fastest:.4g} Hz, "
+                    f"not longer than the {rise_time} s rise time"
+                )
 
 
 @dataclass(frozen=True)
@@ -207,19 +228,21 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 @contextlib.contextmanager
 def _task_map(jobs: int, n_tasks: int):
-    """The map a command runs its tasks through: one process pool's map,
-    or the builtin map where the pool would have fewer than two workers.
+    """(map, workers): the map a command runs its tasks through, one
+    process pool's map, or the builtin map and 1 where the pool would have
+    fewer than two workers.
 
     A command opens it once and hands it to every step. The pool has
     min(jobs, n_tasks, usable CPUs) workers; results come back in task
     order, so they are the same at any jobs value. Each map splits its
     tasks into about eight chunks per worker, one task per chunk when there
     are fewer: few messages for quick tasks such as one record, and one
-    forest per message for a CV.
+    share of the trees per worker when a forest command passes `workers`
+    to forest.grow as its number of shares.
     """
     workers = min(jobs, n_tasks, len(os.sched_getaffinity(0)))
     if workers < 2:
-        yield map
+        yield map, 1
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
 
@@ -228,7 +251,7 @@ def _task_map(jobs: int, n_tasks: int):
             chunksize = max(1, -(-len(tasks) // (8 * workers)))
             return pool.map(fn, *zip(*tasks), chunksize=chunksize)
 
-        yield pool_map
+        yield pool_map, workers
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +496,7 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     tasks = [tuple(cell) for _, cell in itertools.groupby(build_plans(config), _cell)]
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
-    with _task_map(jobs, len(tasks)) as map_fn:
+    with _task_map(jobs, len(tasks)) as (map_fn, _):
         entries = list(itertools.chain.from_iterable(
             map_fn(_simulate_task, tasks, itertools.repeat(out))
         ))
@@ -528,7 +551,7 @@ def run_featurize(
         raise ValidationError("manifest lists no records")
     signal_paths = [e["signal_path"] for e in entries]
     meta_paths = [e["meta_path"] for e in entries]
-    with _task_map(jobs, len(entries)) as map_fn:
+    with _task_map(jobs, len(entries)) as (map_fn, _):
         scans = list(map_fn(_scan_task, signal_paths, meta_paths))
         rates = {rate for _, rate, _ in scans}
         if len(rates) != 1:
@@ -677,8 +700,8 @@ def run_train(
     params = config.forest_params
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_tasks = config.cv_folds * (1 if config.search is None else config.search.n_iter) + 1
-    with _task_map(jobs, n_tasks) as map_fn:
+    n_fits = config.cv_folds * (1 if config.search is None else config.search.n_iter) + 1
+    with _task_map(jobs, n_fits) as (map_fn, shares):
         if config.search is not None:
             params, trials = forest.randomized_search(
                 data,
@@ -687,11 +710,12 @@ def run_train(
                 k=config.cv_folds,
                 seed=config.seed,
                 map_fn=map_fn,
+                shares=shares,
             )
             io.atomic_write_json(out / "search_trials.json", trials)
             log.info("search picked %s", params)
         report, model = forest.cross_validate(
-            data, params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
+            data, params, k=config.cv_folds, seed=config.seed, map_fn=map_fn, shares=shares
         )
     model_path = out / "model.rfj"
     forest.save_model(model, model_path, mfcc_fingerprint=_stored_fingerprint(features_path, config))
@@ -747,9 +771,10 @@ def run_eval(
         data = dataset_from_features(matrix, names, labels)
         report = _reused_cv(features_path, config, out, data.n_classes, len(names))
         if report is None:
-            with _task_map(jobs, config.cv_folds + 1) as map_fn:
+            with _task_map(jobs, config.cv_folds + 1) as (map_fn, shares):
                 report, _ = forest.cross_validate(
-                    data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
+                    data, config.forest_params, k=config.cv_folds, seed=config.seed,
+                    map_fn=map_fn, shares=shares,
                 )
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
@@ -762,10 +787,10 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
 
     The k-subset sweep takes the first k class names in sorted order, so
     adding classes only extends the sweep instead of reshuffling it. The
-    steps below every class need only their pooled accuracy: their fold
-    fits run as one task list, and no full-data forest grows for them. The
-    last step, every class, is train's cross-validation, reused from
-    train's cv.json in out_dir when its key matches.
+    steps below every class need only their pooled accuracy, so no
+    full-data forest grows for them. The last step, every class, is
+    train's cross-validation, reused from train's cv.json in out_dir when
+    its key matches. Every fit the command makes grows in one forest.grow.
     """
     matrix, names, labels = io.read_features(features_path)
     matrix = np.asarray(matrix, dtype=float)
@@ -777,17 +802,20 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
     masks = [np.isin(labels_arr, class_names[:k]) for k in range(2, len(class_names) + 1)]
     *sweep, data = [dataset_from_features(matrix[m], names, list(labels_arr[m])) for m in masks]
     full_report = _reused_cv(features_path, config, out, len(class_names), len(names))
-    last_fits = config.cv_folds + 1 if full_report is None else 0
-    with _task_map(jobs, max(len(sweep) * config.cv_folds, last_fits)) as map_fn:
-        plans = [forest.cv_plan(s, config.forest_params, config.cv_folds, config.seed) for s in sweep]
-        accuracies = [
-            float(np.mean(np.argmax(proba, axis=1) == step.labels))
-            for step, proba in zip(sweep, forest.fold_fits(plans, map_fn))
-        ]
-        if full_report is None:
-            full_report, _ = forest.cross_validate(
-                data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
-            )
+    plans = [forest.cv_plan(s, config.forest_params, config.cv_folds, config.seed) for s in sweep]
+    fits = [fit for _, step_fits in plans for fit in step_fits[1:]]
+    if full_report is None:
+        full_folds, full_fits = forest.cv_plan(data, config.forest_params, config.cv_folds, config.seed)
+        fits += full_fits
+    with _task_map(jobs, len(fits)) as (map_fn, shares):
+        grown = iter(forest.grow(fits, map_fn, shares))
+    accuracies = [
+        float(np.mean(np.argmax(forest.pooled(step, folds, grown), axis=1) == step.labels))
+        for step, (folds, _) in zip(sweep, plans)
+    ]
+    if full_report is None:
+        model, *fold_proba = grown
+        full_report = forest.cv_report(data, full_folds, model, fold_proba)
     acc_lines = ["k,forest_accuracy,baseline_accuracy"]
     for step, accuracy in zip([*sweep, data], [*accuracies, full_report.accuracy]):
         baseline = forest.baseline_accuracy(step.labels)

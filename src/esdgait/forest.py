@@ -7,15 +7,17 @@ Everything is deterministic given the seeds, independent of parallelism.
 Determinism notes baked into the split search: Gini terms are computed
 from integer-valued class counts (exact in float64), so equal-quality
 splits compare bit-identically and the documented tie-breaks are
-reproducible. A forest's trees grow in lockstep over presorted features,
-and one segmented pass scores the candidate features of many nodes at
-once; within each candidate column the first maximum (lowest threshold)
-wins, then the first column holding the best maximum (lowest feature
-index). Prediction ties go to the lowest class id.
+reproducible. Trees grow in lockstep over presorted features, all of a
+task's trees with one table and growth parameters in one batch, and one
+segmented pass scores the candidate features of many nodes at once;
+within each candidate column the first maximum (lowest threshold) wins,
+then the first column holding the best maximum (lowest feature index).
+Prediction ties go to the lowest class id.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -165,6 +167,9 @@ class EvalReport:
 # candidate, against some 100 bytes per element of the other pass arrays).
 _PASS_ELEMENTS = 1 << 12
 
+# Width of one word of packed class counts in the split search.
+_WORD_BITS = 64
+
 
 class _Presort(NamedTuple):
     """Each feature's rows in stable ascending order, computed once per fit."""
@@ -181,6 +186,13 @@ def _presort(x: np.ndarray, y: np.ndarray) -> _Presort:
     np.put_along_axis(rank, order, np.arange(x.shape[0], dtype=np.int32), axis=1)
     labels = y[order].astype(np.min_scalar_type(int(y.max())))
     return _Presort(order, rank, np.take_along_axis(x.T, order, axis=1), labels)
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal consecutive keys starts (np.r_ costs more)."""
+    starts = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=starts[1:])
+    return starts
 
 
 def _best_split_for_feature(
@@ -216,7 +228,7 @@ def _best_split_for_feature(
     # every segment lists its node's rows, marked at their sorted positions
     rows = rows[pos + np.repeat(np.cumsum(sizes) - sizes, m * sizes)]
     feat_base = np.repeat(candidates.ravel() * n_rows, seg_len)
-    seg_base = np.repeat(np.arange(0, n_nodes * m * n_rows, n_rows), seg_len)
+    seg_base = seg * n_rows
     mask = np.zeros(n_nodes * m * n_rows, dtype=bool)
     mask[seg_base + presort.rank.ravel()[feat_base + rows]] = True
     feat_base -= seg_base
@@ -245,40 +257,95 @@ def _best_split_for_feature(
     s = seg[cut]
     del valid, seg, pos
     n_left = n_left[cut]
-    n_right = n_seg[s] - n_left
-    # Class counts are integers, so their sums of squares are exact in any
-    # order: one cumsum per class, the last class is what the others leave.
-    left_sq, right_sq = np.zeros_like(n_left), np.zeros_like(n_left)
-    total_sq = np.zeros_like(n_seg)
-    left_rest, right_rest, total_rest = n_left.copy(), n_right.copy(), n_seg.copy()
-    cum = np.zeros(n_elem + 1, dtype=np.int64)
-    for c in range(n_classes - 1):
-        np.cumsum(labels == c if w is None else (labels == c) * w, out=cum[1:])
-        start_count = cum[seg_start]
-        total = cum[seg_end] - start_count
-        left = cum[cut + 1]
-        left -= start_count[s]
-        right = total[s]
-        right -= left
-        left_rest -= left
-        right_rest -= right
-        total_rest -= total
-        left *= left
-        right *= right
-        total *= total
-        left_sq += left
-        right_sq += right
-        total_sq += total
-    left_rest *= left_rest
-    right_rest *= right_rest
-    total_rest *= total_rest
-    left_sq += left_rest
-    right_sq += right_rest
-    total_sq += total_rest
+    cut_n_seg = n_seg[s]
+    n_right = cut_n_seg - n_left
+    # Class counts are integers, so every sum of their squares is exact. A
+    # count within a segment is at most n_rows, so it fits in `bits` bits,
+    # and one unsigned word packs the counts of `per_word` classes; words
+    # wrap modulo 2**64, which keeps every difference of two counts exact.
+    bits = n_rows.bit_length()
+    per_word = max(1, _WORD_BITS // bits)
+    if n_classes == 2 or per_word == 1:
+        # one cumsum per class; the last class is what the others leave
+        left_sq, right_sq = np.zeros_like(n_left), np.zeros_like(n_left)
+        total_sq = np.zeros_like(n_seg)
+        left_rest, right_rest, total_rest = n_left.copy(), n_right.copy(), n_seg.copy()
+        cum = np.zeros(n_elem + 1, dtype=np.int64)
+        for c in range(n_classes - 1):
+            np.cumsum(labels == c if w is None else (labels == c) * w, out=cum[1:])
+            start_count = cum[seg_start]
+            total = cum[seg_end] - start_count
+            left = cum[cut + 1]
+            left -= start_count[s]
+            right = total[s]
+            right -= left
+            left_rest -= left
+            right_rest -= right
+            total_rest -= total
+            left *= left
+            right *= right
+            total *= total
+            left_sq += left
+            right_sq += right
+            total_sq += total
+        left_rest *= left_rest
+        right_rest *= right_rest
+        total_rest *= total_rest
+        left_sq += left_rest
+        right_sq += right_rest
+        total_sq += total_rest
+    else:
+        # one cumsum per word gives each element its class's count up to it
+        # (run) and in its segment (tot); moving an element of weight v from
+        # the right child to the left adds 2 run v - v^2 to the left sum of
+        # squares and 2 run v - v^2 - 2 tot v to the right one
+        shift = (np.arange(n_classes) % per_word * bits).astype(np.uint64)[labels]
+        mask = np.uint64((1 << bits) - 1)
+        run = tot = None
+        for lo in range(0, n_classes, per_word):
+            hi = min(lo + per_word, n_classes)
+            if hi - lo == n_classes:  # one word holds every class
+                step = np.uint64(1) << shift
+            else:
+                lut = np.zeros(n_classes, dtype=np.uint64)
+                lut[lo:hi] = np.uint64(1) << np.arange(0, (hi - lo) * bits, bits, dtype=np.uint64)
+                step = lut[labels]
+            if w is not None:
+                step *= w.view(np.uint64)  # weights are non-negative
+            word = np.zeros(n_elem + 1, dtype=np.uint64)
+            np.cumsum(step, out=word[1:])
+            del step
+            start = word[seg_start]
+            word_tot = (np.repeat(word[seg_end] - start, seg_len) >> shift) & mask
+            word_run = ((word[1:] - np.repeat(start, seg_len)) >> shift) & mask
+            del word, start
+            if run is None:  # the first word; later ones fill in their classes
+                run, tot = word_run.view(np.int64), word_tot.view(np.int64)
+            else:
+                mine = labels >= lo
+                run[mine], tot[mine] = word_run[mine], word_tot[mine]
+        if w is None:
+            gain = 2 * run - 1
+            tot *= 2
+        else:
+            gain = (2 * run - w) * w
+            tot *= 2 * w
+        del run
+        left_cum = np.zeros(n_elem + 1, dtype=np.int64)
+        np.cumsum(gain, out=left_cum[1:])
+        gain -= tot
+        right_cum = np.zeros(n_elem + 1, dtype=np.int64)
+        np.cumsum(gain, out=right_cum[1:])
+        del gain, tot
+        left_start = left_cum[seg_start]
+        total_sq = left_cum[seg_end] - left_start
+        left_sq = left_cum[cut + 1] - left_start[s]
+        right_sq = right_cum[cut + 1] - right_cum[seg_start][s]
+        right_sq += total_sq[s]
     gini_left = 1.0 - left_sq / (n_left * n_left)
     gini_right = 1.0 - right_sq / (n_right * n_right)
     parent = 1.0 - total_sq / (n_seg * n_seg)
-    decrease = parent[s] - (n_left * gini_left + n_right * gini_right) / n_seg[s]
+    decrease = parent[s] - (n_left * gini_left + n_right * gini_right) / cut_n_seg
 
     best = np.full(n_nodes, -np.inf)
     column = np.zeros(n_nodes, dtype=np.int64)
@@ -287,42 +354,86 @@ def _best_split_for_feature(
         # a node's cuts run column by column, each by threshold, so its first
         # maximum is the lowest threshold of the lowest best column
         node = s // m
-        first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+        first = np.flatnonzero(_run_starts(node))
         owner = node[first]
         best[owner] = np.maximum.reduceat(decrease, first)
         hit = np.flatnonzero(decrease == best[node])
-        win = hit[np.r_[True, node[hit[1:]] != node[hit[:-1]]]]
-        lo, hi = values[cut[win]], values[cut[win] + 1]
+        win = hit[_run_starts(node[hit])]
+        cut_win = cut[win]
+        lo, hi = values[cut_win], values[cut_win + 1]
         mid = (lo + hi) / 2.0
         column[owner] = s[win] % m
         threshold[owner] = np.where(mid == hi, lo, mid)  # adjacent floats: keep lo on the left
     return best, column, threshold
 
 
-def fit_trees(data: Dataset, params: ForestParams, seeds) -> list[DecisionTree]:
+def _halves(x: np.ndarray, parts: list, feature, threshold, row_of=None) -> tuple[list, list]:
+    """Each of `parts` split by its node's test x[row, feature] <= threshold:
+    (the parts' rows above it, those at or below it), in their order. A
+    part lists rows, or slots whose rows row_of gives."""
+    counts = np.asarray([part.size for part in parts], dtype=np.int64)
+    flat = np.concatenate(parts)
+    rows = flat if row_of is None else row_of[flat]
+    goes_left = x[rows, np.repeat(feature, counts)] <= np.repeat(threshold, counts)
+    n_before = np.zeros(flat.size + 1, dtype=np.int64)
+    np.cumsum(goes_left, out=n_before[1:])
+    ends = np.cumsum(counts)
+    n_left = n_before[ends] - n_before[ends - counts]
+
+    def pieces(values: np.ndarray, sizes: np.ndarray) -> list:
+        bounds = [0, *np.cumsum(sizes).tolist()]
+        return [values[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    return pieces(flat[~goes_left], counts - n_left), pieces(flat[goes_left], n_left)
+
+
+def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None, tests=None) -> list:
     """Greedy CART growth with per-node feature subsampling, one tree per
     seed, all trees grown in lockstep.
 
-    Each round takes the next node of every unfinished tree (a tree still
-    numbers its nodes in depth-first preorder and draws from its own rng in
-    that order), scores all of them with one bincount and searches all
-    their splits in segmented passes over presorted features. A tree does
-    not depend on the other seeds grown with it.
+    Tree t grows from the rows roots[t], ascending dataset row ids (every
+    row when roots is None): its bootstrap draws and the total behind its
+    weighted_decrease are those rows', so it is the tree that data's
+    subset of those rows would give. Returns one entry per seed: its
+    DecisionTree, or where tests[t] lists rows, the tree's leaf class
+    distributions at them, (rows, classes) as predict_proba's walk finds
+    them; such a tree sends its test rows down as it grows and keeps no
+    nodes. Each round takes the next node of every unfinished tree (a tree
+    still numbers its nodes in depth-first preorder and draws from its own
+    rng in that order), scores all of them with one bincount and searches
+    all their splits in segmented passes over presorted features. A tree
+    does not depend on the other seeds, roots and tests grown with it.
     """
     x, y, k = data.features, data.labels, data.n_classes
     n_rows, n_features = x.shape
     m_features = params.resolve_max_features(n_features)
     presort = _presort(x, y)
     rngs = [np.random.default_rng(s) for s in seeds]
+    if roots is None:
+        roots = [np.arange(n_rows, dtype=np.int32)] * len(rngs)
+    n_root = np.asarray([root.size for root in roots])
     weights = None  # every row counts once
     if params.bootstrap:  # a bootstrap sample is a count per row
-        weights = np.stack(
-            [np.bincount(r.integers(0, n_rows, size=n_rows), minlength=n_rows) for r in rngs]
-        )
-    # pending nodes of each tree, next on top: (rows, depth, parent node, is right child)
+        weights = np.zeros((len(rngs), n_rows), dtype=np.int64)
+        for t, (r, root) in enumerate(zip(rngs, roots)):
+            draws = r.integers(0, root.size, size=root.size)
+            weights[t, root] = np.bincount(draws, minlength=root.size)
+        roots = [root[weights[t, root] > 0] for t, root in enumerate(roots)]
+    if tests is None:
+        tests = [None] * len(rngs)
+    kept = np.asarray([test is None for test in tests])
+    slot = np.cumsum(kept) - 1  # a kept tree's place among the kept
+    # every test row of every tree has a slot, tree after tree; a kept tree has none
+    n_test = np.asarray([0 if test is None else test.size for test in tests])
+    first = np.cumsum(n_test) - n_test
+    test_row = np.concatenate([np.arange(0), *(test for test in tests if test is not None)])
+    scores = np.empty((test_row.size, k))
+    # pending nodes of each tree, next on top: (rows, depth, parent node, is
+    # right child, the slots of the test rows that reach it); int32 ids, as a
+    # batch can hold the pending rows of every tree of a CV
     stacks = [
-        [(np.arange(n_rows) if weights is None else np.flatnonzero(weights[t]), 0, -1, False)]
-        for t in range(len(rngs))
+        [(root, 0, -1, False, np.arange(f, f + n, dtype=np.int32))]
+        for root, f, n in zip(roots, first, n_test)
     ]
     grown = np.zeros(len(rngs), dtype=np.int64)
     rounds = []
@@ -339,7 +450,10 @@ def fit_trees(data: Dataset, params: ForestParams, seeds) -> list[DecisionTree]:
         rows = np.concatenate(node_rows)
         owner = np.repeat(np.arange(tree_ids.size), sizes)
         counts = None if weights is None else weights[tree_ids[owner], rows]
-        histogram = np.bincount(owner * k + y[rows], counts, tree_ids.size * k)
+        owner *= k  # in place, and gone before the search: a round can hold every tree's rows
+        owner += y[rows]
+        histogram = np.bincount(owner, counts, tree_ids.size * k)
+        del rows, owner, counts
         histogram = histogram.reshape(-1, k).astype(float)
         n_samples = histogram.sum(axis=1)
         impurity = 1.0 - (histogram * histogram).sum(axis=1) / (n_samples * n_samples)
@@ -354,9 +468,9 @@ def fit_trees(data: Dataset, params: ForestParams, seeds) -> list[DecisionTree]:
         )
         if search.size:
             candidates = np.stack(
-                [np.sort(rngs[t].choice(n_features, size=m_features, replace=False))
-                 for t in tree_ids[search]]
+                [rngs[t].choice(n_features, size=m_features, replace=False) for t in tree_ids[search]]
             )
+            candidates.sort(axis=1)
             cost = m_features * np.maximum(sizes[search], n_rows // 16 + 1)  # see _PASS_ELEMENTS
             in_pass = (np.cumsum(cost) - cost) // _PASS_ELEMENTS
             found = []
@@ -376,27 +490,39 @@ def fit_trees(data: Dataset, params: ForestParams, seeds) -> list[DecisionTree]:
             nodes = search[split]
             feature[nodes] = candidates[split, col[split]]
             threshold[nodes] = thr[split]
-            weighted_decrease[nodes] = n_samples[nodes] / n_rows * dec[split]
-            for i in nodes:
-                r = node_rows[i]
-                goes_left = x[r, feature[i]] <= threshold[i]
+            weighted_decrease[nodes] = n_samples[nodes] / n_root[tree_ids[nodes]] * dec[split]
+        nodes = np.flatnonzero(feature >= 0)
+        if nodes.size:
+            split_at = (feature[nodes], threshold[nodes])
+            right, left = _halves(x, [node_rows[i] for i in nodes], *split_at)
+            test_right, test_left = _halves(x, [popped[i][4] for i in nodes], *split_at, test_row)
+            for j, i in enumerate(nodes):
                 stack = stacks[tree_ids[i]]
-                stack.append((r[~goes_left], depth[i] + 1, node_ids[i], True))
-                stack.append((r[goes_left], depth[i] + 1, node_ids[i], False))
+                stack.append((right[j], depth[i] + 1, node_ids[i], True, test_right[j]))
+                stack.append((left[j], depth[i] + 1, node_ids[i], False, test_left[j]))
+        leaves = np.flatnonzero(feature < 0)
+        if leaves.size:  # sums of counts are exact, so this is predict_proba's division
+            at = [popped[i][4] for i in leaves]
+            hist = histogram[leaves]
+            scores[np.concatenate(at)] = np.repeat(
+                hist / hist.sum(axis=1, keepdims=True), [a.size for a in at], axis=0
+            )
+        keep = kept[tree_ids]
         rounds.append({
-            "tree": tree_ids,
-            "node": node_ids,
-            "parent": np.asarray([p[2] for p in popped], dtype=np.int64),
-            "is_right": np.asarray([p[3] for p in popped], dtype=bool),
-            "feature": feature,
-            "threshold": threshold,
-            "histogram": histogram,
-            "n_samples": n_samples.astype(np.int64),
-            "impurity": impurity,
-            "weighted_decrease": weighted_decrease,
-            "depth": depth,
+            "tree": slot[tree_ids[keep]],
+            "node": node_ids[keep],
+            "parent": np.asarray([p[2] for p in popped], dtype=np.int64)[keep],
+            "is_right": np.asarray([p[3] for p in popped], dtype=bool)[keep],
+            "feature": feature[keep],
+            "threshold": threshold[keep],
+            "histogram": histogram[keep],
+            "n_samples": n_samples[keep].astype(np.int64),
+            "impurity": impurity[keep],
+            "weighted_decrease": weighted_decrease[keep],
+            "depth": depth[keep],
         })
-    del presort
+    del presort, stacks
+    grown = grown[kept]
 
     def column(name: str) -> np.ndarray:
         return np.concatenate([r[name] for r in rounds])
@@ -417,14 +543,85 @@ def fit_trees(data: Dataset, params: ForestParams, seeds) -> list[DecisionTree]:
     fields["left"], fields["right"] = children
     del rounds
     per_tree = {name: np.split(values, np.cumsum(grown)[:-1]) for name, values in fields.items()}
-    return [
-        DecisionTree(**{name: parts[t] for name, parts in per_tree.items()})
-        for t in range(len(rngs))
-    ]
+    trees = (DecisionTree(**{name: parts[t] for name, parts in per_tree.items()})
+             for t in range(grown.size))
+    return [next(trees) if keep else scores[f : f + n] for keep, f, n in zip(kept, first, n_test)]
 
 
 def derive_tree_seeds(seed: int, n: int) -> tuple[int, ...]:
     return tuple(int(s) for s in np.random.SeedSequence(seed).generate_state(n))
+
+
+class Fit(NamedTuple):
+    """One forest a command grows: `params`, its seed included, on the
+    `train` rows of `data`. Growing it gives its model when it has no
+    `test` rows, else its class probabilities at them."""
+
+    data: Dataset
+    params: ForestParams
+    train: np.ndarray
+    test: np.ndarray | None = None
+
+
+def _grow_share(fits, share: int, shares: int) -> list:
+    """Task `share` of grow's `shares`: the trees [n * share // shares,
+    n * (share + 1) // shares) of every fit of n trees, as one lockstep
+    batch per table and growth params. Returns, fit by fit, those trees,
+    or for a fit with test rows each tree's leaf distributions at them."""
+    batches: dict = {}  # (table, growth params) -> [(fit index, seeds)]
+    for i, fit in enumerate(fits):
+        n = fit.params.n_estimators
+        seeds = derive_tree_seeds(fit.params.seed, n)[n * share // shares : n * (share + 1) // shares]
+        growth = replace(fit.params, n_estimators=1, seed=0)  # what growing one tree reads
+        batches.setdefault((id(fit.data), growth), []).append((i, seeds))
+    out: list = [[] for _ in fits]
+    for (_, growth), members in batches.items():
+        jobs = [(fits[i], seed) for i, seeds in members for seed in seeds]
+        if not jobs:
+            continue
+        grown = iter(fit_trees(
+            jobs[0][0].data,
+            growth,
+            [seed for _, seed in jobs],
+            [fit.train for fit, _ in jobs],
+            [fit.test for fit, _ in jobs],
+        ))
+        for i, seeds in members:
+            out[i] = list(itertools.islice(grown, len(seeds)))
+    return out
+
+
+def grow(fits, map_fn=map, shares: int = 1) -> list:
+    """Every fit's forest: fit by fit, its RandomForestModel when it has no
+    test rows, else its class probabilities at them.
+
+    Each of `shares` tasks of map_fn (the builtin map, or a process pool's)
+    grows a share of every fit's trees, so the fits' tables cross the pool
+    once per task, and a tree scored on test rows sends back only its leaf
+    distributions there. The shares join in tree order, and those
+    distributions add one tree at a time, as predict_proba adds them, so
+    the results are the same at any number of shares.
+    """
+    if not fits:
+        return []
+    parts = list(map_fn(
+        _grow_share, itertools.repeat(fits, shares), range(shares), itertools.repeat(shares)
+    ))
+    results = []
+    for i, fit in enumerate(fits):
+        grown = [x for part in parts for x in part[i]]
+        if fit.test is None:
+            seeds = derive_tree_seeds(fit.params.seed, fit.params.n_estimators)
+            data = fit.data
+            results.append(RandomForestModel(
+                grown, fit.params, tuple(data.feature_names), tuple(data.class_names), seeds
+            ))
+        else:
+            proba = np.zeros((fit.test.size, fit.data.n_classes))
+            for distribution in grown:  # one tree at a time, as predict_proba adds them
+                proba += distribution
+            results.append(proba / len(grown))
+    return results
 
 
 def fit_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
@@ -433,14 +630,7 @@ def fit_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
     Each tree gets an independent seed derived from params.seed, so the
     model is the same whichever process grows it.
     """
-    seeds = derive_tree_seeds(params.seed, params.n_estimators)
-    return RandomForestModel(
-        trees=fit_trees(data, params, seeds),
-        params=params,
-        feature_names=tuple(data.feature_names),
-        class_names=tuple(data.class_names),
-        per_tree_seeds=seeds,
-    )
+    return grow([Fit(data, params, np.arange(data.labels.size))])[0]
 
 
 def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
@@ -601,39 +791,21 @@ def mdi_importance(model: RandomForestModel) -> np.ndarray:
     return np.mean(per_tree, axis=0)
 
 
-def _subset(data: Dataset, idx: np.ndarray) -> Dataset:
-    sub = Dataset.__new__(Dataset)
-    object.__setattr__(sub, "features", data.features[idx])
-    object.__setattr__(sub, "labels", data.labels[idx])
-    object.__setattr__(sub, "feature_names", data.feature_names)
-    object.__setattr__(sub, "class_names", data.class_names)
-    return sub
-
-
 def cv_plan(data: Dataset, params: ForestParams, k: int, seed: int):
-    """The folds of a stratified k-fold CV at `seed` and its fits, as
-    arguments of _fit_task: tasks[0] fits all of data, tasks[1 + i] fits
-    the rows outside fold i, each with a seed derived from `seed`."""
+    """The folds of a stratified k-fold CV at `seed` and its fits: fits[0]
+    grows on all of data, fits[1 + i] on the rows outside fold i and is
+    scored on fold i, each with a seed derived from `seed`."""
     state = np.random.SeedSequence([seed]).generate_state(k + 2)
     folds = stratified_kfold(data.labels, k, int(state[0]))
-    tasks = [(data, None, replace(params, seed=int(state[1])), None)]
+    every_row = np.arange(data.labels.size, dtype=np.int32)  # as fit_trees keeps row ids
+    fits = [Fit(data, replace(params, seed=int(state[1])), every_row)]
     for i, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(np.arange(data.labels.size), test_idx)
-        tasks.append((data, train_idx, replace(params, seed=int(state[2 + i])), test_idx))
-    return folds, tasks
+        train_idx = np.setdiff1d(every_row, test_idx)
+        fits.append(Fit(data, replace(params, seed=int(state[2 + i])), train_idx, test_idx))
+    return folds, fits
 
 
-def _fit_task(data: Dataset, train_idx, params: ForestParams, test_idx):
-    """One forest fit, a task of a CV map. Without train_idx it fits all of
-    data and returns the model; otherwise it fits the train_idx rows and
-    returns the class probabilities of the test_idx rows."""
-    if train_idx is None:
-        return fit_forest(data, params)
-    model = fit_forest(_subset(data, train_idx), params)
-    return predict_proba(model, data.features[test_idx])
-
-
-def _pooled(data: Dataset, folds, fold_proba) -> np.ndarray:
+def pooled(data: Dataset, folds, fold_proba) -> np.ndarray:
     """Every row's held-out class probabilities: the next len(folds) parts of fold_proba."""
     proba = np.zeros((data.labels.size, data.n_classes))
     for test_idx, part in zip(folds, fold_proba):
@@ -641,32 +813,30 @@ def _pooled(data: Dataset, folds, fold_proba) -> np.ndarray:
     return proba
 
 
-def fold_fits(plans, map_fn=map) -> list[np.ndarray]:
-    """The pooled held-out class probabilities of each cv_plan in plans,
-    from its fold fits alone: every plan's tasks[1:] go through map_fn as
-    one task list, and no full-data forest grows."""
-    tasks = [task for _, plan_tasks in plans for task in plan_tasks[1:]]
-    fold_proba = iter(map_fn(_fit_task, *zip(*tasks)) if tasks else ())
-    return [_pooled(plan_tasks[0][0], folds, fold_proba) for folds, plan_tasks in plans]
+def cv_report(data: Dataset, folds, model: RandomForestModel, fold_proba) -> EvalReport:
+    """The report of a CV from its grown fits: the full-data model gives the
+    importances, the folds' probabilities the pooled metrics."""
+    return eval_report(data.labels, pooled(data, folds, fold_proba), folds, mdi_importance(model))
 
 
-def cross_validate(data: Dataset, params: ForestParams, k: int = 10, seed: int = 0, map_fn=map):
+def cross_validate(
+    data: Dataset, params: ForestParams, k: int = 10, seed: int = 0, map_fn=map, shares: int = 1
+):
     """Stratified k-fold CV; metrics are pooled over all held-out folds.
     Returns (report, model): model is the full-data fit that gives the
-    importances. The k + 1 fits of cv_plan are tasks of map_fn (the builtin
-    map, or a process pool's), the full-data fit first, as it is the largest."""
-    folds, tasks = cv_plan(data, params, k, seed)
-    model, *fold_proba = map_fn(_fit_task, *zip(*tasks))
-    proba = _pooled(data, folds, fold_proba)
-    return eval_report(data.labels, proba, folds, mdi_importance(model)), model
+    importances. The k + 1 fits of cv_plan grow together, in `shares`
+    tasks of map_fn (see grow)."""
+    folds, fits = cv_plan(data, params, k, seed)
+    model, *fold_proba = grow(fits, map_fn, shares)
+    return cv_report(data, folds, model, fold_proba), model
 
 
 def holdout_validate(data: Dataset, params: ForestParams, seed: int) -> EvalReport:
     """Fit one forest on about 4/5 of the rows and score the rest: fold 0 of
     cross_validate's stratified 5-fold plan at `seed`, fit with that plan's
     full-data seed. Every class must keep a training row."""
-    _, tasks = cv_plan(data, params, 5, seed)
-    full_params, (_, train_idx, _, test_idx) = tasks[0][2], tasks[1]
+    _, fits = cv_plan(data, params, 5, seed)
+    full_params, train_idx, test_idx = fits[0].params, fits[1].train, fits[1].test
     train = Dataset(
         data.features[train_idx], data.labels[train_idx], data.feature_names, data.class_names
     )
@@ -712,11 +882,12 @@ def randomized_search(
     k: int = 10,
     seed: int = 0,
     map_fn=map,
+    shares: int = 1,
 ) -> tuple[ForestParams, list[dict]]:
     """Sample n_iter distinct combinations uniformly from the grid product,
     score each by mean stratified-k-fold accuracy, return the best (ties go
     to the first sampled) plus the full score table. Every (combination,
-    fold) fit is one task of one fold_fits list."""
+    fold) fit grows in one call of grow, and no full-data forest."""
     if not space or any(len(v) == 0 for v in space.values()):
         raise ValidationError("every search-space axis needs at least one value")
     names = sorted(space)
@@ -738,10 +909,11 @@ def randomized_search(
         combos.append(combo)
     plans = [cv_plan(data, io.from_json(ForestParams, c, "space"), k, seed) for c in combos]
     folds = plans[0][0]  # every combination is scored on the same folds (same seed)
+    fold_proba = iter(grow([fit for _, fits in plans for fit in fits[1:]], map_fn, shares))
     table: list[dict] = []
     best: tuple[float, int] | None = None  # (score, table position)
-    for pos, (combo, proba) in enumerate(zip(combos, fold_fits(plans, map_fn))):
-        pred = np.argmax(proba, axis=1)
+    for pos, combo in enumerate(combos):
+        pred = np.argmax(pooled(data, folds, fold_proba), axis=1)
         score = float(np.mean([np.mean(pred[f] == data.labels[f]) for f in folds]))
         table.append({"params": combo, "mean_accuracy": score})
         if best is None or score > best[0]:

@@ -117,7 +117,9 @@ def from_json(cls, value, where: str):
     path inside a field, in the field's metadata "check": check(value, path)
     runs on the decoded value. A field whose metadata sets "key" is read
     from that JSON key instead of its name. Every error is a
-    ValidationError naming the key path, starting from `where`.
+    ValidationError naming the key path, starting from `where`; a
+    `__post_init__` error that starts with a path inside its object
+    (`key.sub: message`, key one of its fields) continues that path.
     """
     origin = typing.get_origin(cls) or cls
     args = typing.get_args(cls)
@@ -139,6 +141,9 @@ def from_json(cls, value, where: str):
         try:
             return origin(**kwargs)
         except ValidationError as exc:
+            inner = str(exc).partition(":")[0]
+            if inner.partition(".")[0] in fields and " " not in inner:
+                raise type(exc)(_at(where, exc)) from None
             raise type(exc)(f"{where}: {exc}" if where else str(exc)) from None
     if origin in (types.UnionType, typing.Union):
         if value is None and type(None) in args:

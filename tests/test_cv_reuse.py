@@ -5,7 +5,6 @@ unusable."""
 
 from __future__ import annotations
 
-import contextlib
 import json
 import os
 import shutil
@@ -62,24 +61,16 @@ def table(request, tmp_path_factory):
 
 @pytest.fixture
 def forests(monkeypatch) -> list[int]:
-    """One entry per forest grown: per forest._fit_task handed to the
-    command's map, so the count holds at any --jobs."""
+    """One entry per forest grown: per fit handed to forest.grow, which the
+    command calls in its own process, so the count holds at any --jobs."""
     grown: list[int] = []
-    task_map = ex._task_map
+    grow = forest.grow
 
-    @contextlib.contextmanager
-    def counting(jobs, n_tasks):
-        with task_map(jobs, n_tasks) as map_fn:
+    def counted(fits, *args, **kwargs):
+        grown.extend([1] * len(fits))
+        return grow(fits, *args, **kwargs)
 
-            def counted(fn, *iterables):
-                tasks = list(zip(*iterables))
-                if fn is forest._fit_task:
-                    grown.extend([1] * len(tasks))
-                return map_fn(fn, *zip(*tasks))
-
-            yield counted
-
-    monkeypatch.setattr(ex, "_task_map", counting)
+    monkeypatch.setattr(forest, "grow", counted)
     return grown
 
 
@@ -118,6 +109,18 @@ def test_report_after_train_reuses_cv(table, tmp_path, forests, jobs):
     assert len(forests) == (k - 2) * 3  # the sweep's fold fits alone
     assert report_bytes(out) == expected
     assert (out / "eval_report.json").read_bytes() == (trained / "eval_report.json").read_bytes()
+
+
+@pytest.mark.parametrize("n_iter", [0, 3])
+def test_train_grows_each_forest_once(table, tmp_path, forests, n_iter):
+    """train grows its CV's folds and full fit, after the folds of each
+    search trial: 11 and 41 forests for persons' ten folds."""
+    k, _, features, _ = table
+    search = {"search": {"n_iter": n_iter, "space": {"n_estimators": [2, 3, 4]}}} if n_iter else {}
+    config = write_config(tmp_path / "config.json", k, **search)
+    assert run("train", str(features), "--config", str(config), "--out", str(tmp_path / "out"),
+               "--jobs", "2") == 0
+    assert len(forests) == n_iter * 3 + 3 + 1
 
 
 def test_cv_eval_after_train_reuses_cv(table, tmp_path, forests):

@@ -142,6 +142,40 @@ class TestConfigParsing:
         for part in getattr(mutate, "path", "").split("."):
             assert part in str(info.value)
 
+    @pytest.mark.parametrize(
+        "gait, moods, key",
+        [
+            # jitter 0.02 takes a 10 Hz step to 10.2 Hz
+            ({"step_frequency": 10.0}, {}, "step_frequency"),
+            # a 0.99 duty cycle at 5.1 Hz leaves a 4 ms airborne phase
+            ({"step_frequency": 5.0, "duty_cycle": 0.99}, {}, "duty_cycle"),
+            # fine when neutral, too short when a mood walks 1.6 times as fast
+            ({"step_frequency": 4.0, "duty_cycle": 0.85},
+             {"happy": {"speed_factor": 1.2, "amplitude_factor": 1.2,
+                        "step_frequency_factor": 1.6}}, "duty_cycle"),
+        ],
+    )
+    def test_walk_that_simulate_would_refuse_fails_at_load(self, tmp_path, gait, moods, key):
+        raw = walk_config_dict()
+        raw["dataset"]["persons"]["eve"] = {"walking_speed": 1.0, **gait}
+        if moods:
+            raw["dataset"]["moods"] = {"neutral": {}, **moods}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ValidationError) as info:
+            ex.load_config(path)
+        assert str(info.value).startswith(f"{path}: dataset.persons.eve.{key}: ")
+
+    # at most 9.996 Hz; a 0.05006 s airborne phase at 4.794 Hz
+    @pytest.mark.parametrize("gait", [{"step_frequency": 9.8}, {"step_frequency": 4.7, "duty_cycle": 0.88}])
+    def test_walk_inside_the_load_bounds_simulates(self, gait):
+        raw = walk_config_dict()
+        raw["dataset"]["persons"] = {"eve": {"walking_speed": 1.0, **gait}}
+        raw["dataset"]["samples_per_cell"] = 8
+        raw["dataset"]["start_distance"] = 1.0
+        for plan in ex.build_plans(ex.ExperimentConfig.from_dict(raw)):
+            assert ex.synthesize_record(plan).samples.size > 0
+
     def test_int_for_float_field_is_stored_as_float(self):
         raw = walk_config_dict(mfcc={"fmin": 0})
         raw["dataset"]["persons"]["ada"]["walking_speed"] = 1

@@ -7,6 +7,7 @@ import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -558,7 +559,7 @@ def test_cross_validate_deterministic_and_jobs_invariant():
     r1, _ = rf.cross_validate(data, params, k=3, seed=5)
     r2, _ = rf.cross_validate(data, params, k=3, seed=5)
     with ProcessPoolExecutor(max_workers=2) as pool:
-        r3, _ = rf.cross_validate(data, params, k=3, seed=5, map_fn=pool.map)
+        r3, _ = rf.cross_validate(data, params, k=3, seed=5, map_fn=pool.map, shares=2)
     assert dump_json(r1.to_dict()) == dump_json(r2.to_dict()) == dump_json(r3.to_dict())
 
 
@@ -950,3 +951,95 @@ def test_holdout_is_fold_0_of_the_cv_fit_with_its_full_data_seed(seed):
     expected = rf.eval_report(data.labels[test_idx], proba, [slice(None)], rf.mdi_importance(model))
     report = rf.holdout_validate(data, SMALL, seed)
     assert dump_json(report.to_dict()) == dump_json(expected.to_dict())
+
+
+# ---------------------------------------------------------------- packed counts and root rows
+
+
+def many_class_dataset(k: int, n: int, seed: int) -> rf.Dataset:
+    """k classes over n rows with tied values: at n rows a count takes
+    n.bit_length() bits, so 24 classes need three 64-bit words."""
+    rng = np.random.default_rng(seed)
+    x = rng.integers(0, 6, size=(n, 5)) / 2.0
+    y = np.concatenate([np.arange(k), rng.integers(0, k, n - k)])
+    rng.shuffle(y)
+    return rf.Dataset(x, y, tuple(f"f{i}" for i in range(5)), tuple(f"c{i}" for i in range(k)))
+
+
+@pytest.mark.parametrize("k", [3, 25])
+@pytest.mark.parametrize("bootstrap", [False, True])
+def test_packed_class_counts_grow_the_per_class_trees(monkeypatch, k, bootstrap):
+    data = many_class_dataset(k, 60, seed=k)
+    params = rf.ForestParams(
+        n_estimators=6, min_samples_split=2, min_samples_leaf=1, bootstrap=bootstrap, seed=3
+    )
+    seeds = rf.derive_tree_seeds(params.seed, params.n_estimators)
+    packed = rf.fit_trees(data, params, seeds)
+    monkeypatch.setattr(rf, "_WORD_BITS", 0)  # one class per word: a cumsum per class
+    for got, want in zip(packed, rf.fit_trees(data, params, seeds)):
+        assert_same_tree(got, want)
+    for got, seed in zip(packed, seeds):
+        assert_same_tree(got, reference_fit_tree(data, params, seed))
+
+
+def test_packed_words_that_wrap_give_the_per_class_split(monkeypatch):
+    # 60 rows: 6-bit counts, ten classes per word, class 9 at bit 54. Its
+    # 30 rows in each of 40 columns run the root pass's cumsum past 2**64.
+    rng = np.random.default_rng(12)
+    y = np.concatenate([np.arange(11), np.full(30, 9), rng.integers(0, 11, 19)])
+    x = rng.normal(size=(60, 40))
+    assert int((y == 9).sum()) * 40 << 54 >= 1 << 64
+    presort = rf._presort(x, y)
+    args = (presort, np.arange(60), np.array([60]), None, np.arange(40)[None, :], 11, 1)
+    packed = rf._best_split_for_feature(*args)
+    monkeypatch.setattr(rf, "_WORD_BITS", 0)
+    assert [a.tobytes() for a in packed] == [a.tobytes() for a in rf._best_split_for_feature(*args)]
+
+
+@pytest.mark.parametrize("k", [3, 25])
+@pytest.mark.parametrize("bootstrap", [False, True])
+def test_fold_trees_grow_from_root_rows_as_on_the_subset(k, bootstrap):
+    """A tree grown from a fold's training rows of the whole table is the
+    tree of that subset, and sent its test rows it returns exactly the leaf
+    distributions that tree gives them."""
+    data = many_class_dataset(k, 60, seed=k + 1)
+    params = rf.ForestParams(
+        n_estimators=4, min_samples_split=3, min_samples_leaf=2, bootstrap=bootstrap, seed=8
+    )
+    folds, fits = rf.cv_plan(data, params, 3, seed=2)
+    test, train = fits[1].test, fits[1].train
+    # the reference grower reads these three; a fold may miss a class, so no Dataset
+    subset = SimpleNamespace(
+        features=data.features[train], labels=data.labels[train], n_classes=k
+    )
+    seeds = rf.derive_tree_seeds(fits[1].params.seed, params.n_estimators)
+    trees = rf.fit_trees(data, params, seeds, [train] * len(seeds))
+    scored = rf.fit_trees(data, params, seeds, [train] * len(seeds), [test] * len(seeds))
+    for tree, scores, seed in zip(trees, scored, seeds):
+        assert_same_tree(tree, reference_fit_tree(subset, params, seed))
+        assert scores.tobytes() == tree_predict_proba(tree, data.features[test]).tobytes()
+
+
+def test_grow_gives_the_same_results_at_any_number_of_shares():
+    """Fold probabilities and models from one, two or three shares of the
+    trees equal a forest fit on each fold's subset, predicted as a whole."""
+    data = many_class_dataset(4, 40, seed=5)
+    mixed = rf.ForestParams(n_estimators=12, min_samples_leaf=4, seed=7)  # leaves hold several classes
+    _, fits = rf.cv_plan(data, mixed, 3, seed=1)
+    fits += rf.cv_plan(data, rf.ForestParams(**{**mixed.to_dict(), "max_features": "all"}), 3, 4)[1][1:]
+    # two trees: some share of three grows none of them
+    fits += rf.cv_plan(data, rf.ForestParams(**{**mixed.to_dict(), "n_estimators": 2}), 3, 5)[1]
+    expected = []
+    for fit in fits:
+        sub = rf.Dataset(data.features[fit.train], data.labels[fit.train],
+                         data.feature_names, data.class_names)
+        model = rf.fit_forest(sub, fit.params)
+        expected.append(model if fit.test is None else rf.predict_proba(model, data.features[fit.test]))
+
+    def as_bytes(result) -> bytes:
+        if isinstance(result, rf.RandomForestModel):
+            return dump_json(rf.model_to_document(result)).encode()
+        return result.tobytes()
+
+    for shares in (1, 2, 3):
+        assert [as_bytes(r) for r in rf.grow(fits, map, shares)] == [as_bytes(r) for r in expected]

@@ -17,7 +17,7 @@ import pytest
 
 import esdgait.experiments as ex
 import esdgait.io as eio
-from esdgait import dsp
+from esdgait import dsp, forest
 from esdgait.cli import main
 from esdgait.simkit import SignalRecord
 
@@ -169,6 +169,36 @@ def test_search_identical_at_any_jobs(cohort, tmp_path):
                    "--out", str(tmp_path / jobs), "--jobs", jobs) == 0
     assert len(json.loads((tmp_path / "1" / "search_trials.json").read_text())) == 3
     assert (tmp_path / "1" / "cv.json").is_file()
+    for jobs in JOBS[1:]:
+        assert tree_bytes(tmp_path / jobs) == tree_bytes(tmp_path / "1")
+
+
+@pytest.mark.parametrize("command", ["train", "report", "eval"])
+def test_bootstrap_forest_commands_identical_at_any_jobs(cohort, tmp_path, monkeypatch, command):
+    # three classes and bootstrap: every fold tree takes the weighted split
+    # search over its fold's root rows, in one, two or three shares of the trees
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _, sim = cohort
+    config = write_config(tmp_path, forest={"n_estimators": 7, "bootstrap": True})
+    for jobs in JOBS:
+        assert run(command, str(sim / "features.csv"), "--config", str(config),
+                   "--out", str(tmp_path / jobs), "--jobs", jobs) == 0
+    for jobs in JOBS[1:]:
+        assert tree_bytes(tmp_path / jobs) == tree_bytes(tmp_path / "1")
+
+
+def test_search_over_max_features_identical_at_any_jobs(cohort, tmp_path, monkeypatch):
+    # each max_features value is its own lockstep batch in every share
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    _, sim = cohort
+    config = write_config(tmp_path, search={
+        "n_iter": 4, "space": {"max_features": ["sqrt", "log2", "all", 3], "n_estimators": [5]},
+    })
+    for jobs in JOBS:
+        assert run("train", str(sim / "features.csv"), "--config", str(config),
+                   "--out", str(tmp_path / jobs), "--jobs", jobs) == 0
+    trials = json.loads((tmp_path / "1" / "search_trials.json").read_text())
+    assert sorted(str(t["params"]["max_features"]) for t in trials) == ["3", "all", "log2", "sqrt"]
     for jobs in JOBS[1:]:
         assert tree_bytes(tmp_path / jobs) == tree_bytes(tmp_path / "1")
 
@@ -337,3 +367,26 @@ def test_no_samples_cross_the_pool(cohort, tmp_path, pools, monkeypatch):
     # a featurize result is its values alone: the column names cross no pool
     columns = len((tmp_path / "features.csv").read_text().partition("\n")[0].split(",")) - 1
     assert max(sizes["_featurize_task"][1::2]) < 8 * columns + 512
+
+
+def test_one_forest_task_per_worker_and_no_fold_tree_crosses(cohort, tmp_path, pools, monkeypatch):
+    config, sim = cohort
+    sizes: list[tuple[int, int]] = []
+
+    def pickling_map(self, fn, *iterables, chunksize=1):
+        for args in zip(*iterables):
+            result = fn(*args)
+            sizes.append((len(pickle.dumps(args)), len(pickle.dumps(result))))
+            yield result
+
+    monkeypatch.setattr(FakeExecutor, "map", pickling_map)
+    assert run("train", str(sim / "features.csv"), "--config", str(config),
+               "--out", str(tmp_path), "--jobs", "2") == 0
+    assert pools == [2] and len(sizes) == 2  # one share of every forest per worker
+    table = len(pickle.dumps(ex.dataset_from_features(*eio.read_features(sim / "features.csv"))))
+    model = len(pickle.dumps(forest.load_model(tmp_path / "model.rfj").trees))
+    for args, result in sizes:
+        assert table < args < table + 8 * 1024  # the table once, and each fit's rows
+        # half the full fit's trees and the fold trees' leaf distributions:
+        # less than the whole model, which the fold trees would exceed
+        assert result < model
