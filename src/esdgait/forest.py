@@ -101,24 +101,36 @@ class ForestParams:
         return asdict(self)
 
 
-@dataclass
-class DecisionTree:
-    """Flat node arrays in preorder; feature == -1 marks a leaf."""
+class NodeTable(NamedTuple):
+    """Every node of a forest: trees one after another, each in depth-first
+    preorder; feature == -1 marks a leaf, and left/right count from the
+    root of the node's own tree."""
 
+    sizes: np.ndarray  # (trees,) nodes in each tree
     feature: np.ndarray  # (nodes,) int
     threshold: np.ndarray  # (nodes,) float, nan on leaves
     left: np.ndarray  # (nodes,) int, -1 on leaves
     right: np.ndarray  # (nodes,) int
     histogram: np.ndarray  # (nodes, K) training class counts
-    n_samples: np.ndarray  # (nodes,)
+    n_samples: np.ndarray  # (nodes,) int
     impurity: np.ndarray  # (nodes,)
     weighted_decrease: np.ndarray  # (nodes,) (n/N)*gini decrease, 0 on leaves
-    depth: np.ndarray  # (nodes,)
+    depth: np.ndarray  # (nodes,) int
+
+    def cut(self, lo: int, hi: int) -> "NodeTable":
+        """Trees [lo, hi) as a table of their own."""
+        start, end = (int(self.sizes[:i].sum()) for i in (lo, hi))
+        return NodeTable(self.sizes[lo:hi], *(column[start:end] for column in self[1:]))
+
+    @classmethod
+    def join(cls, tables) -> "NodeTable":
+        """The trees of `tables`, table after table."""
+        return cls(*(np.concatenate(columns) for columns in zip(*tables)))
 
 
 @dataclass
 class RandomForestModel:
-    trees: list[DecisionTree]
+    nodes: NodeTable
     params: ForestParams
     feature_names: tuple[str, ...]
     class_names: tuple[str, ...]
@@ -387,22 +399,23 @@ def _halves(x: np.ndarray, parts: list, feature, threshold, row_of=None) -> tupl
     return pieces(flat[~goes_left], counts - n_left), pieces(flat[goes_left], n_left)
 
 
-def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None, tests=None) -> list:
+def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None, tests=None) -> tuple:
     """Greedy CART growth with per-node feature subsampling, one tree per
     seed, all trees grown in lockstep.
 
     Tree t grows from the rows roots[t], ascending dataset row ids (every
     row when roots is None): its bootstrap draws and the total behind its
     weighted_decrease are those rows', so it is the tree that data's
-    subset of those rows would give. Returns one entry per seed: its
-    DecisionTree, or where tests[t] lists rows, the tree's leaf class
-    distributions at them, (rows, classes) as predict_proba's walk finds
-    them; such a tree sends its test rows down as it grows and keeps no
-    nodes. Each round takes the next node of every unfinished tree (a tree
-    still numbers its nodes in depth-first preorder and draws from its own
-    rng in that order), scores all of them with one bincount and searches
-    all their splits in segmented passes over presorted features. A tree
-    does not depend on the other seeds, roots and tests grown with it.
+    subset of those rows would give. Returns (nodes, scored): the NodeTable
+    of the trees with no test rows, and the leaf class distributions
+    (rows, classes) of each tree whose tests[t] lists rows, at those rows
+    as predict_proba's walk finds them, both in seed order. Such a tree
+    sends its test rows down as it grows and keeps no nodes. Each round
+    takes the next node of every unfinished tree (a tree still numbers its
+    nodes in depth-first preorder and draws from its own rng in that
+    order), scores all of them with one bincount and searches all their
+    splits in segmented passes over presorted features. A tree does not
+    depend on the other seeds, roots and tests grown with it.
     """
     x, y, k = data.features, data.labels, data.n_classes
     n_rows, n_features = x.shape
@@ -530,22 +543,15 @@ def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None, tests=None
     start = np.cumsum(grown) - grown
     tree_ids, node_ids, parent = column("tree"), column("node"), column("parent")
     at = start[tree_ids] + node_ids  # every tree's nodes, one tree after another
-    fields = {}
-    for name in ("feature", "threshold", "histogram", "n_samples", "impurity",
-                 "weighted_decrease", "depth"):
-        values = column(name)
-        fields[name] = np.empty_like(values)
-        fields[name][at] = values
+    order = np.argsort(at)  # the rounds' nodes in that order
+    columns = {name: column(name)[order] for name in NodeTable._fields if name in rounds[0]}
     children = np.full((2, at.size), -1, dtype=np.int64)
     child = parent >= 0
     side = column("is_right")[child].astype(np.int64)
     children[side, start[tree_ids[child]] + parent[child]] = node_ids[child]
-    fields["left"], fields["right"] = children
-    del rounds
-    per_tree = {name: np.split(values, np.cumsum(grown)[:-1]) for name, values in fields.items()}
-    trees = (DecisionTree(**{name: parts[t] for name, parts in per_tree.items()})
-             for t in range(grown.size))
-    return [next(trees) if keep else scores[f : f + n] for keep, f, n in zip(kept, first, n_test)]
+    columns["left"], columns["right"] = children
+    scored = [scores[f : f + n] for keep, f, n in zip(kept, first, n_test) if not keep]
+    return NodeTable(grown, **columns), scored
 
 
 def derive_tree_seeds(seed: int, n: int) -> tuple[int, ...]:
@@ -566,8 +572,9 @@ class Fit(NamedTuple):
 def _grow_share(fits, share: int, shares: int) -> list:
     """Task `share` of grow's `shares`: the trees [n * share // shares,
     n * (share + 1) // shares) of every fit of n trees, as one lockstep
-    batch per table and growth params. Returns, fit by fit, those trees,
-    or for a fit with test rows each tree's leaf distributions at them."""
+    batch per table and growth params. Returns, fit by fit, [their
+    NodeTable], or for a fit with test rows [their leaf distributions there,
+    (trees, rows, classes)]."""
     batches: dict = {}  # (table, growth params) -> [(fit index, seeds)]
     for i, fit in enumerate(fits):
         n = fit.params.n_estimators
@@ -579,15 +586,19 @@ def _grow_share(fits, share: int, shares: int) -> list:
         jobs = [(fits[i], seed) for i, seeds in members for seed in seeds]
         if not jobs:
             continue
-        grown = iter(fit_trees(
+        nodes, scored = fit_trees(
             jobs[0][0].data,
             growth,
             [seed for _, seed in jobs],
             [fit.train for fit, _ in jobs],
             [fit.test for fit, _ in jobs],
-        ))
+        )
+        scored, kept = iter(scored), 0
         for i, seeds in members:
-            out[i] = list(itertools.islice(grown, len(seeds)))
+            if fits[i].test is None:
+                out[i], kept = [nodes.cut(kept, kept + len(seeds))], kept + len(seeds)
+            else:
+                out[i] = [np.array(list(itertools.islice(scored, len(seeds))))]
     return out
 
 
@@ -611,16 +622,14 @@ def grow(fits, map_fn=map, shares: int = 1) -> list:
     for i, fit in enumerate(fits):
         grown = [x for part in parts for x in part[i]]
         if fit.test is None:
+            names = tuple(fit.data.feature_names), tuple(fit.data.class_names)
             seeds = derive_tree_seeds(fit.params.seed, fit.params.n_estimators)
-            data = fit.data
-            results.append(RandomForestModel(
-                grown, fit.params, tuple(data.feature_names), tuple(data.class_names), seeds
-            ))
+            results.append(RandomForestModel(NodeTable.join(grown), fit.params, *names, seeds))
         else:
             proba = np.zeros((fit.test.size, fit.data.n_classes))
-            for distribution in grown:  # one tree at a time, as predict_proba adds them
+            for distribution in itertools.chain(*grown):  # one tree at a time, as predict_proba
                 proba += distribution
-            results.append(proba / len(grown))
+            results.append(proba / fit.params.n_estimators)
     return results
 
 
@@ -636,9 +645,10 @@ def fit_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
 def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
     """Mean over trees of the leaf class-frequency distributions.
 
-    Every tree's nodes go into one table, and all (tree, row) pairs walk it
-    together, one level per step. The leaf distributions are then added one
-    tree at a time, in tree order, as a per-tree sum would add them.
+    All (tree, row) pairs walk the model's node table together, one level
+    per step, each pair offsetting its tree's child indices by the tree's
+    first node. The leaf distributions are then added one tree at a time,
+    in tree order, as a per-tree sum would add them.
     """
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     if rows.shape[1] != len(model.feature_names):
@@ -648,31 +658,23 @@ def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ValidationError(f"row {int(bad[0])} has a non-finite feature value")
-    trees = model.trees
-    sizes = np.asarray([tree.feature.size for tree in trees])
-    start = np.cumsum(sizes) - sizes
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    histogram = np.concatenate([tree.histogram for tree in trees])
-    # (nodes, 2) table indices; tree t's leaves hold start[t] - 1, never read
-    children = np.concatenate(
-        [np.stack([tree.left, tree.right], axis=1) + s for tree, s in zip(trees, start)]
-    )
-    n = rows.shape[0]
-    node = np.repeat(start, n)  # pair (tree t, row i) sits at t * n + i
-    row = np.tile(np.arange(n), len(trees))
+    nodes = model.nodes
+    n, n_trees = rows.shape[0], nodes.sizes.size
+    root = np.repeat(np.cumsum(nodes.sizes) - nodes.sizes, n)  # (tree t, row i) sits at t * n + i
+    node = root.copy()
+    row = np.tile(np.arange(n), n_trees)
     walking = np.arange(node.size)
     while walking.size:
         at = node[walking]
-        internal = feature[at] >= 0
+        internal = nodes.feature[at] >= 0
         walking, at = walking[internal], at[internal]
-        goes_left = rows[row[walking], feature[at]] <= threshold[at]
-        node[walking] = children[at, (~goes_left).astype(np.intp)]
+        goes_left = rows[row[walking], nodes.feature[at]] <= nodes.threshold[at]
+        node[walking] = root[walking] + np.where(goes_left, nodes.left[at], nodes.right[at])
     acc = np.zeros((n, len(model.class_names)))
-    for leaves in node.reshape(len(trees), n):
-        hist = histogram[leaves]
+    for leaves in node.reshape(n_trees, n):
+        hist = nodes.histogram[leaves]
         acc += hist / hist.sum(axis=1, keepdims=True)
-    return acc / len(trees)
+    return acc / n_trees
 
 
 def stratified_kfold(labels, k: int, shuffle_seed: int) -> list[np.ndarray]:
@@ -777,18 +779,16 @@ def auroc(scores: np.ndarray, truth) -> float:
 def mdi_importance(model: RandomForestModel) -> np.ndarray:
     """Mean decrease in impurity: per-tree normalized split contributions,
     averaged over trees that contain at least one split."""
-    d = len(model.feature_names)
-    per_tree = []
-    for tree in model.trees:
-        contrib = np.zeros(d)
-        internal = tree.feature >= 0
-        np.add.at(contrib, tree.feature[internal], tree.weighted_decrease[internal])
-        total = contrib.sum()
-        if total > 0:
-            per_tree.append(contrib / total)
-    if not per_tree:
+    d, nodes = len(model.feature_names), model.nodes
+    n_trees = nodes.sizes.size
+    internal = nodes.feature >= 0
+    cell = np.repeat(np.arange(n_trees), nodes.sizes)[internal] * d + nodes.feature[internal]
+    contrib = np.bincount(cell, nodes.weighted_decrease[internal], n_trees * d).reshape(n_trees, d)
+    total = contrib.sum(axis=1)
+    split = total > 0
+    if not split.any():
         raise ToolkitError("forest has no internal nodes; importance undefined")
-    return np.mean(per_tree, axis=0)
+    return np.mean(contrib[split] / total[split, None], axis=0)
 
 
 def cv_plan(data: Dataset, params: ForestParams, k: int, seed: int):
@@ -922,63 +922,40 @@ def randomized_search(
     return io.from_json(ForestParams, best_combo, "space"), table
 
 
-def _tree_to_lists(tree: DecisionTree) -> dict:
-    return {
-        "feature": tree.feature.tolist(),
-        "threshold": [None if math.isnan(v) else v for v in tree.threshold.tolist()],
-        "left": tree.left.tolist(),
-        "right": tree.right.tolist(),
-        "histogram": tree.histogram.astype(int).tolist(),
-        "n_samples": tree.n_samples.tolist(),
-        "impurity": tree.impurity.tolist(),
-        "weighted_decrease": tree.weighted_decrease.tolist(),
-        "depth": tree.depth.tolist(),
-    }
-
-
-def _tree_from_lists(d: dict) -> DecisionTree:
-    return DecisionTree(
-        feature=np.asarray(d["feature"], dtype=np.int64),
-        threshold=np.asarray(
-            [math.nan if v is None else v for v in d["threshold"]], dtype=float
-        ),
-        left=np.asarray(d["left"], dtype=np.int64),
-        right=np.asarray(d["right"], dtype=np.int64),
-        histogram=np.asarray(d["histogram"], dtype=float),
-        n_samples=np.asarray(d["n_samples"], dtype=np.int64),
-        impurity=np.asarray(d["impurity"], dtype=float),
-        weighted_decrease=np.asarray(d["weighted_decrease"], dtype=float),
-        depth=np.asarray(d["depth"], dtype=np.int64),
-    )
-
-
-def _check_tree(tree: DecisionTree, n_features: int, n_classes: int, where: str) -> None:
-    """Reject a tree that prediction could not walk to a leaf, or whose numbers
-    would not give finite probabilities and importances. Every child index
-    must exceed its node's, so each step moves forward and no walk loops."""
-    n = tree.feature.size
-    if n == 0 or any(a.shape != (n,) for k, a in vars(tree).items() if k != "histogram"):
-        raise ValidationError(f"{where}: per-node arrays differ in length")
-    if tree.histogram.shape != (n, n_classes):
-        raise ValidationError(f"{where}: histogram width must equal the {n_classes} classes")
-    if np.any(tree.feature < -1) or np.any(tree.feature >= n_features):
-        raise ValidationError(f"{where}: split feature outside [0, {n_features})")
-    leaf = tree.feature == -1
-    node = np.flatnonzero(~leaf)
-    children = np.stack([tree.left, tree.right])
-    if np.any(children[:, leaf] != -1):
-        raise ValidationError(f"{where}: a leaf has children")
-    if np.any(children[:, node] <= node) or np.any(children[:, node] >= n):
-        raise ValidationError(f"{where}: a child index must lie after its node, inside the tree")
-    finite = np.isfinite(tree.threshold[node]).all() and np.isfinite(tree.weighted_decrease).all()
-    if not finite:
-        raise ValidationError(f"{where}: split thresholds and impurity decreases must be finite")
-    hist = tree.histogram
-    if not np.all(np.isfinite(hist) & (hist >= 0)) or np.any(hist[leaf].sum(axis=1) <= 0):
-        raise ValidationError(f"{where}: leaf class counts must be finite, >= 0 and sum above 0")
+def _check_nodes(nodes: NodeTable, n_features: int) -> None:
+    """Reject a forest that prediction could not walk to a leaf, or whose
+    numbers would not give finite probabilities and importances, naming the
+    first tree that fails a check and the first check it fails. Every child
+    index must exceed its node's, so each step moves forward and no walk loops."""
+    n_trees = nodes.sizes.size
+    tree = np.repeat(np.arange(n_trees), nodes.sizes)
+    local = np.arange(tree.size) - (np.cumsum(nodes.sizes) - nodes.sizes)[tree]
+    leaf = nodes.feature == -1
+    children = np.stack([nodes.left, nodes.right])
+    hist = nodes.histogram
+    checks = [
+        ((nodes.feature < -1) | (nodes.feature >= n_features),
+         f"split feature outside [0, {n_features})"),
+        (leaf & (children != -1).any(axis=0), "a leaf has children"),
+        (~leaf & ((children <= local) | (children >= nodes.sizes[tree])).any(axis=0),
+         "a child index must lie after its node, inside the tree"),
+        (~leaf & ~np.isfinite(nodes.threshold) | ~np.isfinite(nodes.weighted_decrease),
+         "split thresholds and impurity decreases must be finite"),
+        (~(np.isfinite(hist) & (hist >= 0)).all(axis=1) | leaf & (hist.sum(axis=1) <= 0),
+         "leaf class counts must be finite, >= 0 and sum above 0"),
+    ]
+    failed = np.array([np.bincount(tree, bad, n_trees) > 0 for bad, _ in checks])  # (check, tree)
+    if failed.any():
+        first = int(np.flatnonzero(failed.any(axis=0))[0])
+        raise ValidationError(f"trees[{first}]: {checks[int(np.argmax(failed[:, first]))][1]}")
 
 
 def model_to_document(model: RandomForestModel, mfcc_fingerprint: str | None = None) -> dict:
+    nodes = model.nodes
+    columns = {name: getattr(nodes, name).tolist() for name in NodeTable._fields[1:]}
+    columns["threshold"] = [None if math.isnan(v) else v for v in columns["threshold"]]
+    columns["histogram"] = nodes.histogram.astype(int).tolist()
+    ends = np.cumsum(nodes.sizes).tolist()
     return {
         "format": MODEL_FORMAT,
         "params": model.params.to_dict(),
@@ -986,7 +963,10 @@ def model_to_document(model: RandomForestModel, mfcc_fingerprint: str | None = N
         "class_names": list(model.class_names),
         "per_tree_seeds": list(model.per_tree_seeds),
         "mfcc_fingerprint": mfcc_fingerprint,
-        "trees": [_tree_to_lists(t) for t in model.trees],
+        "trees": [
+            {name: values[a:b] for name, values in columns.items()}
+            for a, b in zip([0, *ends], ends)
+        ],
     }
 
 
@@ -1005,16 +985,34 @@ def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> R
         io.from_json(tuple[str, ...], doc.get(key), key) for key in ("feature_names", "class_names")
     )
     seeds = io.from_json(tuple[int, ...], doc.get("per_tree_seeds"), "per_tree_seeds")
-    try:
-        trees = [_tree_from_lists(t) for t in doc["trees"]]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ValidationError(f"malformed model ({type(exc).__name__}: {exc})") from None
-    model = RandomForestModel(trees, params, feature_names, class_names, seeds)
-    if not model.trees:
+    trees = io.from_json(list, doc.get("trees"), "trees")
+    if not trees:
         raise ValidationError("model has no trees")
-    for i, tree in enumerate(model.trees):
-        _check_tree(tree, len(model.feature_names), len(model.class_names), f"trees[{i}]")
-    return model
+    if not len(trees) == params.n_estimators == len(seeds):
+        raise ValidationError(
+            f"model has {len(trees)} trees, but params.n_estimators is {params.n_estimators} "
+            f"and per_tree_seeds lists {len(seeds)}"
+        )
+    names, ints = NodeTable._fields[1:], ("feature", "left", "right", "n_samples", "depth")
+    parts = []
+    for i, tree in enumerate(trees):
+        try:  # a null, as a leaf's threshold is saved, decodes to nan in a float column
+            columns = [np.asarray(tree[key], np.int64 if key in ints else float) for key in names]
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ValidationError(
+                f"trees[{i}]: malformed model ({type(exc).__name__}: {exc})"
+            ) from None
+        n, histogram = columns[0].size, columns[names.index("histogram")]
+        if n == 0 or any(c.shape != (n,) for c in columns if c is not histogram):
+            raise ValidationError(f"trees[{i}]: per-node arrays differ in length")
+        if histogram.shape != (n, len(class_names)):  # before the trees join into one table
+            raise ValidationError(
+                f"trees[{i}]: histogram width must equal the {len(class_names)} classes"
+            )
+        parts.append(NodeTable(np.array([n]), *columns))
+    nodes = NodeTable.join(parts)
+    _check_nodes(nodes, len(feature_names))
+    return RandomForestModel(nodes, params, feature_names, class_names, seeds)
 
 
 def save_model(model: RandomForestModel, path, mfcc_fingerprint: str | None = None) -> None:

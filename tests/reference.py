@@ -10,10 +10,12 @@ separate from the package under test.
 tree grower the package used before its trees grew in lockstep, kept as
 the oracle that the lockstep grower must match array for array, and so
 are `reference_detect`, the per-line `esdgait detect` reader that chunked
-parsing must match line for line, and `reference_predict_proba`, the
-per-tree, per-row walk that flat-forest prediction must match bit for bit.
-`predict` and `detect_stream` are thin conveniences over the package's
-`predict_proba` and `ShakeDetector` that only tests use.
+parsing must match line for line, `reference_predict_proba`, the
+per-tree, per-row walk that flat-forest prediction must match bit for bit,
+and `reference_mdi_importance`, the per-tree importance loop that the
+one-bincount importance must match bit for bit. `trees` gives the per-tree
+views these read; `predict` and `detect_stream` are thin conveniences over
+the package's `predict_proba` and `ShakeDetector` that only tests use.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 import esdgait.forest as rf
 import esdgait.io as eio
 from esdgait import cli, legshake
-from esdgait.errors import ValidationError
+from esdgait.errors import ToolkitError, ValidationError
 
 
 def naive_mfcc(
@@ -305,7 +307,8 @@ def reference_fit_tree(data, params, rng_seed: int):
         return node
 
     add_node(np.arange(n_root), 0)
-    return rf.DecisionTree(
+    return rf.NodeTable(
+        sizes=np.asarray([len(feature)], dtype=np.int64),
         feature=np.asarray(feature, dtype=np.int64),
         threshold=np.asarray(threshold, dtype=float),
         left=np.asarray(left, dtype=np.int64),
@@ -317,6 +320,12 @@ def reference_fit_tree(data, params, rng_seed: int):
         depth=np.asarray(depths, dtype=np.int64),
     )
 
+
+def trees(forest) -> list:
+    """Per-tree views of a model's node table, or of a NodeTable: tree t as
+    a table of its own, so its left/right index its own columns."""
+    nodes = getattr(forest, "nodes", forest)
+    return [nodes.cut(t, t + 1) for t in range(nodes.sizes.size)]
 
 
 def leaf_for(tree, row: np.ndarray) -> int:
@@ -341,9 +350,27 @@ def reference_predict_proba(model, rows: np.ndarray) -> np.ndarray:
     """Forest prediction as it was before the trees shared one node table:
     each tree walks each row, and the trees' distributions add in tree order."""
     acc = np.zeros((rows.shape[0], len(model.class_names)))
-    for tree in model.trees:
+    for tree in trees(model):
         acc += tree_predict_proba(tree, rows)
-    return acc / len(model.trees)
+    return acc / model.nodes.sizes.size
+
+
+def reference_mdi_importance(model) -> np.ndarray:
+    """Mean decrease in impurity as it was before the trees shared one node
+    table: each tree's contributions added node by node and normalized,
+    averaged over the trees that contain at least one split."""
+    d = len(model.feature_names)
+    per_tree = []
+    for tree in trees(model):
+        contrib = np.zeros(d)
+        internal = tree.feature >= 0
+        np.add.at(contrib, tree.feature[internal], tree.weighted_decrease[internal])
+        total = contrib.sum()
+        if total > 0:
+            per_tree.append(contrib / total)
+    if not per_tree:
+        raise ToolkitError("forest has no internal nodes; importance undefined")
+    return np.mean(per_tree, axis=0)
 
 
 def predict(model, rows: np.ndarray) -> np.ndarray:

@@ -381,7 +381,7 @@ def test_criterion_12_tree_growth_limits(mood_run, person_run):
             and params.min_samples_split == 5
             and params.max_depth <= 100
         )
-        for tree in model.trees:
+        for tree in reference.trees(model):
             reference.audit_tree(tree, params)
             audited += 1
     verdict(12, ok, f"{audited} trees satisfy leaf >= 4, split >= 5, depth <= 100")

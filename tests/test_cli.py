@@ -519,6 +519,19 @@ class TestTrainEval:
         assert_one_line_error(result.stderr)
         assert message in result.stderr and "trees[0]" in result.stderr
 
+    def test_eval_model_with_trees_cut_away_exits_1(self, pipeline, tmp_path):
+        config, out = pipeline
+        doc = json.loads((out / "model.rfj").read_text())
+        doc["trees"], doc["per_tree_seeds"] = doc["trees"][:3], doc["per_tree_seeds"][:7]
+        model = tmp_path / "model.rfj"
+        model.write_text(json.dumps(doc))
+        result = run_cli("eval", str(out / "features.csv"), "--config", str(config),
+                         "--out", str(tmp_path), "--model", str(model), "--quiet")
+        assert result.returncode == 1
+        assert_one_line_error(result.stderr)
+        assert "model has 3 trees, but params.n_estimators is 10" in result.stderr
+        assert "per_tree_seeds lists 7" in result.stderr
+
     def test_features_not_utf8_exits_1(self, pipeline, tmp_path, capsys):
         config, out = pipeline
         lines = (out / "features.csv").read_bytes().splitlines(keepends=True)

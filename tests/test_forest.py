@@ -29,8 +29,10 @@ from reference import (
     predict,
     pair_count_auroc,
     reference_fit_tree,
+    reference_mdi_importance,
     reference_predict_proba,
     tree_predict_proba,
+    trees,
 )
 
 
@@ -172,7 +174,7 @@ def test_tree_separable_single_split():
     x = np.concatenate([np.zeros(10), np.ones(10)])[:, None]
     data = rf.Dataset(x, np.repeat([0, 1], 10), ("f0",), ("a", "b"))
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1, max_features="all")
-    tree = rf.fit_trees(data, params, [3])[0]
+    tree, _ = rf.fit_trees(data, params, [3])
     assert np.count_nonzero(tree.feature >= 0) == 1
     assert tree.feature[0] == 0
     assert 0.0 < tree.threshold[0] < 1.0
@@ -184,19 +186,19 @@ def test_tree_identical_rows_single_leaf_majority():
     x = np.ones((4, 2))
     data = rf.Dataset(x, np.array([0, 0, 1, 1]), ("f0", "f1"), ("a", "b"))
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1)
-    tree = rf.fit_trees(data, params, [0])[0]
+    tree, _ = rf.fit_trees(data, params, [0])
     assert tree.feature.shape == (1,)
     assert tree.feature[0] == -1
     proba = tree_predict_proba(tree, x)
     assert np.allclose(proba, 0.5)
-    model = rf.RandomForestModel([tree], params, data.feature_names, data.class_names, (0,))
+    model = rf.RandomForestModel(tree, params, data.feature_names, data.class_names, (0,))
     assert np.all(predict(model, x) == 0)  # tie falls to the lowest class id
 
 
 def test_tree_deterministic_given_seed():
     data = blob_dataset(20, [[0, 0], [3, 3]], n_noise=2, seed=5)
-    a = rf.fit_trees(data, SMALL, [11])[0]
-    b = rf.fit_trees(data, SMALL, [11])[0]
+    a, _ = rf.fit_trees(data, SMALL, [11])
+    b, _ = rf.fit_trees(data, SMALL, [11])
     for name in ("feature", "left", "right", "n_samples", "depth"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
@@ -207,7 +209,7 @@ def test_tree_respects_growth_limits():
     params = rf.ForestParams(
         n_estimators=1, min_samples_split=5, min_samples_leaf=4, max_depth=3, max_features="all"
     )
-    tree = rf.fit_trees(data, params, [1])[0]
+    tree, _ = rf.fit_trees(data, params, [1])
     audit_tree(tree, params)
     assert tree.depth.max() <= 3
 
@@ -222,7 +224,7 @@ def test_forest_bit_identical_across_runs_and_jobs():
     with ProcessPoolExecutor(max_workers=2) as pool:  # grown in a worker process
         (m3,) = pool.map(rf.fit_forest, [data], [SMALL])
     assert m1.per_tree_seeds == m2.per_tree_seeds == m3.per_tree_seeds
-    for ta, tb, tc in zip(m1.trees, m2.trees, m3.trees):
+    for ta, tb, tc in zip(trees(m1), trees(m2), trees(m3)):
         assert np.array_equal(ta.feature, tb.feature)
         assert np.array_equal(ta.feature, tc.feature)
         assert np.array_equal(ta.threshold, tc.threshold, equal_nan=True)
@@ -233,9 +235,9 @@ def test_forest_singleton_matches_fit_tree():
     data = blob_dataset(12, [[0], [2]], seed=9)
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1, seed=21)
     model = rf.fit_forest(data, params)
-    direct = rf.fit_trees(data, params, rf.derive_tree_seeds(21, 1))[0]
-    assert np.array_equal(model.trees[0].feature, direct.feature)
-    assert np.array_equal(model.trees[0].threshold, direct.threshold, equal_nan=True)
+    direct, _ = rf.fit_trees(data, params, rf.derive_tree_seeds(21, 1))
+    assert np.array_equal(trees(model)[0].feature, direct.feature)
+    assert np.array_equal(trees(model)[0].threshold, direct.threshold, equal_nan=True)
 
 
 def test_forest_generalizes_on_separable_blobs():
@@ -327,7 +329,7 @@ def test_feature_scaling_leaves_structure_and_predictions():
     params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=5)
     m1 = rf.fit_forest(data, params)
     m2 = rf.fit_forest(data_scaled, params)
-    for ta, tb in zip(m1.trees, m2.trees):
+    for ta, tb in zip(trees(m1), trees(m2)):
         assert np.array_equal(ta.feature, tb.feature)
         on_scaled = ta.feature == 1
         expect = ta.threshold.copy()
@@ -702,7 +704,45 @@ def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
     corrupt(tree, _root_internal(tree))
     path = tmp_path / "model.rfj"
     path.write_text(dump_json(doc))
-    with pytest.raises(ValidationError, match=message):
+    with pytest.raises(ValidationError, match=message) as caught:
+        rf.load_model(path)
+    assert "trees[1]:" in str(caught.value)
+
+
+def test_model_load_names_the_first_broken_tree_and_its_first_failed_check(tmp_path):
+    """Trees 2 and 3 fail the first check and tree 1 only a later one: the
+    error names tree 1, then, once tree 1 is whole, tree 2's first check."""
+    data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
+    model = rf.fit_forest(data, rf.ForestParams(n_estimators=4, max_features="all", seed=3))
+    doc = rf.model_to_document(model)
+    for t, field, value in ((1, "threshold", None), (2, "threshold", None), (2, "feature", 9),
+                            (3, "feature", -2)):
+        tree = doc["trees"][t]
+        tree[field][_root_internal(tree)] = value
+    path = tmp_path / "model.rfj"
+    path.write_text(dump_json(doc))
+    with pytest.raises(ValidationError, match=re.escape("trees[1]: split thresholds")):
+        rf.load_model(path)
+    doc["trees"][1] = rf.model_to_document(model)["trees"][1]
+    path.write_text(dump_json(doc))
+    with pytest.raises(ValidationError, match=re.escape("trees[2]: split feature")):
+        rf.load_model(path)
+
+
+@pytest.mark.parametrize("n_trees, n_seeds", [(3, 7), (3, 12), (12, 7)])
+def test_model_load_rejects_a_tree_count_its_params_and_seeds_disagree_with(
+    tmp_path, n_trees, n_seeds
+):
+    data = blob_dataset(10, [[0], [2]], seed=28)
+    doc = rf.model_to_document(rf.fit_forest(data, SMALL))  # 12 trees
+    doc["trees"] = doc["trees"][:n_trees]
+    doc["per_tree_seeds"] = doc["per_tree_seeds"][:n_seeds]
+    path = tmp_path / "model.rfj"
+    path.write_text(dump_json(doc))
+    with pytest.raises(ValidationError, match=re.escape(
+        f"model has {n_trees} trees, but params.n_estimators is 12 "
+        f"and per_tree_seeds lists {n_seeds}"
+    )):
         rf.load_model(path)
 
 
@@ -774,7 +814,7 @@ def test_every_tree_passes_structural_audit():
     data = blob_dataset(35, [[0, 0], [1.5, 1.5], [3, 0]], n_noise=3, spread=1.2, seed=26)
     params = rf.ForestParams(n_estimators=15, min_samples_split=5, min_samples_leaf=4, max_depth=6, seed=10)
     model = rf.fit_forest(data, params)
-    for tree in model.trees:
+    for tree in trees(model):
         audit_tree(tree, params)
 
 
@@ -786,7 +826,7 @@ TREE_FIELDS = (
 )
 
 
-def assert_same_tree(got: rf.DecisionTree, want: rf.DecisionTree) -> None:
+def assert_same_tree(got: rf.NodeTable, want: rf.NodeTable) -> None:
     for name in TREE_FIELDS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype and a.shape == b.shape, name
@@ -828,8 +868,31 @@ def growth_cases(draw):
 def test_lockstep_growth_equals_recursive_reference(case):
     data, params = case
     seeds = rf.derive_tree_seeds(params.seed, params.n_estimators)
-    for seed, tree in zip(seeds, rf.fit_trees(data, params, seeds)):
+    for seed, tree in zip(seeds, trees(rf.fit_trees(data, params, seeds)[0])):
         assert_same_tree(tree, reference_fit_tree(data, params, seed))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(growth_cases(), st.lists(st.booleans(), min_size=1, max_size=8))
+def test_mdi_importance_equals_per_tree_loop(case, leaf_only):
+    """Trees marked leaf_only cannot split their root, so their
+    contributions sum to 0 and the average leaves them out."""
+    data, params = case
+    seeds = rf.derive_tree_seeds(params.seed, len(leaf_only))
+    no_split = rf.ForestParams(**{**params.to_dict(), "min_samples_split": data.labels.size + 1})
+    nodes = rf.NodeTable.join([
+        rf.fit_trees(data, no_split if leaf else params, [seed])[0]
+        for leaf, seed in zip(leaf_only, seeds)
+    ])
+    assert np.all(nodes.sizes[list(leaf_only)] == 1)
+    model = rf.RandomForestModel(nodes, params, data.feature_names, data.class_names, seeds)
+    try:
+        want = reference_mdi_importance(model)
+    except ToolkitError:
+        with pytest.raises(ToolkitError, match="no internal nodes"):
+            rf.mdi_importance(model)
+        return
+    assert rf.mdi_importance(model).tobytes() == want.tobytes()
 
 
 @settings(max_examples=6, deadline=None, derandomize=True)
@@ -843,13 +906,13 @@ def test_forest_identical_at_any_jobs(case, n_estimators):
     seeds = model.per_tree_seeds
     for runs in (1, 2, 3):
         bounds = [len(seeds) * i // runs for i in range(runs + 1)]
-        trees = [
+        grown = [
             tree
             for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-            for tree in rf.fit_trees(data, params, seeds[lo:hi])
+            for tree in trees(rf.fit_trees(data, params, seeds[lo:hi])[0])
         ]
-        assert len(trees) == len(model.trees)
-        for tree, whole in zip(trees, model.trees):
+        assert len(grown) == len(trees(model))
+        for tree, whole in zip(grown, trees(model)):
             assert_same_tree(tree, whole)
 
 
@@ -860,12 +923,12 @@ def test_flat_prediction_equals_per_tree_walk(case, n_estimators, row_seed):
     data, params = case
     seeds = rf.derive_tree_seeds(params.seed, n_estimators)
     model = rf.RandomForestModel(
-        rf.fit_trees(data, params, seeds), params, data.feature_names, data.class_names, seeds
+        rf.fit_trees(data, params, seeds)[0], params, data.feature_names, data.class_names, seeds
     )
     rng = np.random.default_rng(row_seed)
     on_split = data.features[rng.integers(0, data.labels.size, 12)].copy()
-    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in model.trees])
-    features = np.concatenate([t.feature[t.feature >= 0] for t in model.trees])
+    thresholds = np.concatenate([t.threshold[t.feature >= 0] for t in trees(model)])
+    features = np.concatenate([t.feature[t.feature >= 0] for t in trees(model)])
     if thresholds.size:
         pick = rng.integers(0, thresholds.size, on_split.shape[0])
         on_split[np.arange(on_split.shape[0]), features[pick]] = thresholds[pick]
@@ -891,8 +954,8 @@ def test_model_save_load_save_is_byte_stable(bootstrap, case):
         assert second.read_bytes() == first.read_bytes()
     assert loaded.params == model.params
     assert loaded.per_tree_seeds == model.per_tree_seeds
-    assert len(loaded.trees) == len(model.trees)
-    for got, want in zip(loaded.trees, model.trees):
+    assert len(trees(loaded)) == len(trees(model))
+    for got, want in zip(trees(loaded), trees(model)):
         assert np.isnan(want.threshold[want.feature == -1]).all()
         assert_same_tree(got, want)
 
@@ -904,7 +967,7 @@ def test_split_search_passes_do_not_change_trees(monkeypatch):
     wide = rf.fit_forest(data, params)
     monkeypatch.setattr(rf, "_PASS_ELEMENTS", 1)
     narrow = rf.fit_forest(data, params)
-    for a, b in zip(wide.trees, narrow.trees):
+    for a, b in zip(trees(wide), trees(narrow)):
         assert_same_tree(a, b)
 
 
@@ -974,9 +1037,9 @@ def test_packed_class_counts_grow_the_per_class_trees(monkeypatch, k, bootstrap)
         n_estimators=6, min_samples_split=2, min_samples_leaf=1, bootstrap=bootstrap, seed=3
     )
     seeds = rf.derive_tree_seeds(params.seed, params.n_estimators)
-    packed = rf.fit_trees(data, params, seeds)
+    packed = trees(rf.fit_trees(data, params, seeds)[0])
     monkeypatch.setattr(rf, "_WORD_BITS", 0)  # one class per word: a cumsum per class
-    for got, want in zip(packed, rf.fit_trees(data, params, seeds)):
+    for got, want in zip(packed, trees(rf.fit_trees(data, params, seeds)[0])):
         assert_same_tree(got, want)
     for got, seed in zip(packed, seeds):
         assert_same_tree(got, reference_fit_tree(data, params, seed))
@@ -1013,9 +1076,9 @@ def test_fold_trees_grow_from_root_rows_as_on_the_subset(k, bootstrap):
         features=data.features[train], labels=data.labels[train], n_classes=k
     )
     seeds = rf.derive_tree_seeds(fits[1].params.seed, params.n_estimators)
-    trees = rf.fit_trees(data, params, seeds, [train] * len(seeds))
-    scored = rf.fit_trees(data, params, seeds, [train] * len(seeds), [test] * len(seeds))
-    for tree, scores, seed in zip(trees, scored, seeds):
+    grown = trees(rf.fit_trees(data, params, seeds, [train] * len(seeds))[0])
+    _, scored = rf.fit_trees(data, params, seeds, [train] * len(seeds), [test] * len(seeds))
+    for tree, scores, seed in zip(grown, scored, seeds):
         assert_same_tree(tree, reference_fit_tree(subset, params, seed))
         assert scores.tobytes() == tree_predict_proba(tree, data.features[test]).tobytes()
 

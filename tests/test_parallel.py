@@ -384,7 +384,7 @@ def test_one_forest_task_per_worker_and_no_fold_tree_crosses(cohort, tmp_path, p
                "--out", str(tmp_path), "--jobs", "2") == 0
     assert pools == [2] and len(sizes) == 2  # one share of every forest per worker
     table = len(pickle.dumps(ex.dataset_from_features(*eio.read_features(sim / "features.csv"))))
-    model = len(pickle.dumps(forest.load_model(tmp_path / "model.rfj").trees))
+    model = len(pickle.dumps(forest.load_model(tmp_path / "model.rfj").nodes))
     for args, result in sizes:
         assert table < args < table + 8 * 1024  # the table once, and each fit's rows
         # half the full fit's trees and the fold trees' leaf distributions:
