@@ -379,15 +379,14 @@ def _best_split_for_feature(
     return best, column, threshold
 
 
-def _halves(x: np.ndarray, parts: list, feature, threshold, row_of=None) -> tuple[list, list]:
-    """Each of `parts` split by its node's test x[row, feature] <= threshold:
-    (the parts' rows above it, those at or below it), in their order. A
-    part lists rows, or slots whose rows row_of gives."""
+def _halves(x: np.ndarray, parts: list, feature, threshold) -> tuple[list, list]:
+    """Each of `parts`, a node's rows, split by its node's test
+    x[row, feature] <= threshold: (the parts' rows above it, those at or
+    below it), in their order."""
     counts = np.asarray([part.size for part in parts], dtype=np.int64)
-    flat = np.concatenate(parts)
-    rows = flat if row_of is None else row_of[flat]
+    rows = np.concatenate(parts)
     goes_left = x[rows, np.repeat(feature, counts)] <= np.repeat(threshold, counts)
-    n_before = np.zeros(flat.size + 1, dtype=np.int64)
+    n_before = np.zeros(rows.size + 1, dtype=np.int64)
     np.cumsum(goes_left, out=n_before[1:])
     ends = np.cumsum(counts)
     n_left = n_before[ends] - n_before[ends - counts]
@@ -396,26 +395,22 @@ def _halves(x: np.ndarray, parts: list, feature, threshold, row_of=None) -> tupl
         bounds = [0, *np.cumsum(sizes).tolist()]
         return [values[a:b] for a, b in zip(bounds, bounds[1:])]
 
-    return pieces(flat[~goes_left], counts - n_left), pieces(flat[goes_left], n_left)
+    return pieces(rows[~goes_left], counts - n_left), pieces(rows[goes_left], n_left)
 
 
-def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None, tests=None) -> tuple:
+def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None) -> NodeTable:
     """Greedy CART growth with per-node feature subsampling, one tree per
-    seed, all trees grown in lockstep.
+    seed, all trees grown in lockstep; returns their NodeTable in seed order.
 
     Tree t grows from the rows roots[t], ascending dataset row ids (every
     row when roots is None): its bootstrap draws and the total behind its
     weighted_decrease are those rows', so it is the tree that data's
-    subset of those rows would give. Returns (nodes, scored): the NodeTable
-    of the trees with no test rows, and the leaf class distributions
-    (rows, classes) of each tree whose tests[t] lists rows, at those rows
-    as predict_proba's walk finds them, both in seed order. Such a tree
-    sends its test rows down as it grows and keeps no nodes. Each round
-    takes the next node of every unfinished tree (a tree still numbers its
-    nodes in depth-first preorder and draws from its own rng in that
-    order), scores all of them with one bincount and searches all their
-    splits in segmented passes over presorted features. A tree does not
-    depend on the other seeds, roots and tests grown with it.
+    subset of those rows would give. Each round takes the next node of
+    every unfinished tree (a tree still numbers its nodes in depth-first
+    preorder and draws from its own rng in that order), scores all of them
+    with one bincount and searches all their splits in segmented passes
+    over presorted features. A tree does not depend on the other seeds and
+    roots grown with it.
     """
     x, y, k = data.features, data.labels, data.n_classes
     n_rows, n_features = x.shape
@@ -432,22 +427,10 @@ def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None, tests=None
             draws = r.integers(0, root.size, size=root.size)
             weights[t, root] = np.bincount(draws, minlength=root.size)
         roots = [root[weights[t, root] > 0] for t, root in enumerate(roots)]
-    if tests is None:
-        tests = [None] * len(rngs)
-    kept = np.asarray([test is None for test in tests])
-    slot = np.cumsum(kept) - 1  # a kept tree's place among the kept
-    # every test row of every tree has a slot, tree after tree; a kept tree has none
-    n_test = np.asarray([0 if test is None else test.size for test in tests])
-    first = np.cumsum(n_test) - n_test
-    test_row = np.concatenate([np.arange(0), *(test for test in tests if test is not None)])
-    scores = np.empty((test_row.size, k))
     # pending nodes of each tree, next on top: (rows, depth, parent node, is
-    # right child, the slots of the test rows that reach it); int32 ids, as a
-    # batch can hold the pending rows of every tree of a CV
-    stacks = [
-        [(root, 0, -1, False, np.arange(f, f + n, dtype=np.int32))]
-        for root, f, n in zip(roots, first, n_test)
-    ]
+    # right child); int32 row ids, as a batch can hold the pending rows of
+    # every tree of a CV
+    stacks = [[(root, 0, -1, False)] for root in roots]
     grown = np.zeros(len(rngs), dtype=np.int64)
     rounds = []
     while True:
@@ -506,52 +489,40 @@ def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None, tests=None
             weighted_decrease[nodes] = n_samples[nodes] / n_root[tree_ids[nodes]] * dec[split]
         nodes = np.flatnonzero(feature >= 0)
         if nodes.size:
-            split_at = (feature[nodes], threshold[nodes])
-            right, left = _halves(x, [node_rows[i] for i in nodes], *split_at)
-            test_right, test_left = _halves(x, [popped[i][4] for i in nodes], *split_at, test_row)
+            right, left = _halves(x, [node_rows[i] for i in nodes], feature[nodes], threshold[nodes])
             for j, i in enumerate(nodes):
                 stack = stacks[tree_ids[i]]
-                stack.append((right[j], depth[i] + 1, node_ids[i], True, test_right[j]))
-                stack.append((left[j], depth[i] + 1, node_ids[i], False, test_left[j]))
-        leaves = np.flatnonzero(feature < 0)
-        if leaves.size:  # sums of counts are exact, so this is predict_proba's division
-            at = [popped[i][4] for i in leaves]
-            hist = histogram[leaves]
-            scores[np.concatenate(at)] = np.repeat(
-                hist / hist.sum(axis=1, keepdims=True), [a.size for a in at], axis=0
-            )
-        keep = kept[tree_ids]
+                stack.append((right[j], depth[i] + 1, node_ids[i], True))
+                stack.append((left[j], depth[i] + 1, node_ids[i], False))
         rounds.append({
-            "tree": slot[tree_ids[keep]],
-            "node": node_ids[keep],
-            "parent": np.asarray([p[2] for p in popped], dtype=np.int64)[keep],
-            "is_right": np.asarray([p[3] for p in popped], dtype=bool)[keep],
-            "feature": feature[keep],
-            "threshold": threshold[keep],
-            "histogram": histogram[keep],
-            "n_samples": n_samples[keep].astype(np.int64),
-            "impurity": impurity[keep],
-            "weighted_decrease": weighted_decrease[keep],
-            "depth": depth[keep],
+            "tree": tree_ids,
+            "node": node_ids,
+            "parent": np.asarray([p[2] for p in popped], dtype=np.int64),
+            "is_right": np.asarray([p[3] for p in popped], dtype=bool),
+            "feature": feature,
+            "threshold": threshold,
+            "histogram": histogram,
+            "n_samples": n_samples.astype(np.int64),
+            "impurity": impurity,
+            "weighted_decrease": weighted_decrease,
+            "depth": depth,
         })
     del presort, stacks
-    grown = grown[kept]
 
-    def column(name: str) -> np.ndarray:
-        return np.concatenate([r[name] for r in rounds])
+    def column(name: str) -> np.ndarray:  # taken out of the rounds as it joins
+        return np.concatenate([r.pop(name) for r in rounds])
 
     start = np.cumsum(grown) - grown
-    tree_ids, node_ids, parent = column("tree"), column("node"), column("parent")
-    at = start[tree_ids] + node_ids  # every tree's nodes, one tree after another
-    order = np.argsort(at)  # the rounds' nodes in that order
-    columns = {name: column(name)[order] for name in NodeTable._fields if name in rounds[0]}
-    children = np.full((2, at.size), -1, dtype=np.int64)
+    tree_ids, node_ids, parent, is_right = map(column, ("tree", "node", "parent", "is_right"))
+    children = np.full((2, parent.size), -1, dtype=np.int64)
     child = parent >= 0
-    side = column("is_right")[child].astype(np.int64)
+    side = is_right[child].astype(np.int64)
     children[side, start[tree_ids[child]] + parent[child]] = node_ids[child]
+    order = np.argsort(start[tree_ids] + node_ids)  # the rounds' nodes tree after tree
+    del tree_ids, node_ids, parent, is_right, child, side
+    columns = {name: column(name)[order] for name in list(rounds[0])}
     columns["left"], columns["right"] = children
-    scored = [scores[f : f + n] for keep, f, n in zip(kept, first, n_test) if not keep]
-    return NodeTable(grown, **columns), scored
+    return NodeTable(grown, **columns)
 
 
 def derive_tree_seeds(seed: int, n: int) -> tuple[int, ...]:
@@ -561,7 +532,8 @@ def derive_tree_seeds(seed: int, n: int) -> tuple[int, ...]:
 class Fit(NamedTuple):
     """One forest a command grows: `params`, its seed included, on the
     `train` rows of `data`. Growing it gives its model when it has no
-    `test` rows, else its class probabilities at them."""
+    `test` rows, else its class probabilities at them, as predict_proba
+    gives them."""
 
     data: Dataset
     params: ForestParams
@@ -571,10 +543,11 @@ class Fit(NamedTuple):
 
 def _grow_share(fits, share: int, shares: int) -> list:
     """Task `share` of grow's `shares`: the trees [n * share // shares,
-    n * (share + 1) // shares) of every fit of n trees, as one lockstep
-    batch per table and growth params. Returns, fit by fit, [their
-    NodeTable], or for a fit with test rows [their leaf distributions there,
-    (trees, rows, classes)]."""
+    n * (share + 1) // shares) of every fit of n trees, grown by fit_trees
+    as one lockstep batch per table and growth params. Returns, fit by fit,
+    [their NodeTable], or for a fit with test rows [their leaf distributions
+    there, (trees, rows, classes), found by predict_proba's walk]; a fit
+    whose batch grows no tree in this share gets []."""
     batches: dict = {}  # (table, growth params) -> [(fit index, seeds)]
     for i, fit in enumerate(fits):
         n = fit.params.n_estimators
@@ -586,19 +559,14 @@ def _grow_share(fits, share: int, shares: int) -> list:
         jobs = [(fits[i], seed) for i, seeds in members for seed in seeds]
         if not jobs:
             continue
-        nodes, scored = fit_trees(
-            jobs[0][0].data,
-            growth,
-            [seed for _, seed in jobs],
-            [fit.train for fit, _ in jobs],
-            [fit.test for fit, _ in jobs],
+        nodes = fit_trees(
+            jobs[0][0].data, growth, [seed for _, seed in jobs], [fit.train for fit, _ in jobs]
         )
-        scored, kept = iter(scored), 0
+        start = 0
         for i, seeds in members:
-            if fits[i].test is None:
-                out[i], kept = [nodes.cut(kept, kept + len(seeds))], kept + len(seeds)
-            else:
-                out[i] = [np.array(list(itertools.islice(scored, len(seeds))))]
+            trees, test = nodes.cut(start, start + len(seeds)), fits[i].test
+            start += len(seeds)
+            out[i] = [trees if test is None else _leaf_distributions(trees, fits[i].data.features[test])]
     return out
 
 
@@ -608,10 +576,11 @@ def grow(fits, map_fn=map, shares: int = 1) -> list:
 
     Each of `shares` tasks of map_fn (the builtin map, or a process pool's)
     grows a share of every fit's trees, so the fits' tables cross the pool
-    once per task, and a tree scored on test rows sends back only its leaf
-    distributions there. The shares join in tree order, and those
-    distributions add one tree at a time, as predict_proba adds them, so
-    the results are the same at any number of shares.
+    once per task. A fit with test rows grows ordinary trees, and its task
+    walks them there as predict_proba does and sends back only their leaf
+    distributions, never their nodes. The shares join in tree order, and
+    those distributions add one tree at a time, as predict_proba adds them,
+    so the results are the same at any number of shares.
     """
     if not fits:
         return []
@@ -642,23 +611,12 @@ def fit_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
     return grow([Fit(data, params, np.arange(data.labels.size))])[0]
 
 
-def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
-    """Mean over trees of the leaf class-frequency distributions.
+def _leaf_distributions(nodes: NodeTable, rows: np.ndarray) -> np.ndarray:
+    """Each tree's leaf class distribution at each row, (trees, rows, classes).
 
-    All (tree, row) pairs walk the model's node table together, one level
-    per step, each pair offsetting its tree's child indices by the tree's
-    first node. The leaf distributions are then added one tree at a time,
-    in tree order, as a per-tree sum would add them.
+    All (tree, row) pairs walk the node table together, one level per step,
+    each pair offsetting its tree's child indices by the tree's first node.
     """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    if rows.shape[1] != len(model.feature_names):
-        raise ValidationError(
-            f"expected {len(model.feature_names)} features, got {rows.shape[1]}"
-        )
-    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
-    if bad.size:
-        raise ValidationError(f"row {int(bad[0])} has a non-finite feature value")
-    nodes = model.nodes
     n, n_trees = rows.shape[0], nodes.sizes.size
     root = np.repeat(np.cumsum(nodes.sizes) - nodes.sizes, n)  # (tree t, row i) sits at t * n + i
     node = root.copy()
@@ -670,11 +628,25 @@ def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
         walking, at = walking[internal], at[internal]
         goes_left = rows[row[walking], nodes.feature[at]] <= nodes.threshold[at]
         node[walking] = root[walking] + np.where(goes_left, nodes.left[at], nodes.right[at])
-    acc = np.zeros((n, len(model.class_names)))
-    for leaves in node.reshape(n_trees, n):
-        hist = nodes.histogram[leaves]
-        acc += hist / hist.sum(axis=1, keepdims=True)
-    return acc / n_trees
+    hist = nodes.histogram[node].reshape(n_trees, n, nodes.histogram.shape[1])
+    return hist / hist.sum(axis=2, keepdims=True)
+
+
+def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
+    """Mean over trees of the leaf class-frequency distributions, added one
+    tree at a time, in tree order, as a per-tree sum would add them."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if rows.shape[1] != len(model.feature_names):
+        raise ValidationError(
+            f"expected {len(model.feature_names)} features, got {rows.shape[1]}"
+        )
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"row {int(bad[0])} has a non-finite feature value")
+    acc = np.zeros((rows.shape[0], len(model.class_names)))
+    for distribution in _leaf_distributions(model.nodes, rows):
+        acc += distribution
+    return acc / model.nodes.sizes.size
 
 
 def stratified_kfold(labels, k: int, shuffle_seed: int) -> list[np.ndarray]:
@@ -729,14 +701,10 @@ def cohens_kappa(pred, truth) -> float:
 def _rank_average(values: np.ndarray) -> np.ndarray:
     """Ranks starting at 1; tied values share the average rank."""
     order = np.argsort(values, kind="stable")
+    first = np.flatnonzero(_run_starts(values[order]))  # each run of equal sorted values
+    size = np.diff(first, append=values.size)
     ranks = np.empty(values.size, dtype=float)
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((2 * first + size - 1) / 2.0 + 1.0, size)  # (first + last) / 2 + 1
     return ranks
 
 
@@ -793,8 +761,8 @@ def mdi_importance(model: RandomForestModel) -> np.ndarray:
 
 def cv_plan(data: Dataset, params: ForestParams, k: int, seed: int):
     """The folds of a stratified k-fold CV at `seed` and its fits: fits[0]
-    grows on all of data, fits[1 + i] on the rows outside fold i and is
-    scored on fold i, each with a seed derived from `seed`."""
+    grows on all of data, fits[1 + i] on the rows outside fold i and
+    predicts fold i, each with a seed derived from `seed`."""
     state = np.random.SeedSequence([seed]).generate_state(k + 2)
     folds = stratified_kfold(data.labels, k, int(state[0]))
     every_row = np.arange(data.labels.size, dtype=np.int32)  # as fit_trees keeps row ids
@@ -908,7 +876,7 @@ def randomized_search(
             rem //= size
         combos.append(combo)
     plans = [cv_plan(data, io.from_json(ForestParams, c, "space"), k, seed) for c in combos]
-    folds = plans[0][0]  # every combination is scored on the same folds (same seed)
+    folds = plans[0][0]  # every combination is judged on the same folds (same seed)
     fold_proba = iter(grow([fit for _, fits in plans for fit in fits[1:]], map_fn, shares))
     table: list[dict] = []
     best: tuple[float, int] | None = None  # (score, table position)
@@ -996,6 +964,13 @@ def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> R
     names, ints = NodeTable._fields[1:], ("feature", "left", "right", "n_samples", "depth")
     parts = []
     for i, tree in enumerate(trees):
+        for key in (*ints, "histogram"):  # numpy would decode 1.5, true or "7" as an integer
+            column = tree.get(key) if isinstance(tree, dict) else None
+            if key == "histogram" and isinstance(column, list):
+                column = [v for row in column if isinstance(row, list) for v in row]
+            bad = [v for v in column if type(v) is not int] if isinstance(column, list) else []
+            if bad:
+                raise ValidationError(f"trees[{i}].{key}: expected int, got {bad[0]!r}")
         try:  # a null, as a leaf's threshold is saved, decodes to nan in a float column
             columns = [np.asarray(tree[key], np.int64 if key in ints else float) for key in names]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -489,9 +489,13 @@ def _parse_features(path, reader) -> tuple[np.ndarray, tuple[str, ...], list[str
         if len(row) != len(header):
             raise ValidationError(f"{path}:{line_no}: expected {len(header)} cells")
         try:
-            rows.append([float(v) for v in row[:-1]])
+            values = [float(v) for v in row[:-1]]
         except ValueError as exc:
             raise ValidationError(f"{path}:{line_no}: {exc}") from None
+        if not all(map(math.isfinite, values)):
+            cell = next(v for v, x in zip(row, values) if not math.isfinite(x))
+            raise ValidationError(f"{path}:{line_no}: not a finite feature value: {cell!r}")
+        rows.append(values)
         labels.append(row[-1])
     if not rows:
         raise ValidationError(f"{path}: no feature rows")

@@ -12,8 +12,10 @@ the oracle that the lockstep grower must match array for array, and so
 are `reference_detect`, the per-line `esdgait detect` reader that chunked
 parsing must match line for line, `reference_predict_proba`, the
 per-tree, per-row walk that flat-forest prediction must match bit for bit,
-and `reference_mdi_importance`, the per-tree importance loop that the
-one-bincount importance must match bit for bit. `trees` gives the per-tree
+`reference_mdi_importance`, the per-tree importance loop that the
+one-bincount importance must match bit for bit, and
+`reference_rank_average`, the per-value tie-ranking loop that the
+run-based ranks must match bit for bit. `trees` gives the per-tree
 views these read; `predict` and `detect_stream` are thin conveniences over
 the package's `predict_proba` and `ShakeDetector` that only tests use.
 """
@@ -142,6 +144,21 @@ def pair_count_auroc(scores: np.ndarray, positives: np.ndarray) -> float | None:
             elif p == q:
                 wins += 0.5
     return wins / (pos.size * neg.size)
+
+
+def reference_rank_average(values: np.ndarray) -> np.ndarray:
+    """Ranks starting at 1, tied values sharing the average rank, as the
+    package ranked them with one Python step per value."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=float)
+    i = 0
+    while i < values.size:
+        j = i
+        while j + 1 < values.size and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def macro_ovr_auroc(scores: np.ndarray, truth: np.ndarray) -> float:

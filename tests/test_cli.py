@@ -463,7 +463,24 @@ class TestTrainEval:
         code = main(["eval", str(features), "--config", str(config), "--out", str(tmp_path),
                      "--model", str(out / "model.rfj"), "--quiet"])
         assert code == 1
-        assert "non-finite" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {features}:2: not a finite feature value: 'nan'\n"
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "1e999"])
+    @pytest.mark.parametrize("command", ["train", "report", "eval --model"])
+    def test_non_finite_feature_cell_names_file_and_line(self, pipeline, tmp_path, capsys,
+                                                         command, cell):
+        config, out = pipeline
+        lines = (out / "features.csv").read_text().splitlines(keepends=True)
+        cells = lines[3].split(",")
+        lines[3] = ",".join([cells[0], cell, *cells[2:]])
+        features = tmp_path / "features.csv"
+        features.write_text("".join(lines))
+        (tmp_path / "features.meta.json").write_bytes((out / "features.meta.json").read_bytes())
+        model = ["--model", str(out / "model.rfj")] if command == "eval --model" else []
+        code = main([command.split()[0], str(features), "--config", str(config),
+                     "--out", str(tmp_path / "out"), *model, "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {features}:4: not a finite feature value: {cell!r}\n"
 
     def test_fractional_n_estimators_exits_1(self, pipeline, tmp_path, capsys):
         _, out = pipeline
@@ -531,6 +548,21 @@ class TestTrainEval:
         assert_one_line_error(result.stderr)
         assert "model has 3 trees, but params.n_estimators is 10" in result.stderr
         assert "per_tree_seeds lists 7" in result.stderr
+
+    @pytest.mark.parametrize("column, value", [("feature", 192.5), ("left", True), ("n_samples", "144")])
+    def test_eval_model_refuses_a_node_value_that_is_no_json_integer(self, pipeline, tmp_path,
+                                                                     capsys, column, value):
+        config, out = pipeline
+        doc = json.loads((out / "model.rfj").read_text())
+        doc["trees"][2][column][0] = value
+        model = tmp_path / "model.rfj"
+        model.write_text(json.dumps(doc))
+        code = main(["eval", str(out / "features.csv"), "--config", str(config),
+                     "--out", str(tmp_path), "--model", str(model), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: trees[2].{column}: expected int, got {value!r}\n"
+        )
 
     def test_features_not_utf8_exits_1(self, pipeline, tmp_path, capsys):
         config, out = pipeline

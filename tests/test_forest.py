@@ -31,6 +31,7 @@ from reference import (
     reference_fit_tree,
     reference_mdi_importance,
     reference_predict_proba,
+    reference_rank_average,
     tree_predict_proba,
     trees,
 )
@@ -174,7 +175,7 @@ def test_tree_separable_single_split():
     x = np.concatenate([np.zeros(10), np.ones(10)])[:, None]
     data = rf.Dataset(x, np.repeat([0, 1], 10), ("f0",), ("a", "b"))
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1, max_features="all")
-    tree, _ = rf.fit_trees(data, params, [3])
+    tree = rf.fit_trees(data, params, [3])
     assert np.count_nonzero(tree.feature >= 0) == 1
     assert tree.feature[0] == 0
     assert 0.0 < tree.threshold[0] < 1.0
@@ -186,7 +187,7 @@ def test_tree_identical_rows_single_leaf_majority():
     x = np.ones((4, 2))
     data = rf.Dataset(x, np.array([0, 0, 1, 1]), ("f0", "f1"), ("a", "b"))
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1)
-    tree, _ = rf.fit_trees(data, params, [0])
+    tree = rf.fit_trees(data, params, [0])
     assert tree.feature.shape == (1,)
     assert tree.feature[0] == -1
     proba = tree_predict_proba(tree, x)
@@ -197,8 +198,8 @@ def test_tree_identical_rows_single_leaf_majority():
 
 def test_tree_deterministic_given_seed():
     data = blob_dataset(20, [[0, 0], [3, 3]], n_noise=2, seed=5)
-    a, _ = rf.fit_trees(data, SMALL, [11])
-    b, _ = rf.fit_trees(data, SMALL, [11])
+    a = rf.fit_trees(data, SMALL, [11])
+    b = rf.fit_trees(data, SMALL, [11])
     for name in ("feature", "left", "right", "n_samples", "depth"):
         assert np.array_equal(getattr(a, name), getattr(b, name))
     assert np.array_equal(a.threshold, b.threshold, equal_nan=True)
@@ -209,7 +210,7 @@ def test_tree_respects_growth_limits():
     params = rf.ForestParams(
         n_estimators=1, min_samples_split=5, min_samples_leaf=4, max_depth=3, max_features="all"
     )
-    tree, _ = rf.fit_trees(data, params, [1])
+    tree = rf.fit_trees(data, params, [1])
     audit_tree(tree, params)
     assert tree.depth.max() <= 3
 
@@ -235,7 +236,7 @@ def test_forest_singleton_matches_fit_tree():
     data = blob_dataset(12, [[0], [2]], seed=9)
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1, seed=21)
     model = rf.fit_forest(data, params)
-    direct, _ = rf.fit_trees(data, params, rf.derive_tree_seeds(21, 1))
+    direct = rf.fit_trees(data, params, rf.derive_tree_seeds(21, 1))
     assert np.array_equal(trees(model)[0].feature, direct.feature)
     assert np.array_equal(trees(model)[0].threshold, direct.threshold, equal_nan=True)
 
@@ -453,6 +454,13 @@ def test_auroc_matches_pair_counting_oracle():
         assert rf.auroc(scores, truth) == pytest.approx(
             pair_count_auroc(raw, truth == 1), abs=1e-12
         )
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from([0.0, -0.0, 0.125, 1 / 3, 0.5, 1.0]), max_size=40))
+def test_rank_average_equals_per_value_loop_on_tie_heavy_scores(scores):
+    values = np.asarray(scores, dtype=float)
+    assert rf._rank_average(values).tobytes() == reference_rank_average(values).tobytes()
 
 
 def test_auroc_multiclass_matches_macro_oracle():
@@ -689,11 +697,11 @@ def _root_internal(tree: dict) -> int:
         (lambda t, i: t["depth"].pop(), "differ in length"),
         (lambda t, i: [row.pop() for row in t["histogram"]], "histogram width"),
         (lambda t, i: t["histogram"].__setitem__(t["left"][i], [0, 0]), "leaf class counts"),
-        (lambda t, i: t["histogram"][t["left"][i]].__setitem__(0, None), "counts must be finite"),
+        (lambda t, i: t["histogram"][t["left"][i]].__setitem__(0, -1), "counts must be finite"),
         (lambda t, i: t["threshold"].__setitem__(i, None), "thresholds"),
         (lambda t, i: t["weighted_decrease"].__setitem__(i, float("inf")), "impurity decreases"),
         (lambda t, i: t.pop("impurity"), "impurity"),
-        (lambda t, i: t["left"].__setitem__(i, "x"), "malformed model"),
+        (lambda t, i: t["threshold"].__setitem__(i, "x"), "malformed model"),
     ],
 )
 def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
@@ -707,6 +715,23 @@ def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
     with pytest.raises(ValidationError, match=message) as caught:
         rf.load_model(path)
     assert "trees[1]:" in str(caught.value)
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("feature", 1.5), ("left", True), ("right", "7"), ("n_samples", None), ("depth", "x"),
+     ("histogram", 2.0), ("histogram", None)],
+)
+def test_model_load_refuses_an_integer_column_value_that_is_no_json_integer(column, value):
+    data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
+    model = rf.fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
+    doc = rf.model_to_document(model)
+    tree = doc["trees"][1]
+    cells = tree[column][_root_internal(tree)] if column == "histogram" else tree[column]
+    cells[-1] = value
+    with pytest.raises(ValidationError) as caught:
+        rf.model_from_document(doc)
+    assert str(caught.value) == f"trees[1].{column}: expected int, got {value!r}"
 
 
 def test_model_load_names_the_first_broken_tree_and_its_first_failed_check(tmp_path):
@@ -868,7 +893,7 @@ def growth_cases(draw):
 def test_lockstep_growth_equals_recursive_reference(case):
     data, params = case
     seeds = rf.derive_tree_seeds(params.seed, params.n_estimators)
-    for seed, tree in zip(seeds, trees(rf.fit_trees(data, params, seeds)[0])):
+    for seed, tree in zip(seeds, trees(rf.fit_trees(data, params, seeds))):
         assert_same_tree(tree, reference_fit_tree(data, params, seed))
 
 
@@ -881,7 +906,7 @@ def test_mdi_importance_equals_per_tree_loop(case, leaf_only):
     seeds = rf.derive_tree_seeds(params.seed, len(leaf_only))
     no_split = rf.ForestParams(**{**params.to_dict(), "min_samples_split": data.labels.size + 1})
     nodes = rf.NodeTable.join([
-        rf.fit_trees(data, no_split if leaf else params, [seed])[0]
+        rf.fit_trees(data, no_split if leaf else params, [seed])
         for leaf, seed in zip(leaf_only, seeds)
     ])
     assert np.all(nodes.sizes[list(leaf_only)] == 1)
@@ -909,7 +934,7 @@ def test_forest_identical_at_any_jobs(case, n_estimators):
         grown = [
             tree
             for lo, hi in zip(bounds, bounds[1:]) if hi > lo
-            for tree in trees(rf.fit_trees(data, params, seeds[lo:hi])[0])
+            for tree in trees(rf.fit_trees(data, params, seeds[lo:hi]))
         ]
         assert len(grown) == len(trees(model))
         for tree, whole in zip(grown, trees(model)):
@@ -923,7 +948,7 @@ def test_flat_prediction_equals_per_tree_walk(case, n_estimators, row_seed):
     data, params = case
     seeds = rf.derive_tree_seeds(params.seed, n_estimators)
     model = rf.RandomForestModel(
-        rf.fit_trees(data, params, seeds)[0], params, data.feature_names, data.class_names, seeds
+        rf.fit_trees(data, params, seeds), params, data.feature_names, data.class_names, seeds
     )
     rng = np.random.default_rng(row_seed)
     on_split = data.features[rng.integers(0, data.labels.size, 12)].copy()
@@ -1037,9 +1062,9 @@ def test_packed_class_counts_grow_the_per_class_trees(monkeypatch, k, bootstrap)
         n_estimators=6, min_samples_split=2, min_samples_leaf=1, bootstrap=bootstrap, seed=3
     )
     seeds = rf.derive_tree_seeds(params.seed, params.n_estimators)
-    packed = trees(rf.fit_trees(data, params, seeds)[0])
+    packed = trees(rf.fit_trees(data, params, seeds))
     monkeypatch.setattr(rf, "_WORD_BITS", 0)  # one class per word: a cumsum per class
-    for got, want in zip(packed, trees(rf.fit_trees(data, params, seeds)[0])):
+    for got, want in zip(packed, trees(rf.fit_trees(data, params, seeds))):
         assert_same_tree(got, want)
     for got, seed in zip(packed, seeds):
         assert_same_tree(got, reference_fit_tree(data, params, seed))
@@ -1063,8 +1088,8 @@ def test_packed_words_that_wrap_give_the_per_class_split(monkeypatch):
 @pytest.mark.parametrize("bootstrap", [False, True])
 def test_fold_trees_grow_from_root_rows_as_on_the_subset(k, bootstrap):
     """A tree grown from a fold's training rows of the whole table is the
-    tree of that subset, and sent its test rows it returns exactly the leaf
-    distributions that tree gives them."""
+    tree of that subset, and a share of the fold's fit returns exactly the
+    leaf distributions those trees give its test rows."""
     data = many_class_dataset(k, 60, seed=k + 1)
     params = rf.ForestParams(
         n_estimators=4, min_samples_split=3, min_samples_leaf=2, bootstrap=bootstrap, seed=8
@@ -1076,11 +1101,12 @@ def test_fold_trees_grow_from_root_rows_as_on_the_subset(k, bootstrap):
         features=data.features[train], labels=data.labels[train], n_classes=k
     )
     seeds = rf.derive_tree_seeds(fits[1].params.seed, params.n_estimators)
-    grown = trees(rf.fit_trees(data, params, seeds, [train] * len(seeds))[0])
-    _, scored = rf.fit_trees(data, params, seeds, [train] * len(seeds), [test] * len(seeds))
-    for tree, scores, seed in zip(grown, scored, seeds):
+    grown = trees(rf.fit_trees(data, params, seeds, [train] * len(seeds)))
+    ((distributions,),) = rf._grow_share([fits[1]], 0, 1)
+    assert distributions.shape == (len(seeds), test.size, k)
+    for tree, distribution, seed in zip(grown, distributions, seeds):
         assert_same_tree(tree, reference_fit_tree(subset, params, seed))
-        assert scores.tobytes() == tree_predict_proba(tree, data.features[test]).tobytes()
+        assert distribution.tobytes() == tree_predict_proba(tree, data.features[test]).tobytes()
 
 
 def test_grow_gives_the_same_results_at_any_number_of_shares():
