@@ -31,8 +31,8 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes of the command's one pool: records for simulate and "
-        "featurize, one share of every forest's trees per worker for train, eval "
-        "and report; results are identical for any value",
+        "featurize, fixed runs of the forests' trees, taken in turn, for train, "
+        "eval and report; results are identical for any value",
     )
     shared.add_argument("--quiet", action="store_true", help="suppress progress logging")
 

@@ -228,21 +228,19 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 @contextlib.contextmanager
 def _task_map(jobs: int, n_tasks: int):
-    """(map, workers): the map a command runs its tasks through, one
-    process pool's map, or the builtin map and 1 where the pool would have
-    fewer than two workers.
+    """The map a command runs its tasks through: one process pool's map,
+    or the builtin map where the pool would have fewer than two workers.
 
     A command opens it once and hands it to every step. The pool has
     min(jobs, n_tasks, usable CPUs) workers; results come back in task
     order, so they are the same at any jobs value. Each map splits its
     tasks into about eight chunks per worker, one task per chunk when there
-    are fewer: few messages for quick tasks such as one record, and one
-    share of the trees per worker when a forest command passes `workers`
-    to forest.grow as its number of shares.
+    are fewer: few messages for quick tasks such as one record, and a
+    forest's runs of trees handed out in turn.
     """
     workers = min(jobs, n_tasks, len(os.sched_getaffinity(0)))
     if workers < 2:
-        yield map, 1
+        yield map
         return
     with ProcessPoolExecutor(max_workers=workers) as pool:
 
@@ -251,7 +249,7 @@ def _task_map(jobs: int, n_tasks: int):
             chunksize = max(1, -(-len(tasks) // (8 * workers)))
             return pool.map(fn, *zip(*tasks), chunksize=chunksize)
 
-        yield pool_map, workers
+        yield pool_map
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +494,7 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     tasks = [tuple(cell) for _, cell in itertools.groupby(build_plans(config), _cell)]
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
-    with _task_map(jobs, len(tasks)) as (map_fn, _):
+    with _task_map(jobs, len(tasks)) as map_fn:
         entries = list(itertools.chain.from_iterable(
             map_fn(_simulate_task, tasks, itertools.repeat(out))
         ))
@@ -551,7 +549,7 @@ def run_featurize(
         raise ValidationError("manifest lists no records")
     signal_paths = [e["signal_path"] for e in entries]
     meta_paths = [e["meta_path"] for e in entries]
-    with _task_map(jobs, len(entries)) as (map_fn, _):
+    with _task_map(jobs, len(entries)) as map_fn:
         scans = list(map_fn(_scan_task, signal_paths, meta_paths))
         rates = {rate for _, rate, _ in scans}
         if len(rates) != 1:
@@ -701,7 +699,7 @@ def run_train(
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     n_fits = config.cv_folds * (1 if config.search is None else config.search.n_iter) + 1
-    with _task_map(jobs, n_fits) as (map_fn, shares):
+    with _task_map(jobs, n_fits) as map_fn:
         if config.search is not None:
             params, trials = forest.randomized_search(
                 data,
@@ -710,12 +708,11 @@ def run_train(
                 k=config.cv_folds,
                 seed=config.seed,
                 map_fn=map_fn,
-                shares=shares,
             )
             io.atomic_write_json(out / "search_trials.json", trials)
             log.info("search picked %s", params)
         report, model = forest.cross_validate(
-            data, params, k=config.cv_folds, seed=config.seed, map_fn=map_fn, shares=shares
+            data, params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
         )
     model_path = out / "model.rfj"
     forest.save_model(model, model_path, mfcc_fingerprint=_stored_fingerprint(features_path, config))
@@ -771,10 +768,9 @@ def run_eval(
         data = dataset_from_features(matrix, names, labels)
         report = _reused_cv(features_path, config, out, data.n_classes, len(names))
         if report is None:
-            with _task_map(jobs, config.cv_folds + 1) as (map_fn, shares):
+            with _task_map(jobs, config.cv_folds + 1) as map_fn:
                 report, _ = forest.cross_validate(
-                    data, config.forest_params, k=config.cv_folds, seed=config.seed,
-                    map_fn=map_fn, shares=shares,
+                    data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
                 )
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
@@ -807,8 +803,8 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
     if full_report is None:
         full_folds, full_fits = forest.cv_plan(data, config.forest_params, config.cv_folds, config.seed)
         fits += full_fits
-    with _task_map(jobs, len(fits)) as (map_fn, shares):
-        grown = iter(forest.grow(fits, map_fn, shares))
+    with _task_map(jobs, len(fits)) as map_fn:
+        grown = iter(forest.grow(fits, map_fn))
     accuracies = [
         float(np.mean(np.argmax(forest.pooled(step, folds, grown), axis=1) == step.labels))
         for step, (folds, _) in zip(sweep, plans)

@@ -541,55 +541,58 @@ class Fit(NamedTuple):
     test: np.ndarray | None = None
 
 
-def _grow_share(fits, share: int, shares: int) -> list:
-    """Task `share` of grow's `shares`: the trees [n * share // shares,
-    n * (share + 1) // shares) of every fit of n trees, grown by fit_trees
-    as one lockstep batch per table and growth params. Returns, fit by fit,
-    [their NodeTable], or for a fit with test rows [their leaf distributions
-    there, (trees, rows, classes), found by predict_proba's walk]; a fit
-    whose batch grows no tree in this share gets []."""
-    batches: dict = {}  # (table, growth params) -> [(fit index, seeds)]
-    for i, fit in enumerate(fits):
-        n = fit.params.n_estimators
-        seeds = derive_tree_seeds(fit.params.seed, n)[n * share // shares : n * (share + 1) // shares]
+_TASK_TREES = 128  # the most trees one task of grow grows, at any jobs: bounds a batch's memory
+
+
+def _grow_run(run) -> list:
+    """One task of grow: a run of trees, given as (fit, lo, hi) for each fit
+    it grows the trees [lo, hi) of, grown by fit_trees as one lockstep batch
+    per table and growth params. Returns, fit by fit, their NodeTable, or
+    for a fit with test rows their leaf distributions there, (trees, rows,
+    classes), found by predict_proba's walk."""
+    batches: dict = {}  # (table, growth params) -> [(index in run, fit, seeds)]
+    for i, (fit, lo, hi) in enumerate(run):
+        seeds = derive_tree_seeds(fit.params.seed, fit.params.n_estimators)[lo:hi]
         growth = replace(fit.params, n_estimators=1, seed=0)  # what growing one tree reads
-        batches.setdefault((id(fit.data), growth), []).append((i, seeds))
-    out: list = [[] for _ in fits]
+        batches.setdefault((id(fit.data), growth), []).append((i, fit, seeds))
+    out: list = [None] * len(run)
     for (_, growth), members in batches.items():
-        jobs = [(fits[i], seed) for i, seeds in members for seed in seeds]
-        if not jobs:
-            continue
-        nodes = fit_trees(
-            jobs[0][0].data, growth, [seed for _, seed in jobs], [fit.train for fit, _ in jobs]
-        )
+        seeds = [seed for _, _, fit_seeds in members for seed in fit_seeds]
+        roots = [fit.train for _, fit, fit_seeds in members for _ in fit_seeds]
+        nodes = fit_trees(members[0][1].data, growth, seeds, roots)
         start = 0
-        for i, seeds in members:
-            trees, test = nodes.cut(start, start + len(seeds)), fits[i].test
-            start += len(seeds)
-            out[i] = [trees if test is None else _leaf_distributions(trees, fits[i].data.features[test])]
+        for i, fit, fit_seeds in members:
+            trees = nodes.cut(start, start + len(fit_seeds))
+            start += len(fit_seeds)
+            rows = None if fit.test is None else fit.data.features[fit.test]
+            out[i] = trees if rows is None else _leaf_distributions(trees, rows)
     return out
 
 
-def grow(fits, map_fn=map, shares: int = 1) -> list:
+def grow(fits, map_fn=map) -> list:
     """Every fit's forest: fit by fit, its RandomForestModel when it has no
     test rows, else its class probabilities at them.
 
-    Each of `shares` tasks of map_fn (the builtin map, or a process pool's)
-    grows a share of every fit's trees, so the fits' tables cross the pool
-    once per task. A fit with test rows grows ordinary trees, and its task
+    The fits' trees, fit after fit, are cut into runs of _TASK_TREES, each
+    one task of map_fn (the builtin map, or a process pool's) that carries
+    only the fits it grows trees of; a run may end inside one fit and go on
+    into the next. A fit with test rows grows ordinary trees, and its task
     walks them there as predict_proba does and sends back only their leaf
-    distributions, never their nodes. The shares join in tree order, and
+    distributions, never their nodes. The runs join in tree order, and
     those distributions add one tree at a time, as predict_proba adds them,
-    so the results are the same at any number of shares.
+    so the results are the same at any jobs.
     """
-    if not fits:
-        return []
-    parts = list(map_fn(
-        _grow_share, itertools.repeat(fits, shares), range(shares), itertools.repeat(shares)
-    ))
+    bounds = [0, *itertools.accumulate(fit.params.n_estimators for fit in fits)]
+    runs = [  # (fit index, lo, hi) for each fit a run holds the trees [lo, hi) of
+        [(i, max(a - lo, 0), min(a + _TASK_TREES, hi) - lo)
+         for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])) if lo < a + _TASK_TREES and a < hi]
+        for a in range(0, bounds[-1], _TASK_TREES)
+    ]
+    parts = map_fn(_grow_run, [[(fits[i], lo, hi) for i, lo, hi in run] for run in runs])
+    pieces = zip(itertools.chain(*runs), itertools.chain.from_iterable(parts))
     results = []
-    for i, fit in enumerate(fits):
-        grown = [x for part in parts for x in part[i]]
+    for fit, (_, fit_pieces) in zip(fits, itertools.groupby(pieces, lambda piece: piece[0][0])):
+        grown = [part for _, part in fit_pieces]  # the fit's trees, run by run
         if fit.test is None:
             names = tuple(fit.data.feature_names), tuple(fit.data.class_names)
             seeds = derive_tree_seeds(fit.params.seed, fit.params.n_estimators)
@@ -787,15 +790,13 @@ def cv_report(data: Dataset, folds, model: RandomForestModel, fold_proba) -> Eva
     return eval_report(data.labels, pooled(data, folds, fold_proba), folds, mdi_importance(model))
 
 
-def cross_validate(
-    data: Dataset, params: ForestParams, k: int = 10, seed: int = 0, map_fn=map, shares: int = 1
-):
+def cross_validate(data: Dataset, params: ForestParams, k: int = 10, seed: int = 0, map_fn=map):
     """Stratified k-fold CV; metrics are pooled over all held-out folds.
     Returns (report, model): model is the full-data fit that gives the
-    importances. The k + 1 fits of cv_plan grow together, in `shares`
-    tasks of map_fn (see grow)."""
+    importances. The k + 1 fits of cv_plan grow together, in the runs of
+    trees that grow hands to map_fn."""
     folds, fits = cv_plan(data, params, k, seed)
-    model, *fold_proba = grow(fits, map_fn, shares)
+    model, *fold_proba = grow(fits, map_fn)
     return cv_report(data, folds, model, fold_proba), model
 
 
@@ -850,12 +851,12 @@ def randomized_search(
     k: int = 10,
     seed: int = 0,
     map_fn=map,
-    shares: int = 1,
 ) -> tuple[ForestParams, list[dict]]:
     """Sample n_iter distinct combinations uniformly from the grid product,
     score each by mean stratified-k-fold accuracy, return the best (ties go
     to the first sampled) plus the full score table. Every (combination,
-    fold) fit grows in one call of grow, and no full-data forest."""
+    fold) fit grows in one call of grow, in the runs of trees that grow
+    hands to map_fn, and no full-data forest."""
     if not space or any(len(v) == 0 for v in space.values()):
         raise ValidationError("every search-space axis needs at least one value")
     names = sorted(space)
@@ -877,7 +878,7 @@ def randomized_search(
         combos.append(combo)
     plans = [cv_plan(data, io.from_json(ForestParams, c, "space"), k, seed) for c in combos]
     folds = plans[0][0]  # every combination is judged on the same folds (same seed)
-    fold_proba = iter(grow([fit for _, fits in plans for fit in fits[1:]], map_fn, shares))
+    fold_proba = iter(grow([fit for _, fits in plans for fit in fits[1:]], map_fn))
     table: list[dict] = []
     best: tuple[float, int] | None = None  # (score, table position)
     for pos, combo in enumerate(combos):
@@ -962,15 +963,20 @@ def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> R
             f"and per_tree_seeds lists {len(seeds)}"
         )
     names, ints = NodeTable._fields[1:], ("feature", "left", "right", "n_samples", "depth")
+    # the JSON types of each column: numpy would decode 1.5, true or "7" as
+    # an integer, and "0.25" or true as a float
+    kinds = {key: (int,) if key in (*ints, "histogram") else (float, int) for key in names}
+    kinds["threshold"] += (type(None),)  # as a leaf's threshold is saved
     parts = []
     for i, tree in enumerate(trees):
-        for key in (*ints, "histogram"):  # numpy would decode 1.5, true or "7" as an integer
+        for key, kind in kinds.items():
             column = tree.get(key) if isinstance(tree, dict) else None
             if key == "histogram" and isinstance(column, list):
                 column = [v for row in column if isinstance(row, list) for v in row]
-            bad = [v for v in column if type(v) is not int] if isinstance(column, list) else []
+            bad = [v for v in column if type(v) not in kind] if isinstance(column, list) else []
             if bad:
-                raise ValidationError(f"trees[{i}].{key}: expected int, got {bad[0]!r}")
+                name = kind[0].__name__
+                raise ValidationError(f"trees[{i}].{key}: expected {name}, got {bad[0]!r}")
         try:  # a null, as a leaf's threshold is saved, decodes to nan in a float column
             columns = [np.asarray(tree[key], np.int64 if key in ints else float) for key in names]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -564,6 +564,23 @@ class TestTrainEval:
             f"error: {model}: trees[2].{column}: expected int, got {value!r}\n"
         )
 
+    @pytest.mark.parametrize(
+        "column, value", [("threshold", "0.25"), ("impurity", True), ("weighted_decrease", "1e-3")]
+    )
+    def test_eval_model_refuses_a_node_value_that_is_no_json_number(self, pipeline, tmp_path,
+                                                                    capsys, column, value):
+        config, out = pipeline
+        doc = json.loads((out / "model.rfj").read_text())
+        doc["trees"][2][column][0] = value
+        model = tmp_path / "model.rfj"
+        model.write_text(json.dumps(doc))
+        code = main(["eval", str(out / "features.csv"), "--config", str(config),
+                     "--out", str(tmp_path), "--model", str(model), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {model}: trees[2].{column}: expected float, got {value!r}\n"
+        )
+
     def test_features_not_utf8_exits_1(self, pipeline, tmp_path, capsys):
         config, out = pipeline
         lines = (out / "features.csv").read_bytes().splitlines(keepends=True)

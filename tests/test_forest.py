@@ -563,13 +563,14 @@ def test_cross_validate_no_signal_stays_near_baseline():
     assert abs(report.accuracy - 0.5) <= 3 * sigma
 
 
-def test_cross_validate_deterministic_and_jobs_invariant():
+def test_cross_validate_deterministic_and_jobs_invariant(monkeypatch):
     data = blob_dataset(12, [[0, 0], [2, 2], [4, 4]], n_noise=1, seed=18)
     params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=4)
     r1, _ = rf.cross_validate(data, params, k=3, seed=5)
     r2, _ = rf.cross_validate(data, params, k=3, seed=5)
+    monkeypatch.setattr(rf, "_TASK_TREES", 5)  # 32 trees: seven tasks for the two workers
     with ProcessPoolExecutor(max_workers=2) as pool:
-        r3, _ = rf.cross_validate(data, params, k=3, seed=5, map_fn=pool.map, shares=2)
+        r3, _ = rf.cross_validate(data, params, k=3, seed=5, map_fn=pool.map)
     assert dump_json(r1.to_dict()) == dump_json(r2.to_dict()) == dump_json(r3.to_dict())
 
 
@@ -701,7 +702,7 @@ def _root_internal(tree: dict) -> int:
         (lambda t, i: t["threshold"].__setitem__(i, None), "thresholds"),
         (lambda t, i: t["weighted_decrease"].__setitem__(i, float("inf")), "impurity decreases"),
         (lambda t, i: t.pop("impurity"), "impurity"),
-        (lambda t, i: t["threshold"].__setitem__(i, "x"), "malformed model"),
+        (lambda t, i: t["threshold"].__setitem__(i, "x"), "threshold: expected float, got 'x'"),
     ],
 )
 def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
@@ -714,7 +715,7 @@ def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
     path.write_text(dump_json(doc))
     with pytest.raises(ValidationError, match=message) as caught:
         rf.load_model(path)
-    assert "trees[1]:" in str(caught.value)
+    assert str(caught.value).startswith(f"{path}: trees[1]")  # then ":" or ".<column>:"
 
 
 @pytest.mark.parametrize(
@@ -732,6 +733,23 @@ def test_model_load_refuses_an_integer_column_value_that_is_no_json_integer(colu
     with pytest.raises(ValidationError) as caught:
         rf.model_from_document(doc)
     assert str(caught.value) == f"trees[1].{column}: expected int, got {value!r}"
+
+
+@pytest.mark.parametrize(
+    "column, value",
+    [("threshold", "0.25"), ("threshold", True), ("impurity", True), ("impurity", None),
+     ("weighted_decrease", "1e-3"), ("weighted_decrease", [0.5])],
+)
+def test_model_load_refuses_a_float_column_value_that_is_no_json_number(column, value):
+    data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
+    model = rf.fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
+    doc = rf.model_to_document(model)
+    tree = doc["trees"][1]
+    assert None in tree["threshold"]  # a leaf's null threshold loads
+    tree[column][_root_internal(tree)] = value
+    with pytest.raises(ValidationError) as caught:
+        rf.model_from_document(doc)
+    assert str(caught.value) == f"trees[1].{column}: expected float, got {value!r}"
 
 
 def test_model_load_names_the_first_broken_tree_and_its_first_failed_check(tmp_path):
@@ -1088,8 +1106,8 @@ def test_packed_words_that_wrap_give_the_per_class_split(monkeypatch):
 @pytest.mark.parametrize("bootstrap", [False, True])
 def test_fold_trees_grow_from_root_rows_as_on_the_subset(k, bootstrap):
     """A tree grown from a fold's training rows of the whole table is the
-    tree of that subset, and a share of the fold's fit returns exactly the
-    leaf distributions those trees give its test rows."""
+    tree of that subset, and a task growing the fold's fit returns exactly
+    the leaf distributions those trees give its test rows."""
     data = many_class_dataset(k, 60, seed=k + 1)
     params = rf.ForestParams(
         n_estimators=4, min_samples_split=3, min_samples_leaf=2, bootstrap=bootstrap, seed=8
@@ -1102,21 +1120,21 @@ def test_fold_trees_grow_from_root_rows_as_on_the_subset(k, bootstrap):
     )
     seeds = rf.derive_tree_seeds(fits[1].params.seed, params.n_estimators)
     grown = trees(rf.fit_trees(data, params, seeds, [train] * len(seeds)))
-    ((distributions,),) = rf._grow_share([fits[1]], 0, 1)
+    (distributions,) = rf._grow_run([(fits[1], 0, params.n_estimators)])
     assert distributions.shape == (len(seeds), test.size, k)
     for tree, distribution, seed in zip(grown, distributions, seeds):
         assert_same_tree(tree, reference_fit_tree(subset, params, seed))
         assert distribution.tobytes() == tree_predict_proba(tree, data.features[test]).tobytes()
 
 
-def test_grow_gives_the_same_results_at_any_number_of_shares():
-    """Fold probabilities and models from one, two or three shares of the
+def test_grow_gives_the_same_results_at_any_task_size(monkeypatch):
+    """Fold probabilities and models from tasks of 1, 5, 128 or 10,000
     trees equal a forest fit on each fold's subset, predicted as a whole."""
     data = many_class_dataset(4, 40, seed=5)
     mixed = rf.ForestParams(n_estimators=12, min_samples_leaf=4, seed=7)  # leaves hold several classes
     _, fits = rf.cv_plan(data, mixed, 3, seed=1)
     fits += rf.cv_plan(data, rf.ForestParams(**{**mixed.to_dict(), "max_features": "all"}), 3, 4)[1][1:]
-    # two trees: some share of three grows none of them
+    # two trees: a task of five may split them, or hold them with another fit's
     fits += rf.cv_plan(data, rf.ForestParams(**{**mixed.to_dict(), "n_estimators": 2}), 3, 5)[1]
     expected = []
     for fit in fits:
@@ -1130,5 +1148,7 @@ def test_grow_gives_the_same_results_at_any_number_of_shares():
             return dump_json(rf.model_to_document(result)).encode()
         return result.tobytes()
 
-    for shares in (1, 2, 3):
-        assert [as_bytes(r) for r in rf.grow(fits, map, shares)] == [as_bytes(r) for r in expected]
+    for task_trees in (1, 5, 128, 10_000):
+        monkeypatch.setattr(rf, "_TASK_TREES", task_trees)
+        assert [as_bytes(r) for r in rf.grow(fits)] == [as_bytes(r) for r in expected]
+        assert rf.grow([]) == []

@@ -176,8 +176,10 @@ def test_search_identical_at_any_jobs(cohort, tmp_path):
 @pytest.mark.parametrize("command", ["train", "report", "eval"])
 def test_bootstrap_forest_commands_identical_at_any_jobs(cohort, tmp_path, monkeypatch, command):
     # three classes and bootstrap: every fold tree takes the weighted split
-    # search over its fold's root rows, in one, two or three shares of the trees
+    # search over its fold's root rows, at one, two or three workers, in runs
+    # of five trees that split fits
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(forest, "_TASK_TREES", 5)
     _, sim = cohort
     config = write_config(tmp_path, forest={"n_estimators": 7, "bootstrap": True})
     for jobs in JOBS:
@@ -188,8 +190,9 @@ def test_bootstrap_forest_commands_identical_at_any_jobs(cohort, tmp_path, monke
 
 
 def test_search_over_max_features_identical_at_any_jobs(cohort, tmp_path, monkeypatch):
-    # each max_features value is its own lockstep batch in every share
+    # each max_features value is its own lockstep batch in every run of trees
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.setattr(forest, "_TASK_TREES", 7)
     _, sim = cohort
     config = write_config(tmp_path, search={
         "n_iter": 4, "space": {"max_features": ["sqrt", "log2", "all", 3], "n_estimators": [5]},
@@ -369,7 +372,7 @@ def test_no_samples_cross_the_pool(cohort, tmp_path, pools, monkeypatch):
     assert max(sizes["_featurize_task"][1::2]) < 8 * columns + 512
 
 
-def test_one_forest_task_per_worker_and_no_fold_tree_crosses(cohort, tmp_path, pools, monkeypatch):
+def test_forest_tasks_are_tree_runs_and_no_fold_tree_crosses(cohort, tmp_path, pools, monkeypatch):
     config, sim = cohort
     sizes: list[tuple[int, int]] = []
 
@@ -380,13 +383,33 @@ def test_one_forest_task_per_worker_and_no_fold_tree_crosses(cohort, tmp_path, p
             yield result
 
     monkeypatch.setattr(FakeExecutor, "map", pickling_map)
+    monkeypatch.setattr(forest, "_TASK_TREES", 5)
     assert run("train", str(sim / "features.csv"), "--config", str(config),
                "--out", str(tmp_path), "--jobs", "2") == 0
-    assert pools == [2] and len(sizes) == 2  # one share of every forest per worker
+    trees = 6 * (3 + 1)  # n_estimators for each of the 3 folds and the full fit
+    assert pools == [2] and len(sizes) == -(-trees // 5)  # one task per run of 5 trees
     table = len(pickle.dumps(ex.dataset_from_features(*eio.read_features(sim / "features.csv"))))
     model = len(pickle.dumps(forest.load_model(tmp_path / "model.rfj").nodes))
     for args, result in sizes:
-        assert table < args < table + 8 * 1024  # the table once, and each fit's rows
-        # half the full fit's trees and the fold trees' leaf distributions:
-        # less than the whole model, which the fold trees would exceed
+        assert table < args < table + 8 * 1024  # the table once, and its fits' rows
+        # a run's full-fit trees and fold trees' leaf distributions: less
+        # than the whole model, which the fold trees would exceed
         assert result < model
+
+
+def test_no_lockstep_batch_exceeds_a_task_at_jobs_1(cohort, tmp_path, monkeypatch):
+    """At --jobs 1 a CV's 400 trees grow in runs of at most _TASK_TREES,
+    so no fit_trees batch holds every tree of the CV at once."""
+    _, sim = cohort
+    config = write_config(tmp_path, forest={"n_estimators": 100})
+    batches: list[int] = []
+    fit_trees = forest.fit_trees
+
+    def counted(data, params, seeds, roots=None):
+        batches.append(len(seeds))
+        return fit_trees(data, params, seeds, roots)
+
+    monkeypatch.setattr(forest, "fit_trees", counted)
+    assert run("train", str(sim / "features.csv"), "--config", str(config),
+               "--out", str(tmp_path / "out"), "--jobs", "1") == 0
+    assert sum(batches) == 100 * (3 + 1) and max(batches) <= forest._TASK_TREES
