@@ -559,6 +559,13 @@ def run_featurize(
                 f"records are sampled at {rates.pop()} Hz but mfcc.sample_rate is "
                 f"{config.mfcc.sample_rate} Hz"
             )
+        sizes = [size for size, _, _ in scans]
+        length = min(sizes)
+        if length < config.mfcc.window_size:
+            raise ValidationError(
+                f"{signal_paths[sizes.index(length)]}: {length} samples, "
+                f"shorter than one mfcc window ({config.mfcc.window_size})"
+            )
         label_key = TASK_LABEL_KEY[config.task]
         codes = np.empty((len(scans), 0))
         if config.include_categoricals:
@@ -566,7 +573,6 @@ def run_featurize(
         rows: list[np.ndarray] = []
         labels: list[str] = []
         rejects: list[dict] = []
-        length = min(size for size, _, _ in scans)
         vectors = map_fn(
             _featurize_task,
             signal_paths,
@@ -702,18 +708,11 @@ def run_train(
     with _task_map(jobs, n_fits) as map_fn:
         if config.search is not None:
             params, trials = forest.randomized_search(
-                data,
-                config.search.space,
-                config.search.n_iter,
-                k=config.cv_folds,
-                seed=config.seed,
-                map_fn=map_fn,
+                data, params, config.search.space, config.search.n_iter, config.cv_folds, map_fn
             )
             io.atomic_write_json(out / "search_trials.json", trials)
             log.info("search picked %s", params)
-        report, model = forest.cross_validate(
-            data, params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
-        )
+        report, model = forest.cross_validate(data, params, config.cv_folds, map_fn)
     model_path = out / "model.rfj"
     forest.save_model(model, model_path, mfcc_fingerprint=_stored_fingerprint(features_path, config))
     report_path = out / "eval_report.json"
@@ -750,7 +749,7 @@ def run_eval(
         raise ValidationError("holdout retrains from scratch; drop the model path")
     if holdout:
         data = dataset_from_features(matrix, names, labels)
-        report = forest.holdout_validate(data, config.forest_params, config.seed)
+        report = forest.holdout_validate(data, config.forest_params)
     elif model_path is not None:
         model = forest.load_model(
             model_path, expected_fingerprint=_stored_fingerprint(features_path, config)
@@ -770,7 +769,7 @@ def run_eval(
         if report is None:
             with _task_map(jobs, config.cv_folds + 1) as map_fn:
                 report, _ = forest.cross_validate(
-                    data, config.forest_params, k=config.cv_folds, seed=config.seed, map_fn=map_fn
+                    data, config.forest_params, config.cv_folds, map_fn
                 )
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
@@ -798,10 +797,10 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
     masks = [np.isin(labels_arr, class_names[:k]) for k in range(2, len(class_names) + 1)]
     *sweep, data = [dataset_from_features(matrix[m], names, list(labels_arr[m])) for m in masks]
     full_report = _reused_cv(features_path, config, out, len(class_names), len(names))
-    plans = [forest.cv_plan(s, config.forest_params, config.cv_folds, config.seed) for s in sweep]
+    plans = [forest.cv_plan(s, config.forest_params, config.cv_folds) for s in sweep]
     fits = [fit for _, step_fits in plans for fit in step_fits[1:]]
     if full_report is None:
-        full_folds, full_fits = forest.cv_plan(data, config.forest_params, config.cv_folds, config.seed)
+        full_folds, full_fits = forest.cv_plan(data, config.forest_params, config.cv_folds)
         fits += full_fits
     with _task_map(jobs, len(fits)) as map_fn:
         grown = iter(forest.grow(fits, map_fn))

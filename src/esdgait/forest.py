@@ -762,11 +762,11 @@ def mdi_importance(model: RandomForestModel) -> np.ndarray:
     return np.mean(contrib[split] / total[split, None], axis=0)
 
 
-def cv_plan(data: Dataset, params: ForestParams, k: int, seed: int):
-    """The folds of a stratified k-fold CV at `seed` and its fits: fits[0]
-    grows on all of data, fits[1 + i] on the rows outside fold i and
-    predicts fold i, each with a seed derived from `seed`."""
-    state = np.random.SeedSequence([seed]).generate_state(k + 2)
+def cv_plan(data: Dataset, params: ForestParams, k: int):
+    """The folds of a stratified k-fold CV at params.seed and its fits:
+    fits[0] grows on all of data, fits[1 + i] on the rows outside fold i and
+    predicts fold i, each with a seed derived from params.seed."""
+    state = np.random.SeedSequence([params.seed]).generate_state(k + 2)
     folds = stratified_kfold(data.labels, k, int(state[0]))
     every_row = np.arange(data.labels.size, dtype=np.int32)  # as fit_trees keeps row ids
     fits = [Fit(data, replace(params, seed=int(state[1])), every_row)]
@@ -790,21 +790,21 @@ def cv_report(data: Dataset, folds, model: RandomForestModel, fold_proba) -> Eva
     return eval_report(data.labels, pooled(data, folds, fold_proba), folds, mdi_importance(model))
 
 
-def cross_validate(data: Dataset, params: ForestParams, k: int = 10, seed: int = 0, map_fn=map):
-    """Stratified k-fold CV; metrics are pooled over all held-out folds.
-    Returns (report, model): model is the full-data fit that gives the
-    importances. The k + 1 fits of cv_plan grow together, in the runs of
-    trees that grow hands to map_fn."""
-    folds, fits = cv_plan(data, params, k, seed)
+def cross_validate(data: Dataset, params: ForestParams, k: int = 10, map_fn=map):
+    """Stratified k-fold CV at params.seed; metrics are pooled over all
+    held-out folds. Returns (report, model): model is the full-data fit that
+    gives the importances. The k + 1 fits of cv_plan grow together, in the
+    runs of trees that grow hands to map_fn."""
+    folds, fits = cv_plan(data, params, k)
     model, *fold_proba = grow(fits, map_fn)
     return cv_report(data, folds, model, fold_proba), model
 
 
-def holdout_validate(data: Dataset, params: ForestParams, seed: int) -> EvalReport:
+def holdout_validate(data: Dataset, params: ForestParams) -> EvalReport:
     """Fit one forest on about 4/5 of the rows and score the rest: fold 0 of
-    cross_validate's stratified 5-fold plan at `seed`, fit with that plan's
-    full-data seed. Every class must keep a training row."""
-    _, fits = cv_plan(data, params, 5, seed)
+    cross_validate's stratified 5-fold plan at params.seed, fit with that
+    plan's full-data seed. Every class must keep a training row."""
+    _, fits = cv_plan(data, params, 5)
     full_params, train_idx, test_idx = fits[0].params, fits[1].train, fits[1].test
     train = Dataset(
         data.features[train_idx], data.labels[train_idx], data.feature_names, data.class_names
@@ -846,19 +846,22 @@ DEFAULT_SEARCH_SPACE: dict[str, list] = {
 
 def randomized_search(
     data: Dataset,
+    params: ForestParams,
     space: dict[str, list],
     n_iter: int,
     k: int = 10,
-    seed: int = 0,
     map_fn=map,
 ) -> tuple[ForestParams, list[dict]]:
-    """Sample n_iter distinct combinations uniformly from the grid product,
-    score each by mean stratified-k-fold accuracy, return the best (ties go
-    to the first sampled) plus the full score table. Every (combination,
-    fold) fit grows in one call of grow, in the runs of trees that grow
-    hands to map_fn, and no full-data forest."""
+    """Sample n_iter distinct combinations uniformly from the grid product
+    at params.seed, each the searched axes over params, score each by mean
+    stratified-k-fold accuracy, return the best (ties go to the first
+    sampled) plus the full score table. Every (combination, fold) fit grows
+    in one call of grow, in the runs of trees that grow hands to map_fn,
+    and no full-data forest."""
     if not space or any(len(v) == 0 for v in space.values()):
         raise ValidationError("every search-space axis needs at least one value")
+    if "seed" in space:  # every combination is judged on the same folds
+        raise ValidationError("seed is not a search axis")
     names = sorted(space)
     sizes = [len(space[name]) for name in names]
     total = math.prod(sizes)
@@ -867,7 +870,7 @@ def randomized_search(
     if total < n_iter:
         warnings.warn(f"grid has only {total} combinations; sampling all of them")
         n_iter = total
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0]))
+    rng = np.random.default_rng(np.random.SeedSequence([params.seed, 0]))
     combos = []
     for flat in rng.choice(total, size=n_iter, replace=False):
         combo = {}
@@ -876,7 +879,8 @@ def randomized_search(
             combo[name] = space[name][rem % size]
             rem //= size
         combos.append(combo)
-    plans = [cv_plan(data, io.from_json(ForestParams, c, "space"), k, seed) for c in combos]
+    candidates = [io.from_json(ForestParams, {**params.to_dict(), **c}, "space") for c in combos]
+    plans = [cv_plan(data, candidate, k) for candidate in candidates]
     folds = plans[0][0]  # every combination is judged on the same folds (same seed)
     fold_proba = iter(grow([fit for _, fits in plans for fit in fits[1:]], map_fn))
     table: list[dict] = []
@@ -887,8 +891,7 @@ def randomized_search(
         table.append({"params": combo, "mean_accuracy": score})
         if best is None or score > best[0]:
             best = (score, pos)
-    best_combo = table[best[1]]["params"]
-    return io.from_json(ForestParams, best_combo, "space"), table
+    return candidates[best[1]], table
 
 
 def _check_nodes(nodes: NodeTable, n_features: int) -> None:

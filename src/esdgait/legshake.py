@@ -157,7 +157,6 @@ class ShakeDetector:
         self.events: list[ShakeEvent] = []
         self._buffer = np.empty(0, dtype=float)
         self._dropped = 0  # absolute index of _buffer[0]
-        self._received = 0
         self._next_window = 0
         self._run_length = 0
         self._streak_first_window = 0  # start of the ratio-passing streak
@@ -182,7 +181,7 @@ class ShakeDetector:
         """
         cfg = self.config
         if start_time is not None:
-            expected = self._received / cfg.sample_rate
+            expected = (self._dropped + self._buffer.size) / cfg.sample_rate
             if abs(start_time - expected) * cfg.sample_rate > 0.5:
                 raise StreamError(
                     f"chunk starts at {start_time:.6f} s but the stream is at {expected:.6f} s"
@@ -191,7 +190,6 @@ class ShakeDetector:
         if not np.all(np.isfinite(chunk)):
             raise ValidationError("stream samples must be finite")
         self._buffer = np.concatenate([self._buffer, chunk])
-        self._received += chunk.size
         opened: list[ShakeEvent] = []
         w, h = cfg.window_samples, cfg.hop_samples
         while self._dropped + self._buffer.size >= self._next_window * h + w:

@@ -224,6 +224,23 @@ class TestFeaturize:
         assert_one_line_error(err)
         assert f"{signal}:5:" in err and "abc" in err
 
+    def test_record_shorter_than_one_window_is_named(self, pipeline, tmp_path, capsys):
+        config, out = pipeline
+        manifest, signal, meta = self.one_record_manifest(out, tmp_path)
+        short = tmp_path / "short.sig.csv"
+        short.write_text("".join(signal.read_text().splitlines(keepends=True)[:1000]))
+        eio.write_manifest(manifest, [
+            {"signal_path": signal.name, "meta_path": meta.name},
+            {"signal_path": short.name, "meta_path": meta.name},
+        ])
+        with mock.patch("esdgait.experiments._featurize_task", side_effect=AssertionError):
+            code = main(["featurize", str(manifest), "--config", str(config),
+                         "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {short}: 1000 samples, shorter than one mfcc window (2500)\n"
+        )
+
     def test_empty_signal_exits_1(self, pipeline, tmp_path):
         # in a fresh interpreter, so a warning printed before the error shows
         config, out = pipeline

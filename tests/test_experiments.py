@@ -609,7 +609,7 @@ class TestTrainEval:
         report, _, _ = ex.run_train(features, cfg, tmp_path / "out")
         matrix, names, labels = eio.read_features(features)
         data = ex.dataset_from_features(matrix, names, labels)
-        direct, _ = forest.cross_validate(data, cfg.forest_params, k=4, seed=9)
+        direct, _ = forest.cross_validate(data, dataclasses.replace(cfg.forest_params, seed=9), k=4)
         assert report.accuracy == direct.accuracy
         assert report.confusion_matrix.tolist() == direct.confusion_matrix.tolist()
 
@@ -655,6 +655,47 @@ class TestTrainEval:
         assert report.accuracy >= 0.9
         model = forest.load_model(model_path)
         assert model.params.n_estimators in (5, 10, 15, 20)
+
+    def test_forest_seed_seeds_the_cv(self, tmp_path):
+        """Without a forest.seed the experiment seed seeds the CV; with
+        one, that seed does, and the model changes."""
+        features = separable_features(tmp_path)
+        matrix, names, labels = eio.read_features(features)
+        data = ex.dataset_from_features(matrix, names, labels)
+        default, seeded = tiny_config(), tiny_config(forest={"n_estimators": 12, "seed": 12345})
+        for name, cfg, params in [
+            ("default", default, dataclasses.replace(default.forest_params, seed=default.seed)),
+            ("seeded", seeded, seeded.forest_params),
+        ]:
+            report, _, _ = ex.run_train(features, cfg, tmp_path / name)
+            direct, _ = forest.cross_validate(data, params, k=cfg.cv_folds)
+            assert eio.dump_json(report.to_dict()) == eio.dump_json(direct.to_dict())
+        assert seeded.forest_params.seed == 12345
+        default_model = (tmp_path / "default" / "model.rfj").read_bytes()
+        assert (tmp_path / "seeded" / "model.rfj").read_bytes() != default_model
+
+    def test_search_varies_its_axes_over_the_forest_section(self, tmp_path, monkeypatch):
+        features = separable_features(tmp_path)
+        cfg = tiny_config(
+            forest={"bootstrap": True, "max_depth": 6},
+            search={"n_iter": 2, "space": {"n_estimators": [3, 5]}},
+        )
+        grown = []
+        grow = forest.grow
+
+        def recording_grow(fits, map_fn=map):
+            grown.extend(fit.params for fit in fits)
+            return grow(fits, map_fn)
+
+        monkeypatch.setattr(forest, "grow", recording_grow)
+        _, model_path, _ = ex.run_train(features, cfg, tmp_path / "out")
+        assert len(grown) == 2 * cfg.cv_folds + cfg.cv_folds + 1  # the trials, then the CV
+        assert {(p.bootstrap, p.max_depth) for p in grown} == {(True, 6)}
+        assert {p.n_estimators for p in grown} == {3, 5}
+        params = forest.load_model(model_path).params
+        assert (params.bootstrap, params.max_depth) == (True, 6)
+        key = eio.read_json(tmp_path / "out" / ex.CV_RECORD)["key"]
+        assert (key["forest"]["bootstrap"], key["forest"]["max_depth"]) == (True, 6)
 
 
 def csv_rows(path) -> list[list[str]]:

@@ -6,6 +6,7 @@ import hashlib
 import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -534,7 +535,7 @@ def test_mdi_undefined_without_any_split():
 
 def test_cross_validate_separable_is_perfect():
     data = blob_dataset(30, [[0, 0], [8, 8]], seed=14)
-    report, _ = rf.cross_validate(data, SMALL, k=5, seed=1)
+    report, _ = rf.cross_validate(data, replace(SMALL, seed=1), k=5)
     assert report.accuracy == 1.0
     assert report.cohens_kappa == 1.0
     assert report.auroc == 1.0
@@ -544,7 +545,7 @@ def test_cross_validate_separable_is_perfect():
 
 def test_cross_validate_pooled_accuracy_consistent_with_folds():
     data = blob_dataset(21, [[0.0], [1.2]], spread=1.0, seed=15)
-    report, _ = rf.cross_validate(data, SMALL, k=4, seed=2)
+    report, _ = rf.cross_validate(data, replace(SMALL, seed=2), k=4)
     folds = rf.stratified_kfold(
         data.labels, 4, int(np.random.SeedSequence([2]).generate_state(6)[0])
     )
@@ -558,19 +559,19 @@ def test_cross_validate_no_signal_stays_near_baseline():
     features = rng.normal(size=(60, 5))
     labels = np.repeat([0, 1], 30)
     data = rf.Dataset(features, labels, tuple(f"f{i}" for i in range(5)), ("a", "b"))
-    report, _ = rf.cross_validate(data, rf.ForestParams(n_estimators=20, seed=3), k=5, seed=3)
+    report, _ = rf.cross_validate(data, rf.ForestParams(n_estimators=20, seed=3), k=5)
     sigma = np.sqrt(0.25 / 60)
     assert abs(report.accuracy - 0.5) <= 3 * sigma
 
 
 def test_cross_validate_deterministic_and_jobs_invariant(monkeypatch):
     data = blob_dataset(12, [[0, 0], [2, 2], [4, 4]], n_noise=1, seed=18)
-    params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=4)
-    r1, _ = rf.cross_validate(data, params, k=3, seed=5)
-    r2, _ = rf.cross_validate(data, params, k=3, seed=5)
+    params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=5)
+    r1, _ = rf.cross_validate(data, params, k=3)
+    r2, _ = rf.cross_validate(data, params, k=3)
     monkeypatch.setattr(rf, "_TASK_TREES", 5)  # 32 trees: seven tasks for the two workers
     with ProcessPoolExecutor(max_workers=2) as pool:
-        r3, _ = rf.cross_validate(data, params, k=3, seed=5, map_fn=pool.map)
+        r3, _ = rf.cross_validate(data, params, k=3, map_fn=pool.map)
     assert dump_json(r1.to_dict()) == dump_json(r2.to_dict()) == dump_json(r3.to_dict())
 
 
@@ -591,11 +592,12 @@ def tiny_search_space() -> dict:
 def test_search_exhaustive_degenerate_case():
     data = blob_dataset(10, [[0.0], [2.0]], spread=0.8, seed=19)
     space = tiny_search_space()
-    best, table = rf.randomized_search(data, space, n_iter=grid_size(space), k=3, seed=6)
+    base = rf.ForestParams(seed=6)
+    best, table = rf.randomized_search(data, base, space, n_iter=grid_size(space), k=3)
     assert len(table) == grid_size(space)
     scores = [row["mean_accuracy"] for row in table]
     best_pos = next(
-        i for i, r in enumerate(table) if rf.ForestParams(**r["params"]) == best
+        i for i, r in enumerate(table) if replace(base, **r["params"]) == best
     )
     assert scores[best_pos] == max(scores)
     assert best_pos == scores.index(max(scores))  # first sampled among the argmax set
@@ -606,16 +608,17 @@ def test_search_exhaustive_degenerate_case():
 def test_search_tie_break_is_first_sampled():
     data = blob_dataset(10, [[0.0], [5.0]], spread=0.2, seed=20)  # everything scores 1.0
     space = tiny_search_space()
-    best, table = rf.randomized_search(data, space, n_iter=4, k=2, seed=7)
+    base = rf.ForestParams(seed=7)
+    best, table = rf.randomized_search(data, base, space, n_iter=4, k=2)
     assert all(row["mean_accuracy"] == 1.0 for row in table)
-    assert rf.ForestParams(**table[0]["params"]) == best
+    assert replace(base, **table[0]["params"]) == best
 
 
 def test_search_deterministic_sequence():
     data = blob_dataset(8, [[0.0], [2.0]], seed=21)
     space = tiny_search_space()
-    _, t1 = rf.randomized_search(data, space, n_iter=5, k=2, seed=8)
-    _, t2 = rf.randomized_search(data, space, n_iter=5, k=2, seed=8)
+    _, t1 = rf.randomized_search(data, rf.ForestParams(seed=8), space, n_iter=5, k=2)
+    _, t2 = rf.randomized_search(data, rf.ForestParams(seed=8), space, n_iter=5, k=2)
     assert t1 == t2
 
 
@@ -623,14 +626,21 @@ def test_search_warns_when_grid_smaller_than_iterations():
     data = blob_dataset(8, [[0.0], [2.0]], seed=22)
     space = {"n_estimators": [1, 2], "max_features": ["all"]}
     with pytest.warns(UserWarning, match="combinations"):
-        _, table = rf.randomized_search(data, space, n_iter=10, k=2, seed=9)
+        _, table = rf.randomized_search(data, rf.ForestParams(seed=9), space, n_iter=10, k=2)
     assert len(table) == 2
 
 
 def test_search_rejects_empty_axis():
     data = blob_dataset(8, [[0.0], [2.0]], seed=23)
     with pytest.raises(ValidationError):
-        rf.randomized_search(data, {"n_estimators": []}, n_iter=1, k=2, seed=0)
+        rf.randomized_search(data, rf.ForestParams(), {"n_estimators": []}, n_iter=1, k=2)
+
+
+def test_search_refuses_a_seed_axis():
+    # every combination is judged on the folds of params.seed
+    data = blob_dataset(8, [[0.0], [2.0]], seed=23)
+    with pytest.raises(ValidationError, match="^seed is not a search axis$"):
+        rf.randomized_search(data, rf.ForestParams(), {"seed": [1, 2]}, n_iter=2, k=2)
 
 
 def test_default_search_space_product():
@@ -1016,7 +1026,7 @@ def test_split_search_passes_do_not_change_trees(monkeypatch):
 
 def test_eval_report_from_dict_inverts_to_dict():
     data = blob_dataset(12, [[0, 0], [3, 3], [0, 3]], seed=30)
-    report, _ = rf.cross_validate(data, SMALL, k=3, seed=4)
+    report, _ = rf.cross_validate(data, replace(SMALL, seed=4), k=3)
     decoded = rf.EvalReport.from_dict(report.to_dict())
     assert dump_json(decoded.to_dict()) == dump_json(report.to_dict())
     assert decoded.confusion_matrix.dtype == np.int64
@@ -1055,7 +1065,7 @@ def test_holdout_is_fold_0_of_the_cv_fit_with_its_full_data_seed(seed):
     )
     proba = rf.predict_proba(model, data.features[test_idx])
     expected = rf.eval_report(data.labels[test_idx], proba, [slice(None)], rf.mdi_importance(model))
-    report = rf.holdout_validate(data, SMALL, seed)
+    report = rf.holdout_validate(data, replace(SMALL, seed=seed))
     assert dump_json(report.to_dict()) == dump_json(expected.to_dict())
 
 
@@ -1112,7 +1122,7 @@ def test_fold_trees_grow_from_root_rows_as_on_the_subset(k, bootstrap):
     params = rf.ForestParams(
         n_estimators=4, min_samples_split=3, min_samples_leaf=2, bootstrap=bootstrap, seed=8
     )
-    folds, fits = rf.cv_plan(data, params, 3, seed=2)
+    folds, fits = rf.cv_plan(data, replace(params, seed=2), 3)
     test, train = fits[1].test, fits[1].train
     # the reference grower reads these three; a fold may miss a class, so no Dataset
     subset = SimpleNamespace(
@@ -1132,10 +1142,10 @@ def test_grow_gives_the_same_results_at_any_task_size(monkeypatch):
     trees equal a forest fit on each fold's subset, predicted as a whole."""
     data = many_class_dataset(4, 40, seed=5)
     mixed = rf.ForestParams(n_estimators=12, min_samples_leaf=4, seed=7)  # leaves hold several classes
-    _, fits = rf.cv_plan(data, mixed, 3, seed=1)
-    fits += rf.cv_plan(data, rf.ForestParams(**{**mixed.to_dict(), "max_features": "all"}), 3, 4)[1][1:]
+    _, fits = rf.cv_plan(data, replace(mixed, seed=1), 3)
+    fits += rf.cv_plan(data, replace(mixed, max_features="all", seed=4), 3)[1][1:]
     # two trees: a task of five may split them, or hold them with another fit's
-    fits += rf.cv_plan(data, rf.ForestParams(**{**mixed.to_dict(), "n_estimators": 2}), 3, 5)[1]
+    fits += rf.cv_plan(data, replace(mixed, n_estimators=2, seed=5), 3)[1]
     expected = []
     for fit in fits:
         sub = rf.Dataset(data.features[fit.train], data.labels[fit.train],
