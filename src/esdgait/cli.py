@@ -3,8 +3,8 @@
 Subcommands cover the whole pipeline: simulate a cohort, featurize it,
 train and evaluate a forest, produce report CSVs, and run the streaming
 leg-shake detector over a file or stdin. Flags beat config values, which
-beat built-in defaults. Exit codes: 0 success, 1 invalid input or config,
-2 runtime failure.
+beat built-in defaults. Exit codes: 0 success, also when the reader closes
+stdout early; 1 invalid input or config; 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import logging
+import os
 import sys
 from concurrent.futures.process import BrokenProcessPool
 
@@ -169,6 +170,11 @@ def main(argv=None) -> int:
         return 1
     try:
         _COMMANDS[args.command](args)
+        sys.stdout.flush()  # here, not at exit, so that a closed stdout is caught below
+    except BrokenPipeError:  # the reader has all it wants: end quietly, and send
+        # what is left in stdout's buffer to devnull, where the exit's flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

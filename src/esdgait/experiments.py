@@ -227,29 +227,30 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
 
 
 @contextlib.contextmanager
-def _task_map(jobs: int, n_tasks: int):
-    """The map a command runs its tasks through: one process pool's map,
-    or the builtin map where the pool would have fewer than two workers.
-
-    A command opens it once and hands it to every step. The pool has
-    min(jobs, n_tasks, usable CPUs) workers; results come back in task
-    order, so they are the same at any jobs value. Each map splits its
-    tasks into about eight chunks per worker, one task per chunk when there
-    are fewer: few messages for quick tasks such as one record, and a
-    forest's runs of trees handed out in turn.
+def _task_map(jobs: int):
+    """The map a command opens once and hands to every step. The first map
+    whose pool would have min(jobs, its tasks, usable CPUs) >= 2 workers
+    opens that process pool, and every later map uses it; until then the
+    tasks run here. Results come back in task order, so they are the same
+    at any jobs value. A pooled map splits its tasks into about eight chunks
+    per worker, one task per chunk when there are fewer: few messages for
+    quick tasks such as one record, and a forest's runs of trees in turn.
     """
-    workers = min(jobs, n_tasks, len(os.sched_getaffinity(0)))
-    if workers < 2:
-        yield map
-        return
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with contextlib.ExitStack() as stack:
+        pool, workers = None, 0
 
-        def pool_map(fn, *iterables):
+        def task_map(fn, *iterables):
+            nonlocal pool, workers
             tasks = list(zip(*iterables))
+            if pool is None:
+                workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+                if workers < 2:
+                    return itertools.starmap(fn, tasks)
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
             chunksize = max(1, -(-len(tasks) // (8 * workers)))
             return pool.map(fn, *zip(*tasks), chunksize=chunksize)
 
-        yield pool_map
+        yield task_map
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +495,7 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
     tasks = [tuple(cell) for _, cell in itertools.groupby(build_plans(config), _cell)]
     out = Path(out_dir)
     (out / "records").mkdir(parents=True, exist_ok=True)
-    with _task_map(jobs, len(tasks)) as map_fn:
+    with _task_map(jobs) as map_fn:
         entries = list(itertools.chain.from_iterable(
             map_fn(_simulate_task, tasks, itertools.repeat(out))
         ))
@@ -549,7 +550,7 @@ def run_featurize(
         raise ValidationError("manifest lists no records")
     signal_paths = [e["signal_path"] for e in entries]
     meta_paths = [e["meta_path"] for e in entries]
-    with _task_map(jobs, len(entries)) as map_fn:
+    with _task_map(jobs) as map_fn:
         scans = list(map_fn(_scan_task, signal_paths, meta_paths))
         rates = {rate for _, rate, _ in scans}
         if len(rates) != 1:
@@ -704,8 +705,7 @@ def run_train(
     params = config.forest_params
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    n_fits = config.cv_folds * (1 if config.search is None else config.search.n_iter) + 1
-    with _task_map(jobs, n_fits) as map_fn:
+    with _task_map(jobs) as map_fn:
         if config.search is not None:
             params, trials = forest.randomized_search(
                 data, params, config.search.space, config.search.n_iter, config.cv_folds, map_fn
@@ -767,7 +767,7 @@ def run_eval(
         data = dataset_from_features(matrix, names, labels)
         report = _reused_cv(features_path, config, out, data.n_classes, len(names))
         if report is None:
-            with _task_map(jobs, config.cv_folds + 1) as map_fn:
+            with _task_map(jobs) as map_fn:
                 report, _ = forest.cross_validate(
                     data, config.forest_params, config.cv_folds, map_fn
                 )
@@ -802,7 +802,7 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
     if full_report is None:
         full_folds, full_fits = forest.cv_plan(data, config.forest_params, config.cv_folds)
         fits += full_fits
-    with _task_map(jobs, len(fits)) as map_fn:
+    with _task_map(jobs) as map_fn:
         grown = iter(forest.grow(fits, map_fn))
     accuracies = [
         float(np.mean(np.argmax(forest.pooled(step, folds, grown), axis=1) == step.labels))

@@ -467,6 +467,11 @@ def fit_trees(data: Dataset, params: ForestParams, seeds, roots=None) -> NodeTab
                 [rngs[t].choice(n_features, size=m_features, replace=False) for t in tree_ids[search]]
             )
             candidates.sort(axis=1)
+            # no cut is allowed below two leaves' samples: such a node keeps its
+            # draw, which the tree's later draws follow, but no pass searches it
+            cuttable = n_samples[search] >= 2 * params.min_samples_leaf
+            search, candidates = search[cuttable], candidates[cuttable]
+        if search.size:
             cost = m_features * np.maximum(sizes[search], n_rows // 16 + 1)  # see _PASS_ELEMENTS
             in_pass = (np.cumsum(cost) - cost) // _PASS_ELEMENTS
             found = []
@@ -542,6 +547,7 @@ class Fit(NamedTuple):
 
 
 _TASK_TREES = 128  # the most trees one task of grow grows, at any jobs: bounds a batch's memory
+_WALK_PAIRS = 4096  # the most (tree, row) pairs predict_proba walks at once: bounds its temporaries
 
 
 def _grow_run(run) -> list:
@@ -646,10 +652,15 @@ def predict_proba(model: RandomForestModel, rows: np.ndarray) -> np.ndarray:
     bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
     if bad.size:
         raise ValidationError(f"row {int(bad[0])} has a non-finite feature value")
-    acc = np.zeros((rows.shape[0], len(model.class_names)))
-    for distribution in _leaf_distributions(model.nodes, rows):
-        acc += distribution
-    return acc / model.nodes.sizes.size
+    n_rows, n_trees = rows.shape[0], model.nodes.sizes.size
+    step = max(1, min(n_rows, _WALK_PAIRS // n_trees))  # a block's rows; its trees fill the rest
+    acc = np.zeros((n_rows, len(model.class_names)))
+    for lo in range(0, n_trees, _WALK_PAIRS // step):
+        trees = model.nodes.cut(lo, lo + _WALK_PAIRS // step)
+        for a in range(0, n_rows, step):
+            for distribution in _leaf_distributions(trees, rows[a : a + step]):
+                acc[a : a + step] += distribution
+    return acc / n_trees
 
 
 def stratified_kfold(labels, k: int, shuffle_seed: int) -> list[np.ndarray]:
@@ -923,11 +934,6 @@ def _check_nodes(nodes: NodeTable, n_features: int) -> None:
 
 
 def model_to_document(model: RandomForestModel, mfcc_fingerprint: str | None = None) -> dict:
-    nodes = model.nodes
-    columns = {name: getattr(nodes, name).tolist() for name in NodeTable._fields[1:]}
-    columns["threshold"] = [None if math.isnan(v) else v for v in columns["threshold"]]
-    columns["histogram"] = nodes.histogram.astype(int).tolist()
-    ends = np.cumsum(nodes.sizes).tolist()
     return {
         "format": MODEL_FORMAT,
         "params": model.params.to_dict(),
@@ -935,11 +941,17 @@ def model_to_document(model: RandomForestModel, mfcc_fingerprint: str | None = N
         "class_names": list(model.class_names),
         "per_tree_seeds": list(model.per_tree_seeds),
         "mfcc_fingerprint": mfcc_fingerprint,
-        "trees": [
-            {name: values[a:b] for name, values in columns.items()}
-            for a, b in zip([0, *ends], ends)
-        ],
+        "trees": list(_tree_documents(model.nodes)),
     }
+
+
+def _tree_documents(nodes: NodeTable):
+    """Each tree's entry of a model document, one tree at a time."""
+    for a, b in itertools.pairwise([0, *np.cumsum(nodes.sizes).tolist()]):
+        tree = {name: getattr(nodes, name)[a:b].tolist() for name in NodeTable._fields[1:]}
+        tree["threshold"] = [None if math.isnan(v) else v for v in tree["threshold"]]
+        tree["histogram"] = nodes.histogram[a:b].astype(int).tolist()
+        yield tree
 
 
 def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> RandomForestModel:
@@ -1000,9 +1012,13 @@ def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> R
 
 
 def save_model(model: RandomForestModel, path, mfcc_fingerprint: str | None = None) -> None:
-    io.atomic_write_text(
-        path, json.dumps(model_to_document(model, mfcc_fingerprint), sort_keys=True) + "\n"
-    )
+    """json.dumps(model_to_document(...), sort_keys=True) and a newline, one tree
+    at a time: "trees" sorts last, so they go inside the '[]}' that ends the bare dump."""
+    bare = replace(model, nodes=model.nodes.cut(0, 0))
+    head = json.dumps(model_to_document(bare, mfcc_fingerprint), sort_keys=True)[:-2]
+    trees = (json.dumps(tree, sort_keys=True) for tree in _tree_documents(model.nodes))
+    chunks = itertools.chain([head, next(trees, "")], (", " + tree for tree in trees), ["]}\n"])
+    io._atomic_write(path, (chunk.encode("ascii") for chunk in chunks))
 
 
 def load_model(path, expected_fingerprint: str | None = None) -> RandomForestModel:

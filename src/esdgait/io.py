@@ -37,7 +37,6 @@ import sys
 import tempfile
 import types
 import typing
-from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -458,12 +457,10 @@ def write_features(path, matrix: np.ndarray, feature_names, labels) -> None:
         raise ValidationError("feature matrix must be (records, names)")
     if matrix.shape[0] != len(labels):
         raise ValidationError("one label per feature row required")
-    buf = StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow([*feature_names, "label"])
-    for row, label in zip(matrix, labels):
-        writer.writerow([*(repr(float(v)) for v in row), str(label)])
-    atomic_write_text(path, buf.getvalue())
+    # writerow returns what its file's write returns: here each line's UTF-8 bytes
+    writer = csv.writer(types.SimpleNamespace(write=str.encode), lineterminator="\n")
+    rows = ([*map(repr, row.tolist()), str(label)] for row, label in zip(matrix, labels))
+    _atomic_write(path, map(writer.writerow, itertools.chain([[*feature_names, "label"]], rows)))
 
 
 def read_features(path) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
@@ -488,15 +485,15 @@ def _parse_features(path, reader) -> tuple[np.ndarray, tuple[str, ...], list[str
     for line_no, row in enumerate(reader, start=2):
         if len(row) != len(header):
             raise ValidationError(f"{path}:{line_no}: expected {len(header)} cells")
-        try:
-            values = [float(v) for v in row[:-1]]
+        try:  # numpy parses each str cell as float() does, errors too
+            values = np.array(row[:-1], dtype=float)
         except ValueError as exc:
             raise ValidationError(f"{path}:{line_no}: {exc}") from None
-        if not all(map(math.isfinite, values)):
-            cell = next(v for v, x in zip(row, values) if not math.isfinite(x))
+        if not np.isfinite(values).all():
+            cell = row[int(np.argmin(np.isfinite(values)))]
             raise ValidationError(f"{path}:{line_no}: not a finite feature value: {cell!r}")
         rows.append(values)
         labels.append(row[-1])
     if not rows:
         raise ValidationError(f"{path}: no feature rows")
-    return np.asarray(rows, dtype=float), names, labels
+    return np.array(rows), names, labels

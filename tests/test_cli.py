@@ -686,6 +686,31 @@ def shake_signal(tmp_path_factory):
     return path
 
 
+@pytest.mark.parametrize("command", ["detect", "eval"])
+def test_closed_stdout_ends_quietly(pipeline, shake_signal, tmp_path, command):
+    """A reader that closed stdout before the command wrote to it: detect's
+    flushed event line and eval's path, flushed at the end, both end in
+    exit 0 with nothing on stderr."""
+    config, out = pipeline
+    args = {
+        "detect": ["detect", str(shake_signal)],
+        "eval": ["eval", str(out / "features.csv"), "--config", str(config),
+                 "--model", str(out / "model.rfj"), "--out", str(tmp_path)],
+    }[command]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = Path(esdgait.__file__).resolve().parent.parent
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "esdgait.cli", *args, "--quiet"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
 class TestDetect:
     def test_detect_emits_open_event(self, shake_signal, capsys):
         assert main(["detect", str(shake_signal), "--quiet"]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import json
 import re
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -1022,6 +1023,85 @@ def test_split_search_passes_do_not_change_trees(monkeypatch):
     narrow = rf.fit_forest(data, params)
     for a, b in zip(trees(wide), trees(narrow)):
         assert_same_tree(a, b)
+
+
+def test_split_search_never_gets_a_node_below_two_leaves(monkeypatch):
+    """A node of fewer than 2 * min_samples_leaf samples, bootstrap counts
+    included, has no allowed cut, so no pass searches it."""
+    data = blob_dataset(25, [[0, 0], [1, 1], [2, 0]], n_noise=4, spread=1.3, seed=8)
+    kernel, searched = rf._best_split_for_feature, []
+
+    def checked(presort, rows, sizes, weights, candidates, k, min_leaf):
+        node = np.repeat(np.arange(sizes.size), sizes)
+        counts = sizes if weights is None else np.bincount(node, weights[node, rows], sizes.size)
+        searched.append(counts.min() >= 2 * min_leaf)
+        return kernel(presort, rows, sizes, weights, candidates, k, min_leaf)
+
+    monkeypatch.setattr(rf, "_best_split_for_feature", checked)
+    for bootstrap in (False, True):
+        rf.fit_forest(data, rf.ForestParams(
+            n_estimators=8, min_samples_split=2, min_samples_leaf=6, bootstrap=bootstrap, seed=4
+        ))
+    assert searched and all(searched)
+
+
+@pytest.mark.parametrize("pairs", [1, 5, 12, 30])
+def test_batched_prediction_equals_the_whole_table_walk(monkeypatch, pairs):
+    """predict_proba walks blocks of at most _WALK_PAIRS (tree, row) pairs,
+    fewer than the 12 trees for some, and gives the bits of one walk of
+    every pair with the trees' distributions added in tree order, for many
+    rows and for one."""
+    data = blob_dataset(15, [[0, 0], [2, 2], [0, 2]], n_noise=2, seed=31)
+    model = rf.fit_forest(data, SMALL)
+    walk, walked = rf._leaf_distributions, []
+
+    def counted(nodes, rows):
+        walked.append(nodes.sizes.size * rows.shape[0])
+        return walk(nodes, rows)
+
+    for rows in (data.features, data.features[:1]):
+        whole = np.zeros((rows.shape[0], 3))
+        for distribution in walk(model.nodes, rows):
+            whole += distribution
+        monkeypatch.setattr(rf, "_WALK_PAIRS", pairs)
+        monkeypatch.setattr(rf, "_leaf_distributions", counted)
+        assert rf.predict_proba(model, rows).tobytes() == (whole / 12).tobytes()
+        monkeypatch.undo()
+    assert max(walked) <= pairs and len(walked) > 2
+
+
+def nan_split_model() -> rf.RandomForestModel:
+    """A two-tree model whose second tree's root splits at a NaN threshold."""
+    model = rf.fit_forest(blob_dataset(6, [[0], [3]], seed=32), replace(SMALL, n_estimators=2))
+    nodes = model.nodes
+    threshold = nodes.threshold.copy()
+    threshold[nodes.sizes[0]] = np.nan
+    return replace(model, nodes=nodes._replace(threshold=threshold))
+
+
+@pytest.mark.parametrize(
+    "model, fingerprint",
+    [
+        (lambda: rf.fit_forest(blob_dataset(8, [[0, 0], [2, 2]], seed=33), SMALL), None),
+        (lambda: rf.fit_forest(
+            rf.Dataset(np.arange(24.0).reshape(8, 3), np.array([0, 1] * 4),
+                       ("föhn", "日本", 'a "b", c\nd'), ("é", "\u2603")),
+            SMALL,
+        ), "cafe01"),
+        (lambda: rf.fit_forest(  # every tree is one leaf
+            rf.Dataset(np.ones((6, 2)), np.array([0, 0, 0, 1, 1, 1]), ("f0", "f1"), ("a", "b")),
+            replace(SMALL, n_estimators=3),
+        ), "cafe01"),
+        (nan_split_model, None),
+    ],
+    ids=["no-fingerprint", "non-ascii-names", "leaf-only", "nan-thresholds"],
+)
+def test_saved_model_is_the_document_dump(tmp_path, model, fingerprint):
+    """save_model writes one tree at a time the bytes of the whole document's dump."""
+    model = model()
+    rf.save_model(model, tmp_path / "model.rfj", fingerprint)
+    dump = json.dumps(rf.model_to_document(model, fingerprint), sort_keys=True) + "\n"
+    assert (tmp_path / "model.rfj").read_bytes() == dump.encode("utf-8")
 
 
 def test_eval_report_from_dict_inverts_to_dict():

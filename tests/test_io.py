@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from io import StringIO
 from pathlib import Path
 from unittest import mock
 
@@ -95,6 +97,73 @@ def test_non_numeric_feature_cell_names_file_and_line(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValidationError, match=r"features.csv:3: .*'abc'"):
         read_features(path)
+
+
+@pytest.mark.parametrize("fault", [ValueError, KeyboardInterrupt])
+def test_interrupted_write_keeps_the_old_file(tmp_path, fault):
+    """A chunk iterator that raises partway leaves the old file as it was
+    and no temp file beside it."""
+    path = tmp_path / "model.rfj"
+    path.write_bytes(b"old bytes\n")
+
+    def chunks():
+        yield b"new "
+        raise fault
+
+    with pytest.raises(fault):
+        eio._atomic_write(path, chunks())
+    assert path.read_bytes() == b"old bytes\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["model.rfj"]
+
+
+def test_feature_rows_are_csv_writer_lines(tmp_path):
+    """Quoted names and labels, non-ASCII text, a signed zero and subnormal
+    cells: the bytes csv.writer gives the whole table, and a read returns
+    every cell, name and label as written."""
+    names = ("plain", "a,comma", 'a "quote"', "new\nline", "föhn")
+    labels = ["x,y", '"q"', "line\nbreak", "日本"]
+    matrix = np.array([
+        [-0.0, 1e-300, 5e-324, 0.1, 1.0],
+        [1.7976931348623157e308, -5e-324, 2.0, -1e-300, 3.0],
+        [0.0, 1 / 3, -2.5, 1e16, 4.0],
+        [7.0, 8.0, 9.0, 10.0, 11.0],
+    ])
+    write_features(tmp_path / "features.csv", matrix, names, labels)
+    buf = StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow([*names, "label"])
+    for row, label in zip(matrix, labels):
+        writer.writerow([*(repr(float(v)) for v in row), label])
+    assert (tmp_path / "features.csv").read_bytes() == buf.getvalue().encode("utf-8")
+    read, read_names, read_labels = read_features(tmp_path / "features.csv")
+    assert read.tobytes() == matrix.tobytes() and read.dtype == np.float64
+    assert (read_names, read_labels) == (names, labels)
+
+
+@pytest.mark.parametrize("cell", ["1_000", " 2.5 ", "\u0661", "-0.0", "5e-324", "1e-400", "+.5"])
+def test_feature_cells_parse_as_float_does(tmp_path, cell):
+    path = tmp_path / "features.csv"
+    path.write_text(f"a,b,label\n{cell},1.0,x\n", encoding="utf-8")
+    assert read_features(path)[0][0, 0].tobytes() == np.float64(float(cell)).tobytes()
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    [
+        ("0x10", "could not convert string to float: '0x10'"),
+        ("1__0", "could not convert string to float: '1__0'"),
+        ("", "could not convert string to float: ''"),
+        ("1e500", "not a finite feature value: '1e500'"),
+        ("-inf", "not a finite feature value: '-inf'"),
+        ("nan", "not a finite feature value: 'nan'"),
+    ],
+)
+def test_bad_feature_cells_name_the_line_and_the_cell(tmp_path, cell, message):
+    path = tmp_path / "features.csv"
+    path.write_text(f"a,b,label\n1.0,2.0,x\n1.0,{cell},y\n", encoding="utf-8")
+    with pytest.raises(ValidationError) as caught:
+        read_features(path)
+    assert str(caught.value) == f"{path}:3: {message}"
 
 
 def percent_e(values) -> str:

@@ -10,6 +10,7 @@ import os
 import pickle
 import shutil
 import weakref
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -151,7 +152,8 @@ def test_featurize_identical_at_any_jobs(cohort, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["train", "report", "eval"])
-def test_forest_commands_identical_at_any_jobs(cohort, tmp_path, command):
+def test_forest_commands_identical_at_any_jobs(cohort, tmp_path, monkeypatch, command):
+    monkeypatch.setattr(forest, "_TASK_TREES", 5)  # runs of five trees, so that a pool starts
     config, sim = cohort
     for jobs in JOBS:
         assert run(command, str(sim / "features.csv"), "--config", str(config),
@@ -280,7 +282,8 @@ def test_killed_worker_is_one_error_line(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ["train", "report"])
-def test_one_pool_per_command(cohort, tmp_path, pools, command):
+def test_one_pool_per_command(cohort, tmp_path, pools, monkeypatch, command):
+    monkeypatch.setattr(forest, "_TASK_TREES", 5)
     config, sim = cohort
     for jobs, made in (("1", []), ("2", [2])):
         pools.clear()
@@ -289,7 +292,8 @@ def test_one_pool_per_command(cohort, tmp_path, pools, command):
         assert pools == made
 
 
-def test_search_and_cv_share_one_pool(cohort, tmp_path, pools):
+def test_search_and_cv_share_one_pool(cohort, tmp_path, pools, monkeypatch):
+    monkeypatch.setattr(forest, "_TASK_TREES", 5)
     _, sim = cohort
     config = write_config(tmp_path, search={"n_iter": 3, "space": {"n_estimators": [2, 4, 6]}})
     assert run("train", str(sim / "features.csv"), "--config", str(config),
@@ -297,13 +301,14 @@ def test_search_and_cv_share_one_pool(cohort, tmp_path, pools):
     assert pools == [2]
 
 
-def test_workers_capped_by_tasks(cohort, tmp_path, pools):
+def test_workers_capped_by_tasks(cohort, tmp_path, pools, monkeypatch):
+    monkeypatch.setattr(forest, "_TASK_TREES", 6)
     config, sim = cohort
     assert run("simulate", "--config", str(config), "--out", str(tmp_path / "sim"),
                "--jobs", "50") == 0
     assert run("train", str(sim / "features.csv"), "--config", str(config),
                "--out", str(tmp_path / "train"), "--jobs", "50") == 0
-    assert pools == [18, 4]  # 18 records; 3 folds plus the full fit
+    assert pools == [18, 4]  # 18 records; 3 folds and the full fit, 6 trees each, in runs of 6
 
 
 def test_workers_capped_by_cpus(cohort, tmp_path, pools, monkeypatch):
@@ -312,6 +317,29 @@ def test_workers_capped_by_cpus(cohort, tmp_path, pools, monkeypatch):
     assert run("featurize", str(sim / "dataset.json"), "--config", str(config),
                "--out", str(tmp_path), "--jobs", "8") == 0
     assert pools == [3]
+
+
+def test_a_pool_opens_for_a_map_of_two_tasks(cohort, tmp_path, monkeypatch):
+    """A CV of small forests is one run of trees, so train forks no pool at
+    --jobs 2 and runs it here; a CV of default forests is four runs, and
+    one pool takes them."""
+    made: list[int] = []
+
+    def counted(max_workers):
+        made.append(max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers)
+
+    monkeypatch.setattr(ex, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    _, sim = cohort
+    for size, forest_section in (("small", {"n_estimators": 6}), ("default", {})):
+        (tmp_path / size).mkdir()
+        config = write_config(tmp_path / size, forest=forest_section)
+        for jobs in ("1", "2"):
+            assert run("train", str(sim / "features.csv"), "--config", str(config),
+                       "--out", str(tmp_path / size / jobs), "--jobs", jobs) == 0
+        assert tree_bytes(tmp_path / size / "2") == tree_bytes(tmp_path / size / "1")
+        assert made == ([] if size == "small" else [2])
 
 
 def test_one_worker_starts_no_pool(cohort, tmp_path, pools, monkeypatch):
