@@ -611,15 +611,6 @@ def grow(fits, map_fn=map) -> list:
     return results
 
 
-def fit_forest(data: Dataset, params: ForestParams) -> RandomForestModel:
-    """Train n_estimators trees on the full sample (unless bootstrap is set).
-
-    Each tree gets an independent seed derived from params.seed, so the
-    model is the same whichever process grows it.
-    """
-    return grow([Fit(data, params, np.arange(data.labels.size))])[0]
-
-
 def _leaf_distributions(nodes: NodeTable, rows: np.ndarray) -> np.ndarray:
     """Each tree's leaf class distribution at each row, (trees, rows, classes).
 
@@ -813,14 +804,14 @@ def cross_validate(data: Dataset, params: ForestParams, k: int = 10, map_fn=map)
 
 def holdout_validate(data: Dataset, params: ForestParams) -> EvalReport:
     """Fit one forest on about 4/5 of the rows and score the rest: fold 0 of
-    cross_validate's stratified 5-fold plan at params.seed, fit with that
-    plan's full-data seed. Every class must keep a training row."""
+    cross_validate's stratified 5-fold plan at params.seed, grown from the
+    rows outside it with that plan's full-data seed. Every class must keep
+    a training row."""
     _, fits = cv_plan(data, params, 5)
-    full_params, train_idx, test_idx = fits[0].params, fits[1].train, fits[1].test
-    train = Dataset(
-        data.features[train_idx], data.labels[train_idx], data.feature_names, data.class_names
-    )
-    model = fit_forest(train, full_params)
+    train_idx, test_idx = fits[1].train, fits[1].test
+    if np.unique(data.labels[train_idx]).size != data.n_classes:
+        raise ValidationError("every class needs at least one sample")
+    (model,) = grow([fits[0]._replace(train=train_idx)])
     proba = predict_proba(model, data.features[test_idx])
     return eval_report(data.labels[test_idx], proba, [slice(None)], mdi_importance(model))
 

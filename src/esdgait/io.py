@@ -33,8 +33,8 @@ import itertools
 import json
 import math
 import os
+import re
 import sys
-import tempfile
 import types
 import typing
 from pathlib import Path
@@ -54,12 +54,9 @@ def _atomic_write(path, chunks) -> None:
     """Write the byte chunks (bytes or contiguous arrays) one after another."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # the umask applies, as in open()
     try:
-        # mkstemp creates the file 0600; give it the mode open() would
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
@@ -110,15 +107,17 @@ def from_json(cls, value, where: str):
     Field annotations give the expected JSON types: unknown keys and missing
     required fields are errors; `int` refuses bools and fractions; `float`
     takes any finite number and stores a float; `bool` and `str` must match
-    exactly. `tuple[X, ...]`, `list`, `dict[str, X]`, unions such as
-    `X | None` and nested dataclasses are decoded recursively. Value rules
-    live in each class's `__post_init__`, or, when an error must name a
-    path inside a field, in the field's metadata "check": check(value, path)
-    runs on the decoded value. A field whose metadata sets "key" is read
-    from that JSON key instead of its name. Every error is a
-    ValidationError naming the key path, starting from `where`; a
-    `__post_init__` error that starts with a path inside its object
-    (`key.sub: message`, key one of its fields) continues that path.
+    exactly, and a `str` (a dict key too) must not hold a lone surrogate
+    (JSON's "\\ud800"), which UTF-8 cannot encode. `tuple[X, ...]`,
+    `list`, `dict[str, X]`, unions such as `X | None` and nested
+    dataclasses are decoded recursively. Value rules live in each class's
+    `__post_init__`, or, when an error must name a path inside a field, in
+    the field's metadata "check": check(value, path) runs on the decoded
+    value. A field whose metadata sets "key" is read from that JSON key
+    instead of its name. Every error is a ValidationError naming the key
+    path, starting from `where`; a `__post_init__` error that starts with a
+    path inside its object (`key.sub: message`, key one of its fields)
+    continues that path.
     """
     origin = typing.get_origin(cls) or cls
     args = typing.get_args(cls)
@@ -162,16 +161,20 @@ def from_json(cls, value, where: str):
         if not args:
             return origin(value)
         if origin is dict:
-            return {k: from_json(args[1], v, _at(where, k)) for k, v in value.items()}
+            return {from_json(args[0], k, where): from_json(args[1], v, _at(where, k))
+                    for k, v in value.items()}
         return origin(from_json(args[0], v, f"{where}[{i}]") for i, v in enumerate(value))
     if origin is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)  # any finite number
+    if origin is str and type(value) is str and _SURROGATE.search(value):  # JSON's "\ud800"
+        _fail(where, f"{value!r} holds a lone surrogate, which is not text")
     if origin is not float and type(value) is origin:  # exact: a bool is no int, an int no bool
         return value
     _fail(where, f"expected {origin.__name__}, got {value!r}")
 
 
 _type_hints = functools.cache(typing.get_type_hints)
+_SURROGATE = re.compile("[\ud800-\udfff]")  # in a str, every surrogate is a lone one
 
 
 def _at(where: str, key) -> str:
@@ -255,7 +258,10 @@ def read_record(signal_path, meta_path) -> SignalRecord:
     sample_rate = from_json(float, meta["sample_rate"], where)
     if sample_rate <= 0:
         _fail(where, f"must be positive, got {sample_rate!r}")
-    labels = {k: v for k, v in meta.items() if k != "sample_rate"}
+    labels = {  # a str label must be text: featurize writes it out
+        k: from_json(str, v, f"{meta_path}: {k}") if type(v) is str else v
+        for k, v in meta.items() if k != "sample_rate"
+    }
     return SignalRecord(samples=samples, sample_rate=sample_rate, labels=labels)
 
 

@@ -13,7 +13,6 @@ positive one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -95,19 +94,12 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class GaitProfile:
-    """Walking-style parameters of one person.
-
-    The charge-sign fields fix the contact-electricity polarity convention
-    (negative spike on foot-ground contact, positive on detach); their
-    common magnitude scales the modulation depth.
-    """
+    """Walking-style parameters of one person."""
 
     step_frequency: float  # Hz, steps of either foot
     walking_speed: float  # m/s
     vertical_amplitude: float = 1.0  # dimensionless body-motion modulation scale
     duty_cycle: float = 0.6  # fraction of a foot's cycle spent on the ground
-    contact_charge_sign: float = -1.0
-    detach_charge_sign: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.step_frequency <= 10:
@@ -120,14 +112,6 @@ class GaitProfile:
             raise ValidationError("walking_speed must be positive")
         if self.vertical_amplitude < 0:
             raise ValidationError("vertical_amplitude must be non-negative")
-        if not (self.contact_charge_sign < 0 < self.detach_charge_sign):
-            raise ValidationError(
-                "contact_charge_sign must be negative and detach_charge_sign positive"
-            )
-        if not math.isclose(-self.contact_charge_sign, self.detach_charge_sign):
-            raise ValidationError(
-                "charge sign magnitudes must match; the foot returns to the same plateau"
-            )
 
 
 @dataclass(frozen=True)
@@ -222,7 +206,6 @@ def _synth_record(
     traj: Trajectory,
     capmodel: CapacitanceModel,
     electrode: ElectrodeModel,
-    k_prop: float,
     labels: dict,
 ) -> SignalRecord:
     """The synthesizers' shared tail, from the feet's 1/C_f on the grid `t`:
@@ -240,7 +223,7 @@ def _synth_record(
     r = traj.radial_distance(t)
     h = 1.0 / SAMPLE_RATE
     d_inv = (inv_cb[2:] - inv_cb[:-2]) / (2.0 * h)
-    foot_cur = k_prop * capmodel.c_plant * d_inv
+    foot_cur = capmodel.c_plant * d_inv
     if np.any(r <= 0):
         raise SingularityError("radial distance to the electrode reached zero")
     samples = electrode.epsilon * electrode.area_s / r[1:-1] * foot_cur
@@ -268,7 +251,6 @@ def synth_walk(
     electrode: ElectrodeModel,
     duration: float,
     *,
-    k_prop: float = 1.0,
     footstep: FootstepShape = FootstepShape(),
     schedule_phase: float = 0.0,
 ) -> SignalRecord:
@@ -287,7 +269,6 @@ def synth_walk(
         raise ValidationError("duration must be positive")
     f_step = gait.step_frequency * (mood.step_frequency_factor if mood else 1.0)
     depth = gait.vertical_amplitude * (mood.amplitude_factor if mood else 1.0)
-    depth *= abs(gait.contact_charge_sign)
     period = 2.0 / f_step  # one full cycle of a single foot
     contact_len = gait.duty_cycle * period
     if footstep.rise_time >= contact_len or footstep.rise_time >= period - contact_len:
@@ -303,7 +284,7 @@ def synth_walk(
     inv1 = inv_contact + depth * swing * g1
     inv2 = inv_contact + depth * swing * g2
     return _synth_record(
-        t, inv1, inv2, traj, capmodel, electrode, k_prop,
+        t, inv1, inv2, traj, capmodel, electrode,
         {"mood": mood.label if mood else "neutral", "activity": "walk"},
     )
 
@@ -315,7 +296,6 @@ def synth_legshake(
     capmodel: CapacitanceModel,
     electrode: ElectrodeModel,
     *,
-    k_prop: float = 1.0,
     footstep: FootstepShape = FootstepShape(),
     distance_m: float = 1.0,
 ) -> SignalRecord:
@@ -344,7 +324,7 @@ def synth_legshake(
     inv1 = inv_contact + swing * mod
     inv2 = np.full_like(t, inv_contact)
     return _synth_record(
-        t, inv1, inv2, Trajectory(distance_m, 0.0), capmodel, electrode, k_prop,
+        t, inv1, inv2, Trajectory(distance_m, 0.0), capmodel, electrode,
         {"activity": "legshake"},
     )
 

@@ -162,6 +162,28 @@ class TestSimulate:
             f"error: {config}: seed must be a non-negative integer\n"
         )
 
+    @pytest.mark.parametrize(
+        "edit, where",
+        [
+            (lambda d: d["persons"].update({"\ud800": d["persons"].pop("ada")}),
+             "dataset.persons: '\\ud800'"),
+            (lambda d: d.update(plant_types=["pothos", "\udc80"]),
+             "dataset.plant_types[1]: '\\udc80'"),
+        ],
+        ids=["person id", "plant type"],
+    )
+    def test_config_label_with_a_lone_surrogate_exits_1(self, tmp_path, capsys, edit, where):
+        # JSON's "\ud800" decodes to a lone surrogate, which no UTF-8 label can hold
+        raw = json.loads(write_config(tmp_path).read_text())
+        edit(raw["dataset"])
+        config = write_config(tmp_path, dataset=raw["dataset"])
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {config}: {where} holds a lone surrogate, which is not text\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag_blames_the_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["simulate", "--config", str(config), "--seed", "-1",
@@ -296,6 +318,19 @@ class TestFeaturize:
                      "--out", str(tmp_path / "out"), "--quiet"])
         assert code == 1
         assert capsys.readouterr().err == f"error: {meta}: sample_rate: {reason}\n"
+
+    def test_label_with_a_lone_surrogate_names_the_meta_file(self, pipeline, tmp_path, capsys):
+        # JSON's "\ud800" decodes to a lone surrogate, which no UTF-8 label can hold
+        config, out = pipeline
+        manifest, _, meta = self.one_record_manifest(out, tmp_path)
+        meta.write_text(json.dumps({**json.loads(meta.read_text()), "person_id": "\ud800"}))
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: {meta}: person_id: '\\ud800' holds a lone surrogate, which is not text\n"
+        )
+        assert not (tmp_path / "out").exists()
 
     def test_meta_that_is_no_object_exits_1(self, pipeline, tmp_path, capsys):
         config, out = pipeline

@@ -127,6 +127,7 @@ class TestConfigParsing:
             bad("dataset.samples_per_cell", 2.0),
             bad("dataset.plant_types", "pothos"),
             bad("dataset.persons.ada.step_frequency", "1.1"),
+            bad("dataset.persons.ada.contact_charge_sign", -1.0),
             bad("dataset.moods.happy.speed_factor", "1.25"),
             bad("detector.min_consecutive_windows", 2.5),
             bad("detector.window_seconds", "1"),
@@ -296,8 +297,8 @@ class TestConfigParsing:
     @pytest.mark.parametrize(
         "name, digest",
         [
-            ("mood", "0240b442ccd9eff218c9a1a6cb83568510f3788774ef3574e88f751768976480"),
-            ("persons", "347507e276e75bcb94cd45c37b988615e97aaeeb698306d97fd7d36c62ec499c"),
+            ("mood", "5a65d33a5f2dc4c909c7df4b61697022131e5d770b8e0c99e7dd247fef428104"),
+            ("persons", "7ee697c0139f451c1a21879732439b592126c0b41de7830da24f4480a7ce71aa"),
             ("legshake", "e5a78a0f1e8058e2d88ae7c6fa411438f122cfbc805169e5a714e079ffc031ca"),
         ],
     )

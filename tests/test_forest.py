@@ -164,7 +164,7 @@ def test_saved_model_bytes_are_pinned(tmp_path):
     data = rf.Dataset(np.round(data.features, 1), data.labels, data.feature_names, data.class_names)
     params = rf.ForestParams(n_estimators=6, min_samples_split=2, min_samples_leaf=1, seed=11)
     path = tmp_path / "model.rfj"
-    rf.save_model(rf.fit_forest(data, params), path, mfcc_fingerprint="cafe01")
+    rf.save_model(fit_forest(data, params), path, mfcc_fingerprint="cafe01")
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "c1b051cb7943afcb0cbd01c51572a195758b78e86c991fcd41b24619ad7c6a8f"
     )
@@ -220,12 +220,17 @@ def test_tree_respects_growth_limits():
 # ---------------------------------------------------------------- forest
 
 
+def fit_forest(data: rf.Dataset, params: rf.ForestParams) -> rf.RandomForestModel:
+    """The forest train grows: every row of data, through grow."""
+    return rf.grow([rf.Fit(data, params, np.arange(data.labels.size))])[0]
+
+
 def test_forest_bit_identical_across_runs_and_jobs():
     data = blob_dataset(15, [[0, 0], [2, 2], [4, 0]], n_noise=3, seed=1)
-    m1 = rf.fit_forest(data, SMALL)
-    m2 = rf.fit_forest(data, SMALL)
+    m1 = fit_forest(data, SMALL)
+    m2 = fit_forest(data, SMALL)
     with ProcessPoolExecutor(max_workers=2) as pool:  # grown in a worker process
-        (m3,) = pool.map(rf.fit_forest, [data], [SMALL])
+        (m3,) = pool.submit(rf.grow, [rf.Fit(data, SMALL, np.arange(data.labels.size))]).result()
     assert m1.per_tree_seeds == m2.per_tree_seeds == m3.per_tree_seeds
     for ta, tb, tc in zip(trees(m1), trees(m2), trees(m3)):
         assert np.array_equal(ta.feature, tb.feature)
@@ -237,7 +242,7 @@ def test_forest_bit_identical_across_runs_and_jobs():
 def test_forest_singleton_matches_fit_tree():
     data = blob_dataset(12, [[0], [2]], seed=9)
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1, seed=21)
-    model = rf.fit_forest(data, params)
+    model = fit_forest(data, params)
     direct = rf.fit_trees(data, params, rf.derive_tree_seeds(21, 1))
     assert np.array_equal(trees(model)[0].feature, direct.feature)
     assert np.array_equal(trees(model)[0].threshold, direct.threshold, equal_nan=True)
@@ -246,13 +251,13 @@ def test_forest_singleton_matches_fit_tree():
 def test_forest_generalizes_on_separable_blobs():
     train = blob_dataset(30, [[0, 0], [6, 6]], seed=3)
     test = blob_dataset(30, [[0, 0], [6, 6]], seed=4)
-    model = rf.fit_forest(train, SMALL)
+    model = fit_forest(train, SMALL)
     assert np.mean(predict(model, test.features) == test.labels) == 1.0
 
 
 def test_predict_proba_rows_sum_to_one():
     data = blob_dataset(10, [[0, 0], [1, 1], [2, 0]], seed=6)
-    model = rf.fit_forest(data, SMALL)
+    model = fit_forest(data, SMALL)
     proba = rf.predict_proba(model, data.features)
     assert np.allclose(proba.sum(axis=1), 1.0, atol=1e-9)
     assert np.array_equal(
@@ -263,7 +268,7 @@ def test_predict_proba_rows_sum_to_one():
 
 def test_predict_rejects_wrong_width():
     data = blob_dataset(10, [[0], [2]], seed=0)
-    model = rf.fit_forest(data, SMALL)
+    model = fit_forest(data, SMALL)
     with pytest.raises(ValidationError):
         rf.predict_proba(model, np.zeros((3, 5)))
 
@@ -271,7 +276,7 @@ def test_predict_rejects_wrong_width():
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_predict_rejects_non_finite_rows(bad):
     data = blob_dataset(10, [[0, 0], [3, 3]], seed=6)
-    model = rf.fit_forest(data, SMALL)
+    model = fit_forest(data, SMALL)
     rows = data.features[:3].copy()
     rows[2, 1] = bad
     with pytest.raises(ValidationError, match="row 2"):
@@ -307,8 +312,8 @@ def test_label_permutation_permutes_predictions():
         data.features, perm[data.labels], data.feature_names, data.class_names
     )
     params = rf.ForestParams(n_estimators=10, min_samples_split=2, min_samples_leaf=1, seed=3)
-    m1 = rf.fit_forest(data, params)
-    m2 = rf.fit_forest(data_perm, params)
+    m1 = fit_forest(data, params)
+    m2 = fit_forest(data_perm, params)
     p1 = rf.predict_proba(m1, data.features)
     p2 = rf.predict_proba(m2, data.features)
     for cls in range(3):
@@ -330,8 +335,8 @@ def test_feature_scaling_leaves_structure_and_predictions():
     scaled[:, 1] *= 4.0  # power of two keeps midpoint arithmetic exact
     data_scaled = rf.Dataset(scaled, data.labels, data.feature_names, data.class_names)
     params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=5)
-    m1 = rf.fit_forest(data, params)
-    m2 = rf.fit_forest(data_scaled, params)
+    m1 = fit_forest(data, params)
+    m2 = fit_forest(data_scaled, params)
     for ta, tb in zip(trees(m1), trees(m2)):
         assert np.array_equal(ta.feature, tb.feature)
         on_scaled = ta.feature == 1
@@ -497,7 +502,7 @@ def test_mdi_single_split_concentrates_on_one_feature():
     x[10:, 1] = 1.0
     data = rf.Dataset(x, np.repeat([0, 1], 10), ("f0", "f1", "f2"), ("a", "b"))
     params = rf.ForestParams(n_estimators=1, min_samples_split=2, min_samples_leaf=1, max_features="all")
-    model = rf.fit_forest(data, params)
+    model = fit_forest(data, params)
     importance = rf.mdi_importance(model)
     assert np.array_equal(importance, [0.0, 1.0, 0.0])
 
@@ -507,7 +512,7 @@ def test_mdi_sums_to_one_and_unused_is_zero():
     copies = data.features.copy()
     copies[:, 3] = 7.5  # constant column can never be split on
     data = rf.Dataset(copies, data.labels, data.feature_names, data.class_names)
-    model = rf.fit_forest(data, rf.ForestParams(n_estimators=20, seed=2, min_samples_split=2, min_samples_leaf=1))
+    model = fit_forest(data, rf.ForestParams(n_estimators=20, seed=2, min_samples_split=2, min_samples_leaf=1))
     importance = rf.mdi_importance(model)
     assert importance.sum() == pytest.approx(1.0, abs=1e-9)
     assert np.all(importance >= 0.0)
@@ -516,7 +521,7 @@ def test_mdi_sums_to_one_and_unused_is_zero():
 
 def test_mdi_noise_ranks_below_informative():
     data = blob_dataset(40, [[0.0, 0.0], [2.5, 2.5]], n_noise=6, seed=12)
-    model = rf.fit_forest(data, rf.ForestParams(n_estimators=40, seed=9, min_samples_split=4, min_samples_leaf=2))
+    model = fit_forest(data, rf.ForestParams(n_estimators=40, seed=9, min_samples_split=4, min_samples_leaf=2))
     importance = rf.mdi_importance(model)
     informative = importance[:2]
     noise = importance[2:]
@@ -526,7 +531,7 @@ def test_mdi_noise_ranks_below_informative():
 def test_mdi_undefined_without_any_split():
     x = np.ones((6, 2))
     data = rf.Dataset(x, np.array([0, 0, 0, 1, 1, 1]), ("f0", "f1"), ("a", "b"))
-    model = rf.fit_forest(data, rf.ForestParams(n_estimators=3, min_samples_split=2, min_samples_leaf=1))
+    model = fit_forest(data, rf.ForestParams(n_estimators=3, min_samples_split=2, min_samples_leaf=1))
     with pytest.raises(ToolkitError):
         rf.mdi_importance(model)
 
@@ -657,7 +662,7 @@ def test_default_search_space_product():
 
 def test_model_round_trip_preserves_predictions(tmp_path):
     data = blob_dataset(15, [[0, 0], [3, 3]], n_noise=2, seed=24)
-    model = rf.fit_forest(data, SMALL)
+    model = fit_forest(data, SMALL)
     path = tmp_path / "model.rfj"
     rf.save_model(model, path, mfcc_fingerprint="cafe01")
     loaded = rf.load_model(path, expected_fingerprint="cafe01")
@@ -671,7 +676,7 @@ def test_model_round_trip_preserves_predictions(tmp_path):
 
 def test_model_load_rejects_fingerprint_mismatch(tmp_path):
     data = blob_dataset(10, [[0], [2]], seed=25)
-    model = rf.fit_forest(data, SMALL)
+    model = fit_forest(data, SMALL)
     path = tmp_path / "model.rfj"
     rf.save_model(model, path, mfcc_fingerprint="cafe01")
     with pytest.raises(ValidationError, match="fingerprint"):
@@ -718,7 +723,7 @@ def _root_internal(tree: dict) -> int:
 )
 def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
     data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
-    model = rf.fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
+    model = fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
     doc = rf.model_to_document(model)
     tree = doc["trees"][1]
     corrupt(tree, _root_internal(tree))
@@ -736,7 +741,7 @@ def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
 )
 def test_model_load_refuses_an_integer_column_value_that_is_no_json_integer(column, value):
     data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
-    model = rf.fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
+    model = fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
     doc = rf.model_to_document(model)
     tree = doc["trees"][1]
     cells = tree[column][_root_internal(tree)] if column == "histogram" else tree[column]
@@ -753,7 +758,7 @@ def test_model_load_refuses_an_integer_column_value_that_is_no_json_integer(colu
 )
 def test_model_load_refuses_a_float_column_value_that_is_no_json_number(column, value):
     data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
-    model = rf.fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
+    model = fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
     doc = rf.model_to_document(model)
     tree = doc["trees"][1]
     assert None in tree["threshold"]  # a leaf's null threshold loads
@@ -767,7 +772,7 @@ def test_model_load_names_the_first_broken_tree_and_its_first_failed_check(tmp_p
     """Trees 2 and 3 fail the first check and tree 1 only a later one: the
     error names tree 1, then, once tree 1 is whole, tree 2's first check."""
     data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
-    model = rf.fit_forest(data, rf.ForestParams(n_estimators=4, max_features="all", seed=3))
+    model = fit_forest(data, rf.ForestParams(n_estimators=4, max_features="all", seed=3))
     doc = rf.model_to_document(model)
     for t, field, value in ((1, "threshold", None), (2, "threshold", None), (2, "feature", 9),
                             (3, "feature", -2)):
@@ -788,7 +793,7 @@ def test_model_load_rejects_a_tree_count_its_params_and_seeds_disagree_with(
     tmp_path, n_trees, n_seeds
 ):
     data = blob_dataset(10, [[0], [2]], seed=28)
-    doc = rf.model_to_document(rf.fit_forest(data, SMALL))  # 12 trees
+    doc = rf.model_to_document(fit_forest(data, SMALL))  # 12 trees
     doc["trees"] = doc["trees"][:n_trees]
     doc["per_tree_seeds"] = doc["per_tree_seeds"][:n_seeds]
     path = tmp_path / "model.rfj"
@@ -810,7 +815,7 @@ def test_model_load_rejects_a_tree_count_its_params_and_seeds_disagree_with(
 )
 def test_model_load_decodes_params_strictly(tmp_path, params, key):
     data = blob_dataset(10, [[0], [2]], seed=28)
-    doc = rf.model_to_document(rf.fit_forest(data, SMALL))
+    doc = rf.model_to_document(fit_forest(data, SMALL))
     doc["params"].update(params)
     path = tmp_path / "model.rfj"
     path.write_text(dump_json(doc))
@@ -828,7 +833,7 @@ def test_model_load_decodes_params_strictly(tmp_path, params, key):
 )
 def test_model_load_decodes_names_and_seeds_strictly(tmp_path, key, value, where):
     data = blob_dataset(10, [[0], [2]], seed=28)
-    doc = rf.model_to_document(rf.fit_forest(data, SMALL))
+    doc = rf.model_to_document(fit_forest(data, SMALL))
     doc[key] = value
     path = tmp_path / "model.rfj"
     path.write_text(dump_json(doc))
@@ -838,7 +843,7 @@ def test_model_load_decodes_names_and_seeds_strictly(tmp_path, key, value, where
 
 def test_model_load_rejects_empty_forest(tmp_path):
     data = blob_dataset(10, [[0], [2]], seed=29)
-    doc = rf.model_to_document(rf.fit_forest(data, SMALL))
+    doc = rf.model_to_document(fit_forest(data, SMALL))
     doc["trees"] = []
     path = tmp_path / "model.rfj"
     path.write_text(dump_json(doc))
@@ -867,7 +872,7 @@ def test_eval_report_single_holdout_fold():
 def test_every_tree_passes_structural_audit():
     data = blob_dataset(35, [[0, 0], [1.5, 1.5], [3, 0]], n_noise=3, spread=1.2, seed=26)
     params = rf.ForestParams(n_estimators=15, min_samples_split=5, min_samples_leaf=4, max_depth=6, seed=10)
-    model = rf.fit_forest(data, params)
+    model = fit_forest(data, params)
     for tree in trees(model):
         audit_tree(tree, params)
 
@@ -956,7 +961,7 @@ def test_forest_identical_at_any_jobs(case, n_estimators):
     seeds grown in 1, 2 or 3 contiguous runs give the same trees."""
     data, params = case
     params = rf.ForestParams(**{**params.to_dict(), "n_estimators": n_estimators})
-    model = rf.fit_forest(data, params)
+    model = fit_forest(data, params)
     seeds = model.per_tree_seeds
     for runs in (1, 2, 3):
         bounds = [len(seeds) * i // runs for i in range(runs + 1)]
@@ -999,7 +1004,7 @@ def test_model_save_load_save_is_byte_stable(bootstrap, case):
     bytes."""
     data, params = case
     params = rf.ForestParams(**{**params.to_dict(), "bootstrap": bootstrap})
-    model = rf.fit_forest(data, params)
+    model = fit_forest(data, params)
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp) / "first.rfj", Path(tmp) / "second.rfj"
         rf.save_model(model, first, mfcc_fingerprint="cafe01")
@@ -1018,9 +1023,9 @@ def test_split_search_passes_do_not_change_trees(monkeypatch):
     """A pass cap of one node per pass grows the same forest as one pass per round."""
     data = blob_dataset(25, [[0, 0], [1, 1], [2, 0]], n_noise=4, spread=1.3, seed=8)
     params = rf.ForestParams(n_estimators=8, min_samples_split=2, min_samples_leaf=1, seed=4)
-    wide = rf.fit_forest(data, params)
+    wide = fit_forest(data, params)
     monkeypatch.setattr(rf, "_PASS_ELEMENTS", 1)
-    narrow = rf.fit_forest(data, params)
+    narrow = fit_forest(data, params)
     for a, b in zip(trees(wide), trees(narrow)):
         assert_same_tree(a, b)
 
@@ -1039,7 +1044,7 @@ def test_split_search_never_gets_a_node_below_two_leaves(monkeypatch):
 
     monkeypatch.setattr(rf, "_best_split_for_feature", checked)
     for bootstrap in (False, True):
-        rf.fit_forest(data, rf.ForestParams(
+        fit_forest(data, rf.ForestParams(
             n_estimators=8, min_samples_split=2, min_samples_leaf=6, bootstrap=bootstrap, seed=4
         ))
     assert searched and all(searched)
@@ -1052,7 +1057,7 @@ def test_batched_prediction_equals_the_whole_table_walk(monkeypatch, pairs):
     every pair with the trees' distributions added in tree order, for many
     rows and for one."""
     data = blob_dataset(15, [[0, 0], [2, 2], [0, 2]], n_noise=2, seed=31)
-    model = rf.fit_forest(data, SMALL)
+    model = fit_forest(data, SMALL)
     walk, walked = rf._leaf_distributions, []
 
     def counted(nodes, rows):
@@ -1072,7 +1077,7 @@ def test_batched_prediction_equals_the_whole_table_walk(monkeypatch, pairs):
 
 def nan_split_model() -> rf.RandomForestModel:
     """A two-tree model whose second tree's root splits at a NaN threshold."""
-    model = rf.fit_forest(blob_dataset(6, [[0], [3]], seed=32), replace(SMALL, n_estimators=2))
+    model = fit_forest(blob_dataset(6, [[0], [3]], seed=32), replace(SMALL, n_estimators=2))
     nodes = model.nodes
     threshold = nodes.threshold.copy()
     threshold[nodes.sizes[0]] = np.nan
@@ -1082,13 +1087,13 @@ def nan_split_model() -> rf.RandomForestModel:
 @pytest.mark.parametrize(
     "model, fingerprint",
     [
-        (lambda: rf.fit_forest(blob_dataset(8, [[0, 0], [2, 2]], seed=33), SMALL), None),
-        (lambda: rf.fit_forest(
+        (lambda: fit_forest(blob_dataset(8, [[0, 0], [2, 2]], seed=33), SMALL), None),
+        (lambda: fit_forest(
             rf.Dataset(np.arange(24.0).reshape(8, 3), np.array([0, 1] * 4),
                        ("föhn", "日本", 'a "b", c\nd'), ("é", "\u2603")),
             SMALL,
         ), "cafe01"),
-        (lambda: rf.fit_forest(  # every tree is one leaf
+        (lambda: fit_forest(  # every tree is one leaf
             rf.Dataset(np.ones((6, 2)), np.array([0, 0, 0, 1, 1, 1]), ("f0", "f1"), ("a", "b")),
             replace(SMALL, n_estimators=3),
         ), "cafe01"),
@@ -1139,7 +1144,7 @@ def test_holdout_is_fold_0_of_the_cv_fit_with_its_full_data_seed(seed):
     state = np.random.SeedSequence([seed]).generate_state(2)
     test_idx = rf.stratified_kfold(data.labels, 5, int(state[0]))[0]
     train = np.setdiff1d(np.arange(data.labels.size), test_idx)
-    model = rf.fit_forest(
+    model = fit_forest(
         rf.Dataset(data.features[train], data.labels[train], data.feature_names, data.class_names),
         rf.ForestParams(**{**SMALL.to_dict(), "seed": int(state[1])}),
     )
@@ -1230,7 +1235,7 @@ def test_grow_gives_the_same_results_at_any_task_size(monkeypatch):
     for fit in fits:
         sub = rf.Dataset(data.features[fit.train], data.labels[fit.train],
                          data.feature_names, data.class_names)
-        model = rf.fit_forest(sub, fit.params)
+        model = fit_forest(sub, fit.params)
         expected.append(model if fit.test is None else rf.predict_proba(model, data.features[fit.test]))
 
     def as_bytes(result) -> bytes:

@@ -29,7 +29,7 @@ def unit_electrode() -> sk.ElectrodeModel:
 
 def unit_shake(capmodel: sk.CapacitanceModel, duration: float = 2.0, **kw) -> sk.SignalRecord:
     """A flat-footed subject at 1 m from a unit electrode: the record is
-    k_prop * C_plant * d(1/C_B)/dt of the room terms alone."""
+    C_plant * d(1/C_B)/dt of the room terms alone."""
     return sk.synth_legshake(
         5.0, duration, 0.0, capmodel, unit_electrode(), footstep=FLAT_FEET, **kw
     )
@@ -96,11 +96,11 @@ class TestReciprocalBodyCapacitance:
 
 class TestFootMotionCurrent:
     def test_constant_capacitances_give_zero(self):
-        m = sk.CapacitanceModel(c_room=(9.0,), c_plant=1.0)
-        shake = unit_shake(m, k_prop=2.0)
+        m = sk.CapacitanceModel(c_room=(9.0,), c_plant=2.0)
+        shake = unit_shake(m)
         walk = sk.synth_walk(
             default_gait(), None, sk.Trajectory(3.0, 4.0), m, unit_electrode(), 2.0,
-            k_prop=2.0, footstep=FLAT_FEET,
+            footstep=FLAT_FEET,
         )
         assert np.all(shake.samples == 0.0)
         assert np.all(walk.samples == 0.0)
@@ -131,12 +131,12 @@ class TestFootMotionCurrent:
             rec.samples[after], analytic[after], rtol=1e-5, atol=1e-9 * peak
         )
 
-    def test_scales_with_k_prop_and_c_plant(self):
+    def test_scales_with_c_plant(self):
         base = sk.synth_legshake(
             5.5, 2.0, 0.5, sk.CapacitanceModel(c_plant=1.0), sk.ElectrodeModel()
         )
         scaled = sk.synth_legshake(
-            5.5, 2.0, 0.5, sk.CapacitanceModel(c_plant=0.25), sk.ElectrodeModel(), k_prop=8.0
+            5.5, 2.0, 0.5, sk.CapacitanceModel(c_plant=2.0), sk.ElectrodeModel()
         )
         assert np.abs(base.samples).max() > 0
         np.testing.assert_array_equal(scaled.samples, 2.0 * base.samples)
