@@ -16,7 +16,7 @@ import logging
 import os
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, dataclass, field, replace
+from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -658,41 +658,44 @@ def _stored_fingerprint(features_path, config: ExperimentConfig) -> str:
 CV_RECORD = "cv.json"
 
 
-def _cv_key(features_path, params: forest.ForestParams, config: ExperimentConfig) -> dict:
+def _cv_key(features_path, config: ExperimentConfig) -> dict:
     """Everything a cross-validation of a whole feature table depends on."""
-    return {
+    key = {
         "features_sha256": hashlib.sha256(Path(features_path).read_bytes()).hexdigest(),
-        "forest": params.to_dict(),
+        "forest": config.forest_params.to_dict(),
         "cv_folds": config.cv_folds,
         "seed": config.seed,
         "esdgait_version": __version__,
     }
+    if config.search is not None:
+        key["search"] = asdict(config.search)
+    return key
 
 
-def _reused_cv(
-    features_path, config: ExperimentConfig, out: Path, n_classes: int, n_features: int
-) -> forest.EvalReport | None:
-    """train's report on the whole feature table, read from out/cv.json when
-    the record's key equals the key of these inputs with the config's forest
-    and it decodes to exactly the stored document; None otherwise, so the
-    caller cross-validates."""
-    try:
-        record = io.read_json(out / CV_RECORD)
-    except (OSError, ValidationError):
-        return None
-    key = _cv_key(features_path, config.forest_params, config)
-    if not isinstance(record, dict) or record.get("key") != key:
-        return None
-    try:
-        report = forest.EvalReport.from_dict(record.get("report"))
-    except ValidationError:
-        return None
-    if (
-        report.confusion_matrix.shape != (n_classes, n_classes)
-        or report.importances.shape != (n_features,)
-    ):
-        return None
-    return report
+def _cv(features_path, data: forest.Dataset, config: ExperimentConfig, record, map_fn):
+    """The config's CV of the whole table as (report, model, trials).
+
+    The report is the one in `record` (a cv.json, or None to skip it), with
+    model and trials None, when the record's key equals _cv_key of these
+    inputs and its report decodes, at this table's shape, to exactly the
+    stored document. Otherwise it is forest.cross_validate on the forest
+    section, or for a config with a search, the search winner's CV and the
+    search's trials."""
+    with contextlib.suppress(OSError, ValidationError):
+        stored = None if record is None else io.read_json(record)
+        if isinstance(stored, dict) and stored.get("key") == _cv_key(features_path, config):
+            report = forest.EvalReport.from_dict(stored.get("report"))
+            n, d = data.n_classes, len(data.feature_names)
+            if (report.confusion_matrix.shape, report.importances.shape) == ((n, n), (d,)):
+                return report, None, None
+    params, k = config.forest_params, config.cv_folds
+    if config.search is None:
+        return *forest.cross_validate(data, params, k, map_fn), None
+    report, model, trials = forest.randomized_search(
+        data, params, config.search.space, config.search.n_iter, k, map_fn
+    )
+    log.info("search picked %s", replace(model.params, seed=params.seed))
+    return report, model, trials
 
 
 def run_train(
@@ -702,22 +705,17 @@ def run_train(
     and record the CV with its inputs' key in cv.json."""
     matrix, names, labels = io.read_features(features_path)
     data = dataset_from_features(matrix, names, labels)
-    params = config.forest_params
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     with _task_map(jobs) as map_fn:
-        if config.search is not None:
-            params, trials = forest.randomized_search(
-                data, params, config.search.space, config.search.n_iter, config.cv_folds, map_fn
-            )
-            io.atomic_write_json(out / "search_trials.json", trials)
-            log.info("search picked %s", params)
-        report, model = forest.cross_validate(data, params, config.cv_folds, map_fn)
+        report, model, trials = _cv(features_path, data, config, None, map_fn)
+    if trials is not None:
+        io.atomic_write_json(out / "search_trials.json", trials)
     model_path = out / "model.rfj"
     forest.save_model(model, model_path, mfcc_fingerprint=_stored_fingerprint(features_path, config))
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
-    record = {"key": _cv_key(features_path, params, config), "report": report.to_dict()}
+    record = {"key": _cv_key(features_path, config), "report": report.to_dict()}
     io.atomic_write_json(out / CV_RECORD, record)
     log.info(
         "pooled accuracy %.4f, kappa %.4f over %d folds",
@@ -736,11 +734,12 @@ def run_eval(
 ) -> tuple[forest.EvalReport, Path]:
     """Evaluate on a feature table.
 
-    holdout=True: stratified 80/20 split, fit one forest on the large part
-    (in this process, at any jobs), score the small part. model_path: score
-    an existing model on these rows. Neither: full cross-validation (same
-    numbers as run_train, nothing persisted but the report), reused from
-    train's cv.json in out_dir when its key matches.
+    holdout=True: stratified 80/20 split, fit one forest of the forest
+    section, never a search winner, on the large part (in this process, at
+    any jobs), score the small part. model_path: score an existing model on
+    these rows. Neither: the config's cross-validation (run_train's report,
+    nothing persisted but the report), reused from train's cv.json in
+    out_dir when its key matches.
     """
     matrix, names, labels = io.read_features(features_path)
     out = Path(out_dir)
@@ -765,12 +764,8 @@ def run_eval(
         report = forest.eval_report(y, proba, [slice(None)], forest.mdi_importance(model))
     else:
         data = dataset_from_features(matrix, names, labels)
-        report = _reused_cv(features_path, config, out, data.n_classes, len(names))
-        if report is None:
-            with _task_map(jobs) as map_fn:
-                report, _ = forest.cross_validate(
-                    data, config.forest_params, config.cv_folds, map_fn
-                )
+        with _task_map(jobs) as map_fn:
+            report, _, _ = _cv(features_path, data, config, out / CV_RECORD, map_fn)
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
     log.info("accuracy %.4f, kappa %.4f", report.accuracy, report.cohens_kappa)
@@ -782,10 +777,11 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
 
     The k-subset sweep takes the first k class names in sorted order, so
     adding classes only extends the sweep instead of reshuffling it. The
-    steps below every class need only their pooled accuracy, so no
-    full-data forest grows for them. The last step, every class, is
-    train's cross-validation, reused from train's cv.json in out_dir when
-    its key matches. Every fit the command makes grows in one forest.grow.
+    steps below every class cross-validate the forest section, never a
+    search winner, and need only their pooled accuracy, so no full-data
+    forest grows for them. The last step, every class, is the config's
+    cross-validation, run_train's report, reused from train's cv.json in
+    out_dir when its key matches.
     """
     matrix, names, labels = io.read_features(features_path)
     matrix = np.asarray(matrix, dtype=float)
@@ -796,21 +792,14 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
     out = Path(out_dir)
     masks = [np.isin(labels_arr, class_names[:k]) for k in range(2, len(class_names) + 1)]
     *sweep, data = [dataset_from_features(matrix[m], names, list(labels_arr[m])) for m in masks]
-    full_report = _reused_cv(features_path, config, out, len(class_names), len(names))
     plans = [forest.cv_plan(s, config.forest_params, config.cv_folds) for s in sweep]
-    fits = [fit for _, step_fits in plans for fit in step_fits[1:]]
-    if full_report is None:
-        full_folds, full_fits = forest.cv_plan(data, config.forest_params, config.cv_folds)
-        fits += full_fits
     with _task_map(jobs) as map_fn:
-        grown = iter(forest.grow(fits, map_fn))
+        full_report, _, _ = _cv(features_path, data, config, out / CV_RECORD, map_fn)
+        grown = iter(forest.grow([fit for _, fits in plans for fit in fits[1:]], map_fn))
     accuracies = [
         float(np.mean(np.argmax(forest.pooled(step, folds, grown), axis=1) == step.labels))
         for step, (folds, _) in zip(sweep, plans)
     ]
-    if full_report is None:
-        model, *fold_proba = grown
-        full_report = forest.cv_report(data, full_folds, model, fold_proba)
     acc_lines = ["k,forest_accuracy,baseline_accuracy"]
     for step, accuracy in zip([*sweep, data], [*accuracies, full_report.accuracy]):
         baseline = forest.baseline_accuracy(step.labels)

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import logging
 import math
-import warnings
 from dataclasses import asdict, dataclass, replace
 from typing import NamedTuple
 
@@ -28,6 +28,8 @@ import numpy as np
 
 from . import io
 from .errors import ToolkitError, ValidationError
+
+log = logging.getLogger("esdgait")
 
 MODEL_FORMAT = "rfj-1"
 
@@ -741,7 +743,7 @@ def auroc(scores: np.ndarray, truth) -> float:
     for cls in range(k):
         term = _binary_auroc(scores[:, cls], truth == cls)
         if term is None:
-            warnings.warn(f"class {cls} absent from truth; skipping its one-vs-rest term")
+            log.warning("class %d absent from truth; skipping its one-vs-rest term", cls)
             continue
         terms.append(term)
     if not terms:
@@ -853,13 +855,14 @@ def randomized_search(
     n_iter: int,
     k: int = 10,
     map_fn=map,
-) -> tuple[ForestParams, list[dict]]:
+) -> tuple[EvalReport, RandomForestModel, list[dict]]:
     """Sample n_iter distinct combinations uniformly from the grid product
     at params.seed, each the searched axes over params, score each by mean
-    stratified-k-fold accuracy, return the best (ties go to the first
-    sampled) plus the full score table. Every (combination, fold) fit grows
-    in one call of grow, in the runs of trees that grow hands to map_fn,
-    and no full-data forest."""
+    stratified-k-fold accuracy, and pick the best (ties go to the first
+    sampled). Returns (report, model, table): the winner's CV, as
+    cross_validate(data, winner, k) returns it, plus the full score table.
+    Every (combination, fold) fit grows in one call of grow, in the runs of
+    trees that grow hands to map_fn, and then the winner's full-data fit."""
     if not space or any(len(v) == 0 for v in space.values()):
         raise ValidationError("every search-space axis needs at least one value")
     if "seed" in space:  # every combination is judged on the same folds
@@ -870,7 +873,7 @@ def randomized_search(
     if n_iter < 1:
         raise ValidationError("n_iter must be >= 1")
     if total < n_iter:
-        warnings.warn(f"grid has only {total} combinations; sampling all of them")
+        log.warning("grid has only %d combinations; sampling all of them", total)
         n_iter = total
     rng = np.random.default_rng(np.random.SeedSequence([params.seed, 0]))
     combos = []
@@ -884,16 +887,16 @@ def randomized_search(
     candidates = [io.from_json(ForestParams, {**params.to_dict(), **c}, "space") for c in combos]
     plans = [cv_plan(data, candidate, k) for candidate in candidates]
     folds = plans[0][0]  # every combination is judged on the same folds (same seed)
-    fold_proba = iter(grow([fit for _, fits in plans for fit in fits[1:]], map_fn))
+    grown = grow([fit for _, fits in plans for fit in fits[1:]], map_fn)
+    fold_proba = [grown[i : i + len(folds)] for i in range(0, len(grown), len(folds))]
     table: list[dict] = []
-    best: tuple[float, int] | None = None  # (score, table position)
-    for pos, combo in enumerate(combos):
-        pred = np.argmax(pooled(data, folds, fold_proba), axis=1)
+    for combo, proba in zip(combos, fold_proba):
+        pred = np.argmax(pooled(data, folds, proba), axis=1)
         score = float(np.mean([np.mean(pred[f] == data.labels[f]) for f in folds]))
         table.append({"params": combo, "mean_accuracy": score})
-        if best is None or score > best[0]:
-            best = (score, pos)
-    return candidates[best[1]], table
+    best = max(range(len(table)), key=lambda pos: table[pos]["mean_accuracy"])  # first of ties
+    (model,) = grow(plans[best][1][:1], map_fn)
+    return cv_report(data, folds, model, fold_proba[best]), model, table
 
 
 def _check_nodes(nodes: NodeTable, n_features: int) -> None:

@@ -695,6 +695,24 @@ class TestTrainEval:
         assert main(["train", str(tmp_path / "absent.csv"),
                      "--config", str(config), "--out", str(tmp_path), "--quiet"]) != 0
 
+    @pytest.mark.parametrize("case", ["small grid", "absent class"])
+    def test_warning_is_one_line_under_quiet(self, pipeline, tmp_path, case):
+        # in a fresh interpreter, where a Python warning would print its code line as well
+        config, out = pipeline
+        if case == "small grid":
+            config = write_config(tmp_path, search={"n_iter": 20, "space": {"n_estimators": [2, 3]}})
+            args = ["train", str(out / "features.csv")]
+            expected = "grid has only 2 combinations; sampling all of them\n"
+        else:  # the model knows ada, ben and cal; this table holds no cal
+            header, *rows = (out / "features.csv").read_text().splitlines(keepends=True)
+            features = tmp_path / "features.csv"
+            features.write_text(header + "".join(r for r in rows if not r.endswith(",cal\n")))
+            args = ["eval", str(features), "--model", str(out / "model.rfj")]
+            expected = "class 2 absent from truth; skipping its one-vs-rest term\n"
+        done = run_cli(*args, "--config", str(config), "--out", str(tmp_path / "out"), "--quiet")
+        assert done.returncode == 0
+        assert done.stderr == expected
+
 
 class TestReport:
     def test_balanced_sweep_baselines(self, pipeline, tmp_path):

@@ -113,14 +113,14 @@ def test_report_after_train_reuses_cv(table, tmp_path, forests, jobs):
 
 @pytest.mark.parametrize("n_iter", [0, 3])
 def test_train_grows_each_forest_once(table, tmp_path, forests, n_iter):
-    """train grows its CV's folds and full fit, after the folds of each
-    search trial: 11 and 41 forests for persons' ten folds."""
+    """train grows its CV's folds and full fit, or each search trial's folds
+    and then the winner's full fit: 11 and 31 forests for persons' ten folds."""
     k, _, features, _ = table
     search = {"search": {"n_iter": n_iter, "space": {"n_estimators": [2, 3, 4]}}} if n_iter else {}
     config = write_config(tmp_path / "config.json", k, **search)
     assert run("train", str(features), "--config", str(config), "--out", str(tmp_path / "out"),
                "--jobs", "2") == 0
-    assert len(forests) == n_iter * 3 + 3 + 1
+    assert len(forests) == max(n_iter, 1) * 3 + 1  # no search: one trial
 
 
 def test_cv_eval_after_train_reuses_cv(table, tmp_path, forests):
@@ -162,6 +162,30 @@ def test_fully_reused_command_starts_no_pool(table, tmp_path, monkeypatch):
     assert started == []
 
 
+def test_searched_config_has_one_cv(table, tmp_path, forests):
+    """A searched config's CV is its winner's, read from train's cv.json or
+    grown by the search again: eval and report write train's report either
+    way, and in train's dir eval grows no forest and report only the sweep."""
+    k, _, features, _ = table
+    config = write_config(tmp_path / "search.json", k,
+                          search={"n_iter": 3, "space": {"n_estimators": [2, 3, 5]}})
+    trained = tmp_path / "trained"
+    assert run("train", str(features), "--config", str(config), "--out", str(trained)) == 0
+    expected = (trained / "eval_report.json").read_bytes()
+    forests.clear()
+    for command, grown in (("eval", 0), ("report", (k - 2) * 3)):
+        out = trained_copy(trained, tmp_path / f"{command}-trained")
+        assert run(command, str(features), "--config", str(config), "--out", str(out)) == 0
+        assert len(forests) == grown
+        forests.clear()
+        assert (out / "eval_report.json").read_bytes() == expected
+        fresh = tmp_path / f"{command}-fresh"
+        assert run(command, str(features), "--config", str(config), "--out", str(fresh)) == 0
+        assert len(forests) == grown + 3 * 3 + 1
+        forests.clear()
+        assert (fresh / "eval_report.json").read_bytes() == expected
+
+
 # ------------------------------------------------------------ key fields
 
 
@@ -193,7 +217,7 @@ def test_each_key_field_forces_a_fresh_cv(table, tmp_path, forests, monkeypatch,
         extra = ("--seed", "6")
     elif change == "version":
         monkeypatch.setattr(ex, "__version__", "0.0.0")
-    else:  # train on a search winner; report cross-validates the config's forest
+    else:  # train with a search; report cross-validates the config's forest section
         search = write_config(tmp_path / "search.json", k,
                               search={"n_iter": 2, "space": {"n_estimators": [2, 3]}})
         assert run("train", str(features), "--config", str(search), "--out", str(out)) == 0

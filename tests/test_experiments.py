@@ -675,7 +675,7 @@ class TestTrainEval:
         default_model = (tmp_path / "default" / "model.rfj").read_bytes()
         assert (tmp_path / "seeded" / "model.rfj").read_bytes() != default_model
 
-    def test_search_varies_its_axes_over_the_forest_section(self, tmp_path, monkeypatch):
+    def test_search_varies_its_axes_over_the_forest_section(self, tmp_path, monkeypatch, caplog):
         features = separable_features(tmp_path)
         cfg = tiny_config(
             forest={"bootstrap": True, "max_depth": 6},
@@ -689,12 +689,15 @@ class TestTrainEval:
             return grow(fits, map_fn)
 
         monkeypatch.setattr(forest, "grow", recording_grow)
+        caplog.set_level("INFO", logger="esdgait")
         _, model_path, _ = ex.run_train(features, cfg, tmp_path / "out")
-        assert len(grown) == 2 * cfg.cv_folds + cfg.cv_folds + 1  # the trials, then the CV
+        assert len(grown) == 2 * cfg.cv_folds + 1  # the trials' folds, then the winner's full fit
         assert {(p.bootstrap, p.max_depth) for p in grown} == {(True, 6)}
         assert {p.n_estimators for p in grown} == {3, 5}
         params = forest.load_model(model_path).params
         assert (params.bootstrap, params.max_depth) == (True, 6)
+        winner = dataclasses.replace(params, seed=cfg.forest_params.seed)  # not the model's seed
+        assert f"search picked {winner}" in caplog.messages
         key = eio.read_json(tmp_path / "out" / ex.CV_RECORD)["key"]
         assert (key["forest"]["bootstrap"], key["forest"]["max_depth"]) == (True, 6)
 

@@ -481,11 +481,13 @@ def test_auroc_multiclass_matches_macro_oracle():
         assert rf.auroc(scores, truth) == pytest.approx(macro_ovr_auroc(scores, truth), abs=1e-12)
 
 
-def test_auroc_warns_and_skips_absent_class():
+def test_auroc_warns_and_skips_absent_class(caplog):
     scores = np.random.default_rng(5).dirichlet(np.ones(3), size=8)
     truth = np.array([0, 1, 0, 1, 0, 1, 0, 1])  # class 2 never appears
-    with pytest.warns(UserWarning, match="class 2"):
-        value = rf.auroc(scores, truth)
+    value = rf.auroc(scores, truth)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("esdgait", "WARNING", "class 2 absent from truth; skipping its one-vs-rest term")
+    ]
     assert 0.0 <= value <= 1.0
 
 
@@ -599,9 +601,10 @@ def test_search_exhaustive_degenerate_case():
     data = blob_dataset(10, [[0.0], [2.0]], spread=0.8, seed=19)
     space = tiny_search_space()
     base = rf.ForestParams(seed=6)
-    best, table = rf.randomized_search(data, base, space, n_iter=grid_size(space), k=3)
+    _, model, table = rf.randomized_search(data, base, space, n_iter=grid_size(space), k=3)
     assert len(table) == grid_size(space)
     scores = [row["mean_accuracy"] for row in table]
+    best = replace(model.params, seed=base.seed)  # the model grows at the full-data seed
     best_pos = next(
         i for i, r in enumerate(table) if replace(base, **r["params"]) == best
     )
@@ -615,24 +618,41 @@ def test_search_tie_break_is_first_sampled():
     data = blob_dataset(10, [[0.0], [5.0]], spread=0.2, seed=20)  # everything scores 1.0
     space = tiny_search_space()
     base = rf.ForestParams(seed=7)
-    best, table = rf.randomized_search(data, base, space, n_iter=4, k=2)
+    _, model, table = rf.randomized_search(data, base, space, n_iter=4, k=2)
     assert all(row["mean_accuracy"] == 1.0 for row in table)
-    assert replace(base, **table[0]["params"]) == best
+    assert replace(base, **table[0]["params"]) == replace(model.params, seed=base.seed)
 
 
 def test_search_deterministic_sequence():
     data = blob_dataset(8, [[0.0], [2.0]], seed=21)
     space = tiny_search_space()
-    _, t1 = rf.randomized_search(data, rf.ForestParams(seed=8), space, n_iter=5, k=2)
-    _, t2 = rf.randomized_search(data, rf.ForestParams(seed=8), space, n_iter=5, k=2)
+    *_, t1 = rf.randomized_search(data, rf.ForestParams(seed=8), space, n_iter=5, k=2)
+    *_, t2 = rf.randomized_search(data, rf.ForestParams(seed=8), space, n_iter=5, k=2)
     assert t1 == t2
 
 
-def test_search_warns_when_grid_smaller_than_iterations():
+@pytest.mark.parametrize("n_iter", [1, 4])
+def test_search_returns_the_winners_cross_validation(n_iter):
+    """The winner's report and model are cross_validate's, byte for byte:
+    its folds come from the search's one grow, then its full-data fit."""
+    data = blob_dataset(9, [[0.0, 0.0], [1.5, 1.0], [3.0, 0.5]], spread=0.9, n_noise=2, seed=26)
+    space = {"n_estimators": [3, 5, 8], "max_depth": [2, 4], "max_features": ["all", "sqrt"]}
+    base = rf.ForestParams(seed=11)
+    report, model, table = rf.randomized_search(data, base, space, n_iter=n_iter, k=3)
+    scores = [row["mean_accuracy"] for row in table]
+    winner = replace(base, **table[scores.index(max(scores))]["params"])
+    direct_report, direct_model = rf.cross_validate(data, winner, k=3)
+    assert dump_json(report.to_dict()) == dump_json(direct_report.to_dict())
+    assert dump_json(rf.model_to_document(model)) == dump_json(rf.model_to_document(direct_model))
+
+
+def test_search_warns_when_grid_smaller_than_iterations(caplog):
     data = blob_dataset(8, [[0.0], [2.0]], seed=22)
     space = {"n_estimators": [1, 2], "max_features": ["all"]}
-    with pytest.warns(UserWarning, match="combinations"):
-        _, table = rf.randomized_search(data, rf.ForestParams(seed=9), space, n_iter=10, k=2)
+    *_, table = rf.randomized_search(data, rf.ForestParams(seed=9), space, n_iter=10, k=2)
+    assert [(r.name, r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("esdgait", "WARNING", "grid has only 2 combinations; sampling all of them")
+    ]
     assert len(table) == 2
 
 
