@@ -10,12 +10,12 @@ stdout early; 1 invalid input or config; 2 runtime failure.
 from __future__ import annotations
 
 import argparse
+import concurrent.futures
 import functools
 import json
 import logging
 import os
 import sys
-from concurrent.futures.process import BrokenProcessPool
 
 from . import experiments, io, legshake
 from .errors import ToolkitError, ValidationError
@@ -178,7 +178,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ToolkitError, BrokenProcessPool, OSError) as exc:
+    except (ToolkitError, concurrent.futures.BrokenExecutor, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -9,13 +9,13 @@ pure function of (config, seed), so reruns are byte-identical.
 
 from __future__ import annotations
 
+import concurrent.futures
 import contextlib
 import hashlib
 import itertools
 import logging
 import os
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, astuple, dataclass, field, replace
 from pathlib import Path
 
@@ -246,7 +246,9 @@ def _task_map(jobs: int):
                 workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
                 if workers < 2:
                     return itertools.starmap(fn, tasks)
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=workers))
+                pool = stack.enter_context(
+                    concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                )
             chunksize = max(1, -(-len(tasks) // (8 * workers)))
             return pool.map(fn, *zip(*tasks), chunksize=chunksize)
 
@@ -509,22 +511,30 @@ def run_simulate(config: ExperimentConfig, out_dir, jobs: int = 1) -> Path:
 # featurization
 
 
-def _scan_task(signal_path, meta_path) -> tuple:
-    """What featurize keeps of a record between its two reads: its sample
-    count, sample rate and labels. The samples stay in the task."""
-    record = io.read_record(signal_path, meta_path)
-    return record.samples.size, record.sample_rate, record.labels
+class _Scan(typing.NamedTuple):
+    """What featurize keeps of a record between its two reads. The samples
+    stay in the scan's task."""
+
+    size: int
+    rate: float
+    labels: dict
+    stamp: io.Stamp | None  # lets the second read skip hashing an unchanged sidecar
+
+
+def _scan_task(signal_path, meta_path) -> _Scan:
+    samples, stamp = io.read_signal(signal_path)
+    return _Scan(samples.size, *io.read_meta(meta_path), stamp)
 
 
 def _featurize_task(
-    signal_path, meta_path, scan: tuple, length: int, mfcc: dsp.MfccConfig, codes: np.ndarray
+    signal_path, meta_path, scan: _Scan, length: int, mfcc: dsp.MfccConfig, codes: np.ndarray
 ):
     """Read one record again, trim it to `length` and return its feature
     values with its categorical `codes` appended, or the
     DegenerateSignalError rejecting it."""
-    record = io.read_record(signal_path, meta_path)
+    record = io.read_record(signal_path, meta_path, scan.stamp)
     # repr, so that a NaN in the labels equals itself
-    if repr((record.samples.size, record.sample_rate, record.labels)) != repr(scan):
+    if repr((record.samples.size, record.sample_rate, record.labels)) != repr(scan[:3]):
         raise ValidationError(f"{signal_path}: changed while featurize read it")
     try:
         values = dsp.featurize(dsp.trim_to_length(record.samples, length), mfcc)
@@ -541,7 +551,9 @@ def run_featurize(
     Two passes of per-record tasks, so no process holds more than one
     record's samples and no samples cross the pool: a scan gives each
     record's length, rate and labels, then each record is read again,
-    trimmed to the shortest length and featurized. The categorical codes
+    trimmed to the shortest length and featurized. The second read hashes
+    no sidecar the scan verified and that has not changed since
+    (`io.read_signal`). The categorical codes
     are computed here, from every scanned record's labels, and each task
     appends its own record's row.
     """
@@ -552,7 +564,7 @@ def run_featurize(
     meta_paths = [e["meta_path"] for e in entries]
     with _task_map(jobs) as map_fn:
         scans = list(map_fn(_scan_task, signal_paths, meta_paths))
-        rates = {rate for _, rate, _ in scans}
+        rates = {scan.rate for scan in scans}
         if len(rates) != 1:
             raise ValidationError(f"records mix sample rates: {sorted(rates)}")
         if rates != {config.mfcc.sample_rate}:
@@ -560,7 +572,7 @@ def run_featurize(
                 f"records are sampled at {rates.pop()} Hz but mfcc.sample_rate is "
                 f"{config.mfcc.sample_rate} Hz"
             )
-        sizes = [size for size, _, _ in scans]
+        sizes = [scan.size for scan in scans]
         length = min(sizes)
         if length < config.mfcc.window_size:
             raise ValidationError(
@@ -570,7 +582,7 @@ def run_featurize(
         label_key = TASK_LABEL_KEY[config.task]
         codes = np.empty((len(scans), 0))
         if config.include_categoricals:
-            codes = dsp.category_codes([record_labels for _, _, record_labels in scans])
+            codes = dsp.category_codes([scan.labels for scan in scans])
         rows: list[np.ndarray] = []
         labels: list[str] = []
         rejects: list[dict] = []
@@ -583,11 +595,11 @@ def run_featurize(
             itertools.repeat(config.mfcc),
             codes,
         )
-        for entry, (_, _, record_labels), vector in zip(entries, scans, vectors):
+        for entry, scan, vector in zip(entries, scans, vectors):
             if isinstance(vector, DegenerateSignalError):
                 rejects.append({"signal_path": str(entry["signal_path"]), "reason": str(vector)})
                 continue
-            label = record_labels.get(label_key)
+            label = scan.labels.get(label_key)
             if label is None:
                 raise ValidationError(
                     f"record {entry['signal_path']} has no {label_key} label for task {config.task}"

@@ -948,6 +948,43 @@ def _tree_documents(nodes: NodeTable):
         yield tree
 
 
+_INT_COLUMNS = ("feature", "left", "right", "n_samples", "depth")
+# the JSON types of each column: numpy would decode 1.5, true or "7" as
+# an integer, and "0.25" or true as a float; a leaf's threshold is saved as null
+_COLUMN_KINDS = {
+    key: (int,) if key in (*_INT_COLUMNS, "histogram") else (float, int)
+    for key in NodeTable._fields[1:]
+}
+_COLUMN_KINDS["threshold"] += (type(None),)
+
+
+class _Tree(NamedTuple):
+    """A trees[i] object that load_model's parse hook already decoded."""
+
+    nodes: NodeTable
+
+
+def _tree_nodes(tree, where: str) -> NodeTable:
+    """One trees[i] object of a model document, named `where` in errors, as
+    a table of one tree: every check that needs no other part of the document."""
+    names = NodeTable._fields[1:]
+    for key, kind in _COLUMN_KINDS.items():
+        column = tree.get(key) if isinstance(tree, dict) else None
+        if key == "histogram" and isinstance(column, list):
+            column = [v for row in column if isinstance(row, list) for v in row]
+        bad = [v for v in column if type(v) not in kind] if isinstance(column, list) else []
+        if bad:
+            raise ValidationError(f"{where}.{key}: expected {kind[0].__name__}, got {bad[0]!r}")
+    try:  # a null, as a leaf's threshold is saved, decodes to nan in a float column
+        columns = [np.asarray(tree[key], np.int64 if key in _INT_COLUMNS else float) for key in names]
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{where}: malformed model ({type(exc).__name__}: {exc})") from None
+    n, histogram = columns[0].size, columns[names.index("histogram")]
+    if n == 0 or any(c.shape != (n,) for c in columns if c is not histogram):
+        raise ValidationError(f"{where}: per-node arrays differ in length")
+    return NodeTable(np.array([n]), *columns)
+
+
 def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> RandomForestModel:
     """Rebuild a saved model, rejecting any document it cannot safely predict with."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
@@ -971,35 +1008,14 @@ def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> R
             f"model has {len(trees)} trees, but params.n_estimators is {params.n_estimators} "
             f"and per_tree_seeds lists {len(seeds)}"
         )
-    names, ints = NodeTable._fields[1:], ("feature", "left", "right", "n_samples", "depth")
-    # the JSON types of each column: numpy would decode 1.5, true or "7" as
-    # an integer, and "0.25" or true as a float
-    kinds = {key: (int,) if key in (*ints, "histogram") else (float, int) for key in names}
-    kinds["threshold"] += (type(None),)  # as a leaf's threshold is saved
     parts = []
     for i, tree in enumerate(trees):
-        for key, kind in kinds.items():
-            column = tree.get(key) if isinstance(tree, dict) else None
-            if key == "histogram" and isinstance(column, list):
-                column = [v for row in column if isinstance(row, list) for v in row]
-            bad = [v for v in column if type(v) not in kind] if isinstance(column, list) else []
-            if bad:
-                name = kind[0].__name__
-                raise ValidationError(f"trees[{i}].{key}: expected {name}, got {bad[0]!r}")
-        try:  # a null, as a leaf's threshold is saved, decodes to nan in a float column
-            columns = [np.asarray(tree[key], np.int64 if key in ints else float) for key in names]
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise ValidationError(
-                f"trees[{i}]: malformed model ({type(exc).__name__}: {exc})"
-            ) from None
-        n, histogram = columns[0].size, columns[names.index("histogram")]
-        if n == 0 or any(c.shape != (n,) for c in columns if c is not histogram):
-            raise ValidationError(f"trees[{i}]: per-node arrays differ in length")
-        if histogram.shape != (n, len(class_names)):  # before the trees join into one table
+        nodes = tree.nodes if isinstance(tree, _Tree) else _tree_nodes(tree, f"trees[{i}]")
+        if nodes.histogram.shape != (nodes.sizes[0], len(class_names)):  # before the trees join
             raise ValidationError(
                 f"trees[{i}]: histogram width must equal the {len(class_names)} classes"
             )
-        parts.append(NodeTable(np.array([n]), *columns))
+        parts.append(nodes)
     nodes = NodeTable.join(parts)
     _check_nodes(nodes, len(feature_names))
     return RandomForestModel(nodes, params, feature_names, class_names, seeds)
@@ -1016,7 +1032,30 @@ def save_model(model: RandomForestModel, path, mfcc_fingerprint: str | None = No
 
 
 def load_model(path, expected_fingerprint: str | None = None) -> RandomForestModel:
-    doc = io.read_json(path)
+    """model_from_document of the file at `path`, each tree decoded as the
+    parser closes it. A tree-shaped object anywhere but in `trees` sends the
+    file through a plain parse, to be refused as the plain document is."""
+    decoded = 0
+
+    def decode_tree(obj: dict):
+        """json's object_hook: an object holding every node column becomes
+        its _Tree as the parser closes it, so one tree's lists are alive at
+        a time. Any other object, and one that fails a check, stays as
+        parsed, for model_from_document to decode and refuse in tree order."""
+        nonlocal decoded
+        if obj.keys() >= _COLUMN_KINDS.keys():
+            try:
+                tree = _Tree(_tree_nodes(obj, ""))  # its error, if any, comes again in order
+            except ValidationError:
+                return obj
+            decoded += 1
+            return tree
+        return obj
+
+    doc = io.read_json(path, object_hook=decode_tree)
+    trees = doc.get("trees") if isinstance(doc, dict) else None
+    if decoded != (sum(isinstance(t, _Tree) for t in trees) if isinstance(trees, list) else 0):
+        doc = io.read_json(path)
     try:
         return model_from_document(doc, expected_fingerprint)
     except ValidationError as exc:

@@ -35,6 +35,7 @@ import math
 import os
 import re
 import sys
+import time
 import types
 import typing
 from pathlib import Path
@@ -93,10 +94,10 @@ def open_text(path, **options):
             raise ValidationError(f"{path}: not valid UTF-8") from None
 
 
-def read_json(path):
+def read_json(path, object_hook=None):
     with open_text(path) as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
 
@@ -239,16 +240,73 @@ def read_stored_samples(signal_path) -> np.ndarray | None:
     return samples if np.all(np.isfinite(samples)) else None
 
 
-def read_record(signal_path, meta_path) -> SignalRecord:
-    """A record's samples and labels. A matching sidecar's array is
-    returned as it is, not copied; other text parses as `sample_chunks`."""
+# A file's times are kept to a grain: the kernel's clock tick (at most 10 ms)
+# where the file system keeps nanoseconds, a second or two (FAT) where it
+# keeps seconds, and a ctime in whole seconds may come from such a system.
+_FINE_GRAIN_NS = 100_000_000
+_SECONDS_GRAIN_NS = 2_000_000_000
+
+
+class Stamp(typing.NamedTuple):
+    """A signal text and its sidecar as stat'ed before a read that found the
+    sidecar to match: each file's (inode, size, mtime_ns, ctime_ns)."""
+
+    text: tuple
+    sidecar: tuple
+
+
+def _stamp(signal_path) -> Stamp | None:
+    try:
+        stats = [os.stat(path) for path in (signal_path, _sidecar_path(signal_path))]
+    except OSError:
+        return None
+    return Stamp(*((s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns) for s in stats))
+
+
+def _settled(stamp: Stamp | None, now_ns: int) -> bool:
+    """Whether both stamped files were last changed more than a grain before `now_ns`."""
+    if stamp is None:
+        return False
+    ctimes = [stat[3] for stat in stamp]
+    grain = _SECONDS_GRAIN_NS if any(t % 10**9 == 0 for t in ctimes) else _FINE_GRAIN_NS
+    return max(ctimes) < now_ns - grain
+
+
+def read_signal(signal_path, stamp: Stamp | None = None) -> tuple[np.ndarray, Stamp | None]:
+    """A signal's samples: its sidecar's array as it is, not copied, when the
+    sidecar matches the text (`read_stored_samples`), else the text parsed
+    as `sample_chunks`. With them comes a Stamp when the sidecar matched and
+    both files were last changed more than a grain before this read began.
+
+    Passed back with a later read of the same signal, that stamp skips the
+    text read and the sha256 while both files still stat as stamped, checked
+    after reading the sidecar (git's racy-clean rule, on ctime): a change
+    after the stamp lands at least a grain after the files' last change, so
+    it gives them a new ctime. Otherwise the later read verifies as the
+    first did. The rule trusts that the files' clock is this machine's."""
+    if stamp is not None:
+        try:
+            with open(_sidecar_path(signal_path), "rb") as fh:
+                fh.seek(_SIDECAR_HEAD)
+                samples = np.fromfile(fh, dtype="<f8")
+            if _stamp(signal_path) == stamp:
+                return samples, stamp
+        except OSError:
+            pass
+    began = time.time_ns()
+    stamp = _stamp(signal_path)
     samples = read_stored_samples(signal_path)
-    if samples is None:
-        with open_text(signal_path) as lines:
-            chunks = list(sample_chunks(lines, signal_path))
-        if not chunks:
-            raise ValidationError(f"{signal_path}: no samples")
-        samples = np.concatenate(chunks)
+    if samples is not None:
+        return samples, stamp if _settled(stamp, began) else None
+    with open_text(signal_path) as lines:
+        chunks = list(sample_chunks(lines, signal_path))
+    if not chunks:
+        raise ValidationError(f"{signal_path}: no samples")
+    return np.concatenate(chunks), None
+
+
+def read_meta(meta_path) -> tuple[float, dict]:
+    """A record's sample rate and labels."""
     meta = read_json(meta_path)
     if not isinstance(meta, dict):
         raise ValidationError(f"{meta_path}: expected a JSON object")
@@ -262,6 +320,13 @@ def read_record(signal_path, meta_path) -> SignalRecord:
         k: from_json(str, v, f"{meta_path}: {k}") if type(v) is str else v
         for k, v in meta.items() if k != "sample_rate"
     }
+    return sample_rate, labels
+
+
+def read_record(signal_path, meta_path, stamp: Stamp | None = None) -> SignalRecord:
+    """A record's samples, read as `read_signal` given `stamp`, and labels."""
+    samples, _ = read_signal(signal_path, stamp)
+    sample_rate, labels = read_meta(meta_path)
     return SignalRecord(samples=samples, sample_rate=sample_rate, labels=labels)
 
 

@@ -5,6 +5,7 @@ unusable."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import os
 import shutil
@@ -151,7 +152,7 @@ def test_fully_reused_command_starts_no_pool(table, tmp_path, monkeypatch):
         started.append(max_workers)
         raise AssertionError("a command whose CV is reused started a pool")
 
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     out = trained_copy(trained, tmp_path / "out")
     assert run("eval", str(features), "--config", str(config), "--out", str(out),

@@ -6,6 +6,7 @@ import hashlib
 import json
 import re
 import tempfile
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
@@ -694,13 +695,25 @@ def test_model_round_trip_preserves_predictions(tmp_path):
     )
 
 
+def refusal(doc, tmp_path: Path, expected_fingerprint: str | None = None) -> str:
+    """The message both entry points refuse `doc` with: load_model's, after
+    the file's path, is model_from_document's."""
+    path = tmp_path / "refused.rfj"
+    path.write_text(dump_json(doc))
+    with pytest.raises(ValidationError) as loaded:
+        rf.load_model(path, expected_fingerprint)
+    with pytest.raises(ValidationError) as decoded:
+        rf.model_from_document(doc, expected_fingerprint)
+    assert str(loaded.value) == f"{path}: {decoded.value}"
+    return str(decoded.value)
+
+
 def test_model_load_rejects_fingerprint_mismatch(tmp_path):
     data = blob_dataset(10, [[0], [2]], seed=25)
     model = fit_forest(data, SMALL)
     path = tmp_path / "model.rfj"
     rf.save_model(model, path, mfcc_fingerprint="cafe01")
-    with pytest.raises(ValidationError, match="fingerprint"):
-        rf.load_model(path, expected_fingerprint="beef02")
+    assert "fingerprint" in refusal(json.loads(path.read_text()), tmp_path, "beef02")
     rf.load_model(path)  # no expectation supplied -> no check
 
 
@@ -712,10 +725,7 @@ def test_model_load_rejects_invalid_json(tmp_path):
 
 
 def test_model_load_rejects_unknown_format(tmp_path):
-    path = tmp_path / "model.rfj"
-    path.write_text('{"format": "rfj-99", "trees": []}')
-    with pytest.raises(ValidationError, match="format"):
-        rf.load_model(path)
+    assert "format" in refusal({"format": "rfj-99", "trees": []}, tmp_path)
 
 
 def _root_internal(tree: dict) -> int:
@@ -747,11 +757,9 @@ def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
     doc = rf.model_to_document(model)
     tree = doc["trees"][1]
     corrupt(tree, _root_internal(tree))
-    path = tmp_path / "model.rfj"
-    path.write_text(dump_json(doc))
-    with pytest.raises(ValidationError, match=message) as caught:
-        rf.load_model(path)
-    assert str(caught.value).startswith(f"{path}: trees[1]")  # then ":" or ".<column>:"
+    refused = refusal(doc, tmp_path)
+    assert re.search(message, refused)
+    assert refused.startswith("trees[1]")  # then ":" or ".<column>:"
 
 
 @pytest.mark.parametrize(
@@ -759,16 +767,16 @@ def test_model_load_rejects_broken_trees(tmp_path, corrupt, message):
     [("feature", 1.5), ("left", True), ("right", "7"), ("n_samples", None), ("depth", "x"),
      ("histogram", 2.0), ("histogram", None)],
 )
-def test_model_load_refuses_an_integer_column_value_that_is_no_json_integer(column, value):
+def test_model_load_refuses_an_integer_column_value_that_is_no_json_integer(
+    tmp_path, column, value
+):
     data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
     model = fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
     doc = rf.model_to_document(model)
     tree = doc["trees"][1]
     cells = tree[column][_root_internal(tree)] if column == "histogram" else tree[column]
     cells[-1] = value
-    with pytest.raises(ValidationError) as caught:
-        rf.model_from_document(doc)
-    assert str(caught.value) == f"trees[1].{column}: expected int, got {value!r}"
+    assert refusal(doc, tmp_path) == f"trees[1].{column}: expected int, got {value!r}"
 
 
 @pytest.mark.parametrize(
@@ -776,16 +784,14 @@ def test_model_load_refuses_an_integer_column_value_that_is_no_json_integer(colu
     [("threshold", "0.25"), ("threshold", True), ("impurity", True), ("impurity", None),
      ("weighted_decrease", "1e-3"), ("weighted_decrease", [0.5])],
 )
-def test_model_load_refuses_a_float_column_value_that_is_no_json_number(column, value):
+def test_model_load_refuses_a_float_column_value_that_is_no_json_number(tmp_path, column, value):
     data = blob_dataset(10, [[0, 0], [3, 3]], seed=27)
     model = fit_forest(data, rf.ForestParams(n_estimators=2, max_features="all", seed=3))
     doc = rf.model_to_document(model)
     tree = doc["trees"][1]
     assert None in tree["threshold"]  # a leaf's null threshold loads
     tree[column][_root_internal(tree)] = value
-    with pytest.raises(ValidationError) as caught:
-        rf.model_from_document(doc)
-    assert str(caught.value) == f"trees[1].{column}: expected float, got {value!r}"
+    assert refusal(doc, tmp_path) == f"trees[1].{column}: expected float, got {value!r}"
 
 
 def test_model_load_names_the_first_broken_tree_and_its_first_failed_check(tmp_path):
@@ -798,14 +804,9 @@ def test_model_load_names_the_first_broken_tree_and_its_first_failed_check(tmp_p
                             (3, "feature", -2)):
         tree = doc["trees"][t]
         tree[field][_root_internal(tree)] = value
-    path = tmp_path / "model.rfj"
-    path.write_text(dump_json(doc))
-    with pytest.raises(ValidationError, match=re.escape("trees[1]: split thresholds")):
-        rf.load_model(path)
+    assert refusal(doc, tmp_path).startswith("trees[1]: split thresholds")
     doc["trees"][1] = rf.model_to_document(model)["trees"][1]
-    path.write_text(dump_json(doc))
-    with pytest.raises(ValidationError, match=re.escape("trees[2]: split feature")):
-        rf.load_model(path)
+    assert refusal(doc, tmp_path).startswith("trees[2]: split feature")
 
 
 @pytest.mark.parametrize("n_trees, n_seeds", [(3, 7), (3, 12), (12, 7)])
@@ -816,13 +817,10 @@ def test_model_load_rejects_a_tree_count_its_params_and_seeds_disagree_with(
     doc = rf.model_to_document(fit_forest(data, SMALL))  # 12 trees
     doc["trees"] = doc["trees"][:n_trees]
     doc["per_tree_seeds"] = doc["per_tree_seeds"][:n_seeds]
-    path = tmp_path / "model.rfj"
-    path.write_text(dump_json(doc))
-    with pytest.raises(ValidationError, match=re.escape(
+    assert refusal(doc, tmp_path) == (
         f"model has {n_trees} trees, but params.n_estimators is 12 "
         f"and per_tree_seeds lists {n_seeds}"
-    )):
-        rf.load_model(path)
+    )
 
 
 @pytest.mark.parametrize(
@@ -837,10 +835,7 @@ def test_model_load_decodes_params_strictly(tmp_path, params, key):
     data = blob_dataset(10, [[0], [2]], seed=28)
     doc = rf.model_to_document(fit_forest(data, SMALL))
     doc["params"].update(params)
-    path = tmp_path / "model.rfj"
-    path.write_text(dump_json(doc))
-    with pytest.raises(ValidationError, match=key):
-        rf.load_model(path)
+    assert key in refusal(doc, tmp_path)
 
 
 @pytest.mark.parametrize(
@@ -855,20 +850,77 @@ def test_model_load_decodes_names_and_seeds_strictly(tmp_path, key, value, where
     data = blob_dataset(10, [[0], [2]], seed=28)
     doc = rf.model_to_document(fit_forest(data, SMALL))
     doc[key] = value
-    path = tmp_path / "model.rfj"
-    path.write_text(dump_json(doc))
-    with pytest.raises(ValidationError, match=re.escape(where)):
-        rf.load_model(path)
+    assert where in refusal(doc, tmp_path)
 
 
 def test_model_load_rejects_empty_forest(tmp_path):
     data = blob_dataset(10, [[0], [2]], seed=29)
     doc = rf.model_to_document(fit_forest(data, SMALL))
     doc["trees"] = []
-    path = tmp_path / "model.rfj"
-    path.write_text(dump_json(doc))
-    with pytest.raises(ValidationError, match="no trees"):
-        rf.load_model(path)
+    assert "no trees" in refusal(doc, tmp_path)
+
+
+@pytest.mark.parametrize("where", ["params", "document", "trees"])
+def test_model_load_refuses_a_tree_shaped_object_outside_trees_as_before(tmp_path, where):
+    """load_model decodes a tree as the parser closes it, wherever it sits;
+    one that is not some trees[i] is refused as the plain document is."""
+    data = blob_dataset(10, [[0], [2]], seed=28)
+    doc = rf.model_to_document(fit_forest(data, SMALL))
+    tree = json.loads(dump_json(doc["trees"][0]))  # its keys in the file's order
+    expected = {
+        "params": "params.depth: unknown key",  # the first of its keys, as dump_json sorts them
+        "document": "unsupported model format None",
+        "trees": f"trees: expected list, got {tree!r}",
+    }[where]
+    if where == "document":
+        doc = tree
+    else:
+        doc[where] = tree
+    assert refusal(doc, tmp_path) == expected
+
+
+@pytest.fixture(scope="module")
+def shaped_models(tmp_path_factory) -> dict[str, Path]:
+    """Default 100-tree forests saved from tables shaped as configs/mood.json's
+    (144 rows, 280 columns, 2 classes) and configs/persons.json's (216, 262, 6)."""
+    root = tmp_path_factory.mktemp("shaped")
+    paths = {}
+    for name, (k, rows, columns) in {"mood": (2, 144, 280), "persons": (6, 216, 262)}.items():
+        centers = (np.eye(k, 4) * 2.0).tolist()
+        data = blob_dataset(rows // k, centers, n_noise=columns - 4, spread=1.5, seed=k)
+        paths[name] = root / f"{name}.rfj"
+        rf.save_model(fit_forest(data, rf.ForestParams(seed=k)), paths[name], "cafe01")
+    return paths
+
+
+@pytest.mark.parametrize("name", ["mood", "persons"])
+def test_load_model_and_model_from_document_are_one_decoder(shaped_models, name):
+    path = shaped_models[name]
+    loaded = rf.load_model(path)
+    decoded = rf.model_from_document(json.loads(path.read_text()))
+    assert loaded.nodes.sizes.size == 100
+    for column, a, b in zip(rf.NodeTable._fields, loaded.nodes, decoded.nodes):
+        assert a.dtype == b.dtype, column
+        assert np.array_equal(a, b, equal_nan=True), column
+    assert (loaded.params, loaded.feature_names, loaded.class_names, loaded.per_tree_seeds) == (
+        decoded.params, decoded.feature_names, decoded.class_names, decoded.per_tree_seeds
+    )
+
+
+def test_load_model_holds_one_tree_of_parsed_lists_at_a_time(shaped_models):
+    path = shaped_models["persons"]
+
+    def peak(load) -> int:
+        load()  # imports and caches out of the measurement
+        tracemalloc.start()
+        try:
+            load()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    whole = peak(lambda: rf.model_from_document(json.loads(path.read_text())))
+    assert peak(lambda: rf.load_model(path)) < 0.6 * whole
 
 
 def test_params_reject_negative_seed():

@@ -4,11 +4,15 @@ tasks that hold one record at a time and send no samples."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
 import pickle
 import shutil
+import subprocess
+import sys
+import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -96,7 +100,10 @@ class FakeExecutor:
 def pools(monkeypatch) -> list[int]:
     """The max_workers of every pool started, with 64 usable CPUs."""
     made: list[int] = []
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", lambda max_workers: FakeExecutor(made, max_workers))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor",
+        lambda max_workers: FakeExecutor(made, max_workers),
+    )
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
     return made
 
@@ -245,6 +252,44 @@ def test_record_changed_between_reads_is_one_error(cohort, tmp_path, monkeypatch
     assert (code, capsys.readouterr().err) == (1, f"error: {signal}: changed while featurize read it\n")
 
 
+def test_a_same_size_rewrite_between_reads_is_featurized_as_rewritten(cohort, tmp_path, monkeypatch):
+    """A sample of a record whose scan stamped its settled sidecar changes
+    in place before the second read: the row is the changed record's."""
+    config, sim = cohort
+    for name in ("raced", "edited"):
+        shutil.copytree(sim / "records", tmp_path / name / "records")
+        shutil.copy(sim / "dataset.json", tmp_path / name / "dataset.json")
+
+    def flip_a_digit(signal: Path) -> None:
+        lines = signal.read_text().splitlines(keepends=True)
+        mid = len(lines) // 2  # the records start with silence
+        lines[mid] = lines[mid][:4] + str((int(lines[mid][4]) + 1) % 10) + lines[mid][5:]
+        signal.write_text("".join(lines))
+
+    raced = tmp_path / "raced" / "records" / "rec_0003.sig.csv"
+    flip_a_digit(tmp_path / "edited" / "records" / raced.name)
+    deadline = time.monotonic() + 10
+    while eio.read_signal(raced)[1] is None:  # until the scan stamps it
+        assert time.monotonic() < deadline
+        time.sleep(0.05)
+    scan = ex._scan_task
+
+    def scan_then_flip(signal_path, meta_path):
+        result = scan(signal_path, meta_path)
+        if signal_path == str(raced):
+            assert result.stamp is not None
+            flip_a_digit(raced)
+        return result
+
+    assert run("featurize", str(tmp_path / "edited" / "dataset.json"), "--config", str(config),
+               "--out", str(tmp_path / "edited")) == 0
+    monkeypatch.setattr(ex, "_scan_task", scan_then_flip)
+    assert run("featurize", str(tmp_path / "raced" / "dataset.json"), "--config", str(config),
+               "--out", str(tmp_path / "raced")) == 0
+    features = [(tmp_path / name / "features.csv").read_bytes() for name in ("raced", "edited")]
+    assert features[0] == features[1] != (sim / "features.csv").read_bytes()
+
+
 def test_bad_sample_same_error_at_any_jobs(cohort, tmp_path, capsys):
     config, sim = cohort
     manifest = [
@@ -329,7 +374,7 @@ def test_a_pool_opens_for_a_map_of_two_tasks(cohort, tmp_path, monkeypatch):
         made.append(max_workers)
         return ProcessPoolExecutor(max_workers=max_workers)
 
-    monkeypatch.setattr(ex, "ProcessPoolExecutor", counted)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     _, sim = cohort
     for size, forest_section in (("small", {"n_estimators": 6}), ("default", {})):
@@ -350,26 +395,51 @@ def test_one_worker_starts_no_pool(cohort, tmp_path, pools, monkeypatch):
     assert pools == []
 
 
+NO_POOL_PROBE = """
+import sys
+from esdgait.cli import main
+config, sim, out = sys.argv[1:]
+assert main(["detect", "--config", config, "--quiet", sim + "/records/rec_0000.sig.csv"]) == 0
+assert main(["train", sim + "/features.csv", "--config", config, "--out", out,
+             "--jobs", "1", "--quiet"]) == 0
+print(sorted(name for name in sys.modules if name.partition(".")[0] == "multiprocessing"))
+"""
+
+
+def test_commands_that_open_no_pool_import_no_multiprocessing(cohort, tmp_path):
+    """detect and a --jobs 1 train never open a pool, so they never load
+    the pool's code: importing concurrent.futures.process pulls in
+    multiprocessing and keeps about a megabyte of objects alive."""
+    config, sim = cohort
+    src = Path(ex.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", NO_POOL_PROBE, str(config), str(sim), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 # ------------------------------------------------------------ memory
 
 
 def test_featurize_holds_one_record_at_a_time(cohort, tmp_path, monkeypatch):
     config, sim = cohort
-    read_record, featurize = eio.read_record, dsp.featurize
-    alive = [0]  # arrays read_record returned that are still referenced
+    read_signal, featurize = eio.read_signal, dsp.featurize
+    alive = [0]  # arrays read_signal returned, to the scan or to read_record, still referenced
     featurized = []
 
-    def counted_read(signal_path, meta_path):
-        record = read_record(signal_path, meta_path)
+    def counted_read(signal_path, *stamp):
+        samples, stamp = read_signal(signal_path, *stamp)
         alive[0] += 1
-        weakref.finalize(record.samples, lambda: alive.__setitem__(0, alive[0] - 1))
-        return record
+        weakref.finalize(samples, lambda: alive.__setitem__(0, alive[0] - 1))
+        return samples, stamp
 
     def checked_featurize(record, *args):
         featurized.append(alive[0])
         return featurize(record, *args)
 
-    monkeypatch.setattr(eio, "read_record", counted_read)
+    monkeypatch.setattr(eio, "read_signal", counted_read)
     monkeypatch.setattr(dsp, "featurize", checked_featurize)
     assert run("featurize", str(sim / "dataset.json"), "--config", str(config),
                "--out", str(tmp_path), "--jobs", "1") == 0

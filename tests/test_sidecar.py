@@ -7,6 +7,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import time
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
@@ -183,9 +184,9 @@ MISSES = [deleted, flip_a_digit, cut_the_tail, bad_tag, one_sample_more, one_sam
           bad_sample]
 
 
-def read_outcome(signal: Path) -> tuple:
+def read_outcome(signal: Path, stamp: eio.Stamp | None = None) -> tuple:
     try:
-        record = eio.read_record(signal, signal.with_name(signal.name[:-8] + ".meta.json"))
+        record = eio.read_record(signal, signal.with_name(signal.name[:-8] + ".meta.json"), stamp)
     except ValidationError as exc:
         return "error", str(exc)
     return "samples", record.samples.view(np.uint64).tolist()
@@ -206,3 +207,67 @@ def test_a_sidecar_that_does_not_match_is_ignored(simulated, tmp_path, spoil):
     else:
         sidecar.unlink(missing_ok=True)
     assert (read_outcome(signal), run_main(["detect", str(signal)])) == outcome
+
+
+# ------------------------------------------------------------ a second read
+
+
+def settled_stamp(signal: Path) -> eio.Stamp:
+    """The stamp of a first read of `signal`, once its files are old enough
+    to get one: a grain after their last change, two seconds for a ctime
+    that falls on a whole second."""
+    deadline = time.monotonic() + 10
+    while (stamp := eio.read_signal(signal)[1]) is None:
+        assert time.monotonic() < deadline, "the record never got a stamp"
+        time.sleep(0.05)
+    return stamp
+
+
+def test_a_second_read_of_an_unchanged_record_hashes_nothing(simulated, tmp_path):
+    signal = tmp_path / "records" / "rec_0000.sig.csv"
+    shutil.copytree(simulated / "records", signal.parent)
+    stamp = settled_stamp(signal)
+    first = eio.read_stored_samples(signal)
+    with mock.patch.object(eio, "read_stored_samples", side_effect=AssertionError), \
+            mock.patch.object(eio, "sample_chunks", side_effect=AssertionError):
+        samples, again = eio.read_signal(signal, stamp)
+    assert again == stamp
+    assert samples.view(np.uint64).tolist() == first.view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("spoil", MISSES, ids=[f.__name__ for f in MISSES])
+def test_a_change_between_two_reads_is_verified(simulated, tmp_path, spoil):
+    """Whatever changes after a first read, same-size rewrites of the text
+    (flip_a_digit) and of the sidecar (changed_payload) among it, the
+    second read gives what a read without the stamp gives."""
+    signal = tmp_path / "records" / "rec_0000.sig.csv"
+    shutil.copytree(simulated / "records", signal.parent)
+    stamp = settled_stamp(signal)
+    spoil(signal, signal.with_name(signal.name + ".f8"))
+    assert read_outcome(signal, stamp) == read_outcome(signal)
+
+
+def test_a_racily_fresh_record_gets_no_stamp_and_is_hashed_again(tmp_path):
+    signal = tmp_path / "fresh.sig.csv"
+    rewrite(signal, [1.0, 2.0, 3.0])
+    with mock.patch.object(eio, "_FINE_GRAIN_NS", 60 * 10**9):  # changed less than a grain ago
+        samples, stamp = eio.read_signal(signal)
+    assert samples.tolist() == [1.0, 2.0, 3.0] and stamp is None
+    with mock.patch.object(eio, "read_stored_samples", wraps=eio.read_stored_samples) as spy:
+        assert eio.read_signal(signal, stamp)[0].tolist() == [1.0, 2.0, 3.0]
+    assert spy.call_count == 1
+
+
+def test_a_ctime_on_a_whole_second_waits_two_seconds():
+    # a file system that keeps seconds (FAT keeps two) may hide a change for that long
+    now = 1_700_000_000 * 10**9
+
+    def stamp(*ages_ns):
+        return eio.Stamp(*((1, 2, now - age, now - age) for age in ages_ns))
+
+    fine = 150_000_001
+    assert eio._settled(stamp(fine, 10**9 + fine), now)
+    assert not eio._settled(stamp(fine, 50_000_000), now)
+    assert not eio._settled(stamp(10**9, fine), now)  # the text's ctime is on a whole second
+    assert eio._settled(stamp(3 * 10**9, 2 * 10**9 + 1), now)
+    assert not eio._settled(None, now)
