@@ -4,7 +4,7 @@ Subcommands cover the whole pipeline: simulate a cohort, featurize it,
 train and evaluate a forest, produce report CSVs, and run the streaming
 leg-shake detector over a file or stdin. Flags beat config values, which
 beat built-in defaults. Exit codes: 0 success, also when the reader closes
-stdout early; 1 invalid input or config; 2 runtime failure.
+stdout early; 1 invalid input or config; 2 runtime failure; 130 interrupted.
 """
 
 from __future__ import annotations
@@ -175,6 +175,9 @@ def main(argv=None) -> int:
         # what is left in stdout's buffer to devnull, where the exit's flush cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -562,50 +562,53 @@ def run_featurize(
         raise ValidationError("manifest lists no records")
     signal_paths = [e["signal_path"] for e in entries]
     meta_paths = [e["meta_path"] for e in entries]
-    with _task_map(jobs) as map_fn:
-        scans = list(map_fn(_scan_task, signal_paths, meta_paths))
-        rates = {scan.rate for scan in scans}
-        if len(rates) != 1:
-            raise ValidationError(f"records mix sample rates: {sorted(rates)}")
-        if rates != {config.mfcc.sample_rate}:
-            raise ValidationError(
-                f"records are sampled at {rates.pop()} Hz but mfcc.sample_rate is "
-                f"{config.mfcc.sample_rate} Hz"
-            )
-        sizes = [scan.size for scan in scans]
-        length = min(sizes)
-        if length < config.mfcc.window_size:
-            raise ValidationError(
-                f"{signal_paths[sizes.index(length)]}: {length} samples, "
-                f"shorter than one mfcc window ({config.mfcc.window_size})"
-            )
-        label_key = TASK_LABEL_KEY[config.task]
-        codes = np.empty((len(scans), 0))
-        if config.include_categoricals:
-            codes = dsp.category_codes([scan.labels for scan in scans])
-        rows: list[np.ndarray] = []
-        labels: list[str] = []
-        rejects: list[dict] = []
-        vectors = map_fn(
-            _featurize_task,
-            signal_paths,
-            meta_paths,
-            scans,
-            itertools.repeat(length),
-            itertools.repeat(config.mfcc),
-            codes,
-        )
-        for entry, scan, vector in zip(entries, scans, vectors):
-            if isinstance(vector, DegenerateSignalError):
-                rejects.append({"signal_path": str(entry["signal_path"]), "reason": str(vector)})
-                continue
-            label = scan.labels.get(label_key)
-            if label is None:
+    try:  # the MFCC plan the records share lives only as long as this command
+        with _task_map(jobs) as map_fn:
+            scans = list(map_fn(_scan_task, signal_paths, meta_paths))
+            rates = {scan.rate for scan in scans}
+            if len(rates) != 1:
+                raise ValidationError(f"records mix sample rates: {sorted(rates)}")
+            if rates != {config.mfcc.sample_rate}:
                 raise ValidationError(
-                    f"record {entry['signal_path']} has no {label_key} label for task {config.task}"
+                    f"records are sampled at {rates.pop()} Hz but mfcc.sample_rate is "
+                    f"{config.mfcc.sample_rate} Hz"
                 )
-            rows.append(vector)
-            labels.append(str(label))
+            sizes = [scan.size for scan in scans]
+            length = min(sizes)
+            if length < config.mfcc.window_size:
+                raise ValidationError(
+                    f"{signal_paths[sizes.index(length)]}: {length} samples, "
+                    f"shorter than one mfcc window ({config.mfcc.window_size})"
+                )
+            label_key = TASK_LABEL_KEY[config.task]
+            codes = np.empty((len(scans), 0))
+            if config.include_categoricals:
+                codes = dsp.category_codes([scan.labels for scan in scans])
+            rows: list[np.ndarray] = []
+            labels: list[str] = []
+            rejects: list[dict] = []
+            vectors = map_fn(
+                _featurize_task,
+                signal_paths,
+                meta_paths,
+                scans,
+                itertools.repeat(length),
+                itertools.repeat(config.mfcc),
+                codes,
+            )
+            for entry, scan, vector in zip(entries, scans, vectors):
+                if isinstance(vector, DegenerateSignalError):
+                    rejects.append({"signal_path": str(entry["signal_path"]), "reason": str(vector)})
+                    continue
+                label = scan.labels.get(label_key)
+                if label is None:
+                    raise ValidationError(
+                        f"record {entry['signal_path']} has no {label_key} label for task {config.task}"
+                    )
+                rows.append(vector)
+                labels.append(str(label))
+    finally:
+        dsp._mfcc_plan.cache_clear()
     if not rows:
         raise ValidationError("every record was rejected as degenerate")
     if rejects:

@@ -58,7 +58,7 @@ class Dataset:
             raise ValidationError("features must be finite")
         if self.labels.min() < 0 or self.labels.max() >= k:
             raise ValidationError("labels must lie in [0, number of classes)")
-        if np.unique(self.labels).size != k:
+        if not np.all(np.bincount(self.labels, minlength=k)):
             raise ValidationError("every class needs at least one sample")
 
     @property
@@ -672,7 +672,8 @@ def stratified_kfold(labels, k: int, shuffle_seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(shuffle_seed)
     folds: list[list[int]] = [[] for _ in range(k)]
     cursor = 0
-    for cls in np.unique(labels):
+    ordered = np.sort(labels)
+    for cls in ordered[_run_starts(ordered)]:
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(idx.size)]
         for i in idx:
@@ -775,7 +776,7 @@ def cv_plan(data: Dataset, params: ForestParams, k: int):
     every_row = np.arange(data.labels.size, dtype=np.int32)  # as fit_trees keeps row ids
     fits = [Fit(data, replace(params, seed=int(state[1])), every_row)]
     for i, test_idx in enumerate(folds):
-        train_idx = np.setdiff1d(every_row, test_idx)
+        train_idx = np.delete(every_row, test_idx)
         fits.append(Fit(data, replace(params, seed=int(state[2 + i])), train_idx, test_idx))
     return folds, fits
 
@@ -811,7 +812,7 @@ def holdout_validate(data: Dataset, params: ForestParams) -> EvalReport:
     a training row."""
     _, fits = cv_plan(data, params, 5)
     train_idx, test_idx = fits[1].train, fits[1].test
-    if np.unique(data.labels[train_idx]).size != data.n_classes:
+    if not np.all(np.bincount(data.labels[train_idx], minlength=data.n_classes)):
         raise ValidationError("every class needs at least one sample")
     (model,) = grow([fits[0]._replace(train=train_idx)])
     proba = predict_proba(model, data.features[test_idx])

@@ -112,9 +112,7 @@ def band_ratio(window_samples, config: DetectorConfig) -> tuple[float, float]:
     # rounded mean from a constant window
     if np.ptp(x) == 0.0:
         return 0.0, math.nan
-    x = x - x.mean()
-    if not np.any(x):
-        return 0.0, math.nan
+    x = x - x.mean()  # not all zero: x holds two unequal samples, and a - m == 0 only when a == m
     taper, in_band, band_bins = _window_plan(n, config.sample_rate, config.band_low, config.band_high)
     power = np.abs(np.fft.rfft(x * taper)) ** 2
     total = power[1:].sum()

@@ -15,7 +15,10 @@ per-tree, per-row walk that flat-forest prediction must match bit for bit,
 `reference_mdi_importance`, the per-tree importance loop that the
 one-bincount importance must match bit for bit, and
 `reference_rank_average`, the per-value tie-ranking loop that the
-run-based ranks must match bit for bit. `trees` gives the per-tree
+run-based ranks must match bit for bit, and `reference_stratified_kfold`
+and `reference_cv_train_rows`, the folds and training rows as numpy's set
+routines gave them, which the package's own class and row picking must
+match array for array. `trees` gives the per-tree
 views these read; `predict` and `detect_stream` are thin conveniences over
 the package's `predict_proba` and `ShakeDetector` that only tests use.
 """
@@ -159,6 +162,27 @@ def reference_rank_average(values: np.ndarray) -> np.ndarray:
         ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
         i = j + 1
     return ranks
+
+
+def reference_stratified_kfold(labels, k: int, shuffle_seed: int) -> list[np.ndarray]:
+    """The folds as the package dealt them when np.unique gave the classes."""
+    labels = np.asarray(labels, dtype=np.int64)
+    rng = np.random.default_rng(shuffle_seed)
+    folds: list[list[int]] = [[] for _ in range(k)]
+    cursor = 0
+    for cls in np.unique(labels):
+        idx = np.flatnonzero(labels == cls)
+        idx = idx[rng.permutation(idx.size)]
+        for i in idx:
+            folds[cursor % k].append(int(i))
+            cursor += 1
+    return [np.sort(np.asarray(f, dtype=np.int64)) for f in folds]
+
+
+def reference_cv_train_rows(n: int, folds) -> list[np.ndarray]:
+    """Each fold's training rows as the package took them, with np.setdiff1d."""
+    every_row = np.arange(n, dtype=np.int32)
+    return [np.setdiff1d(every_row, fold) for fold in folds]
 
 
 def macro_ovr_auroc(scores: np.ndarray, truth: np.ndarray) -> float:

@@ -7,6 +7,8 @@ import json
 import logging
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -762,6 +764,30 @@ def test_closed_stdout_ends_quietly(pipeline, shake_signal, tmp_path, command):
     finally:
         os.close(write_end)
     assert (done.returncode, done.stderr) == (0, b"")
+
+
+def test_interrupted_detect_ends_in_one_line(shake_signal, tmp_path):
+    """Ctrl-C on `detect -` reading a pipe that stays open, after it has
+    printed an event: one stderr line, exit 130, no partial output file."""
+    src = Path(esdgait.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "esdgait.cli", "detect", "-", "--quiet"],
+        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
+    )
+    try:
+        proc.stdin.write(shake_signal.read_bytes())
+        proc.stdin.flush()
+        ready, _, _ = select.select([proc.stdout], [], [], 60)
+        assert ready, "detect printed no event within 60 s"
+        assert json.loads(proc.stdout.readline())["type"] == "open"
+        os.kill(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=60) == 130
+        assert proc.stderr.read() == b"error: interrupted\n"
+    finally:
+        proc.kill()
+        proc.communicate()
+    assert not list(tmp_path.rglob("*.tmp"))
 
 
 class TestDetect:

@@ -32,9 +32,11 @@ from reference import (
     predict,
     pair_count_auroc,
     reference_fit_tree,
+    reference_cv_train_rows,
     reference_mdi_importance,
     reference_predict_proba,
     reference_rank_average,
+    reference_stratified_kfold,
     tree_predict_proba,
     trees,
 )
@@ -385,6 +387,30 @@ def test_stratified_folds_property_random_labels():
             assert max(per_fold) - min(per_fold) <= 1
         overall = [f.size for f in folds]
         assert max(overall) - min(overall) <= 1
+
+
+@pytest.mark.parametrize("labels", [
+    [3, 0, 3, 1, 0, 1, 3, 3, 1, 0],  # unsorted
+    [7, 2, 7, 11, 2, 2, 11, 7, 7, 40, 40],  # gapped
+    [-4, 2, -4, 0, -1, 2, -1, -4, 0, 0, -9],  # negative, one class of one row
+])
+def test_stratified_folds_equal_the_np_unique_folds(labels):
+    for k in (2, 3, 5):
+        for seed in (0, 1, 20250801):
+            folds = rf.stratified_kfold(labels, k, shuffle_seed=seed)
+            expected = reference_stratified_kfold(labels, k, seed)
+            assert [f.dtype for f in folds] == [f.dtype for f in expected]
+            assert [f.tolist() for f in folds] == [f.tolist() for f in expected]
+
+
+@pytest.mark.parametrize("k, n", [(2, 10), (3, 37), (25, 60)])
+def test_cv_plan_training_rows_equal_np_setdiff1d(k, n):
+    data = many_class_dataset(k, n, seed=n)
+    folds, fits = rf.cv_plan(data, replace(SMALL, seed=k), 5)
+    assert fits[0].train.dtype == np.int32
+    for fit, expected in zip(fits[1:], reference_cv_train_rows(n, folds), strict=True):
+        assert fit.train.dtype == expected.dtype == np.int32
+        assert fit.train.tolist() == expected.tolist()
 
 
 def test_stratified_folds_reject_too_many():

@@ -111,6 +111,25 @@ class TestBandRatio:
         assert ratio == 0.0
         assert math.isnan(peak)
 
+    @pytest.mark.parametrize("constant, odd, position, expected", [
+        (1.0, np.nextafter(1.0, 2.0), 1, (0.001, 5.0)),
+        (1.0, np.nextafter(1.0, 2.0), 5000, (0.001, 4.0)),
+        (-3.5, np.nextafter(-3.5, -4.0), 5000, (0.001, 4.0)),
+        (1.0, np.nextafter(1.0, 2.0), 0, (0.0, math.nan)),  # under the taper's zero
+        (0.0, 5e-324, 5000, (0.0, math.nan)),  # power underflows to zero
+        (0.0, -(2.0**-1050), 1, (0.0, math.nan)),
+        (2.0**-1060, np.nextafter(2.0**-1060, 1.0), 5000, (0.0, math.nan)),
+    ])
+    def test_a_constant_with_one_nearest_sample(self, constant, odd, position, expected):
+        """The smallest non-constant windows: the mean-removed window is
+        never all zero, and a power that underflows still scores 0."""
+        cfg = DetectorConfig()
+        window = np.full(cfg.window_samples, constant)
+        window[position] = odd
+        ratio, peak = band_ratio(window, cfg)
+        assert ratio == expected[0]
+        assert peak == expected[1] or math.isnan(peak) and math.isnan(expected[1])
+
     def test_dc_offset_ignored(self):
         cfg = DetectorConfig()
         window = tone_window(5.5, cfg)

@@ -24,6 +24,7 @@ import esdgait.experiments as ex
 import esdgait.io as eio
 from esdgait import dsp, forest
 from esdgait.cli import main
+from esdgait.errors import ValidationError
 from esdgait.simkit import SignalRecord
 
 JOBS = ("1", "2", "3")
@@ -420,6 +421,33 @@ def test_commands_that_open_no_pool_import_no_multiprocessing(cohort, tmp_path):
     assert done.stdout.splitlines()[-1] == "[]"
 
 
+NO_MASKED_ARRAYS_PROBE = """
+import sys
+from esdgait.cli import main
+config, sim, out = sys.argv[1:]
+features = sim + "/features.csv"
+for argv in (["train", "--out", out + "/train"], ["eval", "--out", out + "/cv"],
+             ["eval", "--holdout", "--out", out + "/holdout"],
+             ["eval", "--model", out + "/train/model.rfj", "--out", out + "/model"],
+             ["report", "--out", out + "/report"]):
+    assert main([argv[0], features, *argv[1:], "--config", config, "--jobs", "1", "--quiet"]) == 0
+print(sorted(name for name in sys.modules if (name + ".").startswith("numpy.ma.")))
+"""
+
+
+def test_forest_commands_import_no_masked_arrays(cohort, tmp_path):
+    """train, eval and report count and split labels without numpy's set
+    routines: np.unique imports numpy.ma (about 1.25 MB) on its first call."""
+    config, sim = cohort
+    src = Path(ex.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS_PROBE, str(config), str(sim), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
+
+
 # ------------------------------------------------------------ memory
 
 
@@ -444,6 +472,26 @@ def test_featurize_holds_one_record_at_a_time(cohort, tmp_path, monkeypatch):
     assert run("featurize", str(sim / "dataset.json"), "--config", str(config),
                "--out", str(tmp_path), "--jobs", "1") == 0
     assert featurized == [1] * 19  # 18 simulated records and the flat one
+
+
+def test_featurize_drops_its_mfcc_plan(cohort, tmp_path):
+    """The plan (mostly the 40-row mel filterbank) lives for one command:
+    run_featurize drops it when it returns and when it raises, while a
+    direct dsp.mfcc call keeps it for the next."""
+    config_path, sim = cohort
+    config = ex.load_config(config_path)
+    ex.run_featurize(sim / "dataset.json", config, tmp_path / "whole")
+    assert dsp._mfcc_plan.cache_info().currsize == 0
+    labels = {"person_id": "ada", "plant_type": "ficus", "location": "lab"}
+    short = SignalRecord(np.ones(config.mfcc.window_size - 1), 10_000.0, labels)
+    eio.write_record(short, tmp_path / "short.sig.csv", tmp_path / "short.meta.json")
+    eio.write_manifest(tmp_path / "dataset.json",
+                       [{"signal_path": "short.sig.csv", "meta_path": "short.meta.json"}])
+    dsp.mfcc(np.ones(config.mfcc.window_size), config.mfcc)
+    assert dsp._mfcc_plan.cache_info().currsize == 1
+    with pytest.raises(ValidationError, match="shorter than one mfcc window"):
+        ex.run_featurize(tmp_path / "dataset.json", config, tmp_path / "short")
+    assert dsp._mfcc_plan.cache_info().currsize == 0
 
 
 def test_no_samples_cross_the_pool(cohort, tmp_path, pools, monkeypatch):
