@@ -78,10 +78,12 @@ def trim_to_length(samples: np.ndarray, length: int) -> np.ndarray:
 
 
 def z_transform(samples) -> np.ndarray:
-    """Standardize to mean 0, population variance 1."""
+    """Standardize to mean 0, population variance 1. An exact scaling by a power
+    of two first keeps any finite record's variance from overflow and underflow."""
     x = np.asarray(samples, dtype=float)
     if x.size < 2:
         raise ValidationError("need at least 2 samples to standardize")
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
     std = x.std()  # population convention
     if std == 0.0:
         raise DegenerateSignalError("zero-variance signal cannot be standardized")

@@ -246,11 +246,16 @@ def _task_map(jobs: int):
                 workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
                 if workers < 2:
                     return itertools.starmap(fn, tasks)
-                pool = stack.enter_context(
-                    concurrent.futures.ProcessPoolExecutor(max_workers=workers)
-                )
+                pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                stack.callback(pool.shutdown, cancel_futures=True)  # queued tasks never start
+            import signal  # as the pool code does: a command that opens no pool loads neither
             chunksize = max(1, -(-len(tasks) // (8 * workers)))
-            return pool.map(fn, *zip(*tasks), chunksize=chunksize)
+            # workers and pool threads forked in a map keep this mask: SIGINT reaches this thread alone
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
+            try:
+                return pool.map(fn, *zip(*tasks), chunksize=chunksize)
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
 
         yield task_map
 

@@ -17,6 +17,7 @@ Prediction ties go to the lowest class id.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import logging
@@ -375,7 +376,10 @@ def _best_split_for_feature(
         win = hit[_run_starts(node[hit])]
         cut_win = cut[win]
         lo, hi = values[cut_win], values[cut_win + 1]
-        mid = (lo + hi) / 2.0
+        with np.errstate(over="ignore"):
+            mid = (lo + hi) / 2.0
+        big = np.isinf(mid)  # a sum past the largest float: halve first
+        mid[big] = lo[big] / 2 + hi[big] / 2
         column[owner] = s[win] % m
         threshold[owner] = np.where(mid == hi, lo, mid)  # adjacent floats: keep lo on the left
     return best, column, threshold
@@ -928,27 +932,6 @@ def _check_nodes(nodes: NodeTable, n_features: int) -> None:
         raise ValidationError(f"trees[{first}]: {checks[int(np.argmax(failed[:, first]))][1]}")
 
 
-def model_to_document(model: RandomForestModel, mfcc_fingerprint: str | None = None) -> dict:
-    return {
-        "format": MODEL_FORMAT,
-        "params": model.params.to_dict(),
-        "feature_names": list(model.feature_names),
-        "class_names": list(model.class_names),
-        "per_tree_seeds": list(model.per_tree_seeds),
-        "mfcc_fingerprint": mfcc_fingerprint,
-        "trees": list(_tree_documents(model.nodes)),
-    }
-
-
-def _tree_documents(nodes: NodeTable):
-    """Each tree's entry of a model document, one tree at a time."""
-    for a, b in itertools.pairwise([0, *np.cumsum(nodes.sizes).tolist()]):
-        tree = {name: getattr(nodes, name)[a:b].tolist() for name in NodeTable._fields[1:]}
-        tree["threshold"] = [None if math.isnan(v) else v for v in tree["threshold"]]
-        tree["histogram"] = nodes.histogram[a:b].astype(int).tolist()
-        yield tree
-
-
 _INT_COLUMNS = ("feature", "left", "right", "n_samples", "depth")
 # the JSON types of each column: numpy would decode 1.5, true or "7" as
 # an integer, and "0.25" or true as a float; a leaf's threshold is saved as null
@@ -957,12 +940,6 @@ _COLUMN_KINDS = {
     for key in NodeTable._fields[1:]
 }
 _COLUMN_KINDS["threshold"] += (type(None),)
-
-
-class _Tree(NamedTuple):
-    """A trees[i] object that load_model's parse hook already decoded."""
-
-    nodes: NodeTable
 
 
 def _tree_nodes(tree, where: str) -> NodeTable:
@@ -986,8 +963,10 @@ def _tree_nodes(tree, where: str) -> NodeTable:
     return NodeTable(np.array([n]), *columns)
 
 
-def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> RandomForestModel:
-    """Rebuild a saved model, rejecting any document it cannot safely predict with."""
+def _from_document(doc, expected_fingerprint: str | None = None) -> RandomForestModel:
+    """The model a parsed model.rfj document holds, each trees[i] a plain
+    object or the NodeTable that load_model's parse hook made of it; refuses
+    any document it cannot safely predict with."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != MODEL_FORMAT:
         raise ValidationError(f"unsupported model format {fmt!r}")
@@ -1011,7 +990,7 @@ def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> R
         )
     parts = []
     for i, tree in enumerate(trees):
-        nodes = tree.nodes if isinstance(tree, _Tree) else _tree_nodes(tree, f"trees[{i}]")
+        nodes = tree if isinstance(tree, NodeTable) else _tree_nodes(tree, f"trees[{i}]")
         if nodes.histogram.shape != (nodes.sizes[0], len(class_names)):  # before the trees join
             raise ValidationError(
                 f"trees[{i}]: histogram width must equal the {len(class_names)} classes"
@@ -1023,41 +1002,47 @@ def model_from_document(doc: dict, expected_fingerprint: str | None = None) -> R
 
 
 def save_model(model: RandomForestModel, path, mfcc_fingerprint: str | None = None) -> None:
-    """json.dumps(model_to_document(...), sort_keys=True) and a newline, one tree
-    at a time: "trees" sorts last, so they go inside the '[]}' that ends the bare dump."""
-    bare = replace(model, nodes=model.nodes.cut(0, 0))
-    head = json.dumps(model_to_document(bare, mfcc_fingerprint), sort_keys=True)[:-2]
-    trees = (json.dumps(tree, sort_keys=True) for tree in _tree_documents(model.nodes))
-    chunks = itertools.chain([head, next(trees, "")], (", " + tree for tree in trees), ["]}\n"])
+    """Write `model` as one line of sort_keys JSON and a newline, one tree at
+    a time: "trees" sorts last, so the trees go after the other keys' dump."""
+    def trees():
+        nodes = model.nodes
+        for i, (a, b) in enumerate(itertools.pairwise([0, *np.cumsum(nodes.sizes).tolist()])):
+            tree = {name: getattr(nodes, name)[a:b].tolist() for name in NodeTable._fields[1:]}
+            tree["threshold"] = [None if math.isnan(v) else v for v in tree["threshold"]]
+            tree["histogram"] = nodes.histogram[a:b].astype(int).tolist()
+            yield (", " if i else "") + json.dumps(tree, sort_keys=True)
+
+    head = json.dumps(dict(
+        format=MODEL_FORMAT, params=model.params.to_dict(), feature_names=list(model.feature_names),
+        class_names=list(model.class_names), per_tree_seeds=list(model.per_tree_seeds),
+        mfcc_fingerprint=mfcc_fingerprint), sort_keys=True)[:-1]  # without its closing brace
+    chunks = itertools.chain([head, ', "trees": ['], trees(), ["]}\n"])
     io._atomic_write(path, (chunk.encode("ascii") for chunk in chunks))
 
 
 def load_model(path, expected_fingerprint: str | None = None) -> RandomForestModel:
-    """model_from_document of the file at `path`, each tree decoded as the
+    """The model that save_model wrote to `path`, each tree decoded as the
     parser closes it. A tree-shaped object anywhere but in `trees` sends the
     file through a plain parse, to be refused as the plain document is."""
     decoded = 0
 
     def decode_tree(obj: dict):
         """json's object_hook: an object holding every node column becomes
-        its _Tree as the parser closes it, so one tree's lists are alive at
-        a time. Any other object, and one that fails a check, stays as
-        parsed, for model_from_document to decode and refuse in tree order."""
+        its NodeTable as the parser closes it, so one tree's lists are alive
+        at a time. Any other object, and one that fails a check, stays as
+        parsed, for _from_document to decode and refuse in tree order."""
         nonlocal decoded
         if obj.keys() >= _COLUMN_KINDS.keys():
-            try:
-                tree = _Tree(_tree_nodes(obj, ""))  # its error, if any, comes again in order
-            except ValidationError:
-                return obj
-            decoded += 1
-            return tree
+            with contextlib.suppress(ValidationError):  # its error comes again, in order
+                obj = _tree_nodes(obj, "")
+                decoded += 1
         return obj
 
     doc = io.read_json(path, object_hook=decode_tree)
     trees = doc.get("trees") if isinstance(doc, dict) else None
-    if decoded != (sum(isinstance(t, _Tree) for t in trees) if isinstance(trees, list) else 0):
+    if decoded != (sum(isinstance(t, NodeTable) for t in trees) if isinstance(trees, list) else 0):
         doc = io.read_json(path)
     try:
-        return model_from_document(doc, expected_fingerprint)
+        return _from_document(doc, expected_fingerprint)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None

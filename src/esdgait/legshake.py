@@ -110,8 +110,14 @@ def band_ratio(window_samples, config: DetectorConfig) -> tuple[float, float]:
         raise ValidationError("window samples must be finite")
     # peak-to-peak is exact, unlike the residue left by subtracting a
     # rounded mean from a constant window
-    if np.ptp(x) == 0.0:
+    top, bottom = x.max(), x.min()
+    if top == bottom:
         return 0.0, math.nan
+    # scale only where the power would overflow or underflow: a power of two keeps
+    # the ratio exact but moves the peak by ulps, and in range no event changes a byte
+    size = max(top, -bottom)
+    if not 2.0**-400 <= size <= 2.0**400:
+        x = np.ldexp(x, -np.frexp(size)[1])
     x = x - x.mean()  # not all zero: x holds two unequal samples, and a - m == 0 only when a == m
     taper, in_band, band_bins = _window_plan(n, config.sample_rate, config.band_low, config.band_high)
     power = np.abs(np.fft.rfft(x * taper)) ** 2

@@ -18,7 +18,8 @@ one-bincount importance must match bit for bit, and
 run-based ranks must match bit for bit, and `reference_stratified_kfold`
 and `reference_cv_train_rows`, the folds and training rows as numpy's set
 routines gave them, which the package's own class and row picking must
-match array for array. `trees` gives the per-tree
+match array for array, and `model_document`, the whole model document
+that streamed saves must match byte for byte. `trees` gives the per-tree
 views these read; `predict` and `detect_stream` are thin conveniences over
 the package's `predict_proba` and `ShakeDetector` that only tests use.
 """
@@ -367,6 +368,27 @@ def trees(forest) -> list:
     a table of its own, so its left/right index its own columns."""
     nodes = getattr(forest, "nodes", forest)
     return [nodes.cut(t, t + 1) for t in range(nodes.sizes.size)]
+
+
+def model_document(model, mfcc_fingerprint: str | None = None) -> dict:
+    """A model as the whole document that save_model streams one tree at a
+    time: its json.dumps(..., sort_keys=True) and a newline are the file."""
+    columns = rf.NodeTable._fields[1:]
+    documents = []
+    for tree in trees(model):
+        doc = {name: getattr(tree, name).tolist() for name in columns}
+        doc["threshold"] = [None if math.isnan(v) else v for v in doc["threshold"]]
+        doc["histogram"] = tree.histogram.astype(int).tolist()
+        documents.append(doc)
+    return {
+        "format": rf.MODEL_FORMAT,
+        "params": model.params.to_dict(),
+        "feature_names": list(model.feature_names),
+        "class_names": list(model.class_names),
+        "per_tree_seeds": list(model.per_tree_seeds),
+        "mfcc_fingerprint": mfcc_fingerprint,
+        "trees": documents,
+    }
 
 
 def leaf_for(tree, row: np.ndarray) -> int:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import io as std_io
 import json
 import logging
@@ -11,6 +12,7 @@ import select
 import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -790,6 +792,38 @@ def test_interrupted_detect_ends_in_one_line(shake_signal, tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pool needs two usable CPUs")
+def test_interrupted_pooled_train_ends_in_one_line(pipeline, tmp_path):
+    """Ctrl-C to the process group of `train --jobs 2` once its pool has
+    forked workers: one stderr line, exit 130, and no output or .tmp file.
+    A worker that took the signal would print its own traceback."""
+    config, run = pipeline
+    raw = json.loads(config.read_text())
+    long_config = tmp_path / "config.json"  # long enough to be running at the signal
+    long_config.write_text(json.dumps({**raw, "forest": {"n_estimators": 5000}}))
+    src = Path(esdgait.__file__).resolve().parent.parent
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "esdgait.cli", "train", str(run / "features.csv"),
+         "--config", str(long_config), "--out", str(tmp_path / "out"), "--jobs", "2", "--quiet"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(src)}, start_new_session=True,
+    )
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        while not children.read_text().split():
+            assert proc.poll() is None and time.monotonic() < deadline, "train forked no worker"
+            time.sleep(0.01)
+        os.killpg(proc.pid, signal.SIGINT)
+        assert proc.wait(timeout=60) == 130
+        assert proc.stderr.read() == b"error: interrupted\n"
+    finally:
+        with contextlib.suppress(ProcessLookupError):  # a hung train, and its workers
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+    assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["config.json"]
+
+
 class TestDetect:
     def test_detect_emits_open_event(self, shake_signal, capsys):
         assert main(["detect", str(shake_signal), "--quiet"]) == 0
@@ -826,6 +860,16 @@ class TestDetect:
         assert [e["type"] for e in events] == ["open", "close"]
         assert events[1]["offset"] is not None
         assert events[1]["offset"] > events[1]["onset"]
+
+    def test_detect_near_the_largest_float_warns_of_nothing(self, tmp_path):
+        """Samples of 1e300, one an ulp higher: the windows' power would
+        overflow, so they are scored scaled, and no numpy warning reaches stderr."""
+        samples = np.full(12_000, 1e300)
+        samples[3_000] = np.nextafter(1e300, 2e300)
+        path = tmp_path / "huge.sig.csv"
+        path.write_text("".join(f"{v!r}\n" for v in samples.tolist()))
+        done = run_cli("detect", str(path), "--quiet")
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
 
     def test_detect_bad_sample_exits_1(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "bad.sig.csv"

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reference import naive_mfcc
 
@@ -240,6 +242,19 @@ class TestFeaturize:
         a = dsp.featurize(self.make_samples())
         b = dsp.featurize(self.make_samples())
         np.testing.assert_array_equal(a, b)
+
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1000, 900))
+    def test_a_power_of_two_scale_keeps_every_feature_bit(self, seed, k):
+        samples = np.random.default_rng(seed).normal(size=6000)
+        assert dsp.featurize(np.ldexp(samples, k)).tobytes() == dsp.featurize(samples).tobytes()
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-200])
+    def test_a_record_whose_variance_is_no_float_featurizes_as_at_unit_scale(self, scale):
+        """Its variance would overflow to inf, or underflow to a zero that
+        refuses the record: only the rounding of `samples * scale` differs."""
+        samples = np.random.default_rng(5).normal(size=6000)
+        np.testing.assert_allclose(dsp.featurize(samples * scale), dsp.featurize(samples), rtol=0, atol=1e-11)
 
     def test_degenerate_record_propagates(self):
         with pytest.raises(DegenerateSignalError):

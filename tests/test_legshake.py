@@ -116,19 +116,36 @@ class TestBandRatio:
         (1.0, np.nextafter(1.0, 2.0), 5000, (0.001, 4.0)),
         (-3.5, np.nextafter(-3.5, -4.0), 5000, (0.001, 4.0)),
         (1.0, np.nextafter(1.0, 2.0), 0, (0.0, math.nan)),  # under the taper's zero
-        (0.0, 5e-324, 5000, (0.0, math.nan)),  # power underflows to zero
-        (0.0, -(2.0**-1050), 1, (0.0, math.nan)),
-        (2.0**-1060, np.nextafter(2.0**-1060, 1.0), 5000, (0.0, math.nan)),
+        # windows whose power would underflow are scored scaled by a power of
+        # two: the impulse in bins 4-8, and the Hann window's leakage of the
+        # removed mean, which the unit-scale windows above rounded away
+        (0.0, 5e-324, 5000, (pytest.approx(1.0000865e-3, rel=1e-6), pytest.approx(5.106668))),
+        (0.0, -(2.0**-1050), 1, (pytest.approx(2.807686e-10, rel=1e-6), 4.5)),
+        (2.0**-1060, np.nextafter(2.0**-1060, 1.0), 5000,
+         (pytest.approx(1.0000865e-3, rel=1e-6), pytest.approx(5.106668))),
     ])
     def test_a_constant_with_one_nearest_sample(self, constant, odd, position, expected):
         """The smallest non-constant windows: the mean-removed window is
-        never all zero, and a power that underflows still scores 0."""
+        never all zero."""
         cfg = DetectorConfig()
         window = np.full(cfg.window_samples, constant)
         window[position] = odd
         ratio, peak = band_ratio(window, cfg)
         assert ratio == expected[0]
         assert peak == expected[1] or math.isnan(peak) and math.isnan(expected[1])
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1), k=st.integers(-900, 1000))
+    def test_a_power_of_two_scale_keeps_the_score(self, seed, k):
+        """The ratio is the same bit for bit at any scale, and the peak to a
+        few ulps, also where the power of the unscaled window would overflow
+        or underflow."""
+        cfg = DetectorConfig()
+        window = tone_window(5.5, cfg) + np.random.default_rng(seed).normal(size=cfg.window_samples)
+        ratio, peak = band_ratio(window, cfg)
+        scaled_ratio, scaled_peak = band_ratio(np.ldexp(window, k), cfg)
+        assert scaled_ratio == ratio
+        assert scaled_peak == pytest.approx(peak, rel=1e-14)
 
     def test_dc_offset_ignored(self):
         cfg = DetectorConfig()

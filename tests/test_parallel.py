@@ -87,10 +87,7 @@ class FakeExecutor:
     def __init__(self, made: list[int], max_workers: int) -> None:
         made.append(max_workers)
 
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc) -> None:
+    def shutdown(self, cancel_futures=False) -> None:
         return None
 
     def map(self, fn, *iterables, chunksize=1):
