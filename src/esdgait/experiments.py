@@ -680,8 +680,12 @@ CV_RECORD = "cv.json"
 
 def _cv_key(features_path, config: ExperimentConfig) -> dict:
     """Everything a cross-validation of a whole feature table depends on."""
+    digest = hashlib.sha256()
+    with open(features_path, "rb") as fh:
+        for block in io.file_blocks(fh):  # not the whole table at once
+            digest.update(block)
     key = {
-        "features_sha256": hashlib.sha256(Path(features_path).read_bytes()).hexdigest(),
+        "features_sha256": digest.hexdigest(),
         "forest": config.forest_params.to_dict(),
         "cv_folds": config.cv_folds,
         "seed": config.seed,

@@ -16,7 +16,7 @@ other block (nan, inf, a three-digit exponent) is formatted by Python's %.
 
 `simulate` also writes `<name>.sig.csv.f8` next to each signal: the
 samples as float64 under a sha256 key of the signal's bytes, so readers of
-an unchanged record skip the text parse (see `read_stored_samples`).
+an unchanged record skip the text parse (see `_verified_sidecar`).
 
 All writers go through a temp file in the target directory followed by an
 atomic rename, so readers never observe partial files.
@@ -51,8 +51,9 @@ def atomic_write_text(path, text: str) -> None:
     _atomic_write(path, [text.encode("utf-8")])
 
 
-def _atomic_write(path, chunks) -> None:
-    """Write the byte chunks (bytes or contiguous arrays) one after another."""
+def _atomic_write(path, chunks, digest=None) -> None:
+    """Write the byte chunks (bytes or contiguous arrays) one after another,
+    each added to `digest` as it is written when a hash object is given."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
@@ -61,6 +62,8 @@ def _atomic_write(path, chunks) -> None:
         with os.fdopen(fd, "wb") as fh:
             for chunk in chunks:
                 fh.write(chunk)
+                if digest is not None:
+                    digest.update(chunk)
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -194,13 +197,13 @@ def mfcc_fingerprint(config: MfccConfig) -> str:
 
 
 def write_record(record: SignalRecord, signal_path, meta_path) -> None:
-    """Write the signal text, then its sidecar, then the labels."""
-    blocks, parsed = _format_samples(record.samples)
-    stored = parsed.astype("<f8", copy=False)
+    """Write the signal text a block at a time, then its sidecar, then the labels."""
+    x = np.asarray(record.samples, dtype=float).ravel()
+    parsed = np.empty(x.size)
     digest = hashlib.sha256()
-    for chunk in (*blocks, stored):
-        digest.update(chunk)
-    _atomic_write(signal_path, blocks)
+    _atomic_write(signal_path, _text_blocks(x, parsed), digest)
+    stored = parsed.astype("<f8", copy=False)
+    digest.update(stored)
     _atomic_write(_sidecar_path(signal_path), [_SIDECAR_TAG, digest.digest(), stored])
     atomic_write_json(meta_path, {**record.labels, "sample_rate": record.sample_rate})
 
@@ -217,27 +220,50 @@ def _sidecar_path(signal_path) -> Path:
     return Path(f"{signal_path}.f8")
 
 
-def read_stored_samples(signal_path) -> np.ndarray | None:
-    """The samples in the signal's sidecar, or None unless the sidecar
+def file_blocks(fh):
+    """The bytes of a file open for binary reading, from where it stands,
+    64 KiB at a time."""
+    return iter(functools.partial(fh.read, 1 << 16), b"")
+
+
+def _verified_sidecar(signal_path):
+    """The signal's sidecar, open at its first sample, or None unless it
     provably belongs to the signal text as it is now: the tag matches, the
-    key is the sha256 of the text and the samples, there is one sample per
-    line (and at least one), and every sample is finite. A missing or
-    unreadable file is a miss too, so callers fall back to parsing the text."""
-    try:
-        with open(_sidecar_path(signal_path), "rb") as fh:
-            head = fh.read(_SIDECAR_HEAD)
-            samples = np.fromfile(fh, dtype="<f8")
-        digest, lines = hashlib.sha256(), 0
-        with open(signal_path, "rb") as fh:
-            while block := fh.read(1 << 16):
+    key is the sha256 of the text and the samples, and the payload is whole
+    float64s, one finite sample per line (and at least one). Both files are
+    hashed a block at a time; a missing or unreadable file is a miss too.
+    Reading on trusts that the sidecar is replaced, never rewritten in place."""
+    with contextlib.ExitStack() as stack:
+        try:
+            fh = stack.enter_context(open(_sidecar_path(signal_path), "rb"))
+            head, digest, lines = fh.read(_SIDECAR_HEAD), hashlib.sha256(), 0
+            with open(signal_path, "rb") as text:
+                for block in file_blocks(text):
+                    digest.update(block)
+                    lines += block.count(b"\n")
+            for block in file_blocks(fh):  # only the last read may be short
+                if len(block) % 8 or not np.isfinite(np.frombuffer(block, "<f8")).all():
+                    return None
                 digest.update(block)
-                lines += np.count_nonzero(np.frombuffer(block, np.uint8) == ord("\n"))
-    except OSError:
+            if head != _SIDECAR_TAG + digest.digest() or fh.tell() != _SIDECAR_HEAD + 8 * lines:
+                return None
+            fh.seek(_SIDECAR_HEAD)
+        except OSError:
+            return None
+        if lines == 0:
+            return None
+        stack.pop_all()
+        return fh
+
+
+def read_stored_samples(signal_path) -> np.ndarray | None:
+    """The samples in the signal's sidecar, when `_verified_sidecar` finds it
+    to match the text, else None."""
+    fh = _verified_sidecar(signal_path)
+    if fh is None:
         return None
-    digest.update(samples)
-    if head != _SIDECAR_TAG + digest.digest() or samples.size != lines or lines == 0:
-        return None
-    return samples if np.all(np.isfinite(samples)) else None
+    with fh:
+        return np.fromfile(fh, dtype="<f8")
 
 
 # A file's times are kept to a grain: the kernel's clock tick (at most 10 ms)
@@ -341,17 +367,19 @@ def sample_chunks(source, name=None):
     reader pushes the same chunks as a per-line one would.
 
     `source` is a path, or an open text stream named `name` in errors. A
-    path whose sidecar matches its text is not parsed at all. The grammar:
+    path whose sidecar matches its text is not parsed at all: its samples
+    are read from the sidecar a chunk at a time. The grammar:
     every line that is not blank holds, stripped, one finite number that
     float() accepts. The first line that does not ends the read with a
     ValidationError `<name>:<line>: ...`, raised after every full chunk
     before it has been yielded.
     """
     if isinstance(source, (str, os.PathLike)):
-        stored = read_stored_samples(source)
-        if stored is not None:
-            for begin in range(0, stored.size, _SAMPLE_CHUNK_LINES):
-                yield stored[begin : begin + _SAMPLE_CHUNK_LINES]
+        sidecar = _verified_sidecar(source)
+        if sidecar is not None:  # one chunk in memory at a time, whatever the record's length
+            with sidecar:
+                while block := sidecar.read(8 * _SAMPLE_CHUNK_LINES):
+                    yield np.frombuffer(block, "<f8", count=len(block) // 8)
             return
         with open_text(source) as lines:
             yield from sample_chunks(lines, source if name is None else name)
@@ -394,7 +422,7 @@ def sample_chunks(source, name=None):
         yield pending
 
 
-# Record text is "%.8e" per sample, one per line. _format_samples writes it
+# Record text is "%.8e" per sample, one per line. _text_blocks writes it
 # with numpy in blocks of this many rows, which bounds its temporaries.
 _FORMAT_BLOCK_ROWS = 8192
 # A block takes the table path when every sample is 0 or has a two-digit
@@ -419,20 +447,15 @@ _TAIL = np.frombuffer(b"".join(b"%03de" % d for d in range(1000)), dtype="u4")
 _EXPONENT = np.frombuffer(b"".join(b"%+03d\n" % e for e in range(-99, 100)), dtype="u4")
 
 
-def _format_samples(samples) -> tuple[list[bytes], np.ndarray]:
-    """Record text, as blocks of bytes, and the samples it holds. The text
-    is each sample as "%.8e" on its own line, byte for byte what Python's %
-    operator gives for every float64; the array holds the float each line
-    parses to."""
-    x = np.asarray(samples, dtype=float).ravel()
-    parsed = np.empty(x.size)
+def _text_blocks(x: np.ndarray, parsed: np.ndarray):
+    """Record text for the float64 samples `x`, a block of bytes at a time.
+    The text is each sample as "%.8e" on its own line, byte for byte what
+    Python's % operator gives for every float64; as each block is made,
+    `parsed` (the size of `x`) takes the floats its lines parse to."""
     if x.size == 0:
-        return [b"\n"], parsed
-    blocks = [
-        _format_block(x[i : i + _FORMAT_BLOCK_ROWS], parsed[i : i + _FORMAT_BLOCK_ROWS])
-        for i in range(0, x.size, _FORMAT_BLOCK_ROWS)
-    ]
-    return blocks, parsed
+        yield b"\n"
+    for i in range(0, x.size, _FORMAT_BLOCK_ROWS):
+        yield _format_block(x[i : i + _FORMAT_BLOCK_ROWS], parsed[i : i + _FORMAT_BLOCK_ROWS])
 
 
 def _format_block(x: np.ndarray, parsed: np.ndarray) -> bytes:

@@ -120,7 +120,9 @@ def band_ratio(window_samples, config: DetectorConfig) -> tuple[float, float]:
         x = np.ldexp(x, -np.frexp(size)[1])
     x = x - x.mean()  # not all zero: x holds two unequal samples, and a - m == 0 only when a == m
     taper, in_band, band_bins = _window_plan(n, config.sample_rate, config.band_low, config.band_high)
-    power = np.abs(np.fft.rfft(x * taper)) ** 2
+    # taper and square in place: one window copy and one spectrum, the same ufuncs' bits
+    power = np.abs(np.fft.rfft(np.multiply(x, taper, out=x)))
+    np.square(power, out=power)
     total = power[1:].sum()
     if total <= 0.0:
         return 0.0, math.nan

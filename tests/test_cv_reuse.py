@@ -6,9 +6,11 @@ unusable."""
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import json
 import os
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -282,3 +284,17 @@ def test_record_holds_key_and_train_report(table):
         "features_sha256", "forest", "cv_folds", "seed", "esdgait_version",
     }
     assert record["report"] == json.loads((trained / "eval_report.json").read_text())
+
+
+def test_key_hashes_the_table_a_block_at_a_time(tmp_path):
+    features = tmp_path / "features.csv"
+    features.write_bytes(os.urandom(1 << 20))
+    config = ex.load_config(write_config(tmp_path / "config.json", 2))
+    tracemalloc.start()
+    try:
+        key = ex._cv_key(features, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert key["features_sha256"] == hashlib.sha256(features.read_bytes()).hexdigest()
+    assert peak < 250_000  # the table is 1 MB

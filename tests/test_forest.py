@@ -14,7 +14,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import esdgait.forest as rf
@@ -281,6 +281,30 @@ def test_split_thresholds_near_the_largest_float_stay_finite(sign):
     assert split.any()
     assert (model.nodes.threshold[split] == x[9, 0] / 2 + x[10, 0] / 2).all()
     assert np.array_equal(rf.predict_proba(model, x), np.eye(2)[data.labels])
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), k=st.integers(-1100, 1100), bootstrap=st.booleans())
+@example(seed=0, k=-1100, bootstrap=False)
+@example(seed=0, k=1100, bootstrap=True)
+def test_a_power_of_two_scale_scales_every_threshold(seed, k, bootstrap):
+    """Trees grown on ldexp(features, k) have the same nodes, with every
+    threshold ldexp(t, k): a power of two keeps each comparison and each
+    midpoint's rounding while no value, halved or doubled, leaves the
+    normal range. k is clamped to that range, so its edges are drawn too."""
+    data = blob_dataset(12, [[0, 0], [2, 1], [1, 3]], n_noise=2, seed=seed)
+    top = np.frexp(np.abs(data.features).max())[1]  # every |value| < 2**top
+    bottom = np.frexp(np.abs(data.features[data.features != 0]).min())[1]  # >= 2**(bottom - 1)
+    k = min(max(k, -1020 - bottom), 1023 - top)
+    scaled = rf.Dataset(np.ldexp(data.features, k), data.labels, data.feature_names,
+                        data.class_names)
+    params = replace(SMALL, bootstrap=bootstrap)
+    plain, grown = (fit_forest(d, params).nodes for d in (data, scaled))
+    for name in plain._fields:
+        if name != "threshold":
+            assert np.array_equal(getattr(grown, name), getattr(plain, name)), name
+    expected = np.ldexp(plain.threshold, k)
+    assert expected.view(np.uint64).tolist() == grown.threshold.view(np.uint64).tolist()
 
 
 def test_predict_rejects_wrong_width():

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import math
 import re
+import tracemalloc
 import warnings
 from dataclasses import dataclass, field
 from io import StringIO
@@ -197,9 +198,16 @@ SAMPLE_VALUES = st.one_of(
 )
 
 
+def text_and_parsed(values) -> tuple[str, np.ndarray]:
+    """The record text of `values`, joined from its blocks, and the floats
+    its lines parse to as the blocks fill them in."""
+    x = np.array(values, dtype=float)
+    parsed = np.empty(x.size)
+    return b"".join(eio._text_blocks(x, parsed)).decode("ascii"), parsed
+
+
 def sample_text(values) -> str:
-    blocks, _ = eio._format_samples(np.array(values, dtype=float))
-    return b"".join(blocks).decode("ascii")
+    return text_and_parsed(values)[0]
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
@@ -231,8 +239,7 @@ NEAR_FAST_PATH_EDGE = signed(
 )
 def test_stored_samples_equal_the_parsed_text(values, block_rows):
     with mock.patch.object(eio, "_FORMAT_BLOCK_ROWS", block_rows):
-        blocks, parsed = eio._format_samples(np.array(values, dtype=float))
-    text = b"".join(blocks).decode("ascii")
+        text, parsed = text_and_parsed(values)
     assert bits(parsed) == bits([float(line) for line in text.splitlines()])
 
 
@@ -272,8 +279,7 @@ ORDINARY_SAMPLES = st.floats(min_value=-1e-6, max_value=1e-6)
 )
 def test_fast_path_edges_among_ordinary_samples(values, block_rows):
     with mock.patch.object(eio, "_FORMAT_BLOCK_ROWS", block_rows):
-        blocks, parsed = eio._format_samples(np.array(values, dtype=float))
-    text = b"".join(blocks).decode("ascii")
+        text, parsed = text_and_parsed(values)
     assert text == percent_e(values)
     assert bits(parsed) == bits([float(line) for line in text.splitlines()])
 
@@ -348,6 +354,19 @@ def test_open_text_names_the_path_of_every_input_fault(tmp_path):
     with pytest.raises(ValidationError, match=f"^{re.escape(str(text))}: not valid UTF-8$"):
         with eio.open_text(text) as fh:
             fh.read()
+
+
+def test_write_record_holds_one_block_of_text(tmp_path):
+    record = SignalRecord(np.random.default_rng(9).normal(0.0, 1e-9, 200_000), 10_000.0, {})
+    tracemalloc.start()
+    try:
+        eio.write_record(record, tmp_path / "r.sig.csv", tmp_path / "r.meta.json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the parsed floats and one block's work (about 1 MB); the whole text is 3.1 MB
+    assert peak < record.samples.nbytes + 1_500_000
+    assert eio.read_stored_samples(tmp_path / "r.sig.csv").size == 200_000
 
 
 def test_sidecar_holds_tag_key_and_parsed_text(tmp_path):

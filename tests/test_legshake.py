@@ -4,15 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from esdgait import legshake
+from esdgait import experiments, legshake
 from esdgait.errors import StreamError, ValidationError
-from esdgait.io import from_json
+from esdgait.io import from_json, read_manifest, read_record
 from esdgait.legshake import (
     DetectorConfig,
     ShakeDetector,
@@ -401,3 +402,52 @@ class TestStreaming:
     def test_stamp_back_constant_is_sane(self):
         # the stamp must land inside its window for hysteresis bookkeeping
         assert 1.0 <= legshake._STAMP_BACK_HOPS <= DetectorConfig().window_seconds / DetectorConfig().hop_seconds
+
+
+# ------------------------------------------------- the shipped records, scaled
+
+
+@pytest.fixture(scope="module")
+def shipped_events(tmp_path_factory):
+    """Each record `simulate` writes for configs/legshake.json, with the
+    events its 2,500-sample pushes give: the chunks `esdgait detect` pushes."""
+    out = tmp_path_factory.mktemp("legshake")
+    config = experiments.load_config(Path(__file__).resolve().parent.parent / "configs/legshake.json")
+    experiments.run_simulate(config, out)
+    records = [read_record(e["signal_path"], e["meta_path"]).samples
+               for e in read_manifest(out / "dataset.json")]
+    return config.detector, [(samples, pushed_events(samples, config.detector)) for samples in records]
+
+
+def pushed_events(samples: np.ndarray, config: DetectorConfig) -> list[ShakeEvent]:
+    detector = ShakeDetector(config)
+    for begin in range(0, samples.size, 2500):
+        detector.push(samples[begin : begin + 2500])
+    return detector.events
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(k=st.integers(-1100, 1100))
+@example(k=-1100)
+@example(k=1100)
+@example(k=-369)  # the largest sample (about 2**-31) near 2**-400, where band_ratio's own
+@example(k=431)  # scaling starts, and near 2**400
+def test_a_power_of_two_scale_keeps_every_shipped_event(shipped_events, k):
+    """On ldexp(record, k), every event opens and closes at the same window,
+    with the same mean band ratio and its peak within 1e-12, for every k
+    that keeps each sample clear of overflow and subnormals; k is clamped
+    to that range, so its edges are drawn too."""
+    config, records = shipped_events
+    samples = np.concatenate([record for record, _ in records])
+    top = np.frexp(np.abs(samples).max())[1]  # every |sample| < 2**top
+    bottom = np.frexp(np.abs(samples[samples != 0]).min())[1]  # >= 2**(bottom - 1)
+    k = min(max(k, -1021 - bottom), 1023 - top)
+    assert any(events for _, events in records)
+    for record, events in records:
+        scaled = pushed_events(np.ldexp(record, k), config)
+        assert [(e.onset, e.offset, e.mean_band_ratio) for e in scaled] == [
+            (e.onset, e.offset, e.mean_band_ratio) for e in events
+        ]
+        assert [e.peak_frequency for e in scaled] == pytest.approx(
+            [e.peak_frequency for e in events], rel=1e-12
+        )

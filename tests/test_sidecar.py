@@ -109,6 +109,27 @@ def test_a_sidecar_hit_is_not_copied(tmp_path):
     assert peak < 1.5 * record.samples.nbytes  # a copy would hold the samples twice
 
 
+def test_chunks_of_a_sidecar_hit_stream_from_the_file(tmp_path):
+    """A path's chunks are the sidecar's samples 2,500 at a time, bit for
+    bit, and reading them holds one chunk, not the record."""
+    samples = np.random.default_rng(4).normal(size=1_000_000)
+    signal = tmp_path / "long.sig.csv"
+    rewrite(signal, samples)
+    stored = eio.read_stored_samples(signal)
+    tracemalloc.start()
+    try:
+        sizes, matches, size = [], 0, eio._SAMPLE_CHUNK_LINES
+        for index, chunk in enumerate(eio.sample_chunks(signal)):
+            sizes.append(chunk.size)
+            expected = stored[index * size : (index + 1) * size]
+            matches += np.array_equal(chunk.view(np.uint64), expected.view(np.uint64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sizes == [size] * 400 and matches == 400
+    assert peak < 1_000_000  # the record's samples are 8 MB
+
+
 def flip_a_digit(signal: Path, sidecar: Path) -> None:
     lines = signal.read_text().splitlines(keepends=True)
     lines[3] = lines[3][:4] + str((int(lines[3][4]) + 1) % 10) + lines[3][5:]
@@ -184,6 +205,20 @@ MISSES = [deleted, flip_a_digit, cut_the_tail, bad_tag, one_sample_more, one_sam
           bad_sample]
 
 
+def trailing_bytes(count: int):
+    """A spoiler that appends `count` zero bytes: part of a float64, which a
+    whole-float read would drop while the key still matched."""
+
+    def spoil(signal: Path, sidecar: Path) -> None:
+        sidecar.write_bytes(sidecar.read_bytes() + bytes(count))
+
+    spoil.__name__ = f"{count}_trailing_bytes"
+    return spoil
+
+
+PARTIAL_FLOATS = [trailing_bytes(count) for count in range(1, 8)]
+
+
 def read_outcome(signal: Path, stamp: eio.Stamp | None = None) -> tuple:
     try:
         record = eio.read_record(signal, signal.with_name(signal.name[:-8] + ".meta.json"), stamp)
@@ -192,14 +227,15 @@ def read_outcome(signal: Path, stamp: eio.Stamp | None = None) -> tuple:
     return "samples", record.samples.view(np.uint64).tolist()
 
 
-@pytest.mark.parametrize("spoil", MISSES, ids=[f.__name__ for f in MISSES])
+@pytest.mark.parametrize("spoil", MISSES + PARTIAL_FLOATS,
+                         ids=[f.__name__ for f in MISSES + PARTIAL_FLOATS])
 def test_a_sidecar_that_does_not_match_is_ignored(simulated, tmp_path, spoil):
     signal = tmp_path / "records" / "rec_0000.sig.csv"
     shutil.copytree(simulated / "records", signal.parent)
     sidecar = signal.with_name(signal.name + ".f8")
     spoil(signal, sidecar)
     assert eio.read_stored_samples(signal) is None
-    with mock.patch.object(eio, "read_stored_samples", wraps=eio.read_stored_samples) as spy:
+    with mock.patch.object(eio, "_verified_sidecar", wraps=eio._verified_sidecar) as spy:
         outcome = read_outcome(signal), run_main(["detect", str(signal)])
     assert spy.call_count == 2  # both readers looked at the sidecar
     if sidecar.is_dir():
