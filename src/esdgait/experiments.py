@@ -15,8 +15,10 @@ import hashlib
 import itertools
 import logging
 import os
+import pickle
 import typing
 from dataclasses import asdict, astuple, dataclass, field, replace
+from io import BytesIO
 from pathlib import Path
 
 import numpy as np
@@ -226,8 +228,25 @@ def load_config(path, seed_override: int | None = None) -> ExperimentConfig:
         raise ValidationError(f"{path}: {exc}") from None
 
 
+_SHARED: tuple = ()  # in a pool worker: the tables its command shares, set by _share
+
+
+def _share(tables: tuple) -> None:
+    """A pool worker's initializer: keep the tables the command shares."""
+    global _SHARED
+    _SHARED = tables
+
+
+def _unpickled_call(fn, blob: bytes):
+    """A pooled task whose arguments _task_map pickled: each shared table in
+    them is this worker's copy, so tasks that name one table still share it."""
+    unpickler = pickle.Unpickler(BytesIO(blob))
+    unpickler.persistent_load = _SHARED.__getitem__
+    return fn(*unpickler.load())
+
+
 @contextlib.contextmanager
-def _task_map(jobs: int):
+def _task_map(jobs: int, shared: tuple = ()):
     """The map a command opens once and hands to every step. The first map
     whose pool would have min(jobs, its tasks, usable CPUs) >= 2 workers
     opens that process pool, and every later map uses it; until then the
@@ -235,22 +254,42 @@ def _task_map(jobs: int):
     at any jobs value. A pooled map splits its tasks into about eight chunks
     per worker, one task per chunk when there are fewer: few messages for
     quick tasks such as one record, and a forest's runs of trees in turn.
+
+    `shared` holds the tables that the command's tasks name, such as a
+    feature table. Each pool worker gets them once, from the pool's
+    initializer, and a pooled task that names one carries only its index.
     """
     with contextlib.ExitStack() as stack:
         pool, workers = None, 0
+        index = {id(table): i for i, table in enumerate(shared)}
 
         def task_map(fn, *iterables):
             nonlocal pool, workers
             tasks = list(zip(*iterables))
             if pool is None:
-                workers = min(jobs, len(tasks), len(os.sched_getaffinity(0)))
+                # only Linux says which CPUs this process may use
+                affinity = getattr(os, "sched_getaffinity", None)
+                cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
+                workers = min(jobs, len(tasks), cpus)
                 if workers < 2:
                     return itertools.starmap(fn, tasks)
-                pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=workers, initializer=_share, initargs=(shared,)
+                )
                 stack.callback(pool.shutdown, cancel_futures=True)  # queued tasks never start
+            if shared:  # pickle each task here, with each shared table as its index
+                blobs = []
+                for task in tasks:
+                    buffer = BytesIO()
+                    pickler = pickle.Pickler(buffer, pickle.HIGHEST_PROTOCOL)
+                    pickler.persistent_id = lambda obj: index.get(id(obj))
+                    pickler.dump(task)
+                    blobs.append((fn, buffer.getvalue()))
+                fn, tasks = _unpickled_call, blobs
             import signal  # as the pool code does: a command that opens no pool loads neither
             chunksize = max(1, -(-len(tasks) // (8 * workers)))
-            # workers and pool threads forked in a map keep this mask: SIGINT reaches this thread alone
+            # workers (forked or spawned) and pool threads started in a map keep this mask:
+            # SIGINT reaches this thread alone
             mask = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
             try:
                 return pool.map(fn, *zip(*tasks), chunksize=chunksize)
@@ -731,7 +770,7 @@ def run_train(
     data = dataset_from_features(matrix, names, labels)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    with _task_map(jobs) as map_fn:
+    with _task_map(jobs, (data,)) as map_fn:
         report, model, trials = _cv(features_path, data, config, None, map_fn)
     if trials is not None:
         io.atomic_write_json(out / "search_trials.json", trials)
@@ -788,7 +827,7 @@ def run_eval(
         report = forest.eval_report(y, proba, [slice(None)], forest.mdi_importance(model))
     else:
         data = dataset_from_features(matrix, names, labels)
-        with _task_map(jobs) as map_fn:
+        with _task_map(jobs, (data,)) as map_fn:
             report, _, _ = _cv(features_path, data, config, out / CV_RECORD, map_fn)
     report_path = out / "eval_report.json"
     io.atomic_write_json(report_path, report.to_dict())
@@ -817,7 +856,7 @@ def run_report(features_path, config: ExperimentConfig, out_dir, jobs: int = 1) 
     masks = [np.isin(labels_arr, class_names[:k]) for k in range(2, len(class_names) + 1)]
     *sweep, data = [dataset_from_features(matrix[m], names, list(labels_arr[m])) for m in masks]
     plans = [forest.cv_plan(s, config.forest_params, config.cv_folds) for s in sweep]
-    with _task_map(jobs) as map_fn:
+    with _task_map(jobs, (*sweep, data)) as map_fn:
         full_report, _, _ = _cv(features_path, data, config, out / CV_RECORD, map_fn)
         grown = iter(forest.grow([fit for _, fits in plans for fit in fits[1:]], map_fn))
     accuracies = [

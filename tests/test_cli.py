@@ -792,7 +792,10 @@ def test_interrupted_detect_ends_in_one_line(shake_signal, tmp_path):
     assert not list(tmp_path.rglob("*.tmp"))
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="a pool needs two usable CPUs")
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="a pool needs two usable CPUs, and the test reads Linux's /proc",
+)
 def test_interrupted_pooled_train_ends_in_one_line(pipeline, tmp_path):
     """Ctrl-C to the process group of `train --jobs 2` once its pool has
     forked workers: one stderr line, exit 130, and no output or .tmp file.

@@ -82,10 +82,12 @@ def cohort(tmp_path_factory):
 
 class FakeExecutor:
     """Stands in for ProcessPoolExecutor: records each pool's worker count
-    and runs its tasks in this process."""
+    and runs its initializer, as its one worker, and its tasks in this process."""
 
-    def __init__(self, made: list[int], max_workers: int) -> None:
+    def __init__(self, made: list[int], max_workers: int, initializer=None, initargs=()) -> None:
         made.append(max_workers)
+        if initializer is not None:
+            initializer(*initargs)
 
     def shutdown(self, cancel_futures=False) -> None:
         return None
@@ -100,9 +102,10 @@ def pools(monkeypatch) -> list[int]:
     made: list[int] = []
     monkeypatch.setattr(
         concurrent.futures, "ProcessPoolExecutor",
-        lambda max_workers: FakeExecutor(made, max_workers),
+        lambda max_workers, **init: FakeExecutor(made, max_workers, **init),
     )
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)))
+    monkeypatch.setattr(ex, "_SHARED", ())  # the tables a fake worker kept go at teardown
     return made
 
 
@@ -368,9 +371,9 @@ def test_a_pool_opens_for_a_map_of_two_tasks(cohort, tmp_path, monkeypatch):
     one pool takes them."""
     made: list[int] = []
 
-    def counted(max_workers):
+    def counted(max_workers, **init):
         made.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
+        return ProcessPoolExecutor(max_workers=max_workers, **init)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
@@ -391,6 +394,57 @@ def test_one_worker_starts_no_pool(cohort, tmp_path, pools, monkeypatch):
     assert run("train", str(sim / "features.csv"), "--config", str(config),
                "--out", str(tmp_path), "--jobs", "4") == 0
     assert pools == []
+
+
+def test_cpus_counted_where_the_os_has_no_affinity(cohort, tmp_path, pools, monkeypatch):
+    """Only Linux has os.sched_getaffinity; elsewhere the pool's size comes
+    from os.cpu_count."""
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(forest, "_TASK_TREES", 5)
+    config, sim = cohort
+    for jobs in ("1", "2"):
+        assert run("train", str(sim / "features.csv"), "--config", str(config),
+                   "--out", str(tmp_path / jobs), "--jobs", jobs) == 0
+    assert pools == [2]
+    assert tree_bytes(tmp_path / "2") == tree_bytes(tmp_path / "1")
+
+
+SPAWN_PROBE = """
+import concurrent.futures, multiprocessing, os, sys
+multiprocessing.set_start_method("spawn")
+from esdgait.cli import main
+features, config, out = sys.argv[1:]
+os.sched_getaffinity = lambda pid: {0, 1}  # two usable CPUs, so that --jobs 2 opens a pool
+pool, opened = concurrent.futures.ProcessPoolExecutor, []
+
+def counted(**kwargs):
+    opened.append(kwargs["max_workers"])
+    return pool(**kwargs)
+
+concurrent.futures.ProcessPoolExecutor = counted
+for command in ("train", "report"):
+    for jobs in ("1", "2"):
+        assert main([command, features, "--config", config, "--out", f"{out}/{command}{jobs}",
+                     "--jobs", jobs, "--quiet"]) == 0
+print(opened)
+"""
+
+
+def test_spawned_workers_write_the_serial_bytes(cohort, tmp_path):
+    """Under the spawn start method a worker inherits nothing from the
+    command: the feature tables reach it through the pool's initializer."""
+    _, sim = cohort
+    config = write_config(tmp_path, forest={})  # 100 trees a fit: four runs of trees, so a pool
+    src = Path(ex.__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-c", SPAWN_PROBE, str(sim / "features.csv"), str(config), str(tmp_path)],
+        capture_output=True, text=True, timeout=300, env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[2, 2]"  # one pool each for train and report
+    for command in ("train", "report"):
+        assert tree_bytes(tmp_path / f"{command}2") == tree_bytes(tmp_path / f"{command}1")
 
 
 NO_POOL_PROBE = """
@@ -525,16 +579,27 @@ def test_forest_tasks_are_tree_runs_and_no_fold_tree_crosses(cohort, tmp_path, p
             sizes.append((len(pickle.dumps(args)), len(pickle.dumps(result))))
             yield result
 
+    share = ex._share
+    shared: list[tuple] = []  # the tables of each initializer call
+
+    def recorded_share(tables):
+        shared.append(tables)
+        share(tables)
+
     monkeypatch.setattr(FakeExecutor, "map", pickling_map)
+    monkeypatch.setattr(ex, "_share", recorded_share)
     monkeypatch.setattr(forest, "_TASK_TREES", 5)
     assert run("train", str(sim / "features.csv"), "--config", str(config),
                "--out", str(tmp_path), "--jobs", "2") == 0
     trees = 6 * (3 + 1)  # n_estimators for each of the 3 folds and the full fit
     assert pools == [2] and len(sizes) == -(-trees // 5)  # one task per run of 5 trees
-    table = len(pickle.dumps(ex.dataset_from_features(*eio.read_features(sim / "features.csv"))))
+    table = pickle.dumps(ex.dataset_from_features(*eio.read_features(sim / "features.csv")))
+    assert len(table) > 8 * 1024
+    # the table reaches the pool's one worker once, through its initializer
+    assert [[pickle.dumps(t) for t in tables] for tables in shared] == [[table]]
     model = len(pickle.dumps(forest.load_model(tmp_path / "model.rfj").nodes))
     for args, result in sizes:
-        assert table < args < table + 8 * 1024  # the table once, and its fits' rows
+        assert args < 8 * 1024  # the table's index, and the fits' rows
         # a run's full-fit trees and fold trees' leaf distributions: less
         # than the whole model, which the fold trees would exceed
         assert result < model

@@ -2,7 +2,9 @@
 cli.main under sys.setprofile through every command on tiny configs:
 simulate for each task, featurize with categoricals, train with and without
 a search, eval in its three modes, eval and report in train's out dir (so
-they read cv.json), and detect on a file and on stdin. Every function
+they read cv.json), detect on a file and on stdin, and train at --jobs 2
+through a stand-in pool that runs its initializer and tasks in the probe's
+own process, where the profile sees the code of a pool worker. Every function
 defined in a package file must run, apart from ALLOWED. Only functions
 compiled from a package file count, so the methods that dataclasses
 generate are left out."""
@@ -34,8 +36,23 @@ def profile(frame, event, arg):
         reached.add((code.co_filename, code.co_firstlineno, code.co_name))
 
 
+class InProcessPool:  # ProcessPoolExecutor's stand-in: one worker, this process
+    def __init__(self, max_workers, initializer, initargs):
+        initializer(*initargs)
+
+    def map(self, fn, *iterables, chunksize):
+        return map(fn, *iterables)
+
+    def shutdown(self, cancel_futures):
+        pass
+
+
 sys.setprofile(profile)
+import concurrent.futures, os
 from esdgait.cli import main
+
+concurrent.futures.ProcessPoolExecutor = InProcessPool
+os.sched_getaffinity = lambda pid: {0, 1}  # a --jobs 2 map of two tasks opens the pool
 
 for argv, stdin in runs:
     if stdin is not None:
@@ -93,7 +110,9 @@ def defined_functions() -> dict[tuple, str]:
 
 def test_every_package_function_runs_in_the_pipeline(tmp_path):
     walk, search, shake = (tmp_path / name for name in ("walk.json", "search.json", "shake.json"))
+    pooled = tmp_path / "pooled.json"  # a CV of 195 trees: two runs, so two pooled tasks
     walk.write_text(json.dumps(WALK))
+    pooled.write_text(json.dumps({**WALK, "forest": {**WALK["forest"], "n_estimators": 65}}))
     search.write_text(json.dumps({**WALK, "search": {"n_iter": 2, "space": {"max_depth": [2, 3]}}}))
     shake.write_text(json.dumps(SHAKE))
     w, s, trained = tmp_path / "w", tmp_path / "s", tmp_path / "trained"
@@ -114,6 +133,8 @@ def test_every_package_function_runs_in_the_pipeline(tmp_path):
         (["simulate", "--config", str(shake), "--out", str(s)], None),
         (["detect", record, "--config", str(shake)], None),
         (["detect", "-"], record),
+        (["train", features, "--config", str(pooled), "--out", str(tmp_path / "p"),
+          "--jobs", "2"], None),
     ]
     env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
     done = subprocess.run(
