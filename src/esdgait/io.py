@@ -103,6 +103,8 @@ def read_json(path, object_hook=None):
             return json.load(fh, object_hook=object_hook)
         except json.JSONDecodeError as exc:
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
+        except RecursionError:
+            raise ValidationError(f"{path}: JSON nested deeper than the parser can go") from None
 
 
 def from_json(cls, value, where: str):
@@ -531,15 +533,12 @@ def read_manifest(path) -> list[dict]:
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or "signal_path" not in entry or "meta_path" not in entry:
             raise ValidationError(f"{path}: each entry needs signal_path and meta_path")
+        resolved.append({})
         for key in ("signal_path", "meta_path"):
-            if not isinstance(entry[key], str):
-                raise ValidationError(f"{path}: [{index}].{key}: expected str, got {entry[key]!r}")
-        resolved.append(
-            {
-                "signal_path": str(base / entry["signal_path"]),
-                "meta_path": str(base / entry["meta_path"]),
-            }
-        )
+            where = f"{path}: [{index}].{key}"
+            if "\0" in from_json(str, entry[key], where):
+                _fail(where, f"{entry[key]!r} holds a NUL, which no path can")
+            resolved[-1][key] = str(base / entry[key])
     return resolved
 
 

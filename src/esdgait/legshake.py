@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -86,12 +86,7 @@ class ShakeEvent:
     mean_band_ratio: float
 
     def to_dict(self) -> dict:
-        return {
-            "onset": self.onset,
-            "offset": self.offset,
-            "peak_frequency": self.peak_frequency,
-            "mean_band_ratio": self.mean_band_ratio,
-        }
+        return asdict(self)
 
 
 def band_ratio(window_samples, config: DetectorConfig) -> tuple[float, float]:
@@ -161,17 +156,13 @@ class ShakeDetector:
     def __init__(self, config: DetectorConfig | None = None) -> None:
         self.config = config if config is not None else DetectorConfig()
         self.events: list[ShakeEvent] = []
-        self._buffer = np.empty(0, dtype=float)
-        self._dropped = 0  # absolute index of _buffer[0]
+        self._buffer = np.empty(0, dtype=float)  # from the next window's first sample on
         self._next_window = 0
-        self._run_length = 0
-        self._streak_first_window = 0  # start of the ratio-passing streak
-        self._streak_length = 0
-        self._run_ratio_sum = 0.0
-        self._run_peak_sum = 0.0
+        self._streak_start: int | None = None  # first window of the ratio-passing streak
+        self._run: list[tuple[float, float]] = []  # (ratio, peak) of windows passing both gates
         self._open_event: ShakeEvent | None = None
-        self._open_window_count = 0
-        self._fail_count = 0
+        self._open_window_count = 0  # the windows in the open event's means
+        self._fail_count = 0  # the open event's consecutive ratio failures
 
     def _window_time(self, window_index: int) -> float:
         cfg = self.config
@@ -186,8 +177,9 @@ class ShakeDetector:
         an overlap and a StreamError is raised.
         """
         cfg = self.config
+        w, h = cfg.window_samples, cfg.hop_samples
         if start_time is not None:
-            expected = (self._dropped + self._buffer.size) / cfg.sample_rate
+            expected = (self._next_window * h + self._buffer.size) / cfg.sample_rate
             if abs(start_time - expected) * cfg.sample_rate > 0.5:
                 raise StreamError(
                     f"chunk starts at {start_time:.6f} s but the stream is at {expected:.6f} s"
@@ -197,86 +189,66 @@ class ShakeDetector:
             raise ValidationError("stream samples must be finite")
         self._buffer = np.concatenate([self._buffer, chunk])
         opened: list[ShakeEvent] = []
-        w, h = cfg.window_samples, cfg.hop_samples
-        while self._dropped + self._buffer.size >= self._next_window * h + w:
-            start = self._next_window * h - self._dropped
-            event = self._evaluate(self._next_window, self._buffer[start : start + w])
+        while self._buffer.size >= w:
+            event = self._evaluate(self._next_window, self._buffer[:w])
             if event is not None:
                 opened.append(event)
             self._next_window += 1
-            surplus = self._next_window * h - self._dropped
-            if surplus > 0:
-                self._buffer = self._buffer[surplus:]
-                self._dropped += surplus
+            self._buffer = self._buffer[h:]
         return opened
 
     def _evaluate(self, window_index: int, window: np.ndarray) -> ShakeEvent | None:
         cfg = self.config
         ratio, peak = band_ratio(window, cfg)
-        if self._open_event is None:
-            in_band = ratio >= cfg.ratio_threshold
-            if in_band:
-                if self._streak_length == 0:
-                    self._streak_first_window = window_index
-                self._streak_length += 1
-            else:
-                self._streak_length = 0
-            tol = _PEAK_GATE_TOLERANCE_BINS * cfg.sample_rate / cfg.window_samples
-            passes = (
-                in_band
-                and math.isfinite(peak)
-                and cfg.peak_target_low - tol <= peak <= cfg.peak_target_high + tol
-            )
-            if not passes:
-                self._run_length = 0
+        event = self._open_event
+        if event is not None:
+            if ratio >= cfg.ratio_threshold:
+                self._fail_count = 0
+                self._open_window_count += 1
+                count = self._open_window_count
+                event.mean_band_ratio += (ratio - event.mean_band_ratio) / count
+                if math.isfinite(peak):
+                    event.peak_frequency += (peak - event.peak_frequency) / count
                 return None
-            if self._run_length == 0:
-                self._run_ratio_sum = 0.0
-                self._run_peak_sum = 0.0
-            self._run_length += 1
-            self._run_ratio_sum += ratio
-            self._run_peak_sum += peak
-            if self._run_length < cfg.min_consecutive_windows:
-                return None
-            # the onset backdates to the start of the ratio-passing streak
-            # around the opening windows: early shake windows can clear the
-            # power gate while the peak estimate still settles; the cap
-            # keeps the open report within window + min_consecutive hops
-            # of the reported onset
-            max_back = int(
-                cfg.window_samples / cfg.hop_samples
-                + cfg.min_consecutive_windows
-                - _STAMP_BACK_HOPS
-                + 1e-9
-            )
-            onset_window = max(self._streak_first_window, window_index - max_back)
-            event = ShakeEvent(
-                onset=self._window_time(onset_window),
-                offset=None,
-                peak_frequency=self._run_peak_sum / self._run_length,
-                mean_band_ratio=self._run_ratio_sum / self._run_length,
-            )
-            self.events.append(event)
-            self._open_event = event
-            self._open_window_count = self._run_length
-            self._fail_count = 0
-            self._run_length = 0
-            self._streak_length = 0
-            return event
-        if ratio >= cfg.ratio_threshold:
-            self._fail_count = 0
-            self._open_window_count += 1
-            count = self._open_window_count
-            event = self._open_event
-            event.mean_band_ratio += (ratio - event.mean_band_ratio) / count
-            if math.isfinite(peak):
-                event.peak_frequency += (peak - event.peak_frequency) / count
+            self._fail_count += 1
+            if self._fail_count >= cfg.release_windows:
+                event.offset = self._window_time(window_index - self._fail_count + 1)
+                self._open_event = None
+                self._fail_count = 0
+                self._streak_start = None
             return None
-        self._fail_count += 1
-        if self._fail_count >= cfg.release_windows:
-            first_failing = window_index - self._fail_count + 1
-            self._open_event.offset = self._window_time(first_failing)
-            self._open_event = None
-            self._fail_count = 0
-            self._streak_length = 0
-        return None
+        in_band = ratio >= cfg.ratio_threshold
+        if not in_band:
+            self._streak_start = None
+        elif self._streak_start is None:
+            self._streak_start = window_index
+        tol = _PEAK_GATE_TOLERANCE_BINS * cfg.sample_rate / cfg.window_samples
+        # a nan peak fails the comparisons
+        if not (in_band and cfg.peak_target_low - tol <= peak <= cfg.peak_target_high + tol):
+            self._run = []
+            return None
+        self._run.append((ratio, peak))
+        if len(self._run) < cfg.min_consecutive_windows:
+            return None
+        # the onset backdates to the start of the ratio-passing streak
+        # around the opening windows: early shake windows can clear the
+        # power gate while the peak estimate still settles; the cap
+        # keeps the open report within window + min_consecutive hops
+        # of the reported onset
+        max_back = int(cfg.window_samples / cfg.hop_samples + cfg.min_consecutive_windows
+                       - _STAMP_BACK_HOPS + 1e-9)
+        ratio_sum = peak_sum = 0.0
+        for run_ratio, run_peak in self._run:  # in window order: sum() compensates since Python 3.12
+            ratio_sum += run_ratio
+            peak_sum += run_peak
+        event = ShakeEvent(
+            onset=self._window_time(max(self._streak_start, window_index - max_back)),
+            offset=None,
+            peak_frequency=peak_sum / len(self._run),
+            mean_band_ratio=ratio_sum / len(self._run),
+        )
+        self.events.append(event)
+        self._open_event = event
+        self._open_window_count = len(self._run)
+        self._run = []
+        return event

@@ -188,6 +188,15 @@ class TestSimulate:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_config_nested_past_the_parser_exits_1(self, tmp_path):
+        # in a fresh interpreter, so a traceback would show
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000 + "]" * 100_000)
+        done = run_cli("simulate", "--config", str(config), "--out", str(tmp_path / "out"), "--quiet")
+        assert done.returncode == 1
+        assert done.stderr == f"error: {config}: JSON nested deeper than the parser can go\n"
+        assert not (tmp_path / "out").exists()
+
     def test_negative_seed_flag_blames_the_flag(self, tmp_path, capsys):
         config = write_config(tmp_path)
         assert main(["simulate", "--config", str(config), "--seed", "-1",
@@ -290,6 +299,27 @@ class TestFeaturize:
         assert_one_line_error(err)
         assert f"{broken}:" in err
 
+
+    @pytest.mark.parametrize(
+        "entry, where",
+        [
+            ({"signal_path": "a\u0000b.sig.csv", "meta_path": "a.meta.json"},
+             "[1].signal_path: 'a\\x00b.sig.csv' holds a NUL, which no path can"),
+            ({"signal_path": "r.sig.csv", "meta_path": "\ud800.meta.json"},
+             "[1].meta_path: '\\ud800.meta.json' holds a lone surrogate, which is not text"),
+        ],
+        ids=["NUL", "lone surrogate"],
+    )
+    def test_manifest_path_no_file_can_have_exits_1(self, pipeline, tmp_path, capsys, entry, where):
+        # JSON's "\u0000" and "\ud800" decode to a str that no file name can hold
+        config, out = pipeline
+        manifest, signal, meta = self.one_record_manifest(out, tmp_path)
+        eio.write_manifest(manifest, [{"signal_path": signal.name, "meta_path": meta.name}, entry])
+        code = main(["featurize", str(manifest), "--config", str(config),
+                     "--out", str(tmp_path / "out"), "--quiet"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {manifest}: {where}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_directory_signal_path_exits_1(self, pipeline, tmp_path, capsys):
         config, out = pipeline

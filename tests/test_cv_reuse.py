@@ -276,6 +276,17 @@ def test_unusable_record_is_a_miss(table, tmp_path, forests, capsys, how):
     assert report_bytes(out) == fresh_report(features, config, tmp_path / "fresh")
 
 
+def test_record_nested_past_the_parser_is_a_miss(table, tmp_path, forests, capsys):
+    k, config, features, trained = table
+    out = trained_copy(trained, tmp_path / "out")
+    (out / "eval_report.json").unlink()
+    (out / "cv.json").write_text("[" * 100_000 + "]" * 100_000)
+    assert run("report", str(features), "--config", str(config), "--out", str(out)) == 0
+    assert len(forests) == fresh_forests(k)
+    assert capsys.readouterr().err == ""
+    assert (out / "eval_report.json").read_bytes() == (trained / "eval_report.json").read_bytes()
+
+
 def test_record_holds_key_and_train_report(table):
     _, config, features, trained = table
     record = json.loads((trained / "cv.json").read_text())

@@ -404,6 +404,86 @@ class TestStreaming:
         assert 1.0 <= legshake._STAMP_BACK_HOPS <= DetectorConfig().window_seconds / DetectorConfig().hop_seconds
 
 
+# ------------------------------------------------- hysteresis, window by window
+
+# scripted window scores, (ratio, peak): the default gates pass a ratio of at
+# least 0.5 with a peak in 5-6 Hz; every sum and mean below is exact in binary
+OFF_PEAK = (0.875, 4.5)  # passes the ratio gate only
+MISS = (0.25, 5.5)  # fails the ratio gate, its peak on target
+
+
+def stamp(window_index: int) -> float:
+    """The time of a window of the scripted detector: 100 Hz, so windows of
+    100 samples every 25, each stamped 1.6 hops before its end."""
+    return (window_index * 25 + 100 - 40) / 100
+
+
+def scripted_events(monkeypatch, scores, **overrides) -> list[tuple]:
+    """The events, as (onset, offset, peak_frequency, mean_band_ratio), of a
+    detector whose k-th window band_ratio scores as scores[k]."""
+    config = DetectorConfig(sample_rate=100.0, **overrides)
+    script = iter(scores)
+    monkeypatch.setattr(legshake, "band_ratio", lambda window, cfg: next(script))
+    detector = ShakeDetector(config)
+    detector.push(np.zeros(config.window_samples + (len(scores) - 1) * config.hop_samples))
+    assert next(script, None) is None  # every scripted window was scored
+    return [dataclasses.astuple(event) for event in detector.events]
+
+
+class TestHysteresis:
+    """The state machine alone, on scripted window scores."""
+
+    def test_an_event_opens_on_its_third_passing_window_with_the_run_means(self, monkeypatch):
+        scores = [(0.5, 5.0), (0.75, 5.5), (1.0, 6.0)]
+        assert scripted_events(monkeypatch, scores[:2]) == []
+        assert scripted_events(monkeypatch, scores) == [(stamp(0), None, 5.5, 0.75)]
+
+    def test_an_open_event_averages_in_band_windows_from_the_run_length_on(self, monkeypatch):
+        # the fourth window counts as the fourth in the means, whatever its peak
+        scores = [(0.5, 5.0), (0.75, 5.5), (1.0, 6.0), (0.5, 4.5)]
+        assert scripted_events(monkeypatch, scores) == [(stamp(0), None, 5.25, 0.6875)]
+
+    def test_an_in_band_window_clears_the_failures_of_an_open_event(self, monkeypatch):
+        # a release needs two failures in a row: the in-band window 4 parts windows 3 and 5
+        scores = [(0.5, 5.0), (0.75, 5.5), (1.0, 6.0), MISS, (0.5, 4.5), MISS]
+        assert scripted_events(monkeypatch, scores) == [(stamp(0), None, 5.25, 0.6875)]
+        closed = scripted_events(monkeypatch, [*scores, MISS])
+        assert closed == [(stamp(0), stamp(5), 5.25, 0.6875)]
+
+    @pytest.mark.parametrize("gap, onset", [(OFF_PEAK, 0), (MISS, 3)])
+    def test_a_window_that_misses_a_gate_ends_the_run(self, monkeypatch, gap, onset):
+        """Three passing windows must follow the gap. The onset goes back to
+        the ratio-passing streak's start: an off-peak window keeps the streak."""
+        scores = [(0.5, 5.0), (0.75, 5.5), gap, (0.5, 5.25), (0.75, 5.5), (1.0, 5.75)]
+        assert scripted_events(monkeypatch, scores[:5]) == []
+        assert scripted_events(monkeypatch, scores) == [(stamp(onset), None, 5.5, 0.75)]
+
+    def test_the_onset_goes_back_at_most_five_windows(self, monkeypatch):
+        # window + min_consecutive hops - 1.6 hops: int(4 + 3 - 1.6) windows
+        scores = [OFF_PEAK] * 6 + [(0.5, 5.0), (0.75, 5.5), (1.0, 6.0)]
+        assert scripted_events(monkeypatch, scores) == [(stamp(3), None, 5.5, 0.75)]
+
+    def test_a_close_starts_the_next_streak_and_run_afresh(self, monkeypatch):
+        """After the release, the next event needs a run of its own, its
+        onset goes back no further than its own streak, and one failure
+        does not close it."""
+        first = [(0.5, 5.0), (0.75, 5.5), (1.0, 6.0), MISS, MISS]
+        closed = (stamp(0), stamp(3), 5.5, 0.75)
+        second = [(0.5, 5.25), (0.75, 5.5), (1.0, 5.75), MISS]
+        assert scripted_events(monkeypatch, first + second[:2]) == [closed]
+        events = scripted_events(monkeypatch, first + second)
+        assert events == [closed, (stamp(5), None, 5.5, 0.75)]
+
+    def test_release_windows_sets_the_failures_a_close_needs(self, monkeypatch):
+        scores = [(0.5, 5.0), (0.75, 5.5), (1.0, 6.0), MISS, MISS]
+        assert scripted_events(monkeypatch, scores, release_windows=3) == [
+            (stamp(0), None, 5.5, 0.75)
+        ]
+        assert scripted_events(monkeypatch, scores + [MISS], release_windows=3) == [
+            (stamp(0), stamp(3), 5.5, 0.75)
+        ]
+
+
 # ------------------------------------------------- the shipped records, scaled
 
 
