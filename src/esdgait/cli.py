@@ -128,10 +128,8 @@ def cmd_detect(args) -> None:
         config = legshake.DetectorConfig()
     detector = legshake.ShakeDetector(config)
     closed_reported = 0
-    if args.source == "-":
-        chunks = io.sample_chunks(sys.stdin, "<stdin>")
-    else:
-        chunks = io.sample_chunks(args.source)
+    stdin = args.source == "-"
+    chunks = io.sample_chunks(sys.stdin, "<stdin>") if stdin else io.open_signal(args.source)[0]
     for samples in chunks:
         for event in detector.push(samples):
             print(_event_line("open", event), flush=True)

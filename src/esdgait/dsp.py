@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, DegenerateSignalError, DomainError, ValidationError
+from .errors import ConfigurationError, DegenerateSignalError, DomainError, ValidationError, shown
 
 LOG_FLOOR = 1e-10  # filter energies are clamped here before the log
 
@@ -46,7 +46,7 @@ class MfccConfig:
         if not (0 <= self.fmin < fmax <= self.sample_rate / 2):
             raise ConfigurationError("need 0 <= fmin < fmax <= sample_rate/2")
         if self.window_function != "hann":
-            raise ConfigurationError(f"unsupported window function {self.window_function!r}")
+            raise ConfigurationError(f"unsupported window function {shown(self.window_function)}")
 
     @property
     def resolved_fmax(self) -> float:

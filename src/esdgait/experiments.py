@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dsp, forest, io, legshake, simkit
-from .errors import DegenerateSignalError, ValidationError
+from .errors import DegenerateSignalError, ValidationError, shown
 
 log = logging.getLogger("esdgait")
 
@@ -190,7 +190,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ValidationError("seed must be a non-negative integer")
         if self.task not in TASKS:
-            raise ValidationError(f"task must be one of {TASKS}, got {self.task!r}")
+            raise ValidationError(f"task must be one of {TASKS}, got {shown(self.task)}")
         if self.cv_folds < 2:
             raise ValidationError("cv_folds must be an integer >= 2")
 
@@ -597,7 +597,7 @@ def run_featurize(
     record's length, rate and labels, then each record is read again,
     trimmed to the shortest length and featurized. The second read hashes
     no sidecar the scan verified and that has not changed since
-    (`io.read_signal`). The categorical codes
+    (`io.open_signal`). The categorical codes
     are computed here, from every scanned record's labels, and each task
     appends its own record's row.
     """

@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io
-from .errors import ToolkitError, ValidationError
+from .errors import ToolkitError, ValidationError, shown
 
 log = logging.getLogger("esdgait")
 
@@ -87,9 +87,9 @@ class ForestParams:
         for name, low in counts:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < low:
-                raise ValidationError(f"{name} must be an integer >= {low}, got {value!r}")
+                raise ValidationError(f"{name} must be an integer >= {low}, got {shown(value)}")
         if isinstance(self.max_features, str) and self.max_features not in ("sqrt", "log2", "all"):
-            raise ValidationError(f"unknown max_features rule {self.max_features!r}")
+            raise ValidationError(f"unknown max_features rule {shown(self.max_features)}")
 
     def resolve_max_features(self, n_features: int) -> int:
         if self.max_features == "sqrt":
@@ -952,7 +952,7 @@ def _tree_nodes(tree, where: str) -> NodeTable:
             column = [v for row in column if isinstance(row, list) for v in row]
         bad = [v for v in column if type(v) not in kind] if isinstance(column, list) else []
         if bad:
-            raise ValidationError(f"{where}.{key}: expected {kind[0].__name__}, got {bad[0]!r}")
+            raise ValidationError(f"{where}.{key}: expected {kind[0].__name__}, got {shown(bad[0])}")
     try:  # a null, as a leaf's threshold is saved, decodes to nan in a float column
         columns = [np.asarray(tree[key], np.int64 if key in _INT_COLUMNS else float) for key in names]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -969,11 +969,11 @@ def _from_document(doc, expected_fingerprint: str | None = None) -> RandomForest
     any document it cannot safely predict with."""
     fmt = doc.get("format") if isinstance(doc, dict) else None
     if fmt != MODEL_FORMAT:
-        raise ValidationError(f"unsupported model format {fmt!r}")
+        raise ValidationError(f"unsupported model format {shown(fmt)}")
     if expected_fingerprint is not None and doc.get("mfcc_fingerprint") != expected_fingerprint:
         raise ValidationError(
             "model was trained with a different feature configuration "
-            f"(fingerprint {doc.get('mfcc_fingerprint')!r} != {expected_fingerprint!r})"
+            f"(fingerprint {shown(doc.get('mfcc_fingerprint'))} != {shown(expected_fingerprint)})"
         )
     params = io.from_json(ForestParams, doc.get("params"), "params")
     feature_names, class_names = (

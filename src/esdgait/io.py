@@ -16,7 +16,7 @@ other block (nan, inf, a three-digit exponent) is formatted by Python's %.
 
 `simulate` also writes `<name>.sig.csv.f8` next to each signal: the
 samples as float64 under a sha256 key of the signal's bytes, so readers of
-an unchanged record skip the text parse (see `_verified_sidecar`).
+an unchanged record skip the text parse (see `open_signal`, the one reader).
 
 All writers go through a temp file in the target directory followed by an
 atomic rename, so readers never observe partial files.
@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import MfccConfig
-from .errors import ValidationError
+from .errors import ValidationError, shown
 from .simkit import SignalRecord
 
 
@@ -129,7 +129,7 @@ def from_json(cls, value, where: str):
     args = typing.get_args(cls)
     if dataclasses.is_dataclass(origin):
         if not isinstance(value, dict):
-            _fail(where, f"expected object, got {value!r}")
+            _fail(where, f"expected object, got {shown(value)}")
         fields = {f.metadata.get("key", f.name): f for f in dataclasses.fields(origin) if f.init}
         kwargs = {}
         for key, item in value.items():
@@ -160,10 +160,10 @@ def from_json(cls, value, where: str):
                 return from_json(arm, value, where)
             except ValidationError:
                 pass
-        _fail(where, f"expected {cls}, got {value!r}")
+        _fail(where, f"expected {cls}, got {shown(value)}")
     if origin in (list, tuple, dict):
         if not isinstance(value, dict if origin is dict else list):
-            _fail(where, f"expected {'object' if origin is dict else 'list'}, got {value!r}")
+            _fail(where, f"expected {'object' if origin is dict else 'list'}, got {shown(value)}")
         if not args:
             return origin(value)
         if origin is dict:
@@ -173,10 +173,10 @@ def from_json(cls, value, where: str):
     if origin is float and type(value) in (int, float) and abs(value) <= sys.float_info.max:
         return float(value)  # any finite number
     if origin is str and type(value) is str and _SURROGATE.search(value):  # JSON's "\ud800"
-        _fail(where, f"{value!r} holds a lone surrogate, which is not text")
+        _fail(where, f"{shown(value)} holds a lone surrogate, which is not text")
     if origin is not float and type(value) is origin:  # exact: a bool is no int, an int no bool
         return value
-    _fail(where, f"expected {origin.__name__}, got {value!r}")
+    _fail(where, f"expected {origin.__name__}, got {shown(value)}")
 
 
 _type_hints = functools.cache(typing.get_type_hints)
@@ -206,20 +206,16 @@ def write_record(record: SignalRecord, signal_path, meta_path) -> None:
     _atomic_write(signal_path, _text_blocks(x, parsed), digest)
     stored = parsed.astype("<f8", copy=False)
     digest.update(stored)
-    _atomic_write(_sidecar_path(signal_path), [_SIDECAR_TAG, digest.digest(), stored])
+    _atomic_write(f"{signal_path}.f8", [_SIDECAR_TAG, digest.digest(), stored])
     atomic_write_json(meta_path, {**record.labels, "sample_rate": record.sample_rate})
 
 
-# A sidecar holds this tag, a key, and one little-endian float64 per line of
-# the signal file: the float that line parses to. The key is the sha256 of
-# the signal file's bytes followed by the float64 bytes, so it also fails
-# when the samples change after writing.
+# A sidecar, `<signal>.f8`, holds this tag, a key, and one little-endian
+# float64 per line of the signal file: the float that line parses to. The key
+# is the sha256 of the signal file's bytes followed by the float64 bytes, so
+# it also fails when the samples change after writing.
 _SIDECAR_TAG = b"esdgait f8 v1\n\0\0"
 _SIDECAR_HEAD = len(_SIDECAR_TAG) + hashlib.sha256().digest_size
-
-
-def _sidecar_path(signal_path) -> Path:
-    return Path(f"{signal_path}.f8")
 
 
 def file_blocks(fh):
@@ -228,44 +224,23 @@ def file_blocks(fh):
     return iter(functools.partial(fh.read, 1 << 16), b"")
 
 
-def _verified_sidecar(signal_path):
-    """The signal's sidecar, open at its first sample, or None unless it
-    provably belongs to the signal text as it is now: the tag matches, the
-    key is the sha256 of the text and the samples, and the payload is whole
-    float64s, one finite sample per line (and at least one). Both files are
-    hashed a block at a time; a missing or unreadable file is a miss too.
-    Reading on trusts that the sidecar is replaced, never rewritten in place."""
-    with contextlib.ExitStack() as stack:
-        try:
-            fh = stack.enter_context(open(_sidecar_path(signal_path), "rb"))
-            head, digest, lines = fh.read(_SIDECAR_HEAD), hashlib.sha256(), 0
-            with open(signal_path, "rb") as text:
-                for block in file_blocks(text):
-                    digest.update(block)
-                    lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)  # b"\n", 5x bytes.count
-            for block in file_blocks(fh):  # only the last read may be short
-                if len(block) % 8 or not np.isfinite(np.frombuffer(block, "<f8")).all():
-                    return None
-                digest.update(block)
-            if head != _SIDECAR_TAG + digest.digest() or fh.tell() != _SIDECAR_HEAD + 8 * lines:
-                return None
-            fh.seek(_SIDECAR_HEAD)
-        except OSError:
-            return None
-        if lines == 0:
-            return None
-        stack.pop_all()
-        return fh
-
-
-def read_stored_samples(signal_path) -> np.ndarray | None:
-    """The samples in the signal's sidecar, when `_verified_sidecar` finds it
-    to match the text, else None."""
-    fh = _verified_sidecar(signal_path)
-    if fh is None:
-        return None
-    with fh:
-        return np.fromfile(fh, dtype="<f8")
+def _matches(sidecar, signal_path) -> bool:
+    """Whether the sidecar, open at its start, provably belongs to the signal
+    text as it is now: the tag matches, the key is the sha256 of the text
+    and the samples, and the payload is whole float64s, one finite sample
+    per line (and at least one). Both files are hashed a block at a time; a
+    text that cannot be read raises OSError."""
+    head, digest, lines = sidecar.read(_SIDECAR_HEAD), hashlib.sha256(), 0
+    with open(signal_path, "rb") as text:
+        for block in file_blocks(text):
+            digest.update(block)
+            lines += np.count_nonzero(np.frombuffer(block, np.uint8) == 10)  # b"\n", 5x bytes.count
+    for block in file_blocks(sidecar):  # only the last read may be short
+        if len(block) % 8 or not np.isfinite(np.frombuffer(block, "<f8")).all():
+            return False
+        digest.update(block)
+    return (head == _SIDECAR_TAG + digest.digest() and lines > 0
+            and sidecar.tell() == _SIDECAR_HEAD + 8 * lines)
 
 
 # A file's times are kept to a grain: the kernel's clock tick (at most 10 ms)
@@ -283,14 +258,6 @@ class Stamp(typing.NamedTuple):
     sidecar: tuple
 
 
-def _stamp(signal_path) -> Stamp | None:
-    try:
-        stats = [os.stat(path) for path in (signal_path, _sidecar_path(signal_path))]
-    except OSError:
-        return None
-    return Stamp(*((s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns) for s in stats))
-
-
 def _settled(stamp: Stamp | None, now_ns: int) -> bool:
     """Whether both stamped files were last changed more than a grain before `now_ns`."""
     if stamp is None:
@@ -300,37 +267,58 @@ def _settled(stamp: Stamp | None, now_ns: int) -> bool:
     return max(ctimes) < now_ns - grain
 
 
-def read_signal(signal_path, stamp: Stamp | None = None) -> tuple[np.ndarray, Stamp | None]:
-    """A signal's samples: its sidecar's array as it is, not copied, when the
-    sidecar matches the text (`read_stored_samples`), else the text parsed
-    as `sample_chunks`. With them comes a Stamp when the sidecar matched and
-    both files were last changed more than a grain before this read began.
+def open_signal(signal_path, stamp: Stamp | None = None, whole: bool = False):
+    """A signal's samples as chunks, and a Stamp or None: the one reader of
+    a record's samples. It opens the sidecar once, stats both files (the
+    sidecar through the open file) and, unless they stat as `stamp`, checks
+    that the sidecar matches the text (`_matches`). A hit gives the
+    sidecar's samples _SAMPLE_CHUNK_LINES at a time, or when `whole` as one
+    array read from the file, not copied; a miss gives the text parsed by
+    `sample_chunks`, whose errors name `signal_path`.
 
-    Passed back with a later read of the same signal, that stamp skips the
-    text read and the sha256 while both files still stat as stamped, checked
-    after reading the sidecar (git's racy-clean rule, on ctime): a change
-    after the stamp lands at least a grain after the files' last change, so
-    it gives them a new ctime. Otherwise the later read verifies as the
-    first did. The rule trusts that the files' clock is this machine's."""
-    if stamp is not None:
-        try:
-            with open(_sidecar_path(signal_path), "rb") as fh:
-                fh.seek(_SIDECAR_HEAD)
-                samples = np.fromfile(fh, dtype="<f8")
-            if _stamp(signal_path) == stamp:
-                return samples, stamp
-        except OSError:
-            pass
-    began = time.time_ns()
-    stamp = _stamp(signal_path)
-    samples = read_stored_samples(signal_path)
-    if samples is not None:
-        return samples, stamp if _settled(stamp, began) else None
-    with open_text(signal_path) as lines:
-        chunks = list(sample_chunks(lines, signal_path))
-    if not chunks:
+    A hit whose files were both last changed more than a grain before this
+    read began gets a Stamp. Passed back with a later read, it skips the
+    text read and the sha256 while both files still stat as stamped (git's
+    racy-clean rule, on ctime): a change after the stamp lands at least a
+    grain after the files' last change, so it gives them a new ctime. The
+    rule trusts that the files' clock is this machine's, and that a sidecar
+    is replaced, never rewritten in place."""
+    began, sidecar = time.time_ns(), None
+    try:
+        sidecar = open(f"{signal_path}.f8", "rb")
+        stats = os.stat(signal_path), os.fstat(sidecar.fileno())
+        now = Stamp(*((s.st_ino, s.st_size, s.st_mtime_ns, s.st_ctime_ns) for s in stats))
+        if now == stamp or _matches(sidecar, signal_path):
+            sidecar.seek(_SIDECAR_HEAD)
+            return _chunks(signal_path, sidecar, whole), now if _settled(now, began) else None
+    except OSError:
+        pass
+    if sidecar is not None:
+        sidecar.close()
+    return _chunks(signal_path, None, whole), None
+
+
+def _chunks(signal_path, sidecar, whole: bool):
+    """`open_signal`'s chunks: the text parsed when `sidecar` is None, else
+    the samples of the sidecar, open at its first sample."""
+    if sidecar is None:
+        with open_text(signal_path) as lines:
+            yield from sample_chunks(lines, signal_path)
+        return
+    with sidecar:
+        if whole:
+            yield np.fromfile(sidecar, dtype="<f8")
+        while block := sidecar.read(8 * _SAMPLE_CHUNK_LINES):  # one chunk in memory at a time
+            yield np.frombuffer(block, "<f8", count=len(block) // 8)
+
+
+def read_signal(signal_path, stamp: Stamp | None = None) -> tuple[np.ndarray, Stamp | None]:
+    """A signal's samples in one array, and its Stamp: `open_signal`'s chunks
+    joined, where a sidecar hit's one array is returned as it was read."""
+    chunks, stamp = open_signal(signal_path, stamp, whole=True)
+    if not (chunks := list(chunks)):
         raise ValidationError(f"{signal_path}: no samples")
-    return np.concatenate(chunks), None
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks), stamp
 
 
 def read_meta(meta_path) -> tuple[float, dict]:
@@ -363,29 +351,15 @@ def read_record(signal_path, meta_path, stamp: Stamp | None = None) -> SignalRec
 _SAMPLE_CHUNK_LINES = 2500
 
 
-def sample_chunks(source, name=None):
-    """The samples of a signal, in chunks of _SAMPLE_CHUNK_LINES samples
-    (the last may be shorter) whatever its blank lines, so a streaming
-    reader pushes the same chunks as a per-line one would.
-
-    `source` is a path, or an open text stream named `name` in errors. A
-    path whose sidecar matches its text is not parsed at all: its samples
-    are read from the sidecar a chunk at a time. The grammar:
-    every line that is not blank holds, stripped, one finite number that
-    float() accepts. The first line that does not ends the read with a
-    ValidationError `<name>:<line>: ...`, raised after every full chunk
-    before it has been yielded.
+def sample_chunks(source, name):
+    """The samples of the open text stream `source`, named `name` in errors,
+    in chunks of _SAMPLE_CHUNK_LINES samples (the last may be shorter)
+    whatever its blank lines, so a streaming reader pushes the same chunks
+    as a per-line one would. The grammar: every line that is not blank
+    holds, stripped, one finite number that float() accepts. The first line
+    that does not ends the read with a ValidationError `<name>:<line>: ...`,
+    raised after every full chunk before it has been yielded.
     """
-    if isinstance(source, (str, os.PathLike)):
-        sidecar = _verified_sidecar(source)
-        if sidecar is not None:  # one chunk in memory at a time, whatever the record's length
-            with sidecar:
-                while block := sidecar.read(8 * _SAMPLE_CHUNK_LINES):
-                    yield np.frombuffer(block, "<f8", count=len(block) // 8)
-            return
-        with open_text(source) as lines:
-            yield from sample_chunks(lines, source if name is None else name)
-        return
     if hasattr(source, "reconfigure"):  # bytes that are not UTF-8 become lone surrogates
         source.reconfigure(errors="surrogateescape")
     pending, error, line_no = np.empty(0), None, 0
@@ -401,15 +375,13 @@ def sample_chunks(source, name=None):
                     continue
                 try:
                     value = float(text)
-                except ValueError:
-                    try:
-                        text.encode("utf-8")
-                        error = f"{name}:{number}: not a sample value: {text!r}"
-                    except UnicodeEncodeError:  # a lone surrogate stands for a bad byte
-                        error = f"{name}:{number}: not valid UTF-8"
+                except ValueError:  # a lone surrogate stands for a bad byte
+                    utf8 = not _SURROGATE.search(text)
+                    error = f"{name}:{number}: " + (
+                        f"not a sample value: {shown(text)}" if utf8 else "not valid UTF-8")
                     break
                 if not math.isfinite(value):
-                    error = f"{name}:{number}: not a finite sample value: {text!r}"
+                    error = f"{name}:{number}: not a finite sample value: {shown(text)}"
                     break
                 values.append(value)
             values = np.array(values)
@@ -537,7 +509,7 @@ def read_manifest(path) -> list[dict]:
         for key in ("signal_path", "meta_path"):
             where = f"{path}: [{index}].{key}"
             if "\0" in from_json(str, entry[key], where):
-                _fail(where, f"{entry[key]!r} holds a NUL, which no path can")
+                _fail(where, f"{shown(entry[key])} holds a NUL, which no path can")
             resolved[-1][key] = str(base / entry[key])
     return resolved
 
@@ -558,35 +530,32 @@ def write_features(path, matrix: np.ndarray, feature_names, labels) -> None:
 
 def read_features(path) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
     with open_text(path, newline="") as fh:
-        return _parse_features(path, csv.reader(fh))
-
-
-def _parse_features(path, reader) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ValidationError(f"{path}: empty features file") from None
-    if not header or header[-1] != "label":
-        raise ValidationError(f"{path}: last column must be 'label'")
-    seen = set()
-    for name in header:
-        if name in seen:
-            raise ValidationError(f"{path}: duplicate column {name!r}")
-        seen.add(name)
-    names = tuple(header[:-1])
-    rows, labels = [], []
-    for line_no, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise ValidationError(f"{path}:{line_no}: expected {len(header)} cells")
-        try:  # numpy parses each str cell as float() does, errors too
-            values = np.array(row[:-1], dtype=float)
-        except ValueError as exc:
-            raise ValidationError(f"{path}:{line_no}: {exc}") from None
-        if not np.isfinite(values).all():
-            cell = row[int(np.argmin(np.isfinite(values)))]
-            raise ValidationError(f"{path}:{line_no}: not a finite feature value: {cell!r}")
-        rows.append(values)
-        labels.append(row[-1])
-    if not rows:
-        raise ValidationError(f"{path}: no feature rows")
-    return np.array(rows), names, labels
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValidationError(f"{path}: empty features file") from None
+        if not header or header[-1] != "label":
+            raise ValidationError(f"{path}: last column must be 'label'")
+        seen = set()
+        for name in header:
+            if name in seen:
+                raise ValidationError(f"{path}: duplicate column {shown(name)}")
+            seen.add(name)
+        names = tuple(header[:-1])
+        rows, labels = [], []
+        for line_no, row in enumerate(reader, start=2):
+            if len(row) != len(header):
+                raise ValidationError(f"{path}:{line_no}: expected {len(header)} cells")
+            try:  # numpy parses each str cell as float() does, errors too
+                values = np.array(row[:-1], dtype=float)
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{line_no}: {exc}") from None
+            if not np.isfinite(values).all():
+                cell = row[int(np.argmin(np.isfinite(values)))]
+                raise ValidationError(f"{path}:{line_no}: not a finite feature value: {shown(cell)}")
+            rows.append(values)
+            labels.append(row[-1])
+        if not rows:
+            raise ValidationError(f"{path}: no feature rows")
+        return np.array(rows), names, labels

@@ -23,6 +23,7 @@ from .errors import (
     DomainError,
     SingularityError,
     ValidationError,
+    shown,
 )
 
 SAMPLE_RATE = 10_000  # Hz, fixed for the whole feature pipeline
@@ -123,7 +124,7 @@ class MoodProfile:
 
     def __post_init__(self) -> None:
         if self.label not in ("happy", "sad"):
-            raise ValidationError(f"mood label must be happy or sad, got {self.label!r}")
+            raise ValidationError(f"mood label must be happy or sad, got {shown(self.label)}")
         if self.label == "sad" and not (self.speed_factor < 1 and self.amplitude_factor < 1):
             raise ValidationError("sad mood requires speed_factor < 1 and amplitude_factor < 1")
         if self.label == "happy" and not (self.speed_factor >= 1 and self.amplitude_factor >= 1):

@@ -857,6 +857,27 @@ def test_interrupted_pooled_train_ends_in_one_line(pipeline, tmp_path):
     assert [p.name for p in tmp_path.rglob("*") if p.is_file()] == ["config.json"]
 
 
+# bytes of one stderr line, "error: " and its newline included
+ERROR_LINE_BOUND = 300
+
+
+@pytest.mark.parametrize("case", ["record line", "seed list", "task string"])
+def test_a_huge_value_ends_in_one_short_error_line(tmp_path, capsys, case):
+    """A value of megabytes is shown by its ends, not whole."""
+    if case == "record line":
+        signal = tmp_path / "r.sig.csv"
+        signal.write_text("1.0\n" + "x" * 5_000_000 + "\n")
+        argv = ["detect", str(signal)]
+    else:
+        edit = {"seed": list(range(200_000))} if case == "seed list" else {"task": "t" * 3_000_000}
+        argv = ["simulate", "--config", str(write_config(tmp_path, **edit)),
+                "--out", str(tmp_path / "out")]
+    assert main([*argv, "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert_one_line_error(err)
+    assert len(err.encode("utf-8")) <= ERROR_LINE_BOUND, err
+
+
 class TestDetect:
     def test_detect_emits_open_event(self, shake_signal, capsys):
         assert main(["detect", str(shake_signal), "--quiet"]) == 0

@@ -366,7 +366,7 @@ def test_write_record_holds_one_block_of_text(tmp_path):
         tracemalloc.stop()
     # the parsed floats and one block's work (about 1 MB); the whole text is 3.1 MB
     assert peak < record.samples.nbytes + 1_500_000
-    assert eio.read_stored_samples(tmp_path / "r.sig.csv").size == 200_000
+    assert eio.read_signal(tmp_path / "r.sig.csv")[0].size == 200_000
 
 
 def test_sidecar_holds_tag_key_and_parsed_text(tmp_path):
@@ -381,5 +381,5 @@ def test_sidecar_holds_tag_key_and_parsed_text(tmp_path):
     assert data[:16] == eio._SIDECAR_TAG
     assert data[16:48] == hashlib.sha256(text + data[48:]).digest()
     assert np.frombuffer(data[48:], "<f8").view(np.uint64).tolist() == bits(parsed)
-    assert bits(eio.read_stored_samples(signal)) == bits(parsed)
+    assert bits(eio.read_signal(signal)[0]) == bits(parsed)
     assert bits(eio.read_record(signal, tmp_path / "r.meta.json").samples) == bits(parsed)

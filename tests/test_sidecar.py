@@ -56,9 +56,9 @@ def signals(root: Path) -> list[Path]:
     return [Path(e["signal_path"]) for e in eio.read_manifest(root / "dataset.json")]
 
 
-def featurize(root: Path, out: Path) -> tuple[str, int, str]:
+def featurize(root: Path, out: Path, *options: str) -> tuple[str, int, str]:
     return run_main(["featurize", str(root / "dataset.json"), "--config",
-                     str(root / "config.json"), "--out", str(out)])
+                     str(root / "config.json"), "--out", str(out), *options])
 
 
 def detect_all(root: Path) -> list[tuple[str, int, str]]:
@@ -115,11 +115,11 @@ def test_chunks_of_a_sidecar_hit_stream_from_the_file(tmp_path):
     samples = np.random.default_rng(4).normal(size=1_000_000)
     signal = tmp_path / "long.sig.csv"
     rewrite(signal, samples)
-    stored = eio.read_stored_samples(signal)
+    stored = eio.read_signal(signal)[0]
     tracemalloc.start()
     try:
         sizes, matches, size = [], 0, eio._SAMPLE_CHUNK_LINES
-        for index, chunk in enumerate(eio.sample_chunks(signal)):
+        for index, chunk in enumerate(eio.open_signal(signal)[0]):
             sizes.append(chunk.size)
             expected = stored[index * size : (index + 1) * size]
             matches += np.array_equal(chunk.view(np.uint64), expected.view(np.uint64))
@@ -173,7 +173,7 @@ def rewrite(signal: Path, samples) -> None:
 
 
 def nan_written(signal: Path, sidecar: Path) -> None:
-    samples = eio.read_stored_samples(signal).copy()
+    samples = eio.read_signal(signal)[0].copy()
     samples[3] = np.nan
     rewrite(signal, samples)
 
@@ -234,10 +234,11 @@ def test_a_sidecar_that_does_not_match_is_ignored(simulated, tmp_path, spoil):
     shutil.copytree(simulated / "records", signal.parent)
     sidecar = signal.with_name(signal.name + ".f8")
     spoil(signal, sidecar)
-    assert eio.read_stored_samples(signal) is None
-    with mock.patch.object(eio, "_verified_sidecar", wraps=eio._verified_sidecar) as spy:
+    with mock.patch.object(eio, "open_signal", wraps=eio.open_signal) as spy, \
+            mock.patch.object(eio, "sample_chunks", wraps=eio.sample_chunks) as parse:
         outcome = read_outcome(signal), run_main(["detect", str(signal)])
     assert spy.call_count == 2  # both readers looked at the sidecar
+    assert parse.call_count == 2  # and both parsed the text
     if sidecar.is_dir():
         sidecar.rmdir()
     else:
@@ -263,8 +264,8 @@ def test_a_second_read_of_an_unchanged_record_hashes_nothing(simulated, tmp_path
     signal = tmp_path / "records" / "rec_0000.sig.csv"
     shutil.copytree(simulated / "records", signal.parent)
     stamp = settled_stamp(signal)
-    first = eio.read_stored_samples(signal)
-    with mock.patch.object(eio, "read_stored_samples", side_effect=AssertionError), \
+    first = eio.read_signal(signal)[0]
+    with mock.patch.object(eio, "_matches", side_effect=AssertionError), \
             mock.patch.object(eio, "sample_chunks", side_effect=AssertionError):
         samples, again = eio.read_signal(signal, stamp)
     assert again == stamp
@@ -289,9 +290,32 @@ def test_a_racily_fresh_record_gets_no_stamp_and_is_hashed_again(tmp_path):
     with mock.patch.object(eio, "_FINE_GRAIN_NS", 60 * 10**9):  # changed less than a grain ago
         samples, stamp = eio.read_signal(signal)
     assert samples.tolist() == [1.0, 2.0, 3.0] and stamp is None
-    with mock.patch.object(eio, "read_stored_samples", wraps=eio.read_stored_samples) as spy:
+    with mock.patch.object(eio, "_matches", wraps=eio._matches) as spy:
         assert eio.read_signal(signal, stamp)[0].tolist() == [1.0, 2.0, 3.0]
     assert spy.call_count == 1
+
+
+def test_featurize_hashes_each_record_once(simulated, tmp_path):
+    """The scan verifies each record's sidecar and stamps it (a grain of 0
+    settles every stamp at once); the second read trusts the stamp. So each
+    record is read twice, hashed once and never parsed as text."""
+    records = [str(s) for s in signals(simulated)]
+    parsed, open_text = [], eio.open_text
+
+    def watched_open_text(path, **options):
+        if str(path).endswith(".sig.csv"):
+            parsed.append(path)
+        return open_text(path, **options)
+
+    with mock.patch.object(eio, "_FINE_GRAIN_NS", 0), \
+            mock.patch.object(eio, "_SECONDS_GRAIN_NS", 0), \
+            mock.patch.object(eio, "_matches", wraps=eio._matches) as hashes, \
+            mock.patch.object(eio, "open_signal", wraps=eio.open_signal) as reads, \
+            mock.patch.object(eio, "open_text", watched_open_text):
+        assert featurize(simulated, tmp_path / "features", "--jobs", "1")[1] == 0
+    assert sorted(call.args[1] for call in hashes.call_args_list) == sorted(records)
+    assert sorted(call.args[0] for call in reads.call_args_list) == sorted(records * 2)
+    assert parsed == []
 
 
 def test_a_ctime_on_a_whole_second_waits_two_seconds():
