@@ -58,8 +58,14 @@ _SHOWN_LIMIT = 600  # characters of any one shown value, whatever its nesting
 
 
 def shown(value) -> str:
-    """`value` as an error message prints it: bounded by _SHOWN, then cut to
-    its two ends around "..." if still over _SHOWN_LIMIT characters, so a
-    huge input makes no huge line."""
-    text, half = _SHOWN.repr(value), _SHOWN_LIMIT // 2 - 2
-    return text if len(text) <= _SHOWN_LIMIT else text[:half] + "..." + text[-half:]
+    """`value` as an error message prints it: bounded by _SHOWN, then `cut`
+    to _SHOWN_LIMIT characters, so a huge input makes no huge line."""
+    return cut(_SHOWN.repr(value), _SHOWN_LIMIT)
+
+
+def cut(text: str, limit: int = _SHOWN.maxstring) -> str:
+    """`text` as it is, or its two ends around "..." if over `limit`
+    characters: how a message prints input text as it stands, such as a
+    key in a key path."""
+    half = limit // 2 - 2
+    return text if len(text) <= limit else text[:half] + "..." + text[-half:]

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, dsp, forest, io, legshake, simkit
-from .errors import DegenerateSignalError, ValidationError, shown
+from .errors import DegenerateSignalError, ValidationError, cut, shown
 
 log = logging.getLogger("esdgait")
 
@@ -140,34 +140,30 @@ class ShakeCohort:
             raise ValidationError("noise_only records need snr_db to set the noise level")
 
 
-def _check_search_space(space: dict[str, list], where: str) -> None:
-    """Every axis names a ForestParams field other than seed and lists values
-    that field accepts; each error names the key path of the bad value."""
-    if not space:
-        raise ValidationError(f"{where}: must not be empty")
-    hints = typing.get_type_hints(forest.ForestParams)
-    for name, values in space.items():
-        path = f"{where}.{name}"
-        if name not in hints or name == "seed":
-            raise ValidationError(f"{path}: unknown search axis")
-        if not values:
-            raise ValidationError(f"{path}: needs a non-empty list")
-        for i, value in enumerate(values):
-            try:
-                forest.ForestParams(**{name: io.from_json(hints[name], value, "")})
-            except ValidationError as exc:
-                raise ValidationError(f"{path}[{i}]: {exc}") from None
-
-
 @dataclass(frozen=True)
 class SearchSpec:
     n_iter: int
     space: dict[str, list] = field(
-        default_factory=lambda: {k: list(v) for k, v in forest.DEFAULT_SEARCH_SPACE.items()},
-        metadata={"check": _check_search_space},
+        default_factory=lambda: {k: list(v) for k, v in forest.DEFAULT_SEARCH_SPACE.items()}
     )
 
     def __post_init__(self) -> None:
+        """Each axis of the space names a ForestParams field other than seed
+        and lists values that field accepts; an error names the bad value's path."""
+        if not self.space:
+            raise ValidationError("space: must not be empty")
+        hints = typing.get_type_hints(forest.ForestParams)
+        for name, values in self.space.items():
+            path = f"space.{cut(name)}"
+            if name not in hints or name == "seed":
+                raise ValidationError(f"{path}: unknown search axis")
+            if not values:
+                raise ValidationError(f"{path}: needs a non-empty list")
+            for i, value in enumerate(values):
+                try:
+                    forest.ForestParams(**{name: io.from_json(hints[name], value, "")})
+                except ValidationError as exc:
+                    raise ValidationError(f"{path}[{i}]: {exc}") from None
         if self.n_iter < 1:
             raise ValidationError("n_iter must be >= 1")
 

@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import MfccConfig
-from .errors import ValidationError, shown
+from .errors import ValidationError, cut, shown
 from .simkit import SignalRecord
 
 
@@ -101,7 +101,9 @@ def read_json(path, object_hook=None):
     with open_text(path) as fh:
         try:
             return json.load(fh, object_hook=object_hook)
-        except json.JSONDecodeError as exc:
+        except ValidationError:  # from object_hook, as it wrote it
+            raise
+        except ValueError as exc:  # a JSONDecodeError, or an int past Python's digit limit
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None
         except RecursionError:
             raise ValidationError(f"{path}: JSON nested deeper than the parser can go") from None
@@ -117,13 +119,11 @@ def from_json(cls, value, where: str):
     (JSON's "\\ud800"), which UTF-8 cannot encode. `tuple[X, ...]`,
     `list`, `dict[str, X]`, unions such as `X | None` and nested
     dataclasses are decoded recursively. Value rules live in each class's
-    `__post_init__`, or, when an error must name a path inside a field, in
-    the field's metadata "check": check(value, path) runs on the decoded
-    value. A field whose metadata sets "key" is read from that JSON key
-    instead of its name. Every error is a ValidationError naming the key
-    path, starting from `where`; a `__post_init__` error that starts with a
-    path inside its object (`key.sub: message`, key one of its fields)
-    continues that path.
+    `__post_init__`. A field whose metadata sets "key" is read from that
+    JSON key instead of its name. Every error is a ValidationError naming
+    the key path, starting from `where`, each key in it `cut`; a
+    `__post_init__` error that starts with a path inside its object
+    (`key.sub: message`, key one of its fields) continues that path.
     """
     origin = typing.get_origin(cls) or cls
     args = typing.get_args(cls)
@@ -137,8 +137,6 @@ def from_json(cls, value, where: str):
                 _fail(_at(where, key), "unknown key")
             name = fields[key].name
             kwargs[name] = from_json(_type_hints(origin)[name], item, _at(where, key))
-            if "check" in fields[key].metadata:
-                fields[key].metadata["check"](kwargs[name], _at(where, key))
         for key, f in fields.items():
             if key not in value and f.default is f.default_factory is dataclasses.MISSING:
                 _fail(_at(where, key), "missing required field")
@@ -146,9 +144,8 @@ def from_json(cls, value, where: str):
             return origin(**kwargs)
         except ValidationError as exc:
             inner = str(exc).partition(":")[0]
-            if inner.partition(".")[0] in fields and " " not in inner:
-                raise type(exc)(_at(where, exc)) from None
-            raise type(exc)(f"{where}: {exc}" if where else str(exc)) from None
+            joint = "." if inner.partition(".")[0] in fields and " " not in inner else ": "
+            raise type(exc)(f"{where}{joint}{exc}" if where else str(exc)) from None
     if origin in (types.UnionType, typing.Union):
         if value is None and type(None) in args:
             return None
@@ -183,8 +180,8 @@ _type_hints = functools.cache(typing.get_type_hints)
 _SURROGATE = re.compile("[\ud800-\udfff]")  # in a str, every surrogate is a lone one
 
 
-def _at(where: str, key) -> str:
-    return f"{where}.{key}" if where else str(key)
+def _at(where: str, key: str) -> str:
+    return f"{where}.{cut(key)}" if where else cut(key)
 
 
 def _fail(where: str, message: str):
@@ -333,7 +330,7 @@ def read_meta(meta_path) -> tuple[float, dict]:
     if sample_rate <= 0:
         _fail(where, f"must be positive, got {sample_rate!r}")
     labels = {  # a str label must be text: featurize writes it out
-        k: from_json(str, v, f"{meta_path}: {k}") if type(v) is str else v
+        k: from_json(str, v, f"{meta_path}: {cut(k)}") if type(v) is str else v
         for k, v in meta.items() if k != "sample_rate"
     }
     return sample_rate, labels
@@ -549,8 +546,13 @@ def read_features(path) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
                 raise ValidationError(f"{path}:{line_no}: expected {len(header)} cells")
             try:  # numpy parses each str cell as float() does, errors too
                 values = np.array(row[:-1], dtype=float)
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{line_no}: {exc}") from None
+            except ValueError:  # float()'s wording, naming the first cell it refuses
+                for cell in row[:-1]:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        message = f"could not convert string to float: {shown(cell)}"
+                        raise ValidationError(f"{path}:{line_no}: {message}") from None
             if not np.isfinite(values).all():
                 cell = row[int(np.argmin(np.isfinite(values)))]
                 raise ValidationError(f"{path}:{line_no}: not a finite feature value: {shown(cell)}")

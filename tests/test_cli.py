@@ -861,17 +861,22 @@ def test_interrupted_pooled_train_ends_in_one_line(pipeline, tmp_path):
 ERROR_LINE_BOUND = 300
 
 
-@pytest.mark.parametrize("case", ["record line", "seed list", "task string"])
+@pytest.mark.parametrize(
+    "case", ["record line", "seed list", "task string", "unknown key", "seed digits"])
 def test_a_huge_value_ends_in_one_short_error_line(tmp_path, capsys, case):
-    """A value of megabytes is shown by its ends, not whole."""
+    """A value of megabytes, a key of megabytes, or an integer past Python's
+    4,300-digit limit is shown by its ends, not whole."""
     if case == "record line":
         signal = tmp_path / "r.sig.csv"
         signal.write_text("1.0\n" + "x" * 5_000_000 + "\n")
         argv = ["detect", str(signal)]
     else:
-        edit = {"seed": list(range(200_000))} if case == "seed list" else {"task": "t" * 3_000_000}
-        argv = ["simulate", "--config", str(write_config(tmp_path, **edit)),
-                "--out", str(tmp_path / "out")]
+        edit = {"seed list": {"seed": list(range(200_000))}, "task string": {"task": "t" * 3_000_000},
+                "unknown key": {"k" * 3_000_000: 1}, "seed digits": {}}[case]
+        config = write_config(tmp_path, **edit)
+        if case == "seed digits":  # json.dumps refuses to write it
+            config.write_text(config.read_text().replace('"seed": 21', '"seed": ' + "9" * 5000))
+        argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "out")]
     assert main([*argv, "--quiet"]) == 1
     err = capsys.readouterr().err
     assert_one_line_error(err)

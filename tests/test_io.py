@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import json
 import math
 import re
 import tracemalloc
@@ -90,6 +91,55 @@ def test_rejections_name_the_key_path(value, message):
         from_json(Outer, value, "top")
 
 
+def test_a_huge_key_is_cut_in_the_key_path(tmp_path):
+    """The key shows its two ends, as errors.cut gives them; the message
+    after it, a `__post_init__` one included, stays whole."""
+    key, cut_key = "k" * 3_000_000, "k" * 48 + "..." + "k" * 48
+    with pytest.raises(ValidationError) as caught:
+        from_json(Outer, {"count": 1, key: 1}, "top")
+    assert str(caught.value) == f"top.{cut_key}: unknown key"
+    with pytest.raises(ValidationError) as caught:
+        from_json(Outer, {"count": 1, "inners": {key: {"rate": -1}}}, "top")
+    assert str(caught.value) == f"top.inners.{cut_key}: rate must be >= 0"
+    meta = tmp_path / "r.meta.json"
+    meta.write_text(json.dumps({"sample_rate": 1.0, key: "\ud800"}))
+    with pytest.raises(ValidationError) as caught:
+        eio.read_meta(meta)
+    assert str(caught.value) == (
+        f"{meta}: {cut_key}: '\\ud800' holds a lone surrogate, which is not text")
+
+
+@dataclass(frozen=True)
+class Wordy:
+    rate: float
+
+    def __post_init__(self) -> None:
+        raise ValidationError("rate.sub: " + "w" * 1000)
+
+
+def test_a_long_post_init_message_continues_the_path_whole():
+    with pytest.raises(ValidationError) as caught:
+        from_json(Wordy, {"rate": 1}, "top")
+    assert str(caught.value) == "top.rate.sub: " + "w" * 1000
+
+
+def test_an_integer_past_the_digit_limit_is_not_valid_json(tmp_path):
+    """json raises a plain ValueError for it; an object_hook's
+    ValidationError, also a ValueError, passes through as it was raised."""
+    path = tmp_path / "c.json"
+    path.write_text('{"seed": ' + "9" * 5000 + "}")
+    with pytest.raises(ValidationError) as caught:
+        eio.read_json(path)
+    assert str(caught.value).startswith(f"{path}: not valid JSON (Exceeds the limit (4300 digits)")
+    path.write_text('{"seed": 1}')
+
+    def hook(obj):
+        raise ValidationError("trees[0]: bad")
+
+    with pytest.raises(ValidationError, match=r"^trees\[0\]: bad$"):
+        eio.read_json(path, object_hook=hook)
+
+
 def test_non_numeric_feature_cell_names_file_and_line(tmp_path):
     path = tmp_path / "features.csv"
     write_features(path, np.ones((2, 2)), ("a", "b"), ["x", "y"])
@@ -154,6 +204,8 @@ def test_feature_cells_parse_as_float_does(tmp_path, cell):
         ("0x10", "could not convert string to float: '0x10'"),
         ("1__0", "could not convert string to float: '1__0'"),
         ("", "could not convert string to float: ''"),
+        pytest.param("x" * 100_000, f"could not convert string to float: '{'x' * 47}...{'x' * 48}'",
+                     id="100,000 x"),
         ("1e500", "not a finite feature value: '1e500'"),
         ("-inf", "not a finite feature value: '-inf'"),
         ("nan", "not a finite feature value: 'nan'"),
